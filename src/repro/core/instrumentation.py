@@ -5,7 +5,8 @@
 tuple created by an operator carries the fixed-size metadata of
 :class:`~repro.core.meta.GeneaLogMeta`:
 
-* Source      -> ``T = SOURCE`` (no pointers),
+* Source      -> nothing: absent meta *is* ``T = SOURCE`` (no pointers), so
+  a source tuple that never contributes carries zero provenance bytes,
 * Map         -> ``T = MAP``, ``U1`` = contributing input,
 * Multiplex   -> ``T = MULTIPLEX``, ``U1`` = contributing input,
 * Join        -> ``T = JOIN``, ``U1`` = newer input, ``U2`` = older input,
@@ -17,19 +18,26 @@ tuple created by an operator carries the fixed-size metadata of
   object created on the receiving side.
 
 Filter and Union forward tuples, so no hook exists for them.
+
+Creation hooks never touch their *inputs'* metadata: a bare input is a
+SOURCE leaf as it stands.  A block is materialised on an input only when it
+needs an ``N`` link (Aggregate windows) or a unique ``ID`` (SU, MU, Send).
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.core.meta import GeneaLogMeta, require_meta
+from repro.core.meta import GeneaLogMeta
 from repro.core.traversal import find_provenance
 from repro.core.types import TupleType
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.tuples import StreamTuple
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import SpanTracer
 
 
 #: plain-dict views of the :class:`TupleType` enum for the per-tuple wire
@@ -37,10 +45,13 @@ from repro.spe.tuples import StreamTuple
 #: descriptor call each, which is measurable at channel rates.
 _TYPE_BY_VALUE = {member.value: member for member in TupleType}
 _SOURCE = TupleType.SOURCE
+_MAP = TupleType.MAP
 _MULTIPLEX = TupleType.MULTIPLEX
+_JOIN = TupleType.JOIN
+_AGGREGATE = TupleType.AGGREGATE
+_REMOTE = TupleType.REMOTE
 _SOURCE_VALUE = TupleType.SOURCE.value
 _REMOTE_VALUE = TupleType.REMOTE.value
-_REMOTE = TupleType.REMOTE
 
 
 class GeneaLogProvenance(ProvenanceManager):
@@ -63,7 +74,7 @@ class GeneaLogProvenance(ProvenanceManager):
     #: telemetry span tracer.  A class attribute defaulting to None (same
     #: contract as Operator.tracer) so managers revived from a shipped plan
     #: stay silent until the worker-side obs layer opts them in.
-    tracer = None
+    tracer: Optional["SpanTracer"] = None
 
     def __init__(self, node_id: str = "local", record_traversal_times: bool = True) -> None:
         self.node_id = node_id
@@ -75,10 +86,11 @@ class GeneaLogProvenance(ProvenanceManager):
     def _new_id(self) -> str:
         return f"{self.node_id}:{next(self._id_counter)}"
 
-    def tuple_id(self, tup: StreamTuple) -> Optional[str]:
+    def tuple_id(self, tup: StreamTuple) -> str:
         # Ids are assigned lazily: only tuples that actually reach an SU, an
         # MU or a process boundary ever need one (section 6), so the common
-        # per-tuple path stays as cheap as possible.
+        # per-tuple path stays as cheap as possible.  A bare (SOURCE) tuple
+        # gets its metadata block here, to hold the id.
         #
         # A Multiplex copy is the same logical tuple as its input (it only
         # exists so that two downstream branches get their own object), so it
@@ -86,32 +98,34 @@ class GeneaLogProvenance(ProvenanceManager):
         # operator SU composition of Figure 5B (Multiplex + unfolding Map)
         # interchangeable with the fused SU: the copy fed to the Send/Sink
         # and the copy fed to the unfolding Map report the same id.
-        meta = require_meta(tup)
-        while meta.type is _MULTIPLEX and meta.u1 is not None:
+        meta: Optional[GeneaLogMeta] = tup.meta
+        while meta is not None and meta.type is _MULTIPLEX and meta.u1 is not None:
             tup = meta.u1
-            meta = require_meta(tup)
-        if meta.tuple_id is None:
-            meta.tuple_id = f"{self.node_id}:{next(self._id_counter)}"
-        return meta.tuple_id
+            meta = tup.meta
+        if meta is None:
+            meta = tup.meta = GeneaLogMeta(_SOURCE)
+        tuple_id = meta.tuple_id
+        if tuple_id is None:
+            tuple_id = meta.tuple_id = self._new_id()
+        return tuple_id
 
     # -- instrumented creation hooks -------------------------------------------
     def on_source_output(self, tup: StreamTuple) -> None:
-        tup.meta = GeneaLogMeta(TupleType.SOURCE)
+        """Nothing to do: absent meta is ``T = SOURCE``."""
+
+    def on_source_batch(self, batch: Sequence[StreamTuple]) -> None:
+        """Nothing to do, once per batch instead of once per tuple."""
 
     def on_map_output(self, out_tuple: StreamTuple, in_tuple: StreamTuple) -> None:
-        require_meta(in_tuple)
-        out_tuple.meta = GeneaLogMeta(TupleType.MAP, u1=in_tuple)
+        out_tuple.meta = GeneaLogMeta(_MAP, in_tuple)
 
     def on_multiplex_output(self, out_tuple: StreamTuple, in_tuple: StreamTuple) -> None:
-        require_meta(in_tuple)
-        out_tuple.meta = GeneaLogMeta(TupleType.MULTIPLEX, u1=in_tuple)
+        out_tuple.meta = GeneaLogMeta(_MULTIPLEX, in_tuple)
 
     def on_join_output(
         self, out_tuple: StreamTuple, newer: StreamTuple, older: StreamTuple
     ) -> None:
-        require_meta(newer)
-        require_meta(older)
-        out_tuple.meta = GeneaLogMeta(TupleType.JOIN, u1=newer, u2=older)
+        out_tuple.meta = GeneaLogMeta(_JOIN, newer, older)
 
     def on_aggregate_output(
         self,
@@ -130,43 +144,41 @@ class GeneaLogProvenance(ProvenanceManager):
         # traversal.
         if contributors is not None and 0 < len(contributors) <= 2:
             ordered = sorted(contributors, key=lambda t: t.ts)
-            for contributor in ordered:
-                require_meta(contributor)
             if len(ordered) == 1:
-                out_tuple.meta = GeneaLogMeta(TupleType.MAP, u1=ordered[0])
+                out_tuple.meta = GeneaLogMeta(_MAP, ordered[0])
             else:
-                out_tuple.meta = GeneaLogMeta(
-                    TupleType.JOIN, u1=ordered[-1], u2=ordered[0]
-                )
+                out_tuple.meta = GeneaLogMeta(_JOIN, ordered[-1], ordered[0])
             return
         if not window:
-            out_tuple.meta = GeneaLogMeta(TupleType.AGGREGATE)
+            out_tuple.meta = GeneaLogMeta(_AGGREGATE)
             return
-        earliest = window[0]
-        latest = window[-1]
-        # N-chain the window in place; ``require_meta`` inlined (this loop
-        # runs once per window tuple per flush, the call adds up).
+        # N-chain the window in place.  Only a tuple with a successor needs
+        # a block (to hold ``N``): the latest tuple -- and so the only tuple
+        # of a single-tuple window -- stays as it is.
         it = iter(window)
         current = next(it)
         for following in it:
             meta = current.meta
             if meta is None:
-                meta = current.meta = GeneaLogMeta(_SOURCE)
-            meta.n = following
+                current.meta = GeneaLogMeta(_SOURCE, None, None, following)
+            else:
+                meta.n = following
             current = following
-        require_meta(latest)
-        out_tuple.meta = GeneaLogMeta(TupleType.AGGREGATE, u1=latest, u2=earliest)
+        out_tuple.meta = GeneaLogMeta(_AGGREGATE, current, window[0])
 
     # -- process boundary hooks ---------------------------------------------------
     def on_send(self, tup: StreamTuple) -> Dict[str, Any]:
-        meta = require_meta(tup)
         # inlined :meth:`tuple_id` (this is the per-crossing hot path):
         # resolve Multiplex copies to their input, assign the lazy id.
-        while meta.type is _MULTIPLEX and meta.u1 is not None:
-            meta = require_meta(meta.u1)
+        meta: Optional[GeneaLogMeta] = tup.meta
+        while meta is not None and meta.type is _MULTIPLEX and meta.u1 is not None:
+            tup = meta.u1
+            meta = tup.meta
+        if meta is None:
+            meta = tup.meta = GeneaLogMeta(_SOURCE)
         tuple_id = meta.tuple_id
         if tuple_id is None:
-            tuple_id = meta.tuple_id = f"{self.node_id}:{next(self._id_counter)}"
+            tuple_id = meta.tuple_id = self._new_id()
         return {
             "type": _SOURCE_VALUE if meta.type is _SOURCE else _REMOTE_VALUE,
             "id": tuple_id,
@@ -174,7 +186,7 @@ class GeneaLogProvenance(ProvenanceManager):
 
     def on_receive(self, tup: StreamTuple, payload: Dict[str, Any]) -> None:
         tuple_type = _TYPE_BY_VALUE.get(payload.get("type"), _REMOTE)
-        tup.meta = GeneaLogMeta(tuple_type, tuple_id=payload.get("id"))
+        tup.meta = GeneaLogMeta(tuple_type, None, None, None, payload.get("id"))
 
     # -- provenance retrieval --------------------------------------------------------
     def unfold(self, tup: StreamTuple) -> List[StreamTuple]:

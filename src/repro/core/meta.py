@@ -6,6 +6,19 @@ Each tuple processed under GeneaLog carries exactly four meta-attributes
 to walk an Aggregate's window).  For inter-process provenance (section 6) a
 fifth constant-size attribute, the unique ``ID``, is added.
 
+**Encoding.**  Absent meta (``tup.meta is None``) *is* ``T = SOURCE`` with
+every other attribute unset.  A :class:`GeneaLogMeta` block exists only for
+
+* derived tuples (Map / Multiplex / Join / Aggregate outputs, Receive-side
+  REMOTE tuples), which need ``T`` and their ``U1``/``U2`` pointers,
+* window members that are ``N``-chained to their successor, and
+* tuples that were assigned a unique ``ID`` (they reached an SU, an MU or a
+  process boundary).
+
+A source tuple that never contributes to anything -- e.g. one dropped by the
+first Filter -- therefore carries zero provenance bytes, and every reader of
+``StreamTuple.meta`` in :mod:`repro.core` handles ``None`` as a SOURCE leaf.
+
 ``U1``, ``U2`` and ``N`` are plain Python object references; the CPython
 reference-counting collector plays the role the paper assigns to the
 process's memory reclamation: a source tuple stays alive exactly as long as
@@ -22,7 +35,7 @@ from repro.spe.tuples import StreamTuple
 
 
 class GeneaLogMeta:
-    """The fixed-size metadata block attached to every tuple under GeneaLog."""
+    """The fixed-size metadata block of a derived, chained or id-bearing tuple."""
 
     __slots__ = ("type", "u1", "u2", "n", "tuple_id")
 
@@ -50,18 +63,25 @@ class GeneaLogMeta:
 
 
 def get_meta(tup: StreamTuple) -> Optional[GeneaLogMeta]:
-    """Return the GeneaLog metadata of ``tup`` or None when absent."""
+    """Return the GeneaLog metadata block of ``tup``, or None when it has none.
+
+    ``None`` means "``T = SOURCE``, no pointers, no id" (see the module
+    docstring): callers must treat it as a source leaf, not as an error.
+    Metadata of another technique (the baseline's annotation) also yields
+    ``None``.
+    """
     meta = tup.meta
     return meta if isinstance(meta, GeneaLogMeta) else None
 
 
 def require_meta(tup: StreamTuple) -> GeneaLogMeta:
-    """Return the GeneaLog metadata of ``tup``, treating bare tuples as sources.
+    """Return the metadata block of ``tup``, *materialising* one when absent.
 
-    Tuples created outside any instrumented operator (hand-built test input,
-    or tuples produced before provenance was switched on) carry no metadata;
-    GeneaLog treats them as source tuples, which is the only sound assumption
-    for a tuple whose derivation is unknown.
+    A bare tuple gets an explicit ``T = SOURCE`` block, which is the same
+    tuple in the other encoding.  This writes to ``tup``: use it only where a
+    block is about to be mutated (an ``N`` link or a unique id is being
+    stored); read paths use ``tup.meta`` / :func:`get_meta` and handle
+    ``None``.
     """
     meta = get_meta(tup)
     if meta is None:

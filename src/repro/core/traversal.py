@@ -5,14 +5,18 @@ Given a tuple whose metadata was set by GeneaLog's instrumented operators,
 breadth-first and returns the tuple's *originating tuples* (Definition 4.1):
 the contributing tuples of type ``SOURCE`` (or ``REMOTE`` when part of the
 derivation happened in another SPE instance).
+
+Every function here is **read-only**: a tuple without a metadata block is a
+SOURCE leaf (see :mod:`repro.core.meta`) and a tuple without an ``N`` link
+ends its window chain; nothing is written to a visited tuple.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.meta import GeneaLogMeta, require_meta
+from repro.core.meta import GeneaLogMeta
 from repro.core.types import TupleType
 from repro.spe.tuples import StreamTuple
 
@@ -37,16 +41,17 @@ def find_provenance(root: StreamTuple) -> List[StreamTuple]:
     """
     result: List[StreamTuple] = []
     visited: Set[int] = {id(root)}
-    queue: deque = deque([root])
+    queue: Deque[StreamTuple] = deque([root])
     pop = queue.popleft
     push = queue.append
     seen = visited.add
     found = result.append
     while queue:
         tup = pop()
-        meta = tup.meta
+        meta: Optional[GeneaLogMeta] = tup.meta
         if meta is None:
-            meta = tup.meta = GeneaLogMeta(_SOURCE)
+            found(tup)
+            continue
         tuple_type = meta.type
         if tuple_type is _SOURCE or tuple_type is _REMOTE:
             found(tup)
@@ -65,34 +70,26 @@ def find_provenance(root: StreamTuple) -> List[StreamTuple]:
                 seen(id(u2))
                 push(u2)
         elif tuple_type is _AGGREGATE:
+            # Walk the window from ``U2`` to ``U1`` inclusive.  Testing for
+            # ``U1`` *before* following ``N`` keeps a single-tuple window
+            # (``U2 is U1``) from running into the next window's chain, and
+            # a bare tuple (no block, hence no ``N``) ends the walk.
             u1 = meta.u1
-            u2 = meta.u2
-            if u2 is not None and id(u2) not in visited:
-                seen(id(u2))
-                push(u2)
-            current = u2.meta.n if u2 is not None and u2.meta else None
-            while current is not None and current is not u1:
+            current = meta.u2
+            while current is not None:
                 if id(current) not in visited:
                     seen(id(current))
                     push(current)
-                current = require_meta(current).n
+                if current is u1:
+                    break
+                link: Optional[GeneaLogMeta] = current.meta
+                current = link.n if link is not None else None
             if u1 is not None and id(u1) not in visited:
                 seen(id(u1))
                 push(u1)
         else:  # pragma: no cover - defensive, every enum member handled above
             raise ValueError(f"unknown tuple type {tuple_type!r}")
     return result
-
-
-def _enqueue_if_not_visited(
-    tup: Optional[StreamTuple], queue: deque, visited: Set[int]
-) -> None:
-    if tup is None:
-        return
-    if id(tup) in visited:
-        return
-    visited.add(id(tup))
-    queue.append(tup)
 
 
 def contribution_graph(
@@ -106,7 +103,7 @@ def contribution_graph(
     """
     edges: List[Tuple[StreamTuple, StreamTuple]] = []
     visited: Set[int] = {id(root)}
-    queue: deque = deque([root])
+    queue: Deque[StreamTuple] = deque([root])
     while queue:
         tup = queue.popleft()
         for parent in direct_contributors(tup):
@@ -119,7 +116,9 @@ def contribution_graph(
 
 def direct_contributors(tup: StreamTuple) -> List[StreamTuple]:
     """The input tuples that directly contribute to ``tup`` (Definition 3.1)."""
-    meta = require_meta(tup)
+    meta: Optional[GeneaLogMeta] = tup.meta
+    if meta is None:
+        return []
     tuple_type = meta.type
     if tuple_type in (TupleType.SOURCE, TupleType.REMOTE):
         return []
@@ -138,8 +137,8 @@ def window_of(aggregate_tuple: StreamTuple) -> List[StreamTuple]:
     The window is reconstructed by starting at ``U2`` (the earliest tuple)
     and following ``N`` links until ``U1`` (the latest tuple, inclusive).
     """
-    meta = require_meta(aggregate_tuple)
-    if meta.type is not TupleType.AGGREGATE:
+    meta: Optional[GeneaLogMeta] = aggregate_tuple.meta
+    if meta is None or meta.type is not TupleType.AGGREGATE:
         raise ValueError("window_of expects an AGGREGATE-typed tuple")
     window: List[StreamTuple] = []
     seen: Set[int] = set()
@@ -149,7 +148,8 @@ def window_of(aggregate_tuple: StreamTuple) -> List[StreamTuple]:
         seen.add(id(current))
         if current is meta.u1:
             break
-        current = require_meta(current).n
+        link: Optional[GeneaLogMeta] = current.meta
+        current = link.n if link is not None else None  # bare: end of chain
     if meta.u1 is not None and id(meta.u1) not in seen:
         window.append(meta.u1)
     return window

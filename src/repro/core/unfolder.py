@@ -16,9 +16,9 @@ Both produce identical unfolded streams; a test asserts this equivalence.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.core.meta import get_meta
+from repro.core.meta import GeneaLogMeta
 from repro.core.types import TupleType
 from repro.spe.operators.base import Operator, SingleInputOperator
 from repro.spe.provenance_api import ProvenanceManager
@@ -46,11 +46,13 @@ _PREFIXED_KEYS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
 
 def origin_type_name(origin: StreamTuple) -> str:
-    """The type (SOURCE or REMOTE) of an originating tuple, as a string."""
-    meta = get_meta(origin)
-    if meta is None:
-        return _SOURCE_VALUE
-    return _TYPE_VALUE[meta.type]
+    """The type (SOURCE or REMOTE) of an originating tuple, as a string.
+
+    An origin without a GeneaLog metadata block (a bare tuple, or one
+    annotated by another technique) is a SOURCE tuple.
+    """
+    meta = origin.meta
+    return _TYPE_VALUE[meta.type] if isinstance(meta, GeneaLogMeta) else _SOURCE_VALUE
 
 
 def _sink_base_values(
@@ -132,6 +134,12 @@ class SUOperator(SingleInputOperator):
     Output port 0 is ``SO`` (the exact copy feeding the Sink), output port 1
     is ``U`` (the unfolded stream).  Connect the data consumer first and the
     provenance consumer second.
+
+    Unfolded tuples leave without a metadata block: they carry their
+    provenance in their attributes and are leaves for whatever consumes them
+    (the provenance Sink, or a Send towards the MU).  The Figure 5B
+    composition (:class:`UnfoldMapOperator`) is a standard Map and links its
+    outputs like one; the unfolded *values* of the two are identical.
     """
 
     max_inputs = 1
@@ -152,18 +160,16 @@ class SUOperator(SingleInputOperator):
         for origin in origins:
             out = StreamTuple.owned(ts=tup.ts, values=_with_origin(base, origin, manager))
             out.wall = max(tup.wall, origin.wall)
-            manager.on_map_output(out, tup)
             self.emit(out, self.UNFOLDED_PORT)
 
-    def process_batch(self, batch) -> None:
+    def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         # Batched variant: one pass-through emit and one unfolded emit per
         # input batch (instead of one stream push + consumer wake per tuple);
         # per-stream tuple order is identical to the per-tuple path.
         manager = self.provenance
         unfold = manager.unfold
-        on_map_output = manager.on_map_output
         owned = StreamTuple.owned
-        unfolded = []
+        unfolded: List[StreamTuple] = []
         append = unfolded.append
         tracer = self.tracer
         started = tracer.clock() if tracer is not None else 0.0
@@ -178,7 +184,6 @@ class SUOperator(SingleInputOperator):
                 out = owned(ts=ts, values=_with_origin(base, origin, manager))
                 origin_wall = origin.wall
                 out.wall = wall if wall >= origin_wall else origin_wall
-                on_map_output(out, tup)
                 append(out)
         if tracer is not None:
             tracer.record("provenance.unfold", self.name, started, count=len(unfolded))

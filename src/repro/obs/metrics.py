@@ -133,12 +133,16 @@ class TimeSeriesSampler:
     def __init__(self, interval_s: float = 0.05, capacity: int = 4096) -> None:
         self.interval_s = interval_s
         self.rows: Deque[Dict] = deque(maxlen=capacity)
-        self._last_sample = 0.0
+        #: monotonic instant of the previous row; None until the first one
+        #: (the clock's origin is arbitrary -- boot time on Linux -- so no
+        #: literal can stand in for "never").
+        self._last_sample: Optional[float] = None
         self._heap_via_tracemalloc = tracemalloc.is_tracing()
 
     def maybe_sample(self, channels=(), operators=()) -> Optional[Dict]:
         now = time.monotonic()
-        if now - self._last_sample < self.interval_s:
+        last = self._last_sample
+        if last is not None and now - last < self.interval_s:
             return None
         self._last_sample = now
         return self.sample(channels, operators)

@@ -81,10 +81,7 @@ class SourceOperator(Operator):
                         last_ts = tup.ts
                     tup.wall = wall_clock()
             self._last_ts = last_ts
-            if not self.provenance.is_noop:
-                on_source_output = self.provenance.on_source_output
-                for tup in batch:
-                    on_source_output(tup)
+            self.provenance.on_source_batch(batch)
             self.emit_many(batch)
             if self.enforce_order:
                 # An out-of-order source cannot promise anything about future

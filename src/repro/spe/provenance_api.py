@@ -34,7 +34,20 @@ class ProvenanceManager:
 
     # -- tuple creation hooks (section 4.1 of the paper) -------------------
     def on_source_output(self, tup: StreamTuple) -> None:
-        """A Source created ``tup``."""
+        """A Source created ``tup`` (the per-tuple primitive)."""
+
+    def on_source_batch(self, batch: Sequence[StreamTuple]) -> None:
+        """A Source created every tuple of ``batch``.
+
+        This is what :class:`~repro.spe.operators.source.SourceOperator`
+        calls, once per batch.  The default maps :meth:`on_source_output`
+        over the batch; techniques whose source hook does nothing (NP, and
+        GeneaLog, for which absent meta already is ``T = SOURCE``) override
+        it with an empty body, so their sources pay one call per batch.
+        """
+        on_source_output = self.on_source_output
+        for tup in batch:
+            on_source_output(tup)
 
     def on_map_output(self, out_tuple: StreamTuple, in_tuple: StreamTuple) -> None:
         """A Map created ``out_tuple`` while processing ``in_tuple``."""
@@ -104,3 +117,6 @@ class NoProvenance(ProvenanceManager):
 
     name = "NP"
     is_noop = True
+
+    def on_source_batch(self, batch: Sequence[StreamTuple]) -> None:
+        """Nothing to do."""

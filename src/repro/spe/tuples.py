@@ -7,8 +7,9 @@ the payload attributes, a tuple can carry:
 
 * ``meta`` -- the provenance metadata attached by an instrumented operator
   (``None`` when provenance is disabled).  For GeneaLog this is the
-  fixed-size :class:`repro.core.meta.GeneaLogMeta`; for the Ariadne-style
-  baseline it is a variable-length annotation.
+  fixed-size :class:`repro.core.meta.GeneaLogMeta`, or ``None`` for a
+  source tuple that needed no block yet (absent meta is ``T = SOURCE``);
+  for the Ariadne-style baseline it is a variable-length annotation.
 * ``wall`` -- the wall-clock instant at which the *latest source tuple
   contributing to this tuple* entered the system.  It is maintained by every
   operator (``max`` over inputs) and is what the latency metric of the

@@ -5,6 +5,7 @@ import pytest
 from repro.core.instrumentation import GeneaLogProvenance
 from repro.core.meta import get_meta
 from repro.core.types import TupleType
+from repro.core.unfolder import ORIGIN_ID_FIELD, ORIGIN_TYPE_FIELD, make_unfolded_values
 from repro.spe.tuples import StreamTuple
 
 
@@ -18,12 +19,13 @@ def manager():
 
 
 class TestCreationHooks:
-    def test_source_sets_type_and_no_pointers(self, manager):
-        source = tup(1)
-        manager.on_source_output(source)
-        meta = get_meta(source)
-        assert meta.type is TupleType.SOURCE
-        assert meta.u1 is None and meta.u2 is None and meta.n is None
+    def test_source_hooks_allocate_nothing(self, manager):
+        # Absent meta *is* T=SOURCE: neither source hook attaches a block.
+        batch = [tup(1), tup(2)]
+        manager.on_source_output(batch[0])
+        manager.on_source_batch(batch)
+        assert all(source.meta is None for source in batch)
+        assert manager.unfold(batch[0]) == [batch[0]]
 
     def test_map_points_to_its_input(self, manager):
         source, out = tup(1), tup(1)
@@ -64,6 +66,9 @@ class TestCreationHooks:
         assert meta.u1 is window[2]
         assert get_meta(window[0]).n is window[1]
         assert get_meta(window[1]).n is window[2]
+        # only tuples with a successor need a block (to hold N)
+        assert get_meta(window[0]).type is TupleType.SOURCE
+        assert window[2].meta is None
 
     def test_aggregate_with_empty_window(self, manager):
         out = tup(0)
@@ -73,8 +78,22 @@ class TestCreationHooks:
         assert meta.u1 is None and meta.u2 is None
 
     def test_inputs_without_meta_are_treated_as_sources(self, manager):
-        bare, out = tup(1), tup(1)
+        # Creation hooks never materialise their inputs' metadata ...
+        bare, other, out, copy, joined = tup(1, v=1), tup(2), tup(1), tup(1), tup(2)
         manager.on_map_output(out, bare)
+        manager.on_multiplex_output(copy, bare)
+        manager.on_join_output(joined, other, bare)
+        manager.on_aggregate_output(tup(0), [other], contributors=[other])
+        assert bare.meta is None and other.meta is None
+        # ... a bare input is a SOURCE leaf as it stands ...
+        assert manager.unfold(out) == [bare]
+        assert manager.unfold(joined) == [other, bare]
+        # ... and unfolds as one, with a lazily minted, stable id.
+        values = make_unfolded_values(out, bare, manager)
+        assert values[ORIGIN_TYPE_FIELD] == "SOURCE"
+        assert values[ORIGIN_ID_FIELD].startswith("n1:")
+        assert manager.tuple_id(bare) == values[ORIGIN_ID_FIELD]
+        assert manager.tuple_id(copy) == values[ORIGIN_ID_FIELD]  # same logical tuple
         assert get_meta(bare).type is TupleType.SOURCE
 
 
@@ -82,11 +101,12 @@ class TestIds:
     def test_ids_are_assigned_lazily_and_are_stable(self, manager):
         source = tup(1)
         manager.on_source_output(source)
-        assert get_meta(source).tuple_id is None
+        assert source.meta is None  # no id, no block
         first = manager.tuple_id(source)
         second = manager.tuple_id(source)
         assert first == second
         assert first.startswith("n1:")
+        assert get_meta(source).tuple_id == first
 
     def test_ids_are_unique_per_manager(self, manager):
         ids = set()
@@ -117,7 +137,9 @@ class TestProcessBoundary:
     def test_send_payload_keeps_source_type(self, manager):
         source = tup(1)
         manager.on_source_output(source)
-        assert manager.on_send(source)["type"] == "SOURCE"
+        payload = manager.on_send(source)
+        assert payload["type"] == "SOURCE"
+        assert payload["id"] == manager.tuple_id(source)  # minted once, kept
 
     def test_receive_reattaches_type_and_id(self, manager):
         received = tup(1)

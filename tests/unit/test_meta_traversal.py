@@ -122,6 +122,33 @@ class TestFindProvenance:
         bare = StreamTuple(ts=1)
         mapped = derived(TupleType.MAP, u1=bare)
         assert find_provenance(mapped) == [bare]
+        assert find_provenance(bare) == [bare]
+        assert bare.meta is None  # the traversal is read-only
+
+    def test_bare_single_tuple_window(self):
+        bare = StreamTuple(ts=1)
+        out = derived(TupleType.AGGREGATE, u1=bare, u2=bare)
+        assert find_provenance(out) == [bare]
+        assert window_of(out) == [bare]
+        assert bare.meta is None
+
+    def test_single_tuple_window_stops_at_its_tuple(self):
+        # The window [a] flushed before [a, b, c] chained a -> b -> c: the
+        # first output's window is still just a.
+        a, b, c = source(1), source(2), source(3)
+        first = derived(TupleType.AGGREGATE, u1=a, u2=a)
+        second = aggregate_of([a, b, c])
+        assert find_provenance(first) == [a]
+        assert find_provenance(second) == [a, b, c]
+
+    def test_bare_window_tail_ends_the_chain(self):
+        # Only tuples with a successor hold an N link; the latest may be bare.
+        a, b = source(1), StreamTuple(ts=2)
+        a.meta.n = b
+        out = derived(TupleType.AGGREGATE, u1=b, u2=a)
+        assert find_provenance(out) == [a, b]
+        assert window_of(out) == [a, b]
+        assert b.meta is None
 
 
 class TestGraphHelpers:
@@ -139,6 +166,16 @@ class TestGraphHelpers:
     def test_window_of_rejects_non_aggregates(self):
         with pytest.raises(ValueError):
             window_of(source(1))
+        with pytest.raises(ValueError):
+            window_of(StreamTuple(ts=1))
+
+    def test_graph_helpers_are_read_only(self):
+        bare = StreamTuple(ts=1)
+        mapped = derived(TupleType.MAP, u1=bare)
+        assert direct_contributors(bare) == []
+        assert contribution_graph(mapped) == [(mapped, bare)]
+        assert provenance_depth(mapped) == 1
+        assert bare.meta is None
 
     def test_contribution_graph_edges(self):
         leaf = source(1)

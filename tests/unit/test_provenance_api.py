@@ -67,6 +67,56 @@ class TestNoProvenanceManager:
         assert manager.retained_bytes() == 0
 
 
+class TestSourceBatchHook:
+    def test_default_maps_the_per_tuple_primitive(self):
+        # A technique that only overrides on_source_output keeps working.
+        class Recording(ProvenanceManager):
+            def __init__(self):
+                self.seen = []
+
+            def on_source_output(self, tup):
+                self.seen.append(tup)
+
+        manager, batch = Recording(), [tup(1), tup(2), tup(3)]
+        manager.on_source_batch(batch)
+        assert manager.seen == batch
+
+    def test_baseline_annotates_every_tuple_of_the_batch(self):
+        manager, batch = AriadneBaselineProvenance(node_id="n1"), [tup(1), tup(2)]
+        manager.on_source_batch(batch)
+        assert manager.retained_items() == 2
+        assert all(source.meta is not None for source in batch)
+
+    @pytest.mark.parametrize("manager_type", [NoProvenance, GeneaLogProvenance])
+    def test_np_and_genealog_do_nothing_per_tuple(self, manager_type):
+        class Counting(manager_type):
+            calls = 0
+
+            def on_source_output(self, tup):
+                Counting.calls += 1
+
+        batch = [tup(1), tup(2)]
+        Counting().on_source_batch(batch)
+        assert Counting.calls == 0
+        assert all(source.meta is None for source in batch)
+
+    def test_source_operator_asks_once_per_batch(self):
+        class Recording(NoProvenance):
+            def __init__(self):
+                self.batches = []
+
+            def on_source_batch(self, batch):
+                self.batches.append(len(batch))
+
+        query = Query("q")
+        source = query.add_source("source", [tup(ts) for ts in range(5)], batch_size=2)
+        query.connect(source, query.add_sink("sink"))
+        manager = Recording()
+        query.set_provenance(manager)
+        Scheduler(query).run()
+        assert manager.batches == [2, 2, 1]
+
+
 class TestProvenanceCollector:
     def _unfolded(self, sink_id, sink_ts, origin_ts, **sink_values):
         values = {f"sink_{k}": v for k, v in sink_values.items()}

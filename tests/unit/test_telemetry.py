@@ -242,6 +242,19 @@ class TestTimeSeriesSampler:
         assert sampler.maybe_sample() is not None  # first row always lands
         assert sampler.maybe_sample() is None  # within the interval
 
+    @pytest.mark.parametrize("origin", [0.0, 1e-3, 5.0, 1e9])
+    def test_first_row_lands_wherever_the_monotonic_clock_starts(self, monkeypatch, origin):
+        # time.monotonic() counts from an arbitrary origin (boot, on Linux):
+        # on a freshly booted host it is smaller than the interval.
+        now = [origin]
+        monkeypatch.setattr("repro.obs.metrics.time.monotonic", lambda: now[0])
+        sampler = TimeSeriesSampler(interval_s=60.0)
+        assert sampler.maybe_sample() is not None
+        now[0] = origin + 59.0
+        assert sampler.maybe_sample() is None
+        now[0] = origin + 61.0
+        assert sampler.maybe_sample() is not None
+
     def test_sample_reads_channel_and_operator_state(self):
         class FakeChannel:
             name = "c1"

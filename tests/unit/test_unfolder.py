@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.instrumentation import GeneaLogProvenance
+from repro.core.types import TupleType
 from repro.core.unfolder import (
     ORIGIN_ID_FIELD,
     ORIGIN_TS_FIELD,
@@ -135,6 +136,14 @@ class TestAttachSU:
         fused_origins = sorted(t[ORIGIN_TS_FIELD] for t in fused_prov.received)
         composed_origins = sorted(t[ORIGIN_TS_FIELD] for t in composed_prov.received)
         assert fused_origins == composed_origins == [1, 2, 3]
+        # The unfolded *values* are identical, ids included ...
+        assert [t.values for t in fused_prov.received] == [
+            t.values for t in composed_prov.received
+        ]
+        # ... but only the standard Map of Figure 5B links its outputs: the
+        # fused SU's unfolded tuples are leaves and carry no metadata block.
+        assert all(t.meta is None for t in fused_prov.received)
+        assert all(t.meta.type is TupleType.MAP for t in composed_prov.received)
 
     def test_composed_su_uses_only_standard_operators(self):
         query = Query("q")
