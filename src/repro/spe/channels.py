@@ -41,7 +41,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.spe.errors import ChannelError
 from repro.spe.tuples import FINAL_WATERMARK
@@ -293,7 +293,7 @@ class Channel:
         #: ``ReceiveOperator``); signalled on every producer-side mutation
         #: when the transport is local (cross-process transports wake the
         #: consumer through the pipe instead).
-        self.consumer = None
+        self.consumer: Any = None
         #: telemetry span tracer (None = disabled; installed by the obs
         #: layer).  Deliberately a per-channel slot, not a module global:
         #: in-process loopback cluster workers share the interpreter and a

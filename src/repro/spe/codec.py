@@ -10,17 +10,23 @@ replaces that wire format with a *batched, columnar, stateful* binary codec:
   it was handed into a single ``bytes`` payload, so the per-tuple Python
   overhead (dict building, ``json.dumps``, per-payload channel accounting)
   is paid once per batch;
-* **columnar packing** -- within a batch, tuples sharing an attribute schema
-  are stored column by column, so a column of floats is one
-  ``struct.pack("<Nd", ...)`` call instead of N formatted literals;
-* **interned field/type names** -- attribute names, schemas and the small
-  provenance vocabulary (``SOURCE``/``RESULT``/... type tags) are interned
-  in per-channel dictionaries and ship as varint references after their
-  first occurrence;
-* **id dictionaries** -- GeneaLog/baseline tuple ids have the shape
-  ``"<node>:<counter>"``; the codec interns the node prefix and ships the
-  counter as a varint, so a repeated source id costs 2-3 bytes instead of
-  a quoted string.
+* **columnar packing at C speed** -- within a batch, tuples sharing an
+  attribute schema are stored column by column, and every column kind that
+  occurs on the hot channels is packed and unpacked by *one* C-level call
+  (``struct``, ``bytes``, ``str.join``/``split``), so a batch costs
+  O(columns) interpreter steps plus one per row to rebuild the tuple
+  objects -- never O(rows x columns);
+* **interned names and low-cardinality strings** -- attribute names,
+  schemas, the small provenance vocabulary (``SOURCE``/``RESULT``/... type
+  tags) and repeating attribute values (car ids, plugs) are interned in a
+  per-channel dictionary; an interned column ships as one packed array of
+  1- or 2-byte dictionary codes;
+* **front-coded text columns** -- GeneaLog/baseline tuple ids have the shape
+  ``"<node>:<counter>"`` and never repeat, so a column of them (or any
+  string column the dictionary cannot hold) ships as the values joined by
+  one separator, with the ``"<node>:"`` prefix all of them share stripped
+  once.  It is plain text, so any string round-trips exactly
+  (``"n:007"``, ``"n:+1"``, non-ASCII digits).
 
 The codec is *stateful per channel direction*: encoder and decoder each
 maintain string/schema dictionaries that grow in lock-step because every
@@ -36,25 +42,39 @@ working against a binary-configured receiver.  The provenance ledger's JSONL
 segments intentionally stay JSON (human-readable, greppable).
 
 Wire layout of one batch blob (all integers are LEB128 varints unless a
-fixed width is noted)::
+fixed width is noted; ``istr`` is an interned string: escape ``0`` = new
+dictionary entry + literal, ``1`` = literal only, ``k >= 2`` = entry
+``k - 2``; a literal is ``uvarint byte_length`` + UTF-8)::
 
-    0xB5                      magic (rejects JSON/foreign payloads)
+    0xB6                      magic (rejects JSON/foreign/older-layout payloads)
     uvarint n                 tuple count
     column(ts, n)             event timestamps
     column(wall, n)           wall-clock stamps
-    0x00 | 0x01 + n generics  order keys (0x00 = all None)
+    column(order_key, n)      order keys ('N' when none is set)
     documents(values, n)      attribute dicts
-    documents(prov, n)        provenance payload dicts
+    0x00 | 0x01 + documents(prov, n)
+                              provenance payloads; 0x00 = every payload is
+                              empty (unfolded streams, shipped sink streams)
 
     documents := uvarint group_count, then per group of schema-identical
                  consecutive documents: uvarint count, schema ref
-                 (0 = new schema: uvarint key_count + interned keys;
+                 (0 = new schema: uvarint key_count + istr keys;
                  k>0 = schema table entry k-1), then one column per key.
 
-    column    := tag byte + body:
+    column    := tag byte + body (m = the group's count):
                  'F' float64*m   | 'I' int64*m | 'B' byte*m | 'N' (empty)
-                 'T' m interned strings        | 'D' m (prefix ref, uvarint)
-                 'G' m generic tagged values
+                 'T' uvarint new_count, new_count literals (appended to the
+                     dictionary), then m one-byte dictionary codes
+                 'U' as 'T' with m little-endian two-byte codes
+                 'S' istr prefix, uvarint byte_length, UTF-8 text: the m
+                     values joined by U+001F, each with ``prefix`` stripped
+                 'G' m generic tagged values:
+                     0 None | 1 False | 2 True | 3 svarint | 4 float64
+                     | 5 istr | 7 uvarint len + values | 8 uvarint len +
+                     (istr key, value) pairs
+
+    Retired, never reassigned: column tag 'D' and value tag 6 (the id
+    dictionary of the 0xB5 layout: interned prefix + varint counter).
 
 Any truncated or torn blob raises :class:`SerializationError` -- every read
 is bounds-checked and a decoded batch must consume the buffer exactly --
@@ -64,15 +84,17 @@ never a silent mis-decode.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.spe.errors import SerializationError
 from repro.spe.serialization import deserialize_tuple
 from repro.spe.tuples import StreamTuple
 
 #: first byte of every binary batch blob.  JSON payloads start with ``{`` or
-#: ``[``; a foreign payload hitting the binary decoder fails immediately.
-MAGIC = 0xB5
+#: ``[``; a foreign payload -- or a peer still speaking the 0xB5 layout --
+#: fails on its first batch.
+MAGIC = 0xB6
 
 #: codec names accepted by :class:`~repro.spe.channels.Channel` /
 #: :class:`repro.api.pipeline.Pipeline`.
@@ -81,20 +103,22 @@ CODEC_JSON = "json"
 CODECS = (CODEC_BINARY, CODEC_JSON)
 
 #: interning limits: strings longer than this, or arriving once the table is
-#: full, ship as literals (escape 1) and do not grow the dictionaries.
+#: full, ship as literals / text columns and do not grow the dictionaries.
 _MAX_INTERN_LEN = 64
 _MAX_INTERNED = 1 << 16
 
 #: refuse batches declaring more tuples than this (corrupt count prefix).
 _MAX_BATCH_TUPLES = 1 << 24
 
-# column tags ('F'loat, 'I'nt, 'B'ool, 'N'one, in'T'erned, i'D', 'G'eneric)
+# column tags ('F'loat, 'I'nt, 'B'ool, 'N'one, in'T'erned 1-byte codes,
+# interned 2-byte codes, 'S'tring text, 'G'eneric)
 _COL_FLOAT = 0x46
 _COL_INT = 0x49
 _COL_BOOL = 0x42
 _COL_NONE = 0x4E
-_COL_INTERN = 0x54
-_COL_ID = 0x44
+_COL_INTERN8 = 0x54
+_COL_INTERN16 = 0x55
+_COL_TEXT = 0x53
 _COL_GENERIC = 0x47
 
 # generic value tags
@@ -104,9 +128,17 @@ _G_TRUE = 2
 _G_INT = 3
 _G_FLOAT = 4
 _G_STR = 5
-_G_ID = 6
 _G_LIST = 7
 _G_DICT = 8
+
+#: tags of the 0xB5 layout's id dictionary.  Never reassign them: a blob
+#: carrying one comes from a stale peer and must fail, not mis-decode.
+_RETIRED_COL_ID = 0x44
+_RETIRED_G_ID = 6
+
+#: separator of a text column's joined values (ASCII "unit separator"); a
+#: column holding a value that contains it falls back to the generic column.
+_SEP = "\x1f"
 
 _PACK_FLOAT = struct.Struct("<d")
 _UNPACK_FLOAT = _PACK_FLOAT.unpack_from
@@ -161,23 +193,47 @@ def read_svarint(buf: bytes, pos: int) -> Tuple[int, int]:
     return (raw >> 1 if not raw & 1 else -(raw >> 1) - 1), pos
 
 
-def _id_parts(value: str) -> Optional[Tuple[str, int]]:
-    """Split an id-shaped string ``"<prefix>:<counter>"``; None otherwise.
+def _write_literal(out: bytearray, value: str) -> None:
+    raw = value.encode("utf-8")
+    write_uvarint(out, len(raw))
+    out += raw
 
-    The counter must round-trip through ``int`` exactly: ASCII digits only
-    (``"٣"`` passes ``isdigit`` but would decode differently) and no
-    redundant leading zeros (``"n:007"`` would come back as ``"n:7"``).
+
+def _take(buf: bytes, pos: int, length: int) -> Tuple[bytes, int]:
+    """The ``length`` bytes at ``pos`` and the position after them."""
+    end = pos + length
+    raw = buf[pos:end]
+    if len(raw) != length:
+        raise IndexError(f"{length} bytes declared past the end of the buffer")
+    return raw, end
+
+
+def _read_literal(buf: bytes, pos: int) -> Tuple[str, int]:
+    length, pos = read_uvarint(buf, pos)
+    raw, pos = _take(buf, pos, length)
+    return raw.decode("utf-8"), pos
+
+
+def _require_str_key(key: Any) -> None:
+    if type(key) is not str:
+        raise SerializationError(
+            f"dict key {key!r} of type {type(key).__name__} "
+            "(wire documents require string keys)"
+        )
+
+
+def _internable(value: str) -> bool:
+    """Whether ``value`` is worth a dictionary entry.
+
+    Long strings are not, and neither are id-shaped ones
+    (``"<node>:<counter>"``): ids never repeat, so interning them would only
+    fill the table.  Purely an encoder-side size heuristic -- every string
+    round-trips exactly whichever way it ships.
     """
-    head, sep, tail = value.rpartition(":")
-    if (
-        sep
-        and tail.isdigit()
-        and tail.isascii()
-        and (len(tail) == 1 or tail[0] != "0")
-        and len(head) <= _MAX_INTERN_LEN
-    ):
-        return head, int(tail)
-    return None
+    if len(value) > _MAX_INTERN_LEN:
+        return False
+    _, sep, tail = value.rpartition(":")
+    return not (sep and tail.isdigit())
 
 
 class BinaryChannelEncoder:
@@ -188,7 +244,7 @@ class BinaryChannelEncoder:
     matching decoder must reset too -- e.g. on a channel reconnect).
     """
 
-    __slots__ = ("channel", "_strings", "_schemas", "_id_cache")
+    __slots__ = ("channel", "_strings", "_schemas")
 
     def __init__(self, channel: str = "") -> None:
         self.channel = channel
@@ -198,34 +254,31 @@ class BinaryChannelEncoder:
         """Forget the interning dictionaries (start of a fresh stream)."""
         self._strings: Dict[str, int] = {}
         self._schemas: Dict[Tuple[str, ...], int] = {}
-        # string -> (prefix, counter) | False: memoised id parses.  Ids
-        # repeat across batches (one sink id per unfolded pair, one source id
-        # per window it contributes to), so the split is worth remembering.
-        # Purely encoder-local: safe to drop any time, no decoder lock-step.
-        self._id_cache: Dict[str, Any] = {}
 
     # -- batch entry point -------------------------------------------------
     def encode_batch(
         self,
         tuples: Sequence[StreamTuple],
-        payloads: Sequence[Dict[str, Any]],
+        payloads: Optional[Sequence[Dict[str, Any]]] = None,
     ) -> bytes:
-        """Encode ``tuples`` and their provenance ``payloads`` into one blob."""
+        """Encode ``tuples`` and their provenance ``payloads`` into one blob.
+
+        ``payloads=None`` means no tuple carries one; it encodes like a
+        sequence of empty dicts (one flag byte) without building them.
+        """
         out = bytearray()
         out.append(MAGIC)
         write_uvarint(out, len(tuples))
         try:
             self._encode_column(out, [t.ts for t in tuples])
             self._encode_column(out, [t.wall for t in tuples])
-            orders = [t.order_key for t in tuples]
-            if any(order is not None for order in orders):
-                out.append(1)
-                for order in orders:
-                    self._encode_generic(out, order)
-            else:
-                out.append(0)
+            self._encode_column(out, [t.order_key for t in tuples])
             self._encode_documents(out, [t.values for t in tuples])
-            self._encode_documents(out, payloads)
+            if payloads is None or not any(payloads):
+                out.append(0)
+            else:
+                out.append(1)
+                self._encode_documents(out, payloads)
         except SerializationError as exc:
             raise SerializationError(
                 f"channel {self.channel!r}: cannot serialise batch: {exc}"
@@ -234,26 +287,18 @@ class BinaryChannelEncoder:
 
     # -- documents ---------------------------------------------------------
     def _encode_documents(self, out: bytearray, docs: Sequence[Dict[str, Any]]) -> None:
-        n = len(docs)
-        # Group consecutive documents sharing a key tuple: within a batch the
-        # schema almost never changes, so this is usually one group.
-        key_tuples = list(map(tuple, docs))
-        groups = []
-        i = 0
-        while i < n:
-            keys = key_tuples[i]
-            j = i + 1
-            while j < n and key_tuples[j] == keys:
-                j += 1
-            groups.append((keys, i, j))
-            i = j
+        # Runs of consecutive documents sharing a key tuple: within a batch
+        # the schema almost never changes, so this is usually one group.
+        groups = [(keys, len(list(run))) for keys, run in groupby(map(tuple, docs))]
         write_uvarint(out, len(groups))
         schemas = self._schemas
-        for keys, start, end in groups:
-            count = end - start
+        start = 0
+        for keys, count in groups:
             write_uvarint(out, count)
             code = schemas.get(keys)
             if code is None:
+                for key in keys:
+                    _require_str_key(key)
                 schemas[keys] = len(schemas)
                 out.append(0)
                 write_uvarint(out, len(keys))
@@ -261,22 +306,22 @@ class BinaryChannelEncoder:
                     self._write_interned(out, key)
             else:
                 write_uvarint(out, code + 1)
-            if not keys:
-                continue
-            if count == 1:
-                columns = [(value,) for value in docs[start].values()]
-            else:
-                columns = zip(*(doc.values() for doc in docs[start:end]))
-            for column in columns:
-                self._encode_column(out, column)
+            end = start + count
+            if keys:
+                for column in zip(*map(dict.values, docs[start:end])):
+                    self._encode_column(out, column)
+            start = end
 
     # -- columns -----------------------------------------------------------
     def _encode_column(self, out: bytearray, column: Sequence[Any]) -> None:
         kinds = set(map(type, column))
-        if kinds == {float}:
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is float:
             out.append(_COL_FLOAT)
             out += _column_struct("d", len(column)).pack(*column)
-        elif kinds == {int}:
+        elif kind is str:
+            self._encode_str_column(out, column)
+        elif kind is int:
             try:
                 packed = _column_struct("q", len(column)).pack(*column)
             except struct.error:  # magnitude beyond int64: varints handle it
@@ -284,67 +329,64 @@ class BinaryChannelEncoder:
             else:
                 out.append(_COL_INT)
                 out += packed
-        elif kinds == {str}:
-            self._encode_str_column(out, column)
-        elif kinds == {bool}:
+        elif kind is bool:
             out.append(_COL_BOOL)
-            out += bytes(map(int, column))
-        elif kinds == {type(None)}:
+            out += bytes(column)
+        elif kind is type(None):
             out.append(_COL_NONE)
         else:
             self._encode_generic_column(out, column)
 
     def _encode_str_column(self, out: bytearray, column: Sequence[str]) -> None:
-        # id parse inlined from :func:`_id_parts` and memoised per string:
-        # this loop runs once per string cell on the wire and both the call
-        # overhead and the re-parse of repeated ids are measurable.
-        id_cache = self._id_cache
-        id_cache_get = id_cache.get
-        parts = []
-        append_part = parts.append
-        for value in column:
-            split = id_cache_get(value)
-            if split is None:
-                if len(id_cache) > 8192:
-                    id_cache.clear()
-                head, sep, tail = value.rpartition(":")
-                if (
-                    not sep
-                    or not tail.isdigit()
-                    or not tail.isascii()
-                    or len(head) > _MAX_INTERN_LEN
-                    or (tail[0] == "0" and len(tail) != 1)
-                ):
-                    split = id_cache[value] = False
-                else:
-                    split = id_cache[value] = (head, int(tail))
-            if split is False:
-                parts = None
-                break
-            append_part(split)
         strings = self._strings
-        strings_get = strings.get
-        append = out.append
-        if parts is not None and len(strings) < _MAX_INTERNED:
-            append(_COL_ID)
-            for prefix, counter in parts:
-                code = strings_get(prefix)
-                if code is not None and code < 0x7E:
-                    append(code + 2)
-                else:
-                    self._write_interned(out, prefix)
-                if counter < 0x80:
-                    append(counter)
-                else:
-                    write_uvarint(out, counter)
+        fresh: Sequence[str] = ()
+        try:
+            codes = list(map(strings.__getitem__, column))
+        except KeyError as miss:
+            # The first value the dictionary lacks decides the column: an id
+            # (or a long string) means a text column, anything else is
+            # interned together with the column's other new values.
+            if not _internable(miss.args[0]):
+                self._encode_text_column(out, column)
+                return
+            fresh = [value for value in dict.fromkeys(column) if value not in strings]
+            if len(strings) + len(fresh) > _MAX_INTERNED or not all(map(_internable, fresh)):
+                self._encode_text_column(out, column)
+                return
+            for value in fresh:
+                strings[value] = len(strings)
+            codes = list(map(strings.__getitem__, column))
+        if len(strings) <= 256:
+            out.append(_COL_INTERN8)
+            packed = bytes(codes)
         else:
-            append(_COL_INTERN)
-            for value in column:
-                code = strings_get(value)
-                if code is not None and code < 0x7E:
-                    append(code + 2)
-                else:
-                    self._write_interned(out, value)
+            out.append(_COL_INTERN16)
+            packed = _column_struct("H", len(codes)).pack(*codes)
+        write_uvarint(out, len(fresh))
+        for value in fresh:
+            _write_literal(out, value)
+        out += packed
+
+    def _encode_text_column(self, out: bytearray, column: Sequence[str]) -> None:
+        count = len(column)
+        text = _SEP.join(column)
+        if text.count(_SEP) != count - 1:  # a value contains the separator
+            self._encode_generic_column(out, column)
+            return
+        # Front coding: strip the "<node>:" prefix of the first value from
+        # every value in one replace; the length arithmetic proves that all
+        # ``count`` values carried it (separators only sit between values).
+        first = column[0]
+        prefix = first[: first.rfind(":") + 1]
+        if prefix:
+            stripped = (_SEP + text).replace(_SEP + prefix, _SEP)
+            if len(stripped) == len(text) + 1 - count * len(prefix):
+                text = stripped[1:]
+            else:
+                prefix = ""
+        out.append(_COL_TEXT)
+        self._write_interned(out, prefix)
+        _write_literal(out, text)
 
     def _encode_generic_column(self, out: bytearray, column: Sequence[Any]) -> None:
         out.append(_COL_GENERIC)
@@ -361,14 +403,12 @@ class BinaryChannelEncoder:
         if code is not None:
             write_uvarint(out, code + 2)
             return
-        raw = value.encode("utf-8")
-        if len(value) <= _MAX_INTERN_LEN and len(strings) < _MAX_INTERNED:
+        if len(strings) < _MAX_INTERNED and _internable(value):
             strings[value] = len(strings)
             out.append(0)
         else:
             out.append(1)
-        write_uvarint(out, len(raw))
-        out += raw
+        _write_literal(out, value)
 
     def _encode_generic(self, out: bytearray, value: Any) -> None:
         kind = type(value)
@@ -383,14 +423,8 @@ class BinaryChannelEncoder:
             out.append(_G_FLOAT)
             out += _PACK_FLOAT.pack(value)
         elif kind is str:
-            split = _id_parts(value)
-            if split is not None and len(self._strings) < _MAX_INTERNED:
-                out.append(_G_ID)
-                self._write_interned(out, split[0])
-                write_uvarint(out, split[1])
-            else:
-                out.append(_G_STR)
-                self._write_interned(out, value)
+            out.append(_G_STR)
+            self._write_interned(out, value)
         elif kind is list or kind is tuple:
             out.append(_G_LIST)
             write_uvarint(out, len(value))
@@ -400,11 +434,7 @@ class BinaryChannelEncoder:
             out.append(_G_DICT)
             write_uvarint(out, len(value))
             for key, item in value.items():
-                if type(key) is not str:
-                    raise SerializationError(
-                        f"dict key {key!r} of type {type(key).__name__} "
-                        "(wire documents require string keys)"
-                    )
+                _require_str_key(key)
                 self._write_interned(out, key)
                 self._encode_generic(out, item)
         else:
@@ -435,8 +465,15 @@ class BinaryChannelDecoder:
         self._schemas: List[Tuple[str, ...]] = []
 
     # -- batch entry point -------------------------------------------------
-    def decode_batch(self, payload: str | bytes) -> Tuple[List[StreamTuple], List[Dict[str, Any]]]:
-        """Decode one channel payload into ``(tuples, provenance_payloads)``."""
+    def decode_batch(
+        self, payload: str | bytes
+    ) -> Tuple[List[StreamTuple], Optional[List[Dict[str, Any]]]]:
+        """Decode one channel payload into ``(tuples, provenance_payloads)``.
+
+        ``provenance_payloads`` is ``None`` when the batch carried the
+        every-payload-is-empty flag: there is nothing to re-attach, and no
+        per-tuple dict is built to say so.
+        """
         if isinstance(payload, str):
             tup, prov = deserialize_tuple(payload, channel=self.channel)
             return [tup], [prov]
@@ -451,7 +488,9 @@ class BinaryChannelDecoder:
                 f"batch ({len(payload)} bytes): {exc}"
             ) from exc
 
-    def _decode_binary(self, buf: bytes) -> Tuple[List[StreamTuple], List[Dict[str, Any]]]:
+    def _decode_binary(
+        self, buf: bytes
+    ) -> Tuple[List[StreamTuple], Optional[List[Dict[str, Any]]]]:
         if not buf or buf[0] != MAGIC:
             head = bytes(buf[:1])
             raise SerializationError(
@@ -466,80 +505,57 @@ class BinaryChannelDecoder:
             )
         ts_column, pos = self._decode_column(buf, pos, count)
         wall_column, pos = self._decode_column(buf, pos, count)
-        order_flag = buf[pos]
-        pos += 1
-        orders = None
-        if order_flag:
-            orders = []
-            for _ in range(count):
-                order, pos = self._decode_generic(buf, pos)
-                orders.append(order)
+        orders, pos = self._decode_column(buf, pos, count)
         values_docs, pos = self._decode_documents(buf, pos, count)
-        prov_docs, pos = self._decode_documents(buf, pos, count)
+        prov_docs = None
+        prov_flag = buf[pos]
+        pos += 1
+        if prov_flag:
+            prov_docs, pos = self._decode_documents(buf, pos, count)
         if pos != len(buf):
             raise SerializationError(
                 f"channel {self.channel!r}: {len(buf) - pos} trailing byte(s) "
                 "after the batch (corrupt or mis-framed blob)"
             )
         # Inlined StreamTuple.owned: this loop rebuilds every cross-boundary
-        # tuple, so even the classmethod call is measurable at batch sizes.
+        # tuple -- the one per-row step of a decode -- so even the
+        # classmethod call is measurable at batch sizes.
         new = StreamTuple.__new__
         cls = StreamTuple
         tuples = []
         append = tuples.append
-        for ts, values, wall in zip(ts_column, values_docs, wall_column):
+        for ts, values, wall, order in zip(ts_column, values_docs, wall_column, orders):
             tup = new(cls)
             tup.ts = ts
             tup.values = values
             tup.meta = None
             tup.wall = wall
-            tup.order_key = None
+            tup.order_key = tuple(order) if type(order) is list else order
             append(tup)
-        if orders is not None:
-            for tup, order in zip(tuples, orders):
-                if order is not None:
-                    tup.order_key = tuple(order) if isinstance(order, list) else order
         return tuples, prov_docs
 
     # -- documents ---------------------------------------------------------
     def _decode_documents(
         self, buf: bytes, pos: int, expected: int
     ) -> Tuple[List[Dict[str, Any]], int]:
-        # The single-byte case dominates every varint here (group counts,
-        # schema refs); the inline fast path skips the function call.
-        byte = buf[pos]
-        if byte < 0x80:
-            group_count = byte
-            pos += 1
-        else:
-            group_count, pos = read_uvarint(buf, pos)
+        group_count, pos = read_uvarint(buf, pos)
         docs: List[Dict[str, Any]] = []
         schemas = self._schemas
         for _ in range(group_count):
-            byte = buf[pos]
-            if byte < 0x80:
-                count = byte
-                pos += 1
-            else:
-                count, pos = read_uvarint(buf, pos)
+            count, pos = read_uvarint(buf, pos)
             if len(docs) + count > expected:
                 raise SerializationError(
                     f"channel {self.channel!r}: document groups overflow the "
                     f"declared batch size {expected}"
                 )
-            byte = buf[pos]
-            if byte < 0x80:
-                code = byte
-                pos += 1
-            else:
-                code, pos = read_uvarint(buf, pos)
+            code, pos = read_uvarint(buf, pos)
             if code == 0:
                 key_count, pos = read_uvarint(buf, pos)
-                keys = []
+                key_list = []
                 for _ in range(key_count):
                     key, pos = self._read_interned(buf, pos)
-                    keys.append(key)
-                keys = tuple(keys)
+                    key_list.append(key)
+                keys = tuple(key_list)
                 schemas.append(keys)
             else:
                 index = code - 1
@@ -569,55 +585,40 @@ class BinaryChannelDecoder:
         tag = buf[pos]
         pos += 1
         if tag == _COL_FLOAT:
-            column = _column_struct("d", count).unpack_from(buf, pos)
-            return column, pos + 8 * count
+            return _column_struct("d", count).unpack_from(buf, pos), pos + 8 * count
         if tag == _COL_INT:
-            column = _column_struct("q", count).unpack_from(buf, pos)
-            return column, pos + 8 * count
-        if tag == _COL_INTERN:
+            return _column_struct("q", count).unpack_from(buf, pos), pos + 8 * count
+        if tag == _COL_INTERN8 or tag == _COL_INTERN16:
             strings = self._strings
-            known = len(strings)
-            column = []
-            append = column.append
-            for _ in range(count):
-                code = buf[pos]
-                if 2 <= code < 0x80:
-                    if code - 2 >= known:
-                        self._unknown_string(code - 2)
-                    pos += 1
-                    append(strings[code - 2])
-                else:
-                    value, pos = self._read_interned(buf, pos)
-                    known = len(strings)
-                    append(value)
-            return column, pos
-        if tag == _COL_ID:
-            strings = self._strings
-            known = len(strings)
-            column = []
-            append = column.append
-            for _ in range(count):
-                code = buf[pos]
-                if 2 <= code < 0x80:
-                    if code - 2 >= known:
-                        self._unknown_string(code - 2)
-                    pos += 1
-                    prefix = strings[code - 2]
-                else:
-                    prefix, pos = self._read_interned(buf, pos)
-                    known = len(strings)
-                counter = buf[pos]
-                if counter < 0x80:
-                    pos += 1
-                else:
-                    counter, pos = read_uvarint(buf, pos)
-                append(f"{prefix}:{counter}")
+            fresh, pos = read_uvarint(buf, pos)
+            for _ in range(fresh):
+                value, pos = _read_literal(buf, pos)
+                strings.append(value)
+            codes: Sequence[int]
+            if tag == _COL_INTERN8:
+                codes, pos = _take(buf, pos, count)
+            else:
+                codes = _column_struct("H", count).unpack_from(buf, pos)
+                pos += 2 * count
+            try:
+                return list(map(strings.__getitem__, codes)), pos
+            except IndexError:
+                self._unknown_string(max(codes))
+        if tag == _COL_TEXT:
+            prefix, pos = self._read_interned(buf, pos)
+            text, pos = _read_literal(buf, pos)
+            if prefix:
+                text = prefix + text.replace(_SEP, _SEP + prefix)
+            column = text.split(_SEP)
+            if len(column) != count:
+                raise SerializationError(
+                    f"channel {self.channel!r}: text column carries "
+                    f"{len(column)} values, the batch declares {count}"
+                )
             return column, pos
         if tag == _COL_BOOL:
-            end = pos + count
-            if end > len(buf):
-                raise IndexError("bool column past the end of the buffer")
-            return [byte != 0 for byte in buf[pos:end]], end
+            raw, pos = _take(buf, pos, count)
+            return list(map(bool, raw)), pos
         if tag == _COL_NONE:
             return [None] * count, pos
         if tag == _COL_GENERIC:
@@ -627,11 +628,13 @@ class BinaryChannelDecoder:
                 column.append(value)
             return column, pos
         raise SerializationError(
-            f"channel {self.channel!r}: unknown column tag {tag:#x} on the wire"
+            f"channel {self.channel!r}: "
+            + ("retired" if tag == _RETIRED_COL_ID else "unknown")
+            + f" column tag {tag:#x} on the wire"
         )
 
     # -- scalars -----------------------------------------------------------
-    def _unknown_string(self, index: int) -> None:
+    def _unknown_string(self, index: int) -> NoReturn:
         raise SerializationError(
             f"channel {self.channel!r}: unknown string reference "
             f"{index} (decoder out of sync; was the encoder reset?)"
@@ -645,15 +648,10 @@ class BinaryChannelDecoder:
             if index >= len(strings):
                 self._unknown_string(index)
             return strings[index], pos
-        length, pos = read_uvarint(buf, pos)
-        end = pos + length
-        raw = buf[pos:end]
-        if len(raw) != length:
-            raise IndexError("string literal past the end of the buffer")
-        value = raw.decode("utf-8")
+        value, pos = _read_literal(buf, pos)
         if code == 0:
             self._strings.append(value)
-        return value, end
+        return value, pos
 
     def _decode_generic(self, buf: bytes, pos: int) -> Tuple[Any, int]:
         tag = buf[pos]
@@ -671,10 +669,6 @@ class BinaryChannelDecoder:
             return value, pos + 8
         if tag == _G_STR:
             return self._read_interned(buf, pos)
-        if tag == _G_ID:
-            prefix, pos = self._read_interned(buf, pos)
-            counter, pos = read_uvarint(buf, pos)
-            return f"{prefix}:{counter}", pos
         if tag == _G_LIST:
             length, pos = read_uvarint(buf, pos)
             items = []
@@ -690,7 +684,9 @@ class BinaryChannelDecoder:
                 document[key], pos = self._decode_generic(buf, pos)
             return document, pos
         raise SerializationError(
-            f"channel {self.channel!r}: unknown value tag {tag:#x} on the wire"
+            f"channel {self.channel!r}: "
+            + ("retired" if tag == _RETIRED_G_ID else "unknown")
+            + f" value tag {tag:#x} on the wire"
         )
 
 

@@ -24,9 +24,9 @@ peer), so mixed traffic on one channel still deserialises correctly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.spe.channels import Channel
+from repro.spe.channels import Channel, Payload
 from repro.spe.codec import CODEC_JSON, BinaryChannelDecoder, BinaryChannelEncoder
 from repro.spe.operators.base import Operator, SingleInputOperator
 from repro.spe.serialization import serialize_tuple
@@ -51,34 +51,31 @@ class SendOperator(SingleInputOperator):
         #: only ever read those, so minting and shipping a wire id per
         #: unfolded tuple is pure overhead on the provenance-heavy channels.
         self.ship_provenance = ship_provenance
-        # Per-channel-direction encoder state (interned strings, schemas,
-        # id dictionaries).  Fresh state here matches the fresh decoder the
-        # receiving end builds; both grow in lock-step via the wire.
+        # Per-channel-direction encoder state (interned strings, schemas).
+        # Fresh state here matches the fresh decoder the receiving end
+        # builds; both grow in lock-step via the wire.
+        self._encoder: Optional[BinaryChannelEncoder]
         if getattr(channel, "codec", "binary") == CODEC_JSON:
             self._encoder = None
         else:
             self._encoder = BinaryChannelEncoder(channel.name)
 
     def process_tuple(self, tup: StreamTuple) -> None:
-        payload = self.provenance.on_send(tup) if self.ship_provenance else {}
-        encoder = self._encoder
-        if encoder is None:
-            self.channel.send(serialize_tuple(tup, payload, channel=self.channel.name))
-        else:
-            blob = encoder.encode_batch((tup,), (payload,))
-            self.channel.send_block(blob, 1)
-        self._progress = True
+        self.process_batch((tup,))
 
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         """Serialise the whole batch and flush it to the channel in one call."""
         encoder = self._encoder
+        # ``None`` = no payload at all: the binary codec ships one flag byte
+        # for the batch instead of a document per tuple.
+        payloads: Optional[List[Dict[str, Any]]] = None
         if self.ship_provenance:
             on_send = self.provenance.on_send
             payloads = [on_send(tup) for tup in batch]
-        else:
-            payloads = ({},) * len(batch)
         if encoder is None:
             name = self.channel.name
+            if payloads is None:
+                payloads = [{}] * len(batch)
             self.channel.send_many(
                 [
                     serialize_tuple(tup, payload, channel=name)
@@ -113,13 +110,29 @@ class ReceiveOperator(Operator):
         #: ``str`` payloads, so it is built regardless of the channel codec.
         self._decoder = BinaryChannelDecoder(channel.name)
 
+    def _decode(self, payload: Payload) -> List[StreamTuple]:
+        """Decode one channel payload and re-attach its provenance payloads.
+
+        The one place both receive loops turn wire payloads into tuples.
+        Sends with ``ship_provenance=False`` (the GeneaLog unfolded streams)
+        ship no payloads and other tuples may carry an empty one; nothing
+        downstream reads metadata re-attached from nothing, so those skip
+        the per-tuple call.
+        """
+        tuples, provenance_payloads = self._decoder.decode_batch(payload)
+        if provenance_payloads is not None and not self.provenance.is_noop:
+            on_receive = self.provenance.on_receive
+            for tup, provenance_payload in zip(tuples, provenance_payloads):
+                if provenance_payload:
+                    on_receive(tup, provenance_payload)
+        return tuples
+
     def work(self) -> bool:
         self._progress = False
         if not self.outputs:
             return False
         channel = self.channel
-        decode = self._decoder.decode_batch
-        on_receive = None if self.provenance.is_noop else self.provenance.on_receive
+        decode = self._decode
         while True:
             # Snapshot the watermark *before* draining: the producer only
             # advances it after appending every tuple it covers, so all
@@ -132,18 +145,9 @@ class ReceiveOperator(Operator):
             watermark = channel.watermark
             payloads = channel.receive_all()
             if payloads:
-                batch = []
+                batch: List[StreamTuple] = []
                 for payload in payloads:
-                    tuples, provenance_payloads = decode(payload)
-                    if on_receive is not None:
-                        for tup, provenance_payload in zip(tuples, provenance_payloads):
-                            # Sends with ``ship_provenance=False`` (the
-                            # GeneaLog unfolded streams) ship empty payloads;
-                            # nothing downstream reads the re-attached
-                            # metadata, so skip the per-tuple call.
-                            if provenance_payload:
-                                on_receive(tup, provenance_payload)
-                    batch += tuples
+                    batch += decode(payload)
                 self.tuples_in += len(batch)
                 self.emit_many(batch)
             if watermark > self._in_watermark:
@@ -164,7 +168,7 @@ class ReceiveOperator(Operator):
         if not self.outputs:
             return False
         channel = self.channel
-        decode = self._decoder.decode_batch
+        decode = self._decode
         while True:
             # watermark-before-drain: see :meth:`work`.
             watermark = channel.watermark
@@ -174,10 +178,9 @@ class ReceiveOperator(Operator):
                 if payload is None:
                     break
                 received = True
-                tuples, provenance_payloads = decode(payload)
+                tuples = decode(payload)
                 self.tuples_in += len(tuples)
-                for tup, provenance_payload in zip(tuples, provenance_payloads):
-                    self.provenance.on_receive(tup, provenance_payload)
+                for tup in tuples:
                     self.emit(tup)
             if watermark > self._in_watermark:
                 self._in_watermark = watermark

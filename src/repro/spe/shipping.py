@@ -28,13 +28,15 @@ This module is that machinery, extracted so the two runtimes cannot diverge:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.spe.channels import Channel
 from repro.spe.codec import BinaryChannelDecoder, BinaryChannelEncoder
 from repro.spe.errors import SchedulingError
 from repro.spe.instance import SPEInstance
 from repro.spe.operators.sink import SinkOperator
+from repro.spe.provenance_api import ProvenanceManager
+from repro.spe.tuples import StreamTuple
 
 #: event tags of a shipped sink stream.
 EVENT_TUPLE = "t"
@@ -59,16 +61,16 @@ class ShippingTap:
     def __init__(self, name: str = "") -> None:
         self.events: List[Tuple[str, object]] = []
         self._encoder = BinaryChannelEncoder(f"shipping:{name}")
-        self._pending: List[object] = []
+        self._pending: List[StreamTuple] = []
 
     def _flush(self) -> None:
         pending = self._pending
         if pending:
-            blob = self._encoder.encode_batch(pending, [{}] * len(pending))
+            blob = self._encoder.encode_batch(pending)
             self.events.append((EVENT_TUPLE, blob))
             pending.clear()
 
-    def on_tuple(self, tup) -> None:
+    def on_tuple(self, tup: StreamTuple) -> None:
         self._pending.append(tup)
 
     def on_watermark(self, watermark: float) -> None:
@@ -85,10 +87,10 @@ class ShippingTap:
         return self.events
 
 
-def instance_manager(instance: SPEInstance):
+def instance_manager(instance: SPEInstance) -> Optional[ProvenanceManager]:
     """The provenance manager installed on ``instance``'s operators."""
     for operator in instance.operators:
-        manager = getattr(operator, "provenance", None)
+        manager: Optional[ProvenanceManager] = getattr(operator, "provenance", None)
         if manager is not None:
             return manager
     return None
@@ -106,7 +108,7 @@ def prepare_sinks(instance: SPEInstance) -> Dict[str, ShippingTap]:
     return taps
 
 
-def strip_sinks(instance: SPEInstance) -> Dict[str, Tuple[object, bool, list]]:
+def strip_sinks(instance: SPEInstance) -> Dict[str, Tuple[Any, bool, list]]:
     """Detach every sink's callback/taps/keep flag; return them for restoring.
 
     The cluster coordinator serialises the lowered plan before shipping it to
@@ -114,7 +116,7 @@ def strip_sinks(instance: SPEInstance) -> Dict[str, Tuple[object, bool, list]]:
     ledger over an open file) must neither travel nor need to be picklable.
     The worker installs :func:`prepare_sinks` recorders on arrival anyway.
     """
-    saved: Dict[str, Tuple[object, bool, list]] = {}
+    saved: Dict[str, Tuple[Any, bool, list]] = {}
     for sink in instance.sinks():
         saved[sink.name] = (sink._callback, sink._keep_tuples, sink.taps)
         sink._callback = None
@@ -123,7 +125,7 @@ def strip_sinks(instance: SPEInstance) -> Dict[str, Tuple[object, bool, list]]:
     return saved
 
 
-def restore_sinks(instance: SPEInstance, saved: Mapping[str, Tuple[object, bool, list]]) -> None:
+def restore_sinks(instance: SPEInstance, saved: Mapping[str, Tuple[Any, bool, list]]) -> None:
     """Re-attach what :func:`strip_sinks` detached (inverse operation)."""
     for sink in instance.sinks():
         callback, keep_tuples, taps = saved[sink.name]
@@ -133,7 +135,7 @@ def restore_sinks(instance: SPEInstance, saved: Mapping[str, Tuple[object, bool,
 
 
 def collect_result(
-    instance: SPEInstance, scheduler, passes: int, taps: Dict[str, ShippingTap]
+    instance: SPEInstance, scheduler: Any, passes: int, taps: Dict[str, ShippingTap]
 ) -> Dict:
     """Everything the coordinator needs to reconstruct this instance's run."""
     manager = instance_manager(instance)
@@ -205,7 +207,7 @@ def apply_instance_result(
     instance: SPEInstance,
     document: Dict,
     channels_by_name: Mapping[str, Channel],
-    telemetry=None,
+    telemetry: Any = None,
 ) -> None:
     """Copy one worker's shipped counters / sink streams onto the coordinator.
 

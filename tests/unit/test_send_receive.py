@@ -1,6 +1,9 @@
 """Unit tests for the Send/Receive operators and their channel transport."""
 
+import pytest
+
 from repro.spe.channels import Channel
+from repro.spe.errors import SerializationError
 from repro.spe.operators import ReceiveOperator, SendOperator
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.streams import Stream
@@ -126,3 +129,99 @@ class TestReceiveOperator:
         receive.add_output(out)
         run_operator(receive)
         assert collect(out)[0].wall == 123.0
+
+
+class EmptyPayloadManager(RecordingManager):
+    """Manager whose tuples carry nothing across the boundary."""
+
+    def on_send(self, tup):
+        self.sent.append(tup)
+        return {}
+
+
+def ship(manager=None, ship_provenance=True, tuples=None):
+    """Send ``tuples`` over a fresh channel and return the channel."""
+    channel = Channel("c")
+    send = SendOperator("send", channel, ship_provenance=ship_provenance)
+    if manager is not None:
+        send.set_provenance(manager)
+    (send_in,), _ = wire(send, n_outputs=0)
+    feed(send_in, tuples or [tup(1, x=1), tup(2, x=2)], close=True)
+    run_operator(send)
+    return channel
+
+
+def receive(channel, manager, per_tuple):
+    """Drain ``channel`` through one of the two receive loops."""
+    operator = ReceiveOperator("receive", channel)
+    operator.set_provenance(manager)
+    out = Stream("out")
+    operator.add_output(out)
+    work = operator.work_per_tuple if per_tuple else operator.work
+    for _ in range(1000):
+        if not work():
+            break
+    assert operator.finished
+    return collect(out)
+
+
+class TestPayloadReattachment:
+    """Both receive loops decode and re-attach through one helper."""
+
+    @pytest.mark.parametrize("per_tuple", [False, True])
+    def test_payloads_reach_the_manager(self, per_tuple):
+        channel = ship(RecordingManager())
+        manager = RecordingManager()
+        restored = receive(channel, manager, per_tuple)
+        assert [t["x"] for t in restored] == [1, 2]
+        assert [payload for _, payload in manager.received] == [
+            {"marker": 1},
+            {"marker": 2},
+        ]
+        assert [t for t, _ in manager.received] == restored
+
+    @pytest.mark.parametrize("per_tuple", [False, True])
+    def test_unshipped_provenance_never_calls_on_receive(self, per_tuple):
+        sender = RecordingManager()
+        channel = ship(sender, ship_provenance=False)
+        assert sender.sent == []
+        manager = RecordingManager()
+        restored = receive(channel, manager, per_tuple)
+        assert [t["x"] for t in restored] == [1, 2]
+        assert manager.received == []
+        assert all(t.meta is None for t in restored)
+
+    @pytest.mark.parametrize("per_tuple", [False, True])
+    def test_empty_payloads_never_call_on_receive(self, per_tuple):
+        channel = ship(EmptyPayloadManager())
+        manager = RecordingManager()
+        receive(channel, manager, per_tuple)
+        assert manager.received == []
+
+    @pytest.mark.parametrize("per_tuple", [False, True])
+    def test_json_documents_take_the_same_path(self, per_tuple):
+        channel = Channel("c", codec="json")
+        send = SendOperator("send", channel, ship_provenance=False)
+        (send_in,), _ = wire(send, n_outputs=0)
+        feed(send_in, [tup(1, x=1)], close=True)
+        run_operator(send)
+        manager = RecordingManager()
+        restored = receive(channel, manager, per_tuple)
+        assert [t["x"] for t in restored] == [1]
+        assert manager.received == []
+
+    def test_unshipped_batch_spends_one_byte_on_payloads(self):
+        batch = [tup(float(i), x=i) for i in range(50)]
+        unshipped = ship(ship_provenance=False, tuples=batch)
+        empty = ship(EmptyPayloadManager(), tuples=batch)
+        assert unshipped.bytes_sent == empty.bytes_sent
+
+    def test_non_string_key_fails_naming_channel_and_key(self):
+        channel = Channel("c")
+        send = SendOperator("send", channel)
+        (send_in,), _ = wire(send, n_outputs=0)
+        bad = tup(1, x=1)
+        bad.values = {7: "x"}
+        feed(send_in, [bad], close=True)
+        with pytest.raises(SerializationError, match=r"'c'.*dict key 7 of type int"):
+            run_operator(send)
