@@ -924,10 +924,9 @@ class _DistributedBuilder:
         instance = self._new_instance(PROVENANCE_INSTANCE)
         self.collector = ProvenanceCollector(name=self.dataflow.name)
         provenance_sink = instance.add_sink(
-            "provenance_sink",
-            callback=self.collector.add,
-            keep_tuples=self.keep_unfolded_tuples,
+            "provenance_sink", keep_tuples=self.keep_unfolded_tuples
         )
+        provenance_sink.add_tap(self.collector)
         if self.store is not None:
             # The unfolded stream reaching this sink already crossed the
             # process boundaries serialised; the ledger ingests the payloads

@@ -214,7 +214,9 @@ class BaselineProvenanceResolver(MultiInputOperator):
             for origin in self.provenance.unfold(sink_tuple):
                 out = StreamTuple(
                     ts=sink_tuple.ts,
-                    values=make_unfolded_values(sink_tuple, origin, self.provenance),
+                    values=make_unfolded_values(
+                        sink_tuple, origin, self.provenance, self.name
+                    ),
                 )
                 out.wall = max(sink_tuple.wall, origin.wall)
                 self.emit(out)

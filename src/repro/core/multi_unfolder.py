@@ -37,8 +37,7 @@ from repro.core.unfolder import (
     ORIGIN_ID_FIELD,
     ORIGIN_TYPE_FIELD,
     SINK_ID_FIELD,
-    SINK_PREFIX,
-    SINK_TS_FIELD,
+    unfolded_schema,
 )
 from repro.spe.operators.base import MultiInputOperator, Operator
 from repro.spe.query import Query
@@ -48,39 +47,6 @@ from repro.spe.tuples import StreamTuple
 #: enum value aliases for the per-tuple matching below.
 _SOURCE_VALUE = TupleType.SOURCE.value
 _REMOTE_VALUE = TupleType.REMOTE.value
-
-#: schema tuple -> (sink-part keys, origin-part keys): the ``sink_`` /
-#: origin partition of an unfolded schema, computed once per schema instead
-#: of re-scanning every key of every matched tuple.
-_PART_KEYS: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
-
-
-def _part_keys(keys: Tuple[str, ...]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    split = _PART_KEYS.get(keys)
-    if split is None:
-        if len(_PART_KEYS) > 1024:  # degenerate dynamic schemas
-            _PART_KEYS.clear()
-        split = _PART_KEYS[keys] = (
-            tuple(
-                key
-                for key in keys
-                if key.startswith(SINK_PREFIX) or key in (SINK_TS_FIELD, SINK_ID_FIELD)
-            ),
-            tuple(key for key in keys if not key.startswith(SINK_PREFIX)),
-        )
-    return split
-
-
-def _sink_part(tup: StreamTuple) -> Dict[str, Any]:
-    """The attributes describing the (local) sink tuple of an unfolded tuple."""
-    values = tup.values
-    return {key: values[key] for key in _part_keys(tuple(values))[0]}
-
-
-def _origin_part(tup: StreamTuple) -> Dict[str, Any]:
-    """The attributes describing the originating tuple of an unfolded tuple."""
-    values = tup.values
-    return {key: values[key] for key in _part_keys(tuple(values))[1]}
 
 
 def combine_derived_and_upstream(
@@ -93,8 +59,11 @@ def combine_derived_and_upstream(
     tuples that ``upstream`` (produced on the instance that created the REMOTE
     tuple) carries.
     """
-    values = _sink_part(derived)
-    values.update(_origin_part(upstream))
+    kept = derived.values
+    values = {key: kept[key] for key in unfolded_schema(tuple(kept)).sink_part}
+    taken = upstream.values
+    for key in unfolded_schema(tuple(taken)).origin_part:
+        values[key] = taken[key]
     return values
 
 

@@ -21,16 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.baseline import AriadneBaselineProvenance
 from repro.core.instrumentation import GeneaLogProvenance
 from repro.core.unfolder import (
     ORIGIN_TS_FIELD,
     SINK_ID_FIELD,
-    SINK_PREFIX,
     SINK_TS_FIELD,
     attach_su,
+    unfolded_schema,
 )
 from repro.spe.errors import QueryValidationError
 from repro.spe.operators.sink import SinkOperator
@@ -101,10 +101,11 @@ class ProvenanceRecord:
 class ProvenanceCollector:
     """Groups unfolded tuples by sink tuple into :class:`ProvenanceRecord` objects.
 
-    An instance of this class is used as the callback of the provenance Sink
-    (the paper stores the same information on disk; keeping it in memory, or
-    optionally appending it to a file, makes it available to tests and to the
-    experiment harness).
+    An instance of this class is attached to the provenance Sink as a tap
+    (it has the shape of a :class:`~repro.provstore.tap.ProvenanceTap`) and
+    consumes the unfolded stream one Sink batch at a time.  The paper stores
+    the same information on disk; keeping it in memory makes it available to
+    tests and to the experiment harness.
     """
 
     def __init__(self, name: str = "provenance") -> None:
@@ -112,42 +113,48 @@ class ProvenanceCollector:
         self._records: Dict[Any, ProvenanceRecord] = {}
         self.unfolded_tuples = 0
 
-    #: schema tuple -> (sink (key, stripped-key) pairs, source keys): the
-    #: ``sink_`` / source partition of an unfolded schema, computed once per
-    #: schema instead of re-scanning every key of every unfolded tuple.
-    _SPLIT_CACHE: Dict[Any, Any] = {}
-
     def add(self, unfolded: StreamTuple) -> None:
         """Consume one unfolded tuple (one sink tuple / source tuple pair)."""
-        self.unfolded_tuples += 1
-        values = unfolded.values
-        keys = tuple(values)
-        split = self._SPLIT_CACHE.get(keys)
-        if split is None:
-            if len(self._SPLIT_CACHE) > 1024:  # degenerate dynamic schemas
-                self._SPLIT_CACHE.clear()
-            split = self._SPLIT_CACHE[keys] = (
-                tuple(
-                    (key, key[len(SINK_PREFIX):])
-                    for key in keys
-                    if key.startswith(SINK_PREFIX)
-                    and key not in (SINK_TS_FIELD, SINK_ID_FIELD)
-                ),
-                tuple(key for key in keys if not key.startswith(SINK_PREFIX)),
-            )
-        sink_pairs, source_keys = split
-        sink_key = values.get(SINK_ID_FIELD)
-        if sink_key is None:
-            sink_key = (values.get(SINK_TS_FIELD), id(unfolded))
-        record = self._records.get(sink_key)
-        if record is None:
-            record = ProvenanceRecord(
-                sink_ts=values.get(SINK_TS_FIELD, unfolded.ts),
-                sink_id=values.get(SINK_ID_FIELD),
-                sink_values={short: values[key] for key, short in sink_pairs},
-            )
-            self._records[sink_key] = record
-        record.sources.append({key: values[key] for key in source_keys})
+        self.on_batch((unfolded,))
+
+    def on_batch(self, batch: Sequence[StreamTuple]) -> None:
+        """Consume a batch of unfolded tuples, in stream order."""
+        self.unfolded_tuples += len(batch)
+        records = self._records
+        last_id: Any = None
+        record: Optional[ProvenanceRecord] = None
+        last_keys: Tuple[str, ...] = ()
+        schema = unfolded_schema(last_keys)
+        for unfolded in batch:
+            values = unfolded.values
+            keys = tuple(values)
+            if keys != last_keys:  # else: the previous tuple's split still holds
+                last_keys = keys
+                schema = unfolded_schema(keys)
+            sink_id = values.get(SINK_ID_FIELD)
+            # The unfolders emit a sink tuple's origins contiguously, so a
+            # repeated sink id keeps appending to the previous tuple's record.
+            if record is None or sink_id is None or sink_id != last_id:
+                last_id = sink_id
+                sink_key = sink_id
+                if sink_key is None:
+                    # an id-less sink tuple gets a record of its own (the
+                    # record count is unique; an object id can be reused).
+                    sink_key = (values.get(SINK_TS_FIELD), len(records))
+                record = records.get(sink_key)
+                if record is None:
+                    record = records[sink_key] = ProvenanceRecord(
+                        sink_ts=values.get(SINK_TS_FIELD, unfolded.ts),
+                        sink_id=sink_id,
+                        sink_values={name: values[key] for key, name in schema.sink_attrs},
+                    )
+            record.sources.append({key: values[key] for key in schema.origin_part})
+
+    def on_watermark(self, watermark: float) -> None:
+        """Tap protocol: records need no sealing."""
+
+    def on_close(self) -> None:
+        """Tap protocol: nothing to release."""
 
     def records(self) -> List[ProvenanceRecord]:
         """Every provenance record collected so far (one per sink tuple)."""
@@ -240,10 +247,9 @@ def attach_intra_process_provenance(
         query.connect(data_out, sink)
         collector = ProvenanceCollector(name=sink.name)
         provenance_sink = query.add_sink(
-            f"provenance_{sink.name}",
-            callback=collector.add,
-            keep_tuples=keep_unfolded_tuples,
+            f"provenance_{sink.name}", keep_tuples=keep_unfolded_tuples
         )
+        provenance_sink.add_tap(collector)
         query.connect(unfolded_out, provenance_sink)
         capture.collectors[sink.name] = collector
         capture.provenance_sinks[sink.name] = provenance_sink

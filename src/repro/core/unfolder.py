@@ -16,10 +16,12 @@ Both produce identical unfolded streams; a test asserts this equivalence.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.core.meta import GeneaLogMeta
 from repro.core.types import TupleType
+from repro.spe.errors import ReservedAttributeError
 from repro.spe.operators.base import Operator, SingleInputOperator
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.query import Query
@@ -44,6 +46,74 @@ _SOURCE_VALUE = TupleType.SOURCE.value
 #: same handful of schemas each time is pure overhead.
 _PREFIXED_KEYS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
+#: origin attribute names already admitted (none of them reserved): one C-level
+#: superset test per unfolded tuple, one scan per new name.
+_ORIGIN_NAMES: Set[str] = set()
+
+#: the unfolded attributes that are neither sink nor origin payload.
+_SINK_IDENTITY = (SINK_TS_FIELD, SINK_ID_FIELD)
+_ORIGIN_IDENTITY = (ORIGIN_TS_FIELD, ORIGIN_ID_FIELD, ORIGIN_TYPE_FIELD)
+
+
+class UnfoldedSchema(NamedTuple):
+    """How one unfolded schema (Definition 6.2) splits into its two halves."""
+
+    #: every ``sink_`` key, ``sink_ts`` / ``sink_id`` included, in schema
+    #: order: what the MU keeps of a derived tuple.
+    sink_part: Tuple[str, ...]
+    #: every other key (origin payload plus ``ts_o`` / ``id_o`` / ``type_o``):
+    #: what the MU takes from an upstream tuple, and one collector source.
+    origin_part: Tuple[str, ...]
+    #: ``(sink_<name>, <name>)`` per sink payload attribute.
+    sink_attrs: Tuple[Tuple[str, str], ...]
+    #: the origin payload attributes alone.
+    origin_attrs: Tuple[str, ...]
+
+
+@lru_cache(maxsize=1024)
+def unfolded_schema(keys: Tuple[str, ...]) -> UnfoldedSchema:
+    """Split an unfolded tuple's key tuple; the inverse of ``_PREFIXED_KEYS``.
+
+    The one place that knows how Definition 6.2 lays sink and origin
+    attributes out in a flat mapping.  Every consumer of the unfolded stream
+    (MU, collector, ledger) reads the split from here, once per schema.
+    """
+    sink_part = tuple(key for key in keys if key.startswith(SINK_PREFIX))
+    origin_part = tuple(key for key in keys if key not in sink_part)
+    return UnfoldedSchema(
+        sink_part,
+        origin_part,
+        tuple(
+            (key, key[len(SINK_PREFIX):])
+            for key in sink_part
+            if key not in _SINK_IDENTITY
+        ),
+        tuple(key for key in origin_part if key not in _ORIGIN_IDENTITY),
+    )
+
+
+def _reserved(operator: str, side: str, name: str) -> ReservedAttributeError:
+    return ReservedAttributeError(
+        f"unfolder {operator!r}: {side} attribute {name!r} collides with the "
+        "unfolded schema (reserved: sink attributes 'ts' and 'id'; origin "
+        f"attributes {SINK_PREFIX}*, {', '.join(_ORIGIN_IDENTITY)}); rename it "
+        "upstream of the sink"
+    )
+
+
+def _admit_origin_names(names: Tuple[str, ...], operator: str) -> None:
+    """Admit an origin schema's attribute names, or reject a reserved one.
+
+    Origin attributes must survive the split untouched: a name the split
+    would file under the sink, or take for ts_o / id_o / type_o, is reserved.
+    """
+    payload = unfolded_schema(names).origin_attrs
+    if len(payload) != len(names):
+        raise _reserved(operator, "origin", next(n for n in names if n not in payload))
+    if len(_ORIGIN_NAMES) > 4096:  # degenerate dynamic schemas
+        _ORIGIN_NAMES.clear()
+    _ORIGIN_NAMES.update(names)
+
 
 def origin_type_name(origin: StreamTuple) -> str:
     """The type (SOURCE or REMOTE) of an originating tuple, as a string.
@@ -56,18 +126,21 @@ def origin_type_name(origin: StreamTuple) -> str:
 
 
 def _sink_base_values(
-    unfolded_of: StreamTuple, manager: ProvenanceManager
+    unfolded_of: StreamTuple, manager: ProvenanceManager, operator: str
 ) -> Dict[str, Any]:
     """The sink-side half of an unfolded tuple's attributes.
 
     This part is identical for every originating tuple of one unfolded
     tuple, so the unfolders compute it once per input tuple and copy it per
-    origin.
+    origin.  ``operator`` names the unfolder in the reserved-name error.
     """
     sink_values = unfolded_of.values
     keys = tuple(sink_values)
     prefixed = _PREFIXED_KEYS.get(keys)
     if prefixed is None:
+        for name in ("ts", "id"):  # would be overwritten by sink_ts / sink_id
+            if name in sink_values:
+                raise _reserved(operator, "sink", name)
         if len(_PREFIXED_KEYS) > 1024:  # degenerate dynamic schemas
             _PREFIXED_KEYS.clear()
         prefixed = _PREFIXED_KEYS[keys] = tuple(SINK_PREFIX + key for key in keys)
@@ -78,11 +151,14 @@ def _sink_base_values(
 
 
 def _with_origin(
-    base: Dict[str, Any], origin: StreamTuple, manager: ProvenanceManager
+    base: Dict[str, Any], origin: StreamTuple, manager: ProvenanceManager, operator: str
 ) -> Dict[str, Any]:
     """One unfolded tuple's attributes: sink-side ``base`` plus one origin."""
+    origin_values = origin.values
+    if not _ORIGIN_NAMES.issuperset(origin_values):
+        _admit_origin_names(tuple(origin_values), operator)
     values = dict(base)
-    values.update(origin.values)
+    values.update(origin_values)
     values[ORIGIN_TS_FIELD] = origin.ts
     values[ORIGIN_ID_FIELD] = manager.tuple_id(origin)
     values[ORIGIN_TYPE_FIELD] = origin_type_name(origin)
@@ -93,15 +169,18 @@ def make_unfolded_values(
     unfolded_of: StreamTuple,
     origin: StreamTuple,
     manager: ProvenanceManager,
+    operator: str = "make_unfolded_values",
 ) -> Dict[str, Any]:
     """Build the attribute mapping of one unfolded tuple.
 
     The unfolded tuple carries the attributes of the tuple being unfolded
     (prefixed with ``sink_``) together with the originating tuple's
     attributes and its timestamp / unique id / type (``ts_o`` / ``id_o`` /
-    ``type_o``, Definition 6.2).
+    ``type_o``, Definition 6.2).  ``operator`` names the caller in the error
+    raised for a reserved attribute name.
     """
-    return _with_origin(_sink_base_values(unfolded_of, manager), origin, manager)
+    base = _sink_base_values(unfolded_of, manager, operator)
+    return _with_origin(base, origin, manager, operator)
 
 
 class UnfoldMapOperator(SingleInputOperator):
@@ -120,9 +199,11 @@ class UnfoldMapOperator(SingleInputOperator):
         origins = manager.unfold(tup)
         if not origins:
             return
-        base = _sink_base_values(tup, manager)
+        base = _sink_base_values(tup, manager, self.name)
         for origin in origins:
-            out = StreamTuple.owned(ts=tup.ts, values=_with_origin(base, origin, manager))
+            out = StreamTuple.owned(
+                ts=tup.ts, values=_with_origin(base, origin, manager, self.name)
+            )
             out.wall = max(tup.wall, origin.wall)
             manager.on_map_output(out, tup)
             self.emit(out)
@@ -156,9 +237,11 @@ class SUOperator(SingleInputOperator):
         origins = manager.unfold(tup)
         if not origins:
             return
-        base = _sink_base_values(tup, manager)
+        base = _sink_base_values(tup, manager, self.name)
         for origin in origins:
-            out = StreamTuple.owned(ts=tup.ts, values=_with_origin(base, origin, manager))
+            out = StreamTuple.owned(
+                ts=tup.ts, values=_with_origin(base, origin, manager, self.name)
+            )
             out.wall = max(tup.wall, origin.wall)
             self.emit(out, self.UNFOLDED_PORT)
 
@@ -167,6 +250,7 @@ class SUOperator(SingleInputOperator):
         # input batch (instead of one stream push + consumer wake per tuple);
         # per-stream tuple order is identical to the per-tuple path.
         manager = self.provenance
+        name = self.name
         unfold = manager.unfold
         owned = StreamTuple.owned
         unfolded: List[StreamTuple] = []
@@ -179,9 +263,9 @@ class SUOperator(SingleInputOperator):
                 continue
             ts = tup.ts
             wall = tup.wall
-            base = _sink_base_values(tup, manager)
+            base = _sink_base_values(tup, manager, name)
             for origin in origins:
-                out = owned(ts=ts, values=_with_origin(base, origin, manager))
+                out = owned(ts=ts, values=_with_origin(base, origin, manager, name))
                 origin_wall = origin.wall
                 out.wall = wall if wall >= origin_wall else origin_wall
                 append(out)

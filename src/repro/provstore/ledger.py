@@ -5,13 +5,29 @@ The paper's capture pipeline stops at a provenance Sink: unfolded tuples
 and inspected after the run.  :class:`ProvenanceLedger` turns that terminal
 buffer into a live subsystem:
 
-* **Ingest** -- unfolded tuples stream in (through
+* **Ingest** -- unfolded tuples stream in one Sink batch at a time (through
   :class:`~repro.provstore.tap.LedgerTap` objects attached to provenance
-  Sinks, or direct :meth:`ProvenanceLedger.ingest` calls).  Each originating
+  Sinks, or direct :meth:`ProvenanceLedger.ingest_batch` calls;
+  :meth:`ProvenanceLedger.ingest` is a batch of one).  Each originating
   tuple is content-addressed by its unique ``<stream>:<counter>`` id and
   stored **once**, however many sink tuples it contributes to; repeated
   ``(sink, source)`` pairs (e.g. the same unfolding record shipped over two
-  process boundaries) are dropped on arrival.
+  process boundaries) are dropped on arrival.  Work follows a **first-sight
+  rule**: an unfolded tuple costs two lookups (``sink_id``, ``id_o``) and a
+  ``seen`` test, and a repeated sink id reuses the previous tuple's pending
+  mapping (the unfolders emit a sink tuple's origins contiguously); the
+  attribute dicts are built only for what is new -- ``sink_values`` once
+  per new mapping, a :class:`SourceEntry` once per new source -- from the
+  per-schema split :func:`repro.core.unfolder.unfolded_schema` caches.
+  Tuples without ids take the content-address route of
+  :func:`~repro.provstore.entries.address` inside the same loop.
+* **Reserved attribute names** -- the split relies on the unfolded schema of
+  Definition 6.2: ``sink_``-prefixed keys are the sink tuple's, ``ts_o`` /
+  ``id_o`` / ``type_o`` identify the origin, everything else is the origin's
+  payload.  The unfolders therefore reject a sink attribute named ``ts`` or
+  ``id`` and an origin attribute named ``ts_o`` / ``id_o`` / ``type_o`` or
+  starting with ``sink_`` (:class:`~repro.spe.errors.ReservedAttributeError`)
+  before any such tuple can reach a store.
 * **Sealing** -- a sink tuple's mapping stays *pending* until the ingest
   watermark guarantees no further unfolded tuple for it can arrive.  The
   bound is the MU operator's retention math (section 6): every unfolded
@@ -36,7 +52,8 @@ buffer into a live subsystem:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Set, Union
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Union
 
 from repro.core.types import TupleType
 from repro.core.unfolder import (
@@ -44,8 +61,8 @@ from repro.core.unfolder import (
     ORIGIN_TS_FIELD,
     ORIGIN_TYPE_FIELD,
     SINK_ID_FIELD,
-    SINK_PREFIX,
     SINK_TS_FIELD,
+    unfolded_schema,
 )
 from repro.provstore.backends import (
     JsonlLedgerBackend,
@@ -56,8 +73,14 @@ from repro.provstore.backends import (
 from repro.provstore.entries import SinkMapping, SourceEntry, address
 from repro.spe.tuples import StreamTuple
 
+if TYPE_CHECKING:
+    from repro.obs.tracer import SpanTracer
+
 #: sentinel watermark meaning "nothing ingested yet".
 _NO_WATERMARK = float("-inf")
+
+#: ``type_o`` of an unfolded tuple that carries none.
+_SOURCE_KIND = TupleType.SOURCE.value
 
 
 class Subscription:
@@ -76,7 +99,7 @@ class Subscription:
     ) -> None:
         self._ledger = ledger
         self._callback = callback
-        self._queue: deque = deque()
+        self._queue: Deque[SinkMapping] = deque()
         #: number of mappings delivered to this subscription so far.
         self.delivered = 0
         self._cancelled = False
@@ -98,8 +121,8 @@ class Subscription:
         """Stop receiving mappings; buffered ones remain drainable."""
         if not self._cancelled:
             self._cancelled = True
-            if self in self._ledger._subscriptions:
-                self._ledger._subscriptions.remove(self)
+            ledger = self._ledger
+            ledger._subscriptions = [s for s in ledger._subscriptions if s is not self]
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -108,20 +131,18 @@ class Subscription:
 class _PendingMapping:
     """A sink tuple's mapping while unfolded tuples may still arrive."""
 
-    __slots__ = ("sink_ts", "sink_values", "keys", "seen")
+    __slots__ = ("sink_ts", "sink_values", "sources")
 
     def __init__(self, sink_ts: float, sink_values: Dict[str, Any]) -> None:
         self.sink_ts = sink_ts
         self.sink_values = sink_values
-        self.keys: List[str] = []
-        self.seen: Set[str] = set()
+        #: contributing source keys in first-ingest order (an ordered set).
+        self.sources: Dict[str, None] = {}
 
     def snapshot(self, sink_key: str) -> SinkMapping:
+        """A copy for queries; the mapping itself keeps accepting sources."""
         return SinkMapping(
-            sink_key=sink_key,
-            sink_ts=self.sink_ts,
-            sink_values=dict(self.sink_values),
-            source_keys=tuple(self.keys),
+            sink_key, self.sink_ts, dict(self.sink_values), tuple(self.sources)
         )
 
 
@@ -145,7 +166,7 @@ class ProvenanceLedger:
         self.retention = retention
         self.read_only = self.backend.read_only
         #: telemetry span tracer (None = disabled; installed by the obs layer).
-        self.tracer = None
+        self.tracer: Optional["SpanTracer"] = None
         #: sealed mappings, in seal order (dict preserves insertion).
         self._mappings: Dict[str, SinkMapping] = {}
         #: pending mappings, still accepting unfolded tuples.
@@ -211,44 +232,80 @@ class ProvenanceLedger:
     # -- ingest ----------------------------------------------------------------
     def ingest(self, unfolded: StreamTuple) -> None:
         """Consume one unfolded tuple (one sink-tuple / source-tuple pair)."""
+        self.ingest_batch((unfolded,))
+
+    def ingest_batch(self, batch: Sequence[StreamTuple]) -> None:
+        """Consume a batch of unfolded tuples, in stream order.
+
+        The work per tuple is two lookups and a ``seen`` test; attribute
+        dicts are built on first sight only -- ``sink_values`` once per new
+        mapping, a :class:`SourceEntry` once per new source -- from the
+        schema split of :func:`~repro.core.unfolder.unfolded_schema`.
+        """
         self._require_writable()
-        self.ingested_tuples += 1
-        values = unfolded.values
-        sink_values: Dict[str, Any] = {}
-        origin_values: Dict[str, Any] = {}
-        for key, value in values.items():
-            if key in (SINK_TS_FIELD, SINK_ID_FIELD):
+        self.ingested_tuples += len(batch)
+        pending_by_key = self._pending
+        sources = self._sources
+        last_id: Any = None
+        pending: Optional[_PendingMapping] = None
+        duplicates = late = 0
+        for unfolded in batch:
+            values = unfolded.values
+            sink_id = values.get(SINK_ID_FIELD)
+            # The unfolders emit a sink tuple's origins contiguously, so a
+            # repeated sink id reuses the previous tuple's pending mapping.
+            # (An id-less sink is its content address: resolved every time.)
+            if sink_id is None or sink_id != last_id:
+                last_id = sink_id
+                sink_ts = values.get(SINK_TS_FIELD, unfolded.ts)
+                sink_key = sink_id
+                if sink_key.__class__ is not str:
+                    sink_key = address(sink_id, sink_ts, self._sink_values(values))
+                pending = pending_by_key.get(sink_key)
+                if pending is None and sink_key not in self._mappings:
+                    pending = pending_by_key[sink_key] = _PendingMapping(
+                        sink_ts, self._sink_values(values)
+                    )
+            if pending is None:
+                # The mapping sealed already: the retention bound was too
+                # small for this deployment.  Count it loudly instead of
+                # corrupting the exactly-once delivery of the sealed mapping.
+                late += 1
                 continue
-            if key.startswith(SINK_PREFIX):
-                sink_values[key[len(SINK_PREFIX):]] = value
-            else:
-                origin_values[key] = value
-        sink_ts = values.get(SINK_TS_FIELD, unfolded.ts)
-        sink_key = address(values.get(SINK_ID_FIELD), sink_ts, sink_values)
-        if sink_key in self._mappings:
-            # The mapping sealed already: the retention bound was too small
-            # for this deployment.  Count it loudly instead of corrupting the
-            # exactly-once delivery of the sealed mapping.
-            self.late_tuples += 1
-            return
-        origin_ts = origin_values.pop(ORIGIN_TS_FIELD, unfolded.ts)
-        origin_kind = origin_values.pop(ORIGIN_TYPE_FIELD, TupleType.SOURCE.value)
-        origin_id = origin_values.pop(ORIGIN_ID_FIELD, None)
-        source_key = address(origin_id, origin_ts, origin_values)
-        pending = self._pending.get(sink_key)
-        if pending is None:
-            pending = _PendingMapping(sink_ts, sink_values)
-            self._pending[sink_key] = pending
-        if source_key in pending.seen:
-            self.duplicate_tuples += 1
-            return
-        pending.seen.add(source_key)
-        pending.keys.append(source_key)
-        self.source_references += 1
-        if source_key not in self._sources:
-            self._sources[source_key] = SourceEntry(
-                key=source_key, ts=origin_ts, kind=origin_kind, values=origin_values
-            )
+            source_key = values.get(ORIGIN_ID_FIELD)
+            if source_key.__class__ is not str:
+                source_key = address(
+                    source_key,
+                    values.get(ORIGIN_TS_FIELD, unfolded.ts),
+                    self._origin_values(values),
+                )
+            seen = pending.sources
+            if source_key in seen:
+                duplicates += 1
+                continue
+            seen[source_key] = None
+            if source_key not in sources:
+                sources[source_key] = SourceEntry(
+                    source_key,
+                    values.get(ORIGIN_TS_FIELD, unfolded.ts),
+                    values.get(ORIGIN_TYPE_FIELD, _SOURCE_KIND),
+                    self._origin_values(values),
+                )
+        self.late_tuples += late
+        self.duplicate_tuples += duplicates
+        self.source_references += len(batch) - late - duplicates
+
+    @staticmethod
+    def _sink_values(values: Dict[str, Any]) -> Dict[str, Any]:
+        """The sink tuple's payload attributes, ``sink_`` prefix stripped."""
+        return {
+            name: values[key] for key, name in unfolded_schema(tuple(values)).sink_attrs
+        }
+
+    @staticmethod
+    def _origin_values(values: Dict[str, Any]) -> Dict[str, Any]:
+        """The originating tuple's payload attributes."""
+        return {key: values[key] for key in unfolded_schema(tuple(values)).origin_attrs}
 
     # -- sealing ----------------------------------------------------------------
     def advance_watermark(self, watermark: float, tap: Optional[int] = None) -> None:
@@ -291,54 +348,57 @@ class ProvenanceLedger:
         if not ready:
             return
         tracer = self.tracer
-        if tracer is None:
-            for sink_key in ready:
-                self._seal(sink_key)
-            self.backend.flush()
-            return
-        started = tracer.clock()
-        for sink_key in ready:
-            self._seal(sink_key)
-        self.backend.flush()
-        tracer.record("ledger.seal", self.name, started, count=len(ready))
+        started = tracer.clock() if tracer is not None else 0.0
+        self._seal(ready)
+        if tracer is not None:
+            tracer.record("ledger.seal", self.name, started, count=len(ready))
 
-    def _seal(self, sink_key: str) -> None:
-        # Persist first, mutate ledger state after: if a backend append
-        # raises, the mapping stays pending (a later flush retries) instead
-        # of being lost from both the pending area and the sealed index.
-        mapping = self._pending[sink_key].snapshot(sink_key)
-        for key in mapping.source_keys:
-            if key not in self._persisted_sources:
-                self.backend.append_source(self._sources[key])
-                self._persisted_sources.add(key)
-        self.backend.append_mapping(mapping)
-        del self._pending[sink_key]
-        for key in mapping.source_keys:
-            self._forward.setdefault(key, []).append(sink_key)
-        self._mappings[sink_key] = mapping
-        # Snapshot the subscription list: a callback may cancel (or add)
-        # subscriptions mid-delivery, and mutating the live list would skip
-        # other subscribers' exactly-once delivery.  One failing callback
-        # must not starve the remaining subscribers either -- every delivery
-        # is attempted, then the first failure is re-raised.
-        first_error: Optional[BaseException] = None
-        for subscription in list(self._subscriptions):
-            if subscription._cancelled:
-                continue
-            try:
-                subscription._deliver(mapping)
-            except Exception as exc:  # noqa: BLE001 - isolate subscribers
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
+    def _seal(self, ready: List[str]) -> None:
+        """Seal the pending mappings ``ready`` names, in order; flush once."""
+        persisted = self._persisted_sources
+        forward = self._forward
+        backend = self.backend
+        for sink_key in ready:
+            # Persist first, mutate ledger state after: if a backend append
+            # raises, the mapping stays pending (a later flush retries)
+            # instead of being lost from both the pending area and the
+            # sealed index.  The pending dicts are handed over, not copied.
+            pending = self._pending[sink_key]
+            mapping = SinkMapping(
+                sink_key, pending.sink_ts, pending.sink_values, tuple(pending.sources)
+            )
+            for key in mapping.source_keys:
+                if key not in persisted:
+                    backend.append_source(self._sources[key])
+                    persisted.add(key)
+            backend.append_mapping(mapping)
+            del self._pending[sink_key]
+            for key in mapping.source_keys:
+                forward.setdefault(key, []).append(sink_key)
+            self._mappings[sink_key] = mapping
+            # ``_subscriptions`` is replaced, never mutated, by subscribe()
+            # and cancel(), so a callback that cancels (or adds) one
+            # mid-delivery cannot make this loop skip another subscriber.
+            # One failing callback must not starve the remaining
+            # subscribers either -- every delivery is attempted, then the
+            # first failure is re-raised.
+            first_error: Optional[BaseException] = None
+            for subscription in self._subscriptions:
+                if subscription._cancelled:
+                    continue
+                try:
+                    subscription._deliver(mapping)
+                except Exception as exc:  # noqa: BLE001 - isolate subscribers
+                    if first_error is None:
+                        first_error = exc
+            if first_error is not None:
+                raise first_error
+        backend.flush()
 
     def flush(self) -> None:
         """Seal every pending mapping now (as if the final watermark passed)."""
         self._require_writable()
-        for sink_key in list(self._pending):
-            self._seal(sink_key)
-        self.backend.flush()
+        self._seal(list(self._pending))
 
     def close(self) -> None:
         """Seal what is pending and release the backend."""
@@ -363,7 +423,7 @@ class ProvenanceLedger:
             for mapping in self._mappings.values():
                 subscription._deliver(mapping)
         if not self.read_only:
-            self._subscriptions.append(subscription)
+            self._subscriptions = [*self._subscriptions, subscription]
         return subscription
 
     # -- key resolution -------------------------------------------------------------
@@ -424,7 +484,7 @@ class ProvenanceLedger:
             self._mappings[sink_key] for sink_key in self._forward.get(source_key, ())
         ]
         for sink_key, pending in self._pending.items():
-            if source_key in pending.seen:
+            if source_key in pending.sources:
                 results.append(pending.snapshot(sink_key))
         return results
 
@@ -474,7 +534,7 @@ class ProvenanceLedger:
         )
 
 
-def open_provenance_store(path, **backend_options) -> ProvenanceLedger:
+def open_provenance_store(path: Union[str, Path], **backend_options: Any) -> ProvenanceLedger:
     """Re-open a JSONL provenance store directory read-only.
 
     The returned ledger answers the same :meth:`ProvenanceLedger.sources_of`

@@ -23,3 +23,7 @@ class SerializationError(SPEError):
 
 class ChannelError(SPEError):
     """A Send/Receive channel was used incorrectly (e.g. after closing)."""
+
+
+class ReservedAttributeError(SPEError):
+    """A tuple attribute uses a name the unfolded provenance schema reserves."""

@@ -23,9 +23,9 @@ per-channel counters, contribution-graph traversal samples and the sink
 observer streams all materialise in the child processes; each worker ships
 them back to the coordinator over a result pipe when its instance reaches
 quiescence.  The coordinator then replays every sink's observed stream into
-the *coordinator-side* sink objects -- invoking their callbacks (e.g. the
-:class:`~repro.core.provenance.ProvenanceCollector`) and their attached
-:class:`~repro.provstore.tap.ProvenanceTap` observers (e.g. the
+the *coordinator-side* sink objects -- invoking their callbacks and their
+attached :class:`~repro.provstore.tap.ProvenanceTap`-shaped observers (the
+:class:`~repro.core.provenance.ProvenanceCollector`, the
 :class:`~repro.provstore.tap.LedgerTap` feeding a provenance store) -- and
 copies the counters onto the coordinator-side operators and channels.  A
 :class:`~repro.api.pipeline.PipelineResult` is therefore indistinguishable

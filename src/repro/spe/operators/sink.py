@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.spe.operators.base import SingleInputOperator
 from repro.spe.tuples import StreamTuple
@@ -36,29 +36,20 @@ class SinkOperator(SingleInputOperator):
         self.latencies: List[float] = []
         self.count = 0
         #: attached :class:`~repro.provstore.tap.ProvenanceTap`-shaped
-        #: observers; they see every tuple, watermark advance and the close.
-        self.taps: List = []
+        #: observers; they see every batch, watermark advance and the close.
+        self.taps: List[Any] = []
 
-    def add_tap(self, tap) -> None:
-        """Attach an observer of this sink's stream (tuples + watermarks)."""
+    def add_tap(self, tap: Any) -> None:
+        """Attach an observer of this sink's stream (batches + watermarks)."""
         self.taps.append(tap)
 
     def process_tuple(self, tup: StreamTuple) -> None:
-        self.count += 1
-        now = self._wall_clock()
-        if tup.wall:
-            self.latencies.append(now - tup.wall)
-        if self._keep_tuples:
-            self.received.append(tup)
-        if self._callback is not None:
-            self._callback(tup)
-        for tap in self.taps:
-            tap.on_tuple(tup)
+        self.process_batch((tup,))
 
-    def process_batch(self, batch) -> None:
-        # Batched variant of :meth:`process_tuple`.  The reception instant is
-        # still read per tuple: the latency metric is defined against each
-        # tuple's own arrival, and harnesses may inject stepping clocks.
+    def process_batch(self, batch: Sequence[StreamTuple]) -> None:
+        # The reception instant is read per tuple: the latency metric is
+        # defined against each tuple's own arrival, and harnesses may inject
+        # stepping clocks.
         self.count += len(batch)
         wall_clock = self._wall_clock
         latencies = self.latencies
@@ -66,17 +57,24 @@ class SinkOperator(SingleInputOperator):
             now = wall_clock()
             if tup.wall:
                 latencies.append(now - tup.wall)
+        self.deliver(batch)
+
+    def deliver(self, batch: Sequence[StreamTuple]) -> None:
+        """Hand ``batch`` to the kept list, the callback and every tap.
+
+        The one place that defines their order: the whole batch is kept,
+        then the callback sees each tuple, then each tap sees the batch
+        once.  Replaying a remote sink's stream enters here, past the
+        latency measurement of :meth:`process_batch`.
+        """
         if self._keep_tuples:
             self.received.extend(batch)
         callback = self._callback
         if callback is not None:
             for tup in batch:
                 callback(tup)
-        taps = self.taps
-        if taps:
-            for tup in batch:
-                for tap in taps:
-                    tap.on_tuple(tup)
+        for tap in self.taps:
+            tap.on_batch(batch)
 
     def on_watermark(self, watermark: float) -> None:
         for tap in self.taps:

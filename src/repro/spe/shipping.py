@@ -5,8 +5,8 @@ process per SPE instance, pipe-backed channels) and the
 :class:`~repro.spe.cluster.ClusterRuntime` (worker daemons on separate hosts,
 socket-backed channels) execute SPE instances *away* from the coordinator
 that built the deployment.  Everything the coordinator promised its caller --
-sink callbacks (e.g. the :class:`~repro.core.provenance.ProvenanceCollector`),
-:class:`~repro.provstore.tap.ProvenanceTap` observers (e.g. the
+sink callbacks, :class:`~repro.provstore.tap.ProvenanceTap`-shaped observers
+(the :class:`~repro.core.provenance.ProvenanceCollector`, the
 :class:`~repro.provstore.tap.LedgerTap` feeding a provenance store),
 per-operator and per-channel counters, worker-measured latencies and
 traversal samples -- therefore materialises remotely and must be shipped back
@@ -28,7 +28,7 @@ This module is that machinery, extracted so the two runtimes cannot diverge:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.spe.channels import Channel
 from repro.spe.codec import BinaryChannelDecoder, BinaryChannelEncoder
@@ -70,8 +70,8 @@ class ShippingTap:
             self.events.append((EVENT_TUPLE, blob))
             pending.clear()
 
-    def on_tuple(self, tup: StreamTuple) -> None:
-        self._pending.append(tup)
+    def on_batch(self, batch: Sequence[StreamTuple]) -> None:
+        self._pending.extend(batch)
 
     def on_watermark(self, watermark: float) -> None:
         self._flush()
@@ -177,28 +177,17 @@ def replay_sink(sink: SinkOperator, shipped: Dict) -> None:
     would have seen running in-process.  Latencies are *not* re-measured
     (replay time is meaningless); the worker's measurements are copied.
     """
-    keep = sink._keep_tuples
-    callback = sink._callback
-    taps = sink.taps
     decoder = BinaryChannelDecoder(f"shipping:{sink.name}")
     for kind, body in shipped["events"]:
         if kind == EVENT_TUPLE:
             # one event is one batch blob (or one legacy JSON document --
             # the decoder dispatches on the payload type either way).
             tuples, _ = decoder.decode_batch(body)
-            for tup in tuples:
-                if keep:
-                    sink.received.append(tup)
-                if callback is not None:
-                    callback(tup)
-                for tap in taps:
-                    tap.on_tuple(tup)
+            sink.deliver(tuples)
         elif kind == EVENT_WATERMARK:
-            for tap in taps:
-                tap.on_watermark(body)
+            sink.on_watermark(body)
         else:  # EVENT_CLOSE
-            for tap in taps:
-                tap.on_close()
+            sink.on_close()
     sink.count = shipped["count"]
     sink.latencies = list(shipped["latencies"])
 

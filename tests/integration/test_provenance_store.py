@@ -275,3 +275,102 @@ class TestMetricsSnapshot:
         replicas = result.metrics().operators_named("stop_aggregate_shard")
         assert len(replicas) == 2
         assert all(op.work_calls > 0 for op in replicas.values())
+
+
+class TestFirstSightCost:
+    """Deterministic guards on what the ledger builds, and when.
+
+    Counts depend on the input alone, so they gate without timing noise:
+    attribute dicts and entries are built when a sink tuple or a source is
+    seen for the first time, never per unfolded tuple.
+    """
+
+    def test_q1_builds_one_entry_per_source_and_one_pending_per_mapping(self):
+        from repro.provstore import ledger as ledger_module
+
+        # The perfbench smoke scale of q1_intra: 40 cars x 1 h.
+        config = LinearRoadConfig(n_cars=40, duration_s=3600.0, seed=1)
+        built = {"SourceEntry": 0, "_PendingMapping": 0}
+
+        def counting(cls):
+            def build(*args, **kwargs):
+                built[cls.__name__] += 1
+                return cls(*args, **kwargs)
+
+            return build
+
+        store = ProvenanceLedger()
+        with pytest.MonkeyPatch.context() as patch:
+            for cls in (ledger_module.SourceEntry, ledger_module._PendingMapping):
+                patch.setattr(ledger_module, cls.__name__, counting(cls))
+            result = Pipeline(
+                query_dataflow("q1", LinearRoadGenerator(config).tuples),
+                provenance="genealog",
+                provenance_store=store,
+                keep_unfolded_tuples=True,
+            ).run()
+            assert store.sealed_count == result.sink.count > 0
+            assert store.ingested_tuples > store.source_count > store.sealed_count
+            assert built == {
+                "SourceEntry": store.source_count,
+                "_PendingMapping": store.sealed_count,
+            }
+            # The whole stream once more (every mapping has sealed: all late)
+            # and into a fresh ledger twice (second time: all duplicates).
+            (provenance_sink,) = result.capture.provenance_sinks.values()
+            stream = provenance_sink.received
+            assert len(stream) == store.ingested_tuples
+            store.ingest_batch(stream)
+            assert store.late_tuples == len(stream)
+            fresh = ProvenanceLedger(retention=store.retention)
+            fresh.ingest_batch(stream)
+            first_sight = dict(built)
+            fresh.ingest_batch(stream)
+            assert fresh.duplicate_tuples == len(stream)
+            assert built == first_sight
+            assert first_sight == {
+                "SourceEntry": 2 * store.source_count,
+                "_PendingMapping": 2 * store.sealed_count,
+            }
+
+    @staticmethod
+    def traced_reingest_lines(n_attributes):
+        """Interpreter lines spent re-ingesting an already-seen batch."""
+        import sys
+
+        from repro.core import unfolder
+        from repro.provstore import entries
+        from repro.provstore import ledger as ledger_module
+        from tests.unit.test_provstore import unfolded
+
+        extra = {f"a{i}": i for i in range(n_attributes)}
+        batch = [
+            unfolded(f"s:{n // 4}", 1.0, dict(extra, alert=1), f"a:{n % 7}", 0.5, dict(extra, v=n))
+            for n in range(40)
+        ]
+        ledger = ProvenanceLedger(retention=10.0)
+        ledger.ingest_batch(batch)
+        files = {ledger_module.__file__, entries.__file__, unfolder.__file__}
+        lines = 0
+
+        def tracer(frame, event, arg):
+            nonlocal lines
+            if frame.f_code.co_filename not in files:
+                return None
+            if event == "line":
+                lines += 1
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            ledger.ingest_batch(batch)
+        finally:
+            sys.settrace(previous)
+        assert ledger.duplicate_tuples == len(batch) and ledger.source_count == 7
+        return lines
+
+    def test_reingest_cost_is_independent_of_attribute_count(self):
+        narrow = self.traced_reingest_lines(2)
+        assert narrow > 0
+        assert self.traced_reingest_lines(30) == narrow

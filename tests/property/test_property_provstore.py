@@ -102,3 +102,214 @@ def test_shared_sources_stored_once_and_delivered_exactly_once(dag):
     assert sorted(m.sink_key for m in delivered) == sorted(
         f"s:{sink}" for sink in dag
     )
+
+
+# -- batch granularity is unobservable ----------------------------------------
+#
+# Every consumer of the unfolded stream works per batch; however the stream
+# is cut into batches, the outcome must be the one tuple-at-a-time delivery
+# gives.  The generated streams exercise what the batch paths short-cut:
+# interleaved sinks (the repeated-sink-id reuse must re-resolve), repeated
+# (sink, source) pairs, id-less sinks and origins (content addresses), late
+# tuples after a seal, REMOTE origins and two taps with their own watermarks.
+
+unfolded_specs = st.tuples(
+    st.one_of(st.none(), st.integers(0, 5)),  # sink number (None = id-less)
+    st.integers(0, 3),  # sink ts
+    st.one_of(st.none(), st.integers(0, 6)),  # source number (None = id-less)
+    st.sampled_from(["SOURCE", "REMOTE"]),
+)
+stream_events = st.lists(
+    st.one_of(
+        st.tuples(st.just("t"), unfolded_specs),
+        st.tuples(st.just("w"), st.tuples(st.integers(0, 1), st.integers(0, 6))),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def build_unfolded(spec):
+    sink, sink_ts, source, kind = spec
+    return unfolded(
+        None if sink is None else f"s:{sink}",
+        float(sink_ts),
+        {"sink_no": sink, "level": sink_ts},
+        None if source is None else f"a:{source}",
+        0.5 if source is None else float(source) / 10.0,
+        {"source_no": source, "payload": kind},
+        origin_type=kind,
+    )
+
+
+def batches_of(events, cuts):
+    """``events`` with each run of tuples cut into batches at ``cuts``.
+
+    Yields ``("t", [tuples])`` / ``("w", (tap, watermark))``; ``cuts`` is
+    consumed one boolean per tuple (True = end the batch after it).
+    """
+    cuts = iter(cuts or ())
+    batch = []
+    for kind, body in events:
+        if kind == "t":
+            batch.append(build_unfolded(body))
+            if next(cuts, False):
+                yield "t", batch
+                batch = []
+        else:
+            if batch:
+                yield "t", batch
+                batch = []
+            yield kind, body
+    if batch:
+        yield "t", batch
+
+
+def ledger_outcome(events, cuts):
+    """Feed ``events`` through a two-tap ledger; everything observable of it."""
+    ledger = ProvenanceLedger(retention=1.0)
+    taps = [ledger.register_tap(), ledger.register_tap()]
+    called_back = []
+    ledger.subscribe(callback=lambda mapping: called_back.append(mapping.sink_key))
+    buffered = ledger.subscribe()
+    for kind, body in batches_of(events, cuts):
+        if kind == "t":
+            if cuts is None:
+                for tup in body:
+                    ledger.ingest(tup)
+            else:
+                ledger.ingest_batch(body)
+        else:
+            ledger.advance_watermark(float(body[1]), tap=taps[body[0]])
+    pending = {key: ledger.mapping_for(key) for key in ledger._pending}
+    ledger.close_tap(taps[0])
+    ledger.close_tap(taps[1])
+    return {
+        "pending_before_close": pending,
+        "mappings": ledger.mappings(),
+        "sources": ledger.source_entries(),
+        "derived": {
+            entry.key: [m.sink_key for m in ledger.derived_from(entry.key)]
+            for entry in ledger.source_entries()
+        },
+        "counters": (
+            ledger.ingested_tuples,
+            ledger.duplicate_tuples,
+            ledger.late_tuples,
+            ledger.source_references,
+            ledger.sealed_count,
+            ledger.source_count,
+        ),
+        "called_back": called_back,
+        "drained": [m.sink_key for m in buffered.drain()],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=stream_events, cuts=st.lists(st.booleans(), max_size=40))
+def test_any_batch_split_equals_tuple_at_a_time_ingest(events, cuts):
+    reference = ledger_outcome(events, None)
+    assert ledger_outcome(events, cuts) == reference
+    assert ledger_outcome(events, []) == reference  # the longest batches possible
+    assert reference["called_back"] == reference["drained"]
+    assert reference["counters"][0] == sum(1 for kind, _ in events if kind == "t")
+
+
+def collector_outcome(events, cuts):
+    from repro.core.provenance import ProvenanceCollector
+
+    collector = ProvenanceCollector()
+    for kind, body in batches_of(events, cuts):
+        if kind != "t":
+            collector.on_watermark(float(body[1]))
+        elif cuts is None:
+            for tup in body:
+                collector.add(tup)
+        else:
+            collector.on_batch(body)
+    collector.on_close()
+    for record in collector.records():
+        assert type(record.sources) is list
+        assert all(type(source) is dict for source in record.sources)
+    return collector.unfolded_tuples, [
+        (record.sink_ts, record.sink_id, record.sink_values, record.sources)
+        for record in collector.records()
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=stream_events, cuts=st.lists(st.booleans(), max_size=40))
+def test_any_batch_split_equals_tuple_at_a_time_collection(events, cuts):
+    assert collector_outcome(events, cuts) == collector_outcome(events, None)
+
+
+class RecordingTap:
+    """Flattens what a sink tells its taps into one comparable event list."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_batch(self, batch):
+        self.events.extend(("t", tup.ts, tup.values) for tup in batch)
+
+    def on_watermark(self, watermark):
+        self.events.append(("w", watermark))
+
+    def on_close(self):
+        self.events.append(("c",))
+
+
+def observed_sink(ledger):
+    """A sink with a callback, a recording tap and two ledger taps."""
+    from repro.provstore import LedgerTap
+    from repro.spe.operators.sink import SinkOperator
+
+    sink = SinkOperator("provenance_sink", callback=lambda tup: called.append(tup.values))
+    called = sink.called = []
+    sink.recorder = RecordingTap()
+    sink.add_tap(sink.recorder)
+    sink.add_tap(LedgerTap(ledger))
+    sink.add_tap(LedgerTap(ledger))
+    return sink
+
+
+def drive(sink, events, cuts):
+    for kind, body in batches_of(events, cuts):
+        if kind == "t":
+            sink.process_batch(body)
+        else:
+            sink.on_watermark(float(body[1]))
+    sink.on_close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=stream_events, cuts=st.lists(st.booleans(), max_size=40))
+def test_replayed_sink_stream_equals_in_process_taps(events, cuts):
+    from repro.spe.operators.sink import SinkOperator
+    from repro.spe.shipping import ShippingTap, replay_sink
+
+    local_ledger = ProvenanceLedger(retention=1.0)
+    local = observed_sink(local_ledger)
+    drive(local, events, cuts)
+
+    worker = SinkOperator("provenance_sink", keep_tuples=False)
+    shipping = ShippingTap(worker.name)
+    worker.add_tap(shipping)
+    drive(worker, events, cuts)
+
+    replayed_ledger = ProvenanceLedger(retention=1.0)
+    replayed = observed_sink(replayed_ledger)
+    replay_sink(
+        replayed,
+        {"events": shipping.finalize(), "count": worker.count, "latencies": [0.25]},
+    )
+    assert replayed.recorder.events == local.recorder.events
+    assert replayed.called == local.called
+    assert [t.values for t in replayed.received] == [t.values for t in local.received]
+    assert replayed.count == local.count
+    assert replayed.latencies == [0.25]  # copied, never re-measured
+    assert replayed_ledger.mappings() == local_ledger.mappings()
+    assert replayed_ledger.source_entries() == local_ledger.source_entries()
+    assert replayed_ledger.duplicate_tuples == local_ledger.duplicate_tuples
+    # both ledger taps saw every tuple: each pair is ingested exactly twice.
+    assert local_ledger.ingested_tuples == 2 * local.count

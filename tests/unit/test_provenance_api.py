@@ -154,6 +154,34 @@ class TestProvenanceCollector:
     def test_unknown_sink_id(self):
         assert ProvenanceCollector().record_for("nope") is None
 
+    def test_batches_and_single_tuples_collect_the_same_records(self):
+        stream = [
+            self._unfolded("s1", 100, 90, alert=1),
+            self._unfolded("s1", 100, 95, alert=1),
+            self._unfolded("s2", 200, 150, alert=2),
+            self._unfolded("s1", 100, 97, alert=1),  # s1 again, not contiguous
+        ]
+        one_by_one, batched = ProvenanceCollector(), ProvenanceCollector()
+        for tup in stream:
+            one_by_one.add(tup)
+        batched.on_batch(stream[:3])
+        batched.on_batch(stream[3:])
+        assert batched.records() == one_by_one.records()
+        assert batched.unfolded_tuples == 4
+        assert batched.record_for("s1").source_timestamps() == [90, 95, 97]
+        assert batched.record_for("s1").sources[0] == {
+            "ts_o": 90, "id_o": "src:90", "type_o": "SOURCE", "payload": 90,
+        }
+
+    def test_idless_sink_tuples_never_share_a_record(self):
+        # Tuples that die right after being added: their object ids get
+        # reused, which must not make two id-less sink tuples one record.
+        collector = ProvenanceCollector()
+        for origin_ts in (90, 95, 97):
+            collector.add(self._unfolded(None, 100, origin_ts, alert=1))
+        assert len(collector) == 3
+        assert [r.source_timestamps() for r in collector.records()] == [[90], [95], [97]]
+
 
 def build_simple_query(tuples):
     query = Query("simple")

@@ -17,6 +17,7 @@ from repro.provstore import (
     LedgerError,
     LedgerTap,
     ProvenanceLedger,
+    ProvenanceTap,
     open_provenance_store,
 )
 from repro.provstore.entries import SinkMapping, SourceEntry, content_key
@@ -226,6 +227,103 @@ class TestSubscriptions:
         ledger.flush()
         assert [m.sink_key for m in first_seen] == ["s:1"]
         assert [m.sink_key for m in second.drain()] == ["s:1", "s:2"]
+
+
+    def test_subscribing_inside_a_callback_joins_the_same_seal_pass(self):
+        # One seal pass over several ready mappings: a subscriber added while
+        # the first is being delivered (with replay) still sees every mapping
+        # exactly once -- the pass reads the subscription list per mapping.
+        ledger = ProvenanceLedger(retention=0.0)
+        joined = []
+
+        def join_once(mapping):
+            if not joined:
+                joined.append(ledger.subscribe(replay=True))
+
+        ledger.subscribe(callback=join_once)
+        for n in (1, 2, 3):
+            ledger.ingest(unfolded(f"s:{n}", 10.0 * n, {}, f"a:{n}", 1.0, {}))
+        ledger.flush()
+        assert [m.sink_key for m in joined[0].drain()] == ["s:1", "s:2", "s:3"]
+
+    def test_failing_callback_mid_pass_leaves_the_rest_pending(self):
+        ledger = ProvenanceLedger(retention=0.0)
+
+        def explode_on_second(mapping):
+            if mapping.sink_key == "s:2":
+                raise KeyError("missing field")
+
+        ledger.subscribe(callback=explode_on_second)
+        healthy = ledger.subscribe()
+        for n in (1, 2, 3):
+            ledger.ingest(unfolded(f"s:{n}", 10.0 * n, {}, f"a:{n}", 1.0, {}))
+        with pytest.raises(KeyError):
+            ledger.flush()
+        assert [m.sink_key for m in healthy.drain()] == ["s:1", "s:2"]
+        assert (ledger.sealed_count, ledger.pending_count) == (2, 1)
+        ledger.flush()  # the rest seals on the next pass, nothing re-delivers
+        assert [m.sink_key for m in healthy.drain()] == ["s:3"]
+
+
+class TestTaps:
+    def test_base_tap_maps_on_tuple_over_a_batch(self):
+        class Counting(ProvenanceTap):
+            def __init__(self):
+                self.seen = []
+
+            def on_tuple(self, tup):
+                self.seen.append(tup.ts)
+
+        tap = Counting()
+        sink = SinkOperator("provenance_sink")
+        sink.add_tap(tap)
+        sink.process_batch([StreamTuple(ts=1.0), StreamTuple(ts=2.0)])
+        sink.process_tuple(StreamTuple(ts=3.0))
+        assert tap.seen == [1.0, 2.0, 3.0]
+
+    def test_sink_calls_each_tap_once_per_batch(self):
+        class Batches:
+            def __init__(self):
+                self.sizes = []
+
+            def on_batch(self, batch):
+                self.sizes.append(len(batch))
+
+        order = []
+        first, second = Batches(), Batches()
+        sink = SinkOperator("provenance_sink", callback=lambda tup: order.append(tup.ts))
+        sink.add_tap(first)
+        sink.add_tap(second)
+        sink.process_batch([StreamTuple(ts=1.0), StreamTuple(ts=2.0), StreamTuple(ts=3.0)])
+        sink.process_tuple(StreamTuple(ts=4.0))
+        assert first.sizes == second.sizes == [3, 1]
+        assert order == [1.0, 2.0, 3.0, 4.0]
+        assert [t.ts for t in sink.received] == order and sink.count == 4
+
+    def test_deliver_skips_count_and_latency(self):
+        sink = SinkOperator("provenance_sink", wall_clock=lambda: 100.0)
+        late = StreamTuple(ts=1.0, wall=40.0)
+        sink.deliver([late])
+        assert sink.received == [late]
+        assert (sink.count, sink.latencies) == (0, [])
+        sink.process_batch([late])
+        assert (sink.count, sink.latencies) == (1, [60.0])
+
+    def test_ledger_tap_ingests_a_batch_at_once(self):
+        ledger = ProvenanceLedger(retention=0.0)
+        tap = LedgerTap(ledger)
+        tap.on_batch(
+            [
+                unfolded("s:1", 10.0, {"alert": 1}, "a:1", 1.0, {"v": 1}),
+                unfolded("s:1", 10.0, {"alert": 1}, "a:2", 2.0, {"v": 2}),
+                unfolded("s:1", 10.0, {"alert": 1}, "a:1", 1.0, {"v": 1}),
+            ]
+        )
+        tap.on_tuple(unfolded("s:2", 11.0, {"alert": 2}, "a:2", 2.0, {"v": 2}))
+        tap.on_close()
+        assert [m.source_keys for m in ledger.mappings()] == [("a:1", "a:2"), ("a:2",)]
+        assert (ledger.ingested_tuples, ledger.duplicate_tuples) == (4, 1)
+        assert ledger.source_references == 3 and ledger.source_count == 2
 
 
 class TestJsonlPersistence:

@@ -15,12 +15,14 @@ from repro.core.unfolder import (
     attach_su,
     make_unfolded_values,
     origin_type_name,
+    unfolded_schema,
 )
+from repro.spe.errors import ReservedAttributeError
 from repro.spe.query import Query
 from repro.spe.scheduler import Scheduler
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple
-from tests.optest import collect, feed, run_operator, tup
+from tests.optest import collect, feed, run_operator, tup, wire
 
 
 @pytest.fixture
@@ -165,3 +167,92 @@ class TestAttachSU:
         feed(inp, [aggregate], close=True)
         run_operator(unfold)
         assert len(collect(out)) == 2
+
+
+#: (where the attribute sits, its name): every name the unfolded schema
+#: (Definition 6.2) reserves, which used to corrupt provenance silently.
+RESERVED = [
+    ("sink", "ts"),
+    ("sink", "id"),
+    ("origin", "sink_kind"),
+    ("origin", "sink_ts"),
+    ("origin", ORIGIN_TS_FIELD),
+    ("origin", ORIGIN_ID_FIELD),
+    ("origin", ORIGIN_TYPE_FIELD),
+]
+
+
+def reserved_input(manager, side, name):
+    """A sink tuple with one origin, ``name`` sitting on the given side."""
+    origin = StreamTuple(ts=1, values={"v": 1, **({name: "x"} if side == "origin" else {})})
+    out = StreamTuple(ts=2, values={"alert": 1, **({name: "x"} if side == "sink" else {})})
+    manager.on_aggregate_output(out, [origin])
+    return out
+
+
+class TestReservedAttributeNames:
+    @pytest.mark.parametrize("side,name", RESERVED)
+    @pytest.mark.parametrize("per_tuple", [False, True], ids=["batch", "tuple"])
+    def test_su_rejects_naming_operator_and_attribute(self, manager, side, name, per_tuple):
+        su = SUOperator("su_alerts")
+        su.set_provenance(manager)
+        wire(su, n_outputs=2)
+        bad = reserved_input(manager, side, name)
+        with pytest.raises(ReservedAttributeError) as caught:
+            su.process_tuple(bad) if per_tuple else su.process_batch([bad])
+        assert "'su_alerts'" in str(caught.value)
+        assert f"{side} attribute {name!r}" in str(caught.value)
+
+    @pytest.mark.parametrize("side,name", RESERVED)
+    def test_unfold_map_rejects(self, manager, side, name):
+        unfold = UnfoldMapOperator("su_unfold")
+        unfold.set_provenance(manager)
+        wire(unfold)
+        with pytest.raises(ReservedAttributeError, match=f"'su_unfold'.*{name!r}"):
+            unfold.process_tuple(reserved_input(manager, side, name))
+
+    @pytest.mark.parametrize("side,name", RESERVED)
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "composed"])
+    def test_pipeline_with_a_store_rejects(self, side, name, fused):
+        from repro import Dataflow, Pipeline
+        from repro.provstore import ProvenanceLedger
+
+        def supplier():
+            extra = {name: "x"} if side == "origin" else {}
+            return [StreamTuple(ts=float(i), values={"v": i, **extra}) for i in range(4)]
+
+        flow = Dataflow("reserved")
+        stream = flow.source("s", supplier)
+        if side == "sink":
+            stream = stream.map(lambda t: t.derive(values={"v": t["v"], name: "x"}))
+        stream.filter(lambda t: True).sink("out")
+        store = ProvenanceLedger()
+        pipeline = Pipeline(
+            flow, provenance="genealog", provenance_store=store, fused=fused, validate="off"
+        )
+        with pytest.raises(ReservedAttributeError, match=repr(name)):
+            pipeline.run()
+        assert store.ingested_tuples == 0  # rejected before anything was stored
+
+    def test_names_outside_the_reserved_set_pass(self, manager):
+        # near misses: the prefix without the underscore, the bare identity
+        # names on the *other* side, a sink attribute called like an origin's.
+        origin = StreamTuple(ts=1, values={"sinker": 1, "ts": 3, "id": 4})
+        out = aggregate_tuple(manager, [origin], ts=2, ts_o=5, sinker=6)
+        values = make_unfolded_values(out, origin, manager)
+        assert values["sink_ts_o"] == 5 and values[ORIGIN_TS_FIELD] == 1
+        assert values["sink_sinker"] == 6 and values["sinker"] == 1
+        assert values["ts"] == 3 and values["id"] == 4
+
+    def test_one_schema_plan_splits_what_the_unfolders_build(self, manager):
+        origin = tup(1, v=1, w=2)
+        out = aggregate_tuple(manager, [origin], ts=2, alert=1, level=3)
+        values = make_unfolded_values(out, origin, manager)
+        plan = unfolded_schema(tuple(values))
+        assert plan.sink_part == ("sink_alert", "sink_level", SINK_TS_FIELD, SINK_ID_FIELD)
+        assert plan.sink_attrs == (("sink_alert", "alert"), ("sink_level", "level"))
+        assert plan.origin_attrs == ("v", "w")
+        assert plan.origin_part == (
+            "v", "w", ORIGIN_TS_FIELD, ORIGIN_ID_FIELD, ORIGIN_TYPE_FIELD,
+        )
+        assert unfolded_schema(tuple(values)) is plan  # cached per schema
