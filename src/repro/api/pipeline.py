@@ -59,8 +59,8 @@ from repro.spe.operators.source import SourceOperator
 from repro.spe.multiprocess import MultiprocessRuntime
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.query import Query
-from repro.spe.runtime import DistributedRuntime, PollingDistributedRuntime
-from repro.spe.scheduler import PollingScheduler, Scheduler
+from repro.spe.runtime import DistributedRuntime
+from repro.spe.scheduler import Scheduler
 from repro.spe.sockets import SocketTransport
 
 #: name of the dedicated provenance instance of distributed deployments.
@@ -209,13 +209,11 @@ class PipelineResult:
     collector: Optional[ProvenanceCollector] = None
     managers: Dict[str, ProvenanceManager] = field(default_factory=dict)
     channels: List[Channel] = field(default_factory=list)
-    #: scheduler passes / runtime rounds executed by :meth:`Pipeline.run`.
-    #: Under the default event-driven execution this counts operator
-    #: wake-ups (intra) or instance wake-ups (inter); under ``"polling"``
-    #: execution it counts whole-graph passes / deployment rounds.
+    #: operator wake-ups (intra) or instance wake-ups (inter) executed by
+    #: :meth:`Pipeline.run`.
     rounds: int = 0
-    #: operator wake-ups executed (intra: equals ``rounds`` under event
-    #: execution; inter: summed over all instance schedulers).
+    #: operator wake-ups executed (intra: equals ``rounds``; inter: summed
+    #: over all instance schedulers).
     wakeups: int = 0
     #: live provenance store attached via ``Pipeline(provenance_store=...)``.
     store: Optional[ProvenanceLedger] = None
@@ -307,11 +305,10 @@ class Pipeline:
     :class:`Scheduler`; a :class:`Placement` deploys onto several SPE
     instances run by the :class:`DistributedRuntime`.  ``retention`` (seconds
     of provenance the MU / baseline resolver must retain) defaults to the sum
-    of the dataflow's window sizes.  ``execution`` selects the execution
-    core: ``"event"`` (default) is the readiness-driven batch scheduler,
-    ``"polling"`` the legacy whole-graph polling loop kept as the
-    behavioural oracle, ``"process"`` runs each SPE instance as its own
-    OS process connected by pipe-backed channels (requires a placement; see
+    of the dataflow's window sizes.  ``execution`` selects where the
+    event-driven scheduler runs: ``"event"`` (default) keeps everything in
+    this process, ``"process"`` runs each SPE instance as its own OS process
+    connected by pipe-backed channels (requires a placement; see
     :class:`~repro.spe.multiprocess.MultiprocessRuntime`), and ``"cluster"``
     ships each SPE instance to a worker daemon over TCP with socket-backed
     channels (requires a placement; ``hosts`` places the instances -- see
@@ -347,10 +344,10 @@ class Pipeline:
                 f"unknown validate mode {validate!r}; expected 'strict', "
                 "'warn' or 'off'"
             )
-        if execution not in ("event", "polling", "process", "cluster"):
+        if execution not in ("event", "process", "cluster"):
             raise DataflowError(
                 f"unknown execution mode {execution!r}; expected 'event', "
-                "'polling', 'process' or 'cluster'"
+                "'process' or 'cluster'"
             )
         if execution in ("process", "cluster") and placement is None:
             raise DataflowError(
@@ -532,8 +529,9 @@ class Pipeline:
     ) -> PipelineResult:
         """Build (if needed) and run to quiescence; return the result.
 
-        ``round_callback`` is invoked every ``callback_every`` scheduler
-        passes / runtime rounds (e.g. for memory sampling).
+        ``round_callback`` is invoked every ``callback_every`` operator
+        wake-ups (intra) / instance wake-ups (inter), e.g. for memory
+        sampling.
         """
         self._gate()
         result = self.build()
@@ -541,14 +539,13 @@ class Pipeline:
         if telemetry is not None:
             telemetry.attach(result, self.execution)
             result.trace = telemetry
-            if self.execution in ("event", "polling"):
-                # In-process executions drive the time-series sampler from
-                # the round callback; the out-of-process ones do not (the
-                # coordinator's counters only materialise after the run).
+            if self.execution == "event":
+                # The in-process execution drives the time-series sampler
+                # from the round callback; the out-of-process ones do not
+                # (the coordinator's counters only materialise after the run).
                 round_callback = telemetry.wrap_callback(round_callback)
         if result.deployment == "intra":
-            scheduler_cls = Scheduler if self.execution == "event" else PollingScheduler
-            scheduler = scheduler_cls(
+            scheduler = Scheduler(
                 result.query,
                 max_passes=max_rounds,
                 pass_callback=round_callback,
@@ -557,8 +554,7 @@ class Pipeline:
             if telemetry is not None:
                 scheduler.tracer = telemetry.tracer
             scheduler.run()
-            result.rounds = scheduler.passes
-            result.wakeups = scheduler.wakeups
+            result.rounds = result.wakeups = scheduler.wakeups
         elif self.execution == "process":
             runtime = MultiprocessRuntime(
                 result.instances,
@@ -583,12 +579,7 @@ class Pipeline:
             result.rounds = runtime.rounds
             result.wakeups = runtime.total_wakeups()
         else:
-            runtime_cls = (
-                DistributedRuntime
-                if self.execution == "event"
-                else PollingDistributedRuntime
-            )
-            runtime = runtime_cls(
+            runtime = DistributedRuntime(
                 result.instances,
                 max_rounds=max_rounds,
                 round_callback=round_callback,

@@ -231,24 +231,9 @@ class SUOperator(SingleInputOperator):
     #: output port delivering the unfolded stream.
     UNFOLDED_PORT = 1
 
-    def process_tuple(self, tup: StreamTuple) -> None:
-        self.emit(tup, self.DATA_PORT)
-        manager = self.provenance
-        origins = manager.unfold(tup)
-        if not origins:
-            return
-        base = _sink_base_values(tup, manager, self.name)
-        for origin in origins:
-            out = StreamTuple.owned(
-                ts=tup.ts, values=_with_origin(base, origin, manager, self.name)
-            )
-            out.wall = max(tup.wall, origin.wall)
-            self.emit(out, self.UNFOLDED_PORT)
-
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
-        # Batched variant: one pass-through emit and one unfolded emit per
-        # input batch (instead of one stream push + consumer wake per tuple);
-        # per-stream tuple order is identical to the per-tuple path.
+        # One pass-through emit and one unfolded emit per input batch
+        # (instead of one stream push + consumer wake per tuple).
         manager = self.provenance
         name = self.name
         unfold = manager.unfold

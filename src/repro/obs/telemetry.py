@@ -9,7 +9,7 @@ execution mode, and finalizes the object into
 
 Hook installation is execution-mode aware:
 
-* **intra / inter in-process** (``event`` / ``polling``): the coordinator's
+* **intra / inter in-process** (``event``): the coordinator's
   tracer is installed directly on the scheduler(s), operators, channels,
   provenance managers and the ledger -- everything lives in this process.
 * **process / cluster**: the coordinator deliberately installs *no*

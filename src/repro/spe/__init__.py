@@ -15,10 +15,9 @@ its inputs in timestamp order, gated by per-input watermarks.
 from repro.spe.tuples import StreamTuple, Watermark, END_OF_STREAM
 from repro.spe.streams import Stream
 from repro.spe.query import Query
-from repro.spe.scheduler import PollingScheduler, Scheduler
+from repro.spe.scheduler import Scheduler
 from repro.spe.instance import SPEInstance
-from repro.spe.runtime import DistributedRuntime, PollingDistributedRuntime
-from repro.spe.threaded import ThreadedRuntime, run_threaded
+from repro.spe.runtime import DistributedRuntime
 from repro.spe.multiprocess import MultiprocessRuntime, run_multiprocess
 from repro.spe.cluster import ClusterRuntime, ClusterWorker, run_cluster
 from repro.spe.channels import Channel, ChannelTransport, InMemoryTransport, ProcessTransport
@@ -37,12 +36,8 @@ __all__ = [
     "Stream",
     "Query",
     "Scheduler",
-    "PollingScheduler",
     "SPEInstance",
     "DistributedRuntime",
-    "PollingDistributedRuntime",
-    "ThreadedRuntime",
-    "run_threaded",
     "MultiprocessRuntime",
     "run_multiprocess",
     "ClusterRuntime",

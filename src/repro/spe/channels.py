@@ -9,9 +9,8 @@ harness uses to reason about network load.
 The queueing mechanics live behind a :class:`ChannelTransport`:
 
 * :class:`InMemoryTransport` (the default) is a plain deque shared by both
-  sides -- the cooperative :class:`~repro.spe.scheduler.Scheduler`, the
-  :class:`~repro.spe.runtime.DistributedRuntime` and the
-  :class:`~repro.spe.threaded.ThreadedRuntime` all use it.
+  sides -- the cooperative :class:`~repro.spe.scheduler.Scheduler` and the
+  :class:`~repro.spe.runtime.DistributedRuntime` use it.
 * :class:`ProcessTransport` carries the same serialised payloads over a
   :mod:`multiprocessing` pipe, so the producer and the consumer can live in
   *different OS processes* (the :class:`~repro.spe.multiprocess.MultiprocessRuntime`).
@@ -24,15 +23,15 @@ propagation: the Receive operator reading it registers itself as
 ``consumer``, and every producer-side mutation (:meth:`send`,
 :meth:`send_many`, :meth:`advance_watermark`, :meth:`close`) signals it.
 That is what lets the :class:`~repro.spe.runtime.DistributedRuntime` wake
-exactly the instance whose channel received data instead of round-robin
-polling every instance.  Cross-process transports skip that in-memory hook:
+exactly the instance whose channel received data and never touch an idle
+one.  Cross-process transports skip that in-memory hook:
 there the pipe itself is the wake-up signal (the consumer's worker loop
 waits on the pipe's read end).
 
 Producer-side mutations take a per-channel lock: the traffic counters and
-the watermark's check-then-set are read-modify-writes, and under the
-threaded runtime a :class:`~repro.spe.metrics.MetricsSnapshot` may be taken
-from another thread while a producer is mid-update.  :meth:`counters`
+the watermark's check-then-set are read-modify-writes, and a
+:class:`~repro.spe.metrics.MetricsSnapshot` may be taken from another thread
+while a producer is mid-update.  :meth:`counters`
 returns a consistent ``(tuples_sent, bytes_sent)`` pair under that lock.
 """
 
@@ -134,9 +133,8 @@ class InMemoryTransport(ChannelTransport):
 
     def receive_all(self) -> List[Payload]:
         # Drain with atomic ``popleft`` calls rather than snapshot+clear:
-        # under the ThreadedRuntime the producer appends from another
-        # thread, and a payload sent between a snapshot and a clear would
-        # be lost forever.
+        # a producer may append from another thread, and a payload sent
+        # between a snapshot and a clear would be lost forever.
         queue = self._queue
         items: List[Payload] = []
         while queue:

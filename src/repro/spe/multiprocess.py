@@ -2,9 +2,8 @@
 
 The paper runs each SPE instance as a separate process (Odroid boards linked
 by a switch); the cooperative :class:`~repro.spe.runtime.DistributedRuntime`
-and the :class:`~repro.spe.threaded.ThreadedRuntime` only *simulate* that
-inside one Python process, so the GIL erases the parallelism the
-architecture promises.  :class:`MultiprocessRuntime` closes that gap: every
+only *simulates* that inside one Python process, so the architecture's
+parallelism is lost.  :class:`MultiprocessRuntime` closes that gap: every
 :class:`~repro.spe.instance.SPEInstance` is driven by the event-driven
 :class:`~repro.spe.scheduler.Scheduler` inside its own child process, and
 the instances communicate exclusively through channels backed by
@@ -39,9 +38,9 @@ required; platforms without it (Windows) cannot use this runtime.
 
 **Failure handling.**  A worker that raises ships the error (with its
 traceback) back to the coordinator, which immediately signals every other
-worker to stop, joins them, and re-raises the *original* failure first --
-the same contract the ThreadedRuntime honours -- instead of letting healthy
-workers park until the timeout and masking the root cause.
+worker to stop, joins them, and re-raises the *original* failure first,
+instead of letting healthy workers park until the timeout and masking the
+root cause.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ class Operator:
         self.provenance: ProvenanceManager = NoProvenance()
         self.tuples_in = 0
         self.tuples_out = 0
-        #: ``work``/``work_per_tuple`` invocations by a scheduler; the
-        #: parallel-scaling benchmark reads this per replica shard.
+        #: ``work`` invocations by a scheduler (its wake-ups of this
+        #: operator); surfaced per operator by ``PipelineResult.metrics()``.
         self.work_calls = 0
         self._in_watermark = float("-inf")
         self._out_watermark = float("-inf")
@@ -113,16 +113,6 @@ class Operator:
     def work(self) -> bool:
         """Make as much progress as possible; return True if anything happened."""
         raise NotImplementedError
-
-    def work_per_tuple(self) -> bool:
-        """The seed's one-tuple-at-a-time ``work`` loop (behavioural oracle).
-
-        Subclasses with a batch dataplane override this with the original
-        ``peek``/``pop`` loop so the :class:`PollingScheduler` can reproduce
-        the seed's execution (and cost model) exactly; operators without a
-        dedicated per-tuple variant just delegate to :meth:`work`.
-        """
-        return self.work()
 
     def emit(self, tup: StreamTuple, port: int = 0) -> None:
         """Push ``tup`` to output ``port``."""
@@ -191,9 +181,10 @@ class SingleInputOperator(Operator):
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         """Process a batch of consumable input tuples.
 
-        The default implementation is the per-tuple fallback -- it simply
-        loops :meth:`process_tuple`, which is what stateful operators keep.
-        Stateless operators may override it to amortise per-tuple overheads.
+        A concrete operator implements exactly one of the two hooks: stateful
+        operators define :meth:`process_tuple` and inherit this loop over it;
+        stateless ones override this method to amortise per-tuple overheads
+        and define no :meth:`process_tuple`.
         """
         process = self.process_tuple
         for tup in batch:
@@ -225,26 +216,6 @@ class SingleInputOperator(Operator):
             self._close_outputs()
         return self._progress
 
-    def work_per_tuple(self) -> bool:
-        self._progress = False
-        if not self.inputs:
-            return False
-        stream = self.inputs[0]
-        while stream.peek() is not None:
-            tup = stream.pop()
-            self.tuples_in += 1
-            self.process_tuple(tup)
-            self._progress = True
-        watermark = stream.watermark
-        if watermark > self._in_watermark:
-            self._in_watermark = watermark
-            self.on_watermark(watermark)
-            self._advance_outputs(self.output_watermark_for(watermark))
-        if self._inputs_exhausted() and not self._outputs_closed:
-            self.on_close()
-            self._close_outputs()
-        return self._progress
-
 
 class MultiInputOperator(Operator):
     """Base class for operators that deterministically merge several inputs.
@@ -262,44 +233,6 @@ class MultiInputOperator(Operator):
         """Process one input tuple taken from input ``input_index``."""
         raise NotImplementedError
 
-    def _next_ready_input(self) -> Optional[int]:
-        """Index of the input whose head may be consumed next, or None.
-
-        Kept for introspection and unit tests; the hot path is
-        :meth:`_drain_merged`, which computes the merge barrier once per
-        wake-up instead of re-peeking every stream for every tuple.
-        """
-        best_index: Optional[int] = None
-        best_ts = float("inf")
-        for index, stream in enumerate(self.inputs):
-            head = stream.peek()
-            if head is None:
-                continue
-            if head.ts < best_ts:
-                best_ts = head.ts
-                best_index = index
-        if best_index is None:
-            return None
-        # The head of ``best_index`` may be consumed only when no other input
-        # could still deliver a tuple that must be processed before it.  A
-        # watermark promises "no future tuple with ts < watermark", so a tuple
-        # equal to the watermark may still arrive: equal timestamps on a
-        # lower-index input take precedence, so we require a strict bound
-        # there, and a non-strict bound on higher-index inputs.
-        for index, stream in enumerate(self.inputs):
-            if index == best_index:
-                continue
-            frontier = stream.frontier
-            if index < best_index:
-                if stream.peek() is None and best_ts >= frontier:
-                    return None
-                if stream.peek() is not None and best_ts > frontier:
-                    return None
-            else:
-                if best_ts > frontier:
-                    return None
-        return best_index
-
     def _drain_merged(self) -> None:
         """Consume every currently-consumable tuple in merged order.
 
@@ -312,7 +245,7 @@ class MultiInputOperator(Operator):
         lexicographic minimum ``(w, j)`` over empty inputs) therefore only
         changes when an input *becomes* empty, so the whole wake-up needs one
         pass over the inputs up front plus O(#inputs) work per consumed tuple
-        for the head minimum -- no repeated ``peek``/``frontier`` calls.
+        for the head minimum.
 
         Watermarks cannot move during the drain: stream producers live in
         the same instance and never run concurrently with this operator.
@@ -389,29 +322,6 @@ class MultiInputOperator(Operator):
                         "operator.batch", self.name, started, count=consumed
                     )
             watermark = min(stream.watermark for stream in inputs)
-        if watermark > self._in_watermark:
-            self._in_watermark = watermark
-            self.on_watermark(watermark)
-            self._advance_outputs(self.output_watermark_for(watermark))
-        if self._inputs_exhausted() and not self._outputs_closed:
-            self.on_close()
-            self._close_outputs()
-        return self._progress
-
-    def work_per_tuple(self) -> bool:
-        """The seed's merge loop: ``_next_ready_input`` re-evaluated per tuple."""
-        self._progress = False
-        if not self.inputs:
-            return False
-        while True:
-            index = self._next_ready_input()
-            if index is None:
-                break
-            tup = self.inputs[index].pop()
-            self.tuples_in += 1
-            self.process_tuple(tup, index)
-            self._progress = True
-        watermark = min(stream.watermark for stream in self.inputs)
         if watermark > self._in_watermark:
             self._in_watermark = watermark
             self.on_watermark(watermark)

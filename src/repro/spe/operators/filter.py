@@ -25,12 +25,6 @@ class FilterOperator(SingleInputOperator):
         self._predicate = predicate
         self.dropped = 0
 
-    def process_tuple(self, tup: StreamTuple) -> None:
-        if self._predicate(tup):
-            self.emit(tup)
-        else:
-            self.dropped += 1
-
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         """Stateless batch path: one predicate sweep, one bulk forward."""
         predicate = self._predicate

@@ -35,14 +35,6 @@ class MapOperator(SingleInputOperator):
         super().__init__(name)
         self._function = function
 
-    def process_tuple(self, tup: StreamTuple) -> None:
-        out = self._function(tup)
-        if out is None:
-            return
-        out.wall = max(out.wall, tup.wall)
-        self.provenance.on_map_output(out, tup)
-        self.emit(out)
-
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         """Stateless batch path: map the batch, then bulk-forward the outputs."""
         function = self._function

@@ -102,10 +102,6 @@ class MergeOperator(MultiInputOperator):
             self._close_outputs()
         return self._progress
 
-    # The polling oracle gains nothing from a per-tuple loop here: release
-    # order is defined by the settled bound, not by consumption granularity.
-    work_per_tuple = work
-
     def buffered_tuples(self) -> int:
         """Number of consumed tuples still waiting for their release bound."""
         return len(self._held)

@@ -98,12 +98,6 @@ class PartitionOperator(SingleInputOperator):
             )
         return port
 
-    def process_tuple(self, tup: StreamTuple) -> None:
-        if self._stamp_sequence:
-            tup.order_key = self._sequence
-            self._sequence += 1
-        self.emit(tup, self.shard_of(tup))
-
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         """Route a whole batch with one wake-up per touched shard."""
         buckets: List[List[StreamTuple]] = [[] for _ in self.outputs]

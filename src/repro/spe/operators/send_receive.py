@@ -60,9 +60,6 @@ class SendOperator(SingleInputOperator):
         else:
             self._encoder = BinaryChannelEncoder(channel.name)
 
-    def process_tuple(self, tup: StreamTuple) -> None:
-        self.process_batch((tup,))
-
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         """Serialise the whole batch and flush it to the channel in one call."""
         encoder = self._encoder
@@ -113,7 +110,6 @@ class ReceiveOperator(Operator):
     def _decode(self, payload: Payload) -> List[StreamTuple]:
         """Decode one channel payload and re-attach its provenance payloads.
 
-        The one place both receive loops turn wire payloads into tuples.
         Sends with ``ship_provenance=False`` (the GeneaLog unfolded streams)
         ship no payloads and other tuples may carry an empty one; nothing
         downstream reads metadata re-attached from nothing, so those skip
@@ -138,7 +134,7 @@ class ReceiveOperator(Operator):
             # advances it after appending every tuple it covers, so all
             # tuples the snapshot promises are caught by the drain below.
             # Reading it after the drain races with a concurrent producer
-            # (threaded / multiprocess runtimes): a tuple sent between the
+            # (multiprocess / cluster runtimes): a tuple sent between the
             # drain and the read would be emitted on the *next* wake-up,
             # after a watermark that already covers it, and downstream
             # merges would release out of order.
@@ -157,35 +153,6 @@ class ReceiveOperator(Operator):
             # transports fold control messages into it): go around again
             # until a pass neither delivered tuples nor moved the watermark.
             if not payloads and channel.watermark == watermark:
-                break
-        if channel.closed and len(channel) == 0 and not self._outputs_closed:
-            self._close_outputs()
-        return self._progress
-
-    def work_per_tuple(self) -> bool:
-        """The seed's receive loop: one channel dequeue + emit per payload."""
-        self._progress = False
-        if not self.outputs:
-            return False
-        channel = self.channel
-        decode = self._decode
-        while True:
-            # watermark-before-drain: see :meth:`work`.
-            watermark = channel.watermark
-            received = False
-            while True:
-                payload = channel.receive()
-                if payload is None:
-                    break
-                received = True
-                tuples = decode(payload)
-                self.tuples_in += len(tuples)
-                for tup in tuples:
-                    self.emit(tup)
-            if watermark > self._in_watermark:
-                self._in_watermark = watermark
-                self._advance_outputs(watermark)
-            if not received and channel.watermark == watermark:
                 break
         if channel.closed and len(channel) == 0 and not self._outputs_closed:
             self._close_outputs()

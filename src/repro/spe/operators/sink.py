@@ -43,9 +43,6 @@ class SinkOperator(SingleInputOperator):
         """Attach an observer of this sink's stream (batches + watermarks)."""
         self.taps.append(tap)
 
-    def process_tuple(self, tup: StreamTuple) -> None:
-        self.process_batch((tup,))
-
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         # The reception instant is read per tuple: the latency metric is
         # defined against each tuple's own arrival, and harnesses may inject

@@ -77,30 +77,6 @@ class SortOperator(Operator):
             self._close_outputs()
         return self._progress
 
-    def work_per_tuple(self) -> bool:
-        """The seed's sort loop: one ``peek``/``pop`` pair per ingested tuple."""
-        self._progress = False
-        if not self.inputs:
-            return False
-        stream = self.inputs[0]
-        while stream.peek() is not None:
-            tup = stream.pop()
-            self.tuples_in += 1
-            self._ingest(tup)
-            self._progress = True
-        watermark = stream.watermark
-        if watermark > self._in_watermark:
-            self._in_watermark = watermark
-        bound = self._release_bound()
-        if bound < float("inf"):
-            self._release(bound)
-            if bound > float("-inf"):
-                self._advance_outputs(bound)
-        if self._inputs_exhausted() and not self._outputs_closed:
-            self._release(float("inf"))
-            self._close_outputs()
-        return self._progress
-
     # -- internals -----------------------------------------------------------
     def _ingest(self, tup: StreamTuple) -> None:
         late_bound = max(self._released_ts, self._highest_ts - self.slack)

@@ -91,35 +91,6 @@ class SourceOperator(Operator):
             self._close_outputs()
         return self._progress
 
-    def work_per_tuple(self) -> bool:
-        """The seed's source loop: per-tuple emits, one batch per pass."""
-        self._progress = False
-        if self._exhausted or not self.outputs:
-            return False
-        iterator = self._ensure_iterator()
-        emitted = 0
-        while emitted < self.batch_size:
-            try:
-                tup = next(iterator)
-            except StopIteration:
-                self._exhausted = True
-                break
-            if self.enforce_order and tup.ts < self._last_ts:
-                raise StreamOrderError(
-                    f"source {self.name!r} produced out-of-order tuple "
-                    f"(ts={tup.ts} after ts={self._last_ts})"
-                )
-            self._last_ts = max(self._last_ts, tup.ts)
-            tup.wall = self._wall_clock()
-            self.provenance.on_source_output(tup)
-            self.emit(tup)
-            emitted += 1
-        if emitted and self.enforce_order:
-            self._advance_outputs(self._last_ts)
-        if self._exhausted:
-            self._close_outputs()
-        return self._progress
-
     @property
     def self_reschedule(self) -> bool:
         """The supplier is an iterator, not a stream: nothing will signal the

@@ -11,9 +11,6 @@ instance at the runtime level.  Idle instances are never touched.  Because
 every channel is a serialising boundary, this execution model exercises
 exactly the inter-process mechanisms of section 6 (lost pointers, ``REMOTE``
 tuples, unique IDs, the MU operator) while remaining fully deterministic.
-
-:class:`PollingDistributedRuntime` preserves the original round-robin
-execution as the behavioural oracle for the equivalence test suite.
 """
 
 from __future__ import annotations
@@ -24,11 +21,12 @@ from typing import Callable, Deque, Dict, List, Optional, Set
 from repro.spe.channels import Channel
 from repro.spe.errors import SchedulingError
 from repro.spe.instance import SPEInstance
-from repro.spe.scheduler import PollingScheduler, Scheduler
+from repro.spe.scheduler import Scheduler
 
 
 class _RuntimeBase:
-    """Shared wiring of both runtimes: ordering values and traffic stats."""
+    """What every runtime (in-process, multiprocess, cluster) shares: the
+    instance list, its ordering values and the channel traffic statistics."""
 
     def __init__(self, instances: List[SPEInstance]) -> None:
         if not instances:
@@ -92,29 +90,13 @@ class _RuntimeBase:
         """Tuples that crossed any inter-instance channel."""
         return sum(channel.tuples_sent for channel in self.channels())
 
-    def total_wakeups(self) -> int:
-        """Operator wake-ups / ``work`` calls summed over all instances."""
-        return sum(scheduler.wakeups for scheduler in self._schedulers)
-
-    # -- telemetry ------------------------------------------------------------------
-    def install_tracer(self, tracer) -> None:
-        """Record every instance's wake-up spans into ``tracer``.
-
-        Each scheduler keeps its own ``trace_node`` (the instance name), so
-        one coordinator-resident tracer yields per-instance timeline lanes --
-        the in-process analogue of the per-worker tracers the process and
-        cluster runtimes ship back.
-        """
-        for scheduler in self._schedulers:
-            scheduler.tracer = tracer
-
 
 class DistributedRuntime(_RuntimeBase):
     """Readiness-driven coordination of a set of SPE instances.
 
     ``rounds`` counts instance wake-ups (one wake-up = one full drain of an
-    instance's ready queue), replacing the polling runtime's whole-deployment
-    rounds; ``round_callback`` fires every ``callback_every`` wake-ups.
+    instance's ready queue); ``round_callback`` fires every
+    ``callback_every`` wake-ups.
     """
 
     def __init__(
@@ -181,8 +163,14 @@ class DistributedRuntime(_RuntimeBase):
                 )
             self.step()
         if not self.finished:
+            stuck = "; ".join(
+                f"{scheduler.query.name} -> {', '.join(scheduler.unfinished_operators())}"
+                for scheduler in self._schedulers
+                if not scheduler.finished
+            )
             raise SchedulingError(
-                "distributed deployment made no progress before completion"
+                "distributed deployment made no progress before completion; "
+                f"unfinished operators by instance: {stuck}"
             )
         return self.rounds
 
@@ -191,57 +179,19 @@ class DistributedRuntime(_RuntimeBase):
         """True once every instance has finished."""
         return all(scheduler.finished for scheduler in self._schedulers)
 
+    # -- introspection ------------------------------------------------------------
+    def total_wakeups(self) -> int:
+        """Operator wake-ups / ``work`` calls summed over all instances."""
+        return sum(scheduler.wakeups for scheduler in self._schedulers)
 
-class PollingDistributedRuntime(_RuntimeBase):
-    """The original round-robin runtime (behavioural oracle).
+    # -- telemetry ------------------------------------------------------------------
+    def install_tracer(self, tracer) -> None:
+        """Record every instance's wake-up spans into ``tracer``.
 
-    Interleaves whole-graph polling passes over all instances until the
-    deployment is quiescent.  Kept so the equivalence tests can prove the
-    readiness-driven :class:`DistributedRuntime` preserves seed behaviour.
-    """
-
-    def __init__(
-        self,
-        instances: List[SPEInstance],
-        max_rounds: int = 10_000_000,
-        round_callback: Optional[Callable[[int], None]] = None,
-        callback_every: int = 16,
-    ) -> None:
-        super().__init__(instances)
-        self.max_rounds = max_rounds
-        self.round_callback = round_callback
-        self.callback_every = max(1, callback_every)
-        self.rounds = 0
-        self._schedulers = [PollingScheduler(instance) for instance in self.instances]
-
-    def step(self) -> bool:
-        """Run one pass over every instance; return True if anything progressed."""
-        progress = False
+        Each scheduler keeps its own ``trace_node`` (the instance name), so
+        one coordinator-resident tracer yields per-instance timeline lanes --
+        the in-process analogue of the per-worker tracers the process and
+        cluster runtimes ship back.
+        """
         for scheduler in self._schedulers:
-            if scheduler.step():
-                progress = True
-        self.rounds += 1
-        if self.round_callback is not None and self.rounds % self.callback_every == 0:
-            self.round_callback(self.rounds)
-        return progress
-
-    def run(self) -> int:
-        """Run every instance to quiescence; return the number of rounds."""
-        for instance in self.instances:
-            instance.validate()
-        while self.rounds < self.max_rounds:
-            progress = self.step()
-            if not progress:
-                if self.finished:
-                    return self.rounds
-                raise SchedulingError(
-                    "distributed deployment made no progress before completion"
-                )
-        raise SchedulingError(
-            f"distributed deployment did not finish within {self.max_rounds} rounds"
-        )
-
-    @property
-    def finished(self) -> bool:
-        """True once every instance has finished."""
-        return all(scheduler.finished for scheduler in self._schedulers)
+            scheduler.tracer = tracer

@@ -1,22 +1,16 @@
-"""Deterministic single-process schedulers.
+"""The deterministic single-process scheduler.
 
 One SPE instance is a single process whose threads share memory (section 2).
 Because every operator consumes its inputs in deterministic timestamp-merged
 order, the result of a run is a pure function of the source data regardless
 of how ``work`` calls interleave -- the determinism property GeneaLog
-requires.  Two schedulers exploit that freedom differently:
-
-* :class:`Scheduler` (the default) is **event-driven**: streams and channels
-  signal their consumer operator on every push / watermark advance / close,
-  and the scheduler drains a FIFO ready-queue of runnable operators.  Idle
-  operators cost nothing, quiescence is detected incrementally (an operator
-  leaves the *unfinished* set the moment its ``work`` call finishes it), and
-  each wake-up hands the operator a whole batch of consumable input.
-* :class:`PollingScheduler` is the original whole-graph polling loop: every
-  pass runs every operator in topological order until no operator makes
-  progress.  It is kept as the behavioural oracle -- the scheduler
-  equivalence test suite asserts both produce byte-identical sink outputs
-  and provenance records.
+requires.  :class:`Scheduler` exploits that freedom by being
+**event-driven**: streams and channels signal their consumer operator on
+every push / watermark advance / close, and the scheduler drains a FIFO
+ready-queue of runnable operators.  Idle operators cost nothing, quiescence
+is detected incrementally (an operator leaves the *unfinished* set the
+moment its ``work`` call finishes it), and each wake-up hands the operator a
+whole batch of consumable input.
 """
 
 from __future__ import annotations
@@ -158,15 +152,16 @@ class Scheduler:
             # fed by another instance).  The caller (DistributedRuntime)
             # handles that case; in a standalone run it is an error.
             raise SchedulingError(
-                f"query {self.query.name!r} made no progress before completion"
+                f"query {self.query.name!r} made no progress before completion; "
+                f"unfinished operators: {', '.join(self.unfinished_operators())}"
             )
         return self.wakeups
 
     # -- introspection ------------------------------------------------------------
-    @property
-    def passes(self) -> int:
-        """Alias for :attr:`wakeups` (the polling scheduler's pass count)."""
-        return self.wakeups
+    def unfinished_operators(self) -> List[str]:
+        """Sorted names of the operators that have not finished yet."""
+        operators = self._unfinished if self._started else self.query.operators
+        return sorted(op.name for op in operators if not op.finished)
 
     @property
     def has_ready_work(self) -> bool:
@@ -179,90 +174,3 @@ class Scheduler:
         if self._started:
             return not self._unfinished
         return all(op.finished for op in self.query.operators)
-
-
-class PollingScheduler:
-    """The original whole-graph polling scheduler (behavioural oracle).
-
-    Runs every operator of the query cooperatively in topological order,
-    repeatedly, until the query is quiescent (all sources exhausted, all
-    streams drained, all windows flushed).  Each ``work_per_tuple`` call is
-    the seed's one-``peek``/``pop``-per-tuple loop, so this scheduler
-    reproduces both the seed's *behaviour* and its *cost model* (whole-graph
-    passes, per-tuple dataplane, full quiescence scan per no-progress check).
-    Kept so the equivalence tests and the performance report can compare the
-    event-driven :class:`Scheduler` against the seed.
-    """
-
-    def __init__(
-        self,
-        query: Query,
-        max_passes: int = 10_000_000,
-        pass_callback: Optional[Callable[[int], None]] = None,
-        callback_every: int = 16,
-    ) -> None:
-        self.query = query
-        self.max_passes = max_passes
-        self.pass_callback = pass_callback
-        self.callback_every = max(1, callback_every)
-        self.passes = 0
-        #: telemetry span tracer (None = disabled), same contract as
-        #: :class:`Scheduler` so both cores emit comparable wake-up spans.
-        self.tracer = None
-        self.trace_node = query.name
-        self._order: Optional[List[Operator]] = None
-
-    def _operators(self) -> List[Operator]:
-        if self._order is None:
-            self.query.validate()
-            self._order = self.query.topological_order()
-        return self._order
-
-    def step(self) -> bool:
-        """Run one pass over every operator; return True if anything progressed."""
-        progress = False
-        tracer = self.tracer
-        for operator in self._operators():
-            operator.work_calls += 1
-            if tracer is None:
-                if operator.work_per_tuple():
-                    progress = True
-            else:
-                started = tracer.clock()
-                worked = operator.work_per_tuple()
-                tracer.record(
-                    "operator.work", operator.name, started, node=self.trace_node
-                )
-                if worked:
-                    progress = True
-        self.passes += 1
-        if self.pass_callback is not None and self.passes % self.callback_every == 0:
-            self.pass_callback(self.passes)
-        return progress
-
-    def run(self) -> int:
-        """Run until quiescence; return the number of passes executed."""
-        while self.passes < self.max_passes:
-            progress = self.step()
-            if not progress and self._quiescent():
-                return self.passes
-            if not progress:
-                raise SchedulingError(
-                    f"query {self.query.name!r} made no progress before completion"
-                )
-        raise SchedulingError(
-            f"query {self.query.name!r} did not finish within {self.max_passes} passes"
-        )
-
-    def _quiescent(self) -> bool:
-        return all(op.finished for op in self._operators())
-
-    @property
-    def wakeups(self) -> int:
-        """Operator ``work`` calls executed (passes x operator count)."""
-        return self.passes * len(self._operators())
-
-    @property
-    def finished(self) -> bool:
-        """True once every operator of the query has finished."""
-        return self._quiescent()

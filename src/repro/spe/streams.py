@@ -28,8 +28,8 @@ class Stream:
 
     The producer pushes tuples with :meth:`push` (or :meth:`push_many`) and
     advances the watermark with :meth:`advance_watermark` (or :meth:`close`
-    once it is done).  The consumer inspects the head with :meth:`peek` and
-    removes tuples with :meth:`pop` or, in batch, with :meth:`pop_ready`.
+    once it is done).  The consumer removes every queued tuple with
+    :meth:`pop_ready`.
     """
 
     __slots__ = (
@@ -118,20 +118,11 @@ class Stream:
         self._wake()
 
     # -- consumer side -----------------------------------------------------
-    def peek(self) -> Optional[StreamTuple]:
-        """Return the head tuple without removing it, or None when empty."""
-        return self._queue[0] if self._queue else None
-
-    def pop(self) -> StreamTuple:
-        """Remove and return the head tuple."""
-        return self._queue.popleft()
-
     def pop_ready(self, limit: Optional[int] = None) -> List[StreamTuple]:
         """Remove and return up to ``limit`` queued tuples (all by default).
 
-        This is the batch dataplane entry point: one call hands the consumer
-        every tuple it may process in this wake-up, instead of a
-        ``peek``/``pop`` pair per tuple.
+        This is the dataplane entry point: one call hands the consumer every
+        tuple it may process in this wake-up.
         """
         queue = self._queue
         if not queue:
@@ -170,27 +161,16 @@ class Stream:
         return iter(self._queue)
 
     @property
-    def frontier(self) -> float:
-        """The timestamp bound the consumer may safely process up to.
-
-        This is the head tuple timestamp when the stream is non-empty, and
-        the watermark otherwise.  Multi-input operators use this value to
-        decide which input to pull from next (deterministic merge).
-        """
-        if self._queue:
-            return self._queue[0].ts
-        return self._watermark
-
-    @property
     def settled(self) -> float:
         """Largest bound ``B`` such that no tuple with ``ts < B`` can still appear.
 
-        Like :attr:`frontier`, but an empty stream also exploits the ordering
-        contract (future pushes cannot precede the last pushed timestamp), so
-        a producer that emitted data without advancing its watermark yet does
-        not hold the bound back.  The order-restoring Merge uses this to
-        decide which buffered tuples can no longer gain equal-timestamp
-        companions.
+        This is the head tuple's timestamp when the stream is non-empty.  An
+        empty stream falls back to its watermark, but also exploits the
+        ordering contract (future pushes cannot precede the last pushed
+        timestamp), so a producer that emitted data without advancing its
+        watermark yet does not hold the bound back.  The order-restoring
+        Merge uses this to decide which buffered tuples can no longer gain
+        equal-timestamp companions.
         """
         if self._queue:
             return self._queue[0].ts

@@ -431,11 +431,10 @@ def query_pipeline(
 
     ``deployment`` is ``"intra"`` (single process, deterministic Scheduler)
     or ``"inter"`` (the paper's three-instance DistributedRuntime deployment).
-    ``execution`` is ``"event"`` (readiness-driven batch scheduler, default),
-    ``"polling"`` (the legacy whole-graph polling oracle), ``"process"``
-    (one OS process per SPE instance, inter only) or ``"cluster"`` (worker
-    daemons over TCP, inter only; ``hosts`` places the instances -- see
-    :class:`~repro.spe.cluster.ClusterRuntime`).  ``parallelism``
+    ``execution`` is ``"event"`` (everything in this process, default),
+    ``"process"`` (one OS process per SPE instance, inter only) or
+    ``"cluster"`` (worker daemons over TCP, inter only; ``hosts`` places the
+    instances -- see :class:`~repro.spe.cluster.ClusterRuntime`).  ``parallelism``
     shards the keyed stateful stages; inter-process deployments then use
     :func:`query_parallel_placement`, spreading each replica onto its own
     SPE instance.  ``codec`` selects the channel wire format

@@ -11,6 +11,10 @@ from repro.spe.scheduler import Scheduler
 from repro.spe.runtime import DistributedRuntime
 from repro.spe.tuples import StreamTuple
 
+# a helper module whose assertions should report like a test module's
+# (registered before any test module imports it).
+pytest.register_assert_rewrite("tests.equivalence")
+
 #: 08:00:00 expressed in seconds, the base timestamp of the paper's example.
 FIGURE1_BASE_TS = 8 * 3600
 

@@ -9,8 +9,8 @@ workers standing in for hosts -- the plans still round-trip through the
 serialiser and every channel crosses a real socket) against
 ``execution="event"`` and compare sink outputs byte-identically, provenance
 records under id-canonicalisation, and per-channel transfer counts -- the
-same oracle the multiprocess suite uses, imported from it so the two cannot
-drift apart.
+same :mod:`tests.equivalence` oracle the multiprocess suite uses, so the two
+cannot drift apart.
 
 Further blocks cover the rest of the cluster contract: a live provenance
 store fed through shipped ledger entries must seal the same mappings as the
@@ -23,7 +23,6 @@ with the original error first, the multiprocess fail-fast contract.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import socket
@@ -34,27 +33,28 @@ import time
 
 import pytest
 
-from repro.api import Pipeline
 from repro.core.provenance import ProvenanceMode
-from repro.provstore import ProvenanceLedger
 from repro.spe.channels import Channel
 from repro.spe.cluster import ClusterRuntime, ClusterWorker, parse_address
 from repro.spe.errors import SchedulingError
 from repro.spe.instance import SPEInstance
 from repro.spe.sockets import SocketTransport
-from repro.workloads.queries import query_dataflow, query_pipeline, query_placement
-from tests.integration.test_multiprocess_equivalence import (  # noqa: F401
+from repro.workloads.queries import query_pipeline
+from tests.equivalence import (  # noqa: F401
     ALL_MODES,
     ALL_QUERIES,
-    PARALLELISMS,
+    assert_same_store,
     data_channel_counts,
     deterministic_wall,  # noqa: F401 - autouse fixture: deterministic source wall clocks
     provenance_bytes,
     run_cell,
+    run_q1_with_store,
     sink_bytes,
     workload_for,
 )
 from tests.optest import tup
+
+PARALLELISMS = (1, 2)
 
 
 class TestClusterEquivalence:
@@ -66,8 +66,8 @@ class TestClusterEquivalence:
     def test_identical_outputs_provenance_and_transfers(
         self, query_name, mode, parallelism
     ):
-        event = run_cell(query_name, mode, parallelism, "event")
-        cluster = run_cell(query_name, mode, parallelism, "cluster")
+        event = run_cell(query_name, mode, parallelism)
+        cluster = run_cell(query_name, mode, parallelism, execution="cluster")
 
         assert cluster.sink.count == event.sink.count
         assert sink_bytes(cluster.sink) == sink_bytes(event.sink)
@@ -97,7 +97,7 @@ class TestClusterEquivalence:
         assert cluster.wakeups > 0 and cluster.rounds > 0
 
     def test_sink_latencies_measured_in_the_workers(self):
-        result = run_cell("q1", ProvenanceMode.NONE, 1, "cluster")
+        result = run_cell("q1", ProvenanceMode.NONE, execution="cluster")
         assert len(result.sink.latencies) == result.sink.count
         assert all(latency != 0.0 for latency in result.sink.latencies)
 
@@ -105,51 +105,8 @@ class TestClusterEquivalence:
 class TestClusterProvenanceStore:
     """Ledger entries produced on the workers ship back to the coordinator."""
 
-    def _run_with_store(self, execution):
-        ledger = ProvenanceLedger()
-        pipeline = Pipeline(
-            query_dataflow("q1", workload_for("q1")),
-            provenance=ProvenanceMode.GENEALOG,
-            placement=query_placement("q1"),
-            execution=execution,
-            provenance_store=ledger,
-        )
-        result = pipeline.run()
-        return result, ledger
-
-    @staticmethod
-    def _canonical_mappings(ledger):
-        """Mappings as id-free content (see the multiprocess suite)."""
-
-        def content(entry):
-            return json.dumps(
-                {"ts": entry.ts, "kind": entry.kind, "values": entry.values},
-                sort_keys=True,
-                default=str,
-            )
-
-        canonical = []
-        for mapping in ledger.mappings():
-            canonical.append(
-                (
-                    mapping.sink_ts,
-                    json.dumps(sorted(mapping.sink_values.items()), default=str),
-                    sorted(content(source) for source in ledger.sources_of(mapping)),
-                )
-            )
-        return sorted(canonical)
-
     def test_store_matches_event_execution(self):
-        event_result, event_ledger = self._run_with_store("event")
-        cluster_result, cluster_ledger = self._run_with_store("cluster")
-
-        assert cluster_ledger.sealed_count == event_ledger.sealed_count
-        assert cluster_ledger.source_count == event_ledger.source_count
-        assert cluster_ledger.source_references == event_ledger.source_references
-        assert cluster_ledger.duplicate_tuples == event_ledger.duplicate_tuples
-        assert self._canonical_mappings(cluster_ledger) == self._canonical_mappings(
-            event_ledger
-        )
+        assert_same_store(run_q1_with_store("cluster"), run_q1_with_store("event"))
 
 
 class TestHostPlacement:
@@ -170,7 +127,7 @@ class TestHostPlacement:
         try:
             host, port = worker.address
             result = self._run_on([f"{host}:{port}"])
-            event = run_cell("q1", ProvenanceMode.NONE, 1, "event")
+            event = run_cell("q1", ProvenanceMode.NONE)
             assert sink_bytes(result.sink) == sink_bytes(event.sink)
         finally:
             worker.close()
@@ -325,7 +282,7 @@ class TestStandaloneDaemon:
             execution="cluster",
             hosts=[f"{host}:{port}"],
         ).run()
-        event = run_cell("q1", ProvenanceMode.GENEALOG, 1, "event")
+        event = run_cell("q1", ProvenanceMode.GENEALOG)
         assert sink_bytes(result.sink) == sink_bytes(event.sink)
         assert provenance_bytes(result.provenance_records()) == provenance_bytes(
             event.provenance_records()

@@ -1,10 +1,9 @@
-"""Integration tests for the threaded runtime and upstream-backup fault tolerance."""
+"""Integration tests for upstream-backup fault tolerance."""
 
 import pytest
 
-from repro.core.provenance import ProvenanceMode
 from repro.spe.channels import Channel
-from repro.spe.errors import ChannelError, SchedulingError
+from repro.spe.errors import ChannelError
 from repro.spe.fault_tolerance import (
     DownstreamProgress,
     ReliableSendOperator,
@@ -14,93 +13,7 @@ from repro.spe.fault_tolerance import (
 from repro.spe.instance import SPEInstance
 from repro.spe.operators.aggregate import WindowSpec
 from repro.spe.scheduler import Scheduler
-from repro.spe.threaded import ThreadedRuntime, run_threaded
-from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
-from repro.workloads.queries import build_distributed_query
-from tests.conftest import record_index, run_distributed
 from tests.optest import tup
-
-WORKLOAD = LinearRoadConfig(n_cars=8, duration_s=900.0, breakdown_probability=0.06, seed=51)
-
-
-def supplier():
-    return LinearRoadGenerator(WORKLOAD).tuples()
-
-
-class TestThreadedRuntime:
-    @pytest.mark.parametrize(
-        "mode", list(ProvenanceMode), ids=[m.label for m in ProvenanceMode]
-    )
-    def test_results_match_the_cooperative_runtime(self, mode):
-        cooperative = build_distributed_query("q1", supplier, mode=mode)
-        run_distributed(cooperative)
-
-        threaded = build_distributed_query("q1", supplier, mode=mode)
-        runtime = run_threaded(threaded.instances, timeout_s=120.0)
-        assert runtime.finished
-
-        assert [(t.ts, dict(t.values)) for t in threaded.sink.received] == [
-            (t.ts, dict(t.values)) for t in cooperative.sink.received
-        ]
-        if mode is not ProvenanceMode.NONE:
-            assert record_index(threaded.provenance_records()) == record_index(
-                cooperative.provenance_records()
-            )
-
-    def test_reports_pass_counts(self):
-        bundle = build_distributed_query("q1", supplier, mode=ProvenanceMode.NONE)
-        runtime = run_threaded(bundle.instances, timeout_s=120.0)
-        assert runtime.total_passes() > 0
-
-    def test_requires_at_least_one_instance(self):
-        with pytest.raises(SchedulingError):
-            ThreadedRuntime([])
-
-    def test_timeout_is_detected(self):
-        # an instance whose Receive never gets data cannot finish.
-        channel = Channel("never-fed")
-        stuck = SPEInstance("stuck")
-        receive = stuck.add_receive("receive", channel)
-        sink = stuck.add_sink("sink")
-        stuck.connect(receive, sink)
-        runtime = ThreadedRuntime([stuck], timeout_s=0.2)
-        with pytest.raises(SchedulingError):
-            runtime.run()
-
-    def test_channel_activity_sets_the_worker_wake_event(self):
-        # Idle workers block on wake_event instead of spinning; the event is
-        # set through the channel's consumer-signalling hook: channel ->
-        # Receive.signal() -> scheduler ready queue -> scheduler.on_wake.
-        from repro.spe.threaded import InstanceWorker
-
-        channel = Channel("feed")
-        instance = SPEInstance("waiting")
-        receive = instance.add_receive("receive", channel)
-        sink = instance.add_sink("sink")
-        instance.connect(receive, sink)
-        worker = InstanceWorker(instance)
-        worker.scheduler.step()  # seed pass; drains the empty ready queue
-        worker.wake_event.clear()
-        assert not worker.wake_event.is_set()
-        channel.send('{"ts": 1.0, "values": {}, "wall": 0.0, "prov": {}}')
-        assert worker.wake_event.is_set()
-
-    def test_stopping_the_runtime_unblocks_parked_workers(self):
-        channel = Channel("never-fed")
-        stuck = SPEInstance("stuck")
-        receive = stuck.add_receive("receive", channel)
-        sink = stuck.add_sink("sink")
-        stuck.connect(receive, sink)
-        runtime = ThreadedRuntime([stuck], timeout_s=0.2)
-        with pytest.raises(SchedulingError):
-            runtime.run()
-        # the failed run must have requested a stop and woken the worker so
-        # the (daemon) thread can exit instead of waiting forever.
-        (worker,) = runtime.workers
-        assert worker.stop_event.is_set()
-        assert worker.wake_event.is_set()
-        worker.join(timeout=5.0)
-        assert not worker.is_alive()
 
 
 class TestUpstreamBackup:

@@ -10,16 +10,14 @@ parallelism {1, 2} these tests run ``execution="process"`` against
 * sink outputs -- byte-identical,
 * provenance records -- identical after canonicalising the opaque tuple ids
   (content-sorted relabelling, preserving which records share ids),
-* data-channel transfer counts -- identical per-channel tuple counts (byte
-  volumes are not compared: the stateful binary codec frames one blob per
-  Send flush, and flush sizes follow OS scheduling, so wire bytes are only
-  comparable under the per-tuple ``json`` codec -- covered by a dedicated
-  JSON-codec cell below).  GL's ``upstream_*`` unfold channels are
-  *excluded* from the
-  count comparison: the SU's per-watermark emission granularity legitimately
-  depends on OS timing across processes (the MU deduplicates the extra
-  records, so the collected provenance is unaffected), and two process runs
-  of the same deployment can already differ there.
+* data-channel transfer counts -- identical per-channel tuple counts, GL's
+  unfold channels excluded (byte volumes are not compared: the stateful
+  binary codec frames one blob per Send flush, and flush sizes follow OS
+  scheduling, so wire bytes are only comparable under the per-tuple ``json``
+  codec -- covered by a dedicated JSON-codec cell below).
+
+The canonicalisers, workloads and ``run_cell`` are :mod:`tests.equivalence`'s,
+shared with the parallel, cluster and reference-oracle suites.
 
 A second block checks the live provenance store: a ledger attached to a
 process deployment must seal the same mappings and source entries as one
@@ -29,157 +27,29 @@ coordinator and ingested there), and metrics / latencies must be populated.
 
 from __future__ import annotations
 
-import itertools
-import json
 import multiprocessing
 
 import pytest
 
-from repro.api import Pipeline
 from repro.core.provenance import ProvenanceMode
-from repro.provstore import ProvenanceLedger
-from repro.spe.operators.source import SourceOperator
-from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
-from repro.workloads.queries import (
-    query_dataflow,
-    query_pipeline,
-    query_placement,
+from tests.equivalence import (  # noqa: F401
+    ALL_MODES,
+    ALL_QUERIES,
+    assert_same_store,
+    data_channel_counts,
+    deterministic_wall,  # noqa: F401 - autouse fixture: deterministic source wall clocks
+    provenance_bytes,
+    run_cell,
+    run_q1_with_store,
+    sink_bytes,
 )
-from repro.workloads.smart_grid import SmartGridConfig, SmartGridGenerator
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="multiprocess execution requires the fork start method",
 )
 
-LINEAR_ROAD = LinearRoadConfig(
-    n_cars=10, duration_s=1200.0, breakdown_probability=0.05, accident_probability=0.6, seed=31
-)
-#: blackout_meter_count > 7 so Q3's alert (count > 7) actually fires.
-SMART_GRID = SmartGridConfig(
-    n_meters=12,
-    n_days=3,
-    blackout_day_probability=1.0,
-    blackout_meter_count=9,
-    anomaly_probability=0.2,
-    seed=33,
-)
-
-ALL_QUERIES = ("q1", "q2", "q3", "q4")
-ALL_MODES = (ProvenanceMode.NONE, ProvenanceMode.GENEALOG, ProvenanceMode.BASELINE)
 PARALLELISMS = (1, 2)
-
-
-@pytest.fixture(autouse=True)
-def deterministic_wall(monkeypatch):
-    """Give every Source a deterministic per-tuple wall clock.
-
-    ``wall`` is serialised into channel payloads; pinning it to a per-source
-    counter makes payload bytes a pure function of the data, so NP transfer
-    volumes can be compared across runtimes.  Forked workers inherit the
-    patched class.
-    """
-    original = SourceOperator.__init__
-
-    def patched(self, name, supplier, batch_size=64, wall_clock=None, enforce_order=True):
-        counter = itertools.count(1)
-        original(
-            self,
-            name,
-            supplier,
-            batch_size=batch_size,
-            wall_clock=lambda: float(next(counter)),
-            enforce_order=enforce_order,
-        )
-
-    monkeypatch.setattr(SourceOperator, "__init__", patched)
-
-
-def workload_for(query_name):
-    if query_name in ("q1", "q2"):
-        return LinearRoadGenerator(LINEAR_ROAD).tuples
-    return SmartGridGenerator(SMART_GRID).tuples
-
-
-def sink_bytes(sink):
-    """Canonical byte serialisation of a sink's received tuples, in order."""
-    return json.dumps(
-        [(t.ts, sorted(t.values.items(), key=lambda kv: kv[0])) for t in sink.received],
-        default=str,
-    ).encode()
-
-
-def provenance_bytes(records):
-    """Canonical bytes of provenance records, ids relabelled structurally.
-
-    Records are sorted by content; each record's sources are sorted by their
-    id-stripped content; canonical ids are then assigned in that traversal
-    order.  Two runs compare equal iff they map the same sink tuples to the
-    same source tuples with consistently shared id handles.
-    """
-    content = []
-    for record in records:
-        sources = []
-        for source in record.sources:
-            stripped = json.dumps(
-                {key: value for key, value in source.items() if key != "id_o"},
-                sort_keys=True,
-                default=str,
-            )
-            sources.append((stripped, source.get("id_o")))
-        sources.sort(key=lambda pair: pair[0])
-        content.append(
-            (
-                record.sink_ts,
-                json.dumps(sorted(record.sink_values.items()), default=str),
-                [pair[0] for pair in sources],
-                record,
-                sources,
-            )
-        )
-    content.sort(key=lambda entry: entry[:3])
-    canonical = {}
-
-    def canon(raw_id):
-        if raw_id is None:
-            return None
-        if raw_id not in canonical:
-            canonical[raw_id] = f"id{len(canonical)}"
-        return canonical[raw_id]
-
-    entries = []
-    for sink_ts, sink_values, _, record, sources in content:
-        entries.append(
-            (
-                sink_ts,
-                sink_values,
-                canon(record.sink_id),
-                [(stripped, canon(raw_id)) for stripped, raw_id in sources],
-            )
-        )
-    return json.dumps(entries, default=str).encode()
-
-
-def data_channel_counts(channels):
-    """Per-channel tuple counts, GL unfold-stream channels excluded."""
-    return sorted(
-        (channel.name, channel.tuples_sent)
-        for channel in channels
-        if "upstream_" not in channel.name and not channel.name.endswith("_derived")
-    )
-
-
-def run_cell(query_name, mode, parallelism, execution, codec="binary"):
-    pipeline = query_pipeline(
-        query_name,
-        workload_for(query_name),
-        mode=mode,
-        deployment="inter",
-        execution=execution,
-        parallelism=parallelism,
-        codec=codec,
-    )
-    return pipeline.run()
 
 
 class TestMultiprocessEquivalence:
@@ -191,8 +61,8 @@ class TestMultiprocessEquivalence:
     def test_identical_outputs_provenance_and_transfers(
         self, query_name, mode, parallelism
     ):
-        event = run_cell(query_name, mode, parallelism, "event")
-        process = run_cell(query_name, mode, parallelism, "process")
+        event = run_cell(query_name, mode, parallelism)
+        process = run_cell(query_name, mode, parallelism, execution="process")
 
         assert process.sink.count == event.sink.count
         assert sink_bytes(process.sink) == sink_bytes(event.sink)
@@ -228,8 +98,8 @@ class TestMultiprocessEquivalence:
         bytes are a pure function of the data, independent of how the OS
         scheduler carved the stream into Send flushes.
         """
-        event = run_cell("q1", ProvenanceMode.NONE, 2, "event", codec="json")
-        process = run_cell("q1", ProvenanceMode.NONE, 2, "process", codec="json")
+        event = run_cell("q1", ProvenanceMode.NONE, 2, codec="json")
+        process = run_cell("q1", ProvenanceMode.NONE, 2, execution="process", codec="json")
         assert sink_bytes(process.sink) == sink_bytes(event.sink)
         assert sorted((c.name, c.bytes_sent) for c in process.channels) == sorted(
             (c.name, c.bytes_sent) for c in event.channels
@@ -239,60 +109,10 @@ class TestMultiprocessEquivalence:
 class TestMultiprocessProvenanceStore:
     """Ledger entries produced in the workers ship back to the coordinator."""
 
-    def _run_with_store(self, execution):
-        ledger = ProvenanceLedger()
-        pipeline = Pipeline(
-            query_dataflow("q1", workload_for("q1")),
-            provenance=ProvenanceMode.GENEALOG,
-            placement=query_placement("q1"),
-            execution=execution,
-            provenance_store=ledger,
-        )
-        result = pipeline.run()
-        return result, ledger
-
-    @staticmethod
-    def _canonical_mappings(ledger):
-        """Mappings as id-free content: (sink ts, sink values, source contents).
-
-        The ledger keys embed GeneaLog's per-instance id counters, whose raw
-        values depend on OS-timing-dependent SU emission batching under the
-        process runtime (like the unfold-channel counts above); the
-        *structure* -- which sink tuples map to which source contents -- is
-        what determinism guarantees, so that is what is compared.
-        """
-
-        def content(entry):
-            return json.dumps(
-                {"ts": entry.ts, "kind": entry.kind, "values": entry.values},
-                sort_keys=True,
-                default=str,
-            )
-
-        canonical = []
-        for mapping in ledger.mappings():
-            canonical.append(
-                (
-                    mapping.sink_ts,
-                    json.dumps(sorted(mapping.sink_values.items()), default=str),
-                    sorted(content(source) for source in ledger.sources_of(mapping)),
-                )
-            )
-        return sorted(canonical)
-
     def test_store_matches_event_execution(self):
-        event_result, event_ledger = self._run_with_store("event")
-        process_result, process_ledger = self._run_with_store("process")
-
-        assert process_ledger.sealed_count == event_ledger.sealed_count
-        assert process_ledger.source_count == event_ledger.source_count
-        assert process_ledger.source_references == event_ledger.source_references
-        assert process_ledger.duplicate_tuples == event_ledger.duplicate_tuples
-        assert self._canonical_mappings(process_ledger) == self._canonical_mappings(
-            event_ledger
-        )
+        assert_same_store(run_q1_with_store("process"), run_q1_with_store("event"))
 
     def test_sink_latencies_measured_in_the_workers(self):
-        result = run_cell("q1", ProvenanceMode.NONE, 1, "process")
+        result = run_cell("q1", ProvenanceMode.NONE, execution="process")
         assert len(result.sink.latencies) == result.sink.count
         assert all(latency != 0.0 for latency in result.sink.latencies)

@@ -1,131 +1,28 @@
 """Keyed data-parallelism equivalence: sharded plans reproduce sequential plans.
 
 The keyed-parallel expansion (hash Partition -> key-disjoint replicas ->
-order-restoring Merge) must be *unobservable* in every result, mirroring the
-scheduler-equivalence discipline of the execution-core rewrite: for
+order-restoring Merge) must be *unobservable* in every result: for
 Q1-Q4 x {NP, GL, BL} x {intra, inter} x parallelism {2, 4}, the sink outputs
 must be byte-identical to the ``parallelism=1`` plan of the same deployment,
 and the provenance records must be identical after canonicalising the opaque
-tuple ids.
-
-The id canonicalisation here is stricter than a per-record content check --
-it preserves which records *share* ids (the referential structure) -- but,
-unlike the scheduler-equivalence helper, assigns canonical ids while walking
-each record's sources in content-sorted order: the within-record arrival
-order of unfolded tuples legitimately differs between plans (the Merge
-reorders upstream unfold streams), while the sink-to-sources mapping may not.
+tuple ids (:mod:`tests.equivalence`).
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.provenance import ProvenanceMode
-from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
-from repro.workloads.queries import query_pipeline
-from repro.workloads.smart_grid import SmartGridConfig, SmartGridGenerator
-
-LINEAR_ROAD = LinearRoadConfig(
-    n_cars=10, duration_s=1200.0, breakdown_probability=0.05, accident_probability=0.6, seed=31
-)
-#: blackout_meter_count > 7 so Q3's alert (count > 7) actually fires.
-SMART_GRID = SmartGridConfig(
-    n_meters=12,
-    n_days=3,
-    blackout_day_probability=1.0,
-    blackout_meter_count=9,
-    anomaly_probability=0.2,
-    seed=33,
+from tests.equivalence import (  # noqa: F401
+    ALL_MODES,
+    ALL_QUERIES,
+    deterministic_wall,  # noqa: F401 - autouse fixture: deterministic source wall clocks
+    provenance_bytes,
+    run_cell,
+    sink_bytes,
 )
 
-ALL_QUERIES = ("q1", "q2", "q3", "q4")
-ALL_MODES = (ProvenanceMode.NONE, ProvenanceMode.GENEALOG, ProvenanceMode.BASELINE)
 PARALLELISMS = (2, 4)
-
-
-def workload_for(query_name):
-    if query_name in ("q1", "q2"):
-        return LinearRoadGenerator(LINEAR_ROAD).tuples
-    return SmartGridGenerator(SMART_GRID).tuples
-
-
-def sink_bytes(sink):
-    """Canonical byte serialisation of a sink's received tuples, in order."""
-    return json.dumps(
-        [(t.ts, sorted(t.values.items(), key=lambda kv: kv[0])) for t in sink.received],
-        default=str,
-    ).encode()
-
-
-def provenance_bytes(records):
-    """Canonical bytes of provenance records, ids relabelled structurally.
-
-    Records are sorted by content; each record's sources are sorted by their
-    id-stripped content; canonical ids are then assigned in that traversal
-    order.  Two runs compare equal iff they map the same sink tuples to the
-    same source tuples with consistently shared id handles.
-    """
-    content = []
-    for record in records:
-        sources = []
-        for source in record.sources:
-            stripped = json.dumps(
-                {key: value for key, value in source.items() if key != "id_o"},
-                sort_keys=True,
-                default=str,
-            )
-            sources.append((stripped, source.get("id_o")))
-        sources.sort(key=lambda pair: pair[0])
-        content.append(
-            (
-                record.sink_ts,
-                json.dumps(sorted(record.sink_values.items()), default=str),
-                [pair[0] for pair in sources],
-                record,
-                sources,
-            )
-        )
-    content.sort(key=lambda entry: entry[:3])
-    canonical = {}
-
-    def canon(raw_id):
-        if raw_id is None:
-            return None
-        if raw_id not in canonical:
-            canonical[raw_id] = f"id{len(canonical)}"
-        return canonical[raw_id]
-
-    entries = []
-    for sink_ts, sink_values, _, record, sources in content:
-        entries.append(
-            (
-                sink_ts,
-                sink_values,
-                canon(record.sink_id),
-                [(stripped, canon(raw_id)) for stripped, raw_id in sources],
-            )
-        )
-    return json.dumps(entries, default=str).encode()
-
-
-#: (query, deployment, mode, parallelism) -> finished PipelineResult.
-_RESULT_CACHE = {}
-
-
-def run_cell(query_name, deployment, mode, parallelism):
-    key = (query_name, deployment, mode, parallelism)
-    if key not in _RESULT_CACHE:
-        pipeline = query_pipeline(
-            query_name,
-            workload_for(query_name),
-            mode=mode,
-            deployment=deployment,
-            parallelism=parallelism,
-        )
-        _RESULT_CACHE[key] = pipeline.run()
-    return _RESULT_CACHE[key]
 
 
 class TestParallelEquivalence:
@@ -138,8 +35,8 @@ class TestParallelEquivalence:
     def test_sink_and_provenance_identical(
         self, query_name, deployment, mode, parallelism
     ):
-        sequential = run_cell(query_name, deployment, mode, 1)
-        parallel = run_cell(query_name, deployment, mode, parallelism)
+        sequential = run_cell(query_name, mode, 1, deployment=deployment)
+        parallel = run_cell(query_name, mode, parallelism, deployment=deployment)
         assert sink_bytes(parallel.sink) == sink_bytes(sequential.sink)
         assert provenance_bytes(parallel.provenance_records()) == provenance_bytes(
             sequential.provenance_records()
@@ -150,7 +47,7 @@ class TestParallelEquivalence:
         the provenance modes, records) -- otherwise the byte comparisons
         above would pass vacuously."""
         for query_name in ALL_QUERIES:
-            result = run_cell(query_name, "intra", ProvenanceMode.GENEALOG, 1)
+            result = run_cell(query_name, ProvenanceMode.GENEALOG, deployment="intra")
             assert result.sink.count > 0, f"{query_name} produced no alerts"
             assert result.provenance_records(), f"{query_name} captured no provenance"
 
@@ -163,8 +60,8 @@ class TestParallelDeployment:
         """Every replica of the (first) sharded stage sees a strict subset of
         the keyed stream, and the shards' inputs sum to the sequential
         stage's input."""
-        sequential = run_cell(query_name, "intra", ProvenanceMode.NONE, 1)
-        parallel = run_cell(query_name, "intra", ProvenanceMode.NONE, 4)
+        sequential = run_cell(query_name, ProvenanceMode.NONE, 1, deployment="intra")
+        parallel = run_cell(query_name, ProvenanceMode.NONE, 4, deployment="intra")
         stage = {
             "q1": "stop_aggregate",
             "q2": "stop_aggregate",
@@ -183,7 +80,7 @@ class TestParallelDeployment:
         assert len(busy) >= 2, "hash partitioning left all keys on one shard"
 
     def test_inter_deployment_spreads_shards_across_instances(self):
-        result = run_cell("q1", "inter", ProvenanceMode.NONE, 2)
+        result = run_cell("q1", ProvenanceMode.NONE, 2)
         owners = {
             op.name: instance.name
             for instance in result.instances

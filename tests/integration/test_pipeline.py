@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Dataflow, Pipeline, Placement
+from repro.api import Dataflow, DataflowError, Pipeline, Placement
 from repro.core.provenance import ProvenanceMode
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
 from repro.workloads.queries import (
@@ -122,6 +122,24 @@ class TestPipelineFacade:
     def test_provenance_mode_aliases(self, alias, expected):
         pipeline = Pipeline(query_dataflow("q1", workload_for("q1")), provenance=alias)
         assert pipeline.mode is expected
+
+    @pytest.mark.parametrize("execution", ("turbo", "polling", "threaded"))
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda execution: Pipeline(
+                query_dataflow("q1", workload_for("q1")), execution=execution
+            ),
+            lambda execution: query_pipeline("q1", workload_for("q1"), execution=execution),
+        ),
+        ids=("Pipeline", "query_pipeline"),
+    )
+    def test_unknown_execution_mode_rejected(self, build, execution):
+        with pytest.raises(DataflowError) as excinfo:
+            build(execution)
+        assert str(excinfo.value) == (
+            f"unknown execution mode {execution!r}; expected 'event', 'process' or 'cluster'"
+        )
 
     def test_build_is_idempotent(self):
         pipeline = query_pipeline("q1", workload_for("q1"), mode=ProvenanceMode.GENEALOG)

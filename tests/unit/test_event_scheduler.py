@@ -2,22 +2,22 @@
 
 Covers the readiness bookkeeping (wake-on-push, wake-on-watermark,
 wake-on-close, wake deduplication, no lost wake-ups), the batch dataplane
-(``pop_ready`` / ``push_many`` / ``send_many`` / ``emit_many``), per-operator
-batch vs one-at-a-time parity, the single-pass multi-input merge against the
-seed's per-tuple merge, and the :class:`StreamTuple` fast-construction path.
+(``pop_ready`` / ``push_many`` / ``send_many`` / ``emit_many``), the
+single-pass multi-input merge (tie-break and barrier), stuck-graph
+diagnostics, and the :class:`StreamTuple` fast-construction path.
 """
 
 import pytest
 
 from repro.spe.channels import Channel
-from repro.spe.codec import BinaryChannelDecoder
 from repro.spe.errors import SchedulingError, StreamOrderError
+from repro.spe.instance import SPEInstance
 from repro.spe.operators.filter import FilterOperator
-from repro.spe.operators.map import MapOperator
-from repro.spe.operators.send_receive import ReceiveOperator, SendOperator
+from repro.spe.operators.send_receive import ReceiveOperator
 from repro.spe.operators.union import UnionOperator
 from repro.spe.query import Query
-from repro.spe.scheduler import PollingScheduler, Scheduler
+from repro.spe.runtime import DistributedRuntime
+from repro.spe.scheduler import Scheduler
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple, owned_values
 from tests.optest import tup, wire
@@ -144,90 +144,27 @@ class TestBatchDataplane:
         assert channel.receive_all() == ["abc", "defgh"]
 
 
-class TestBatchPerTupleParity:
-    """Operators with a dedicated batch path must match the per-tuple loop."""
+class TestDeterministicMerge:
+    """The multi-input merge barrier, asserted on ``work()``."""
 
-    def run_both(self, make_operator, tuples, watermark=None, close=True):
-        outs = []
-        for use_batch in (True, False):
-            operator = make_operator()
-            (stream,), outputs = wire(operator)
-            stream.push_many(tuples())
-            if watermark is not None:
-                stream.advance_watermark(watermark)
-            if close:
-                stream.close()
-            if use_batch:
-                operator.work()
-            else:
-                operator.work_per_tuple()
-            outs.append(
-                [
-                    [(t.ts, dict(t.values)) for t in out.drain()]
-                    + [out.watermark, out.closed]
-                    for out in outputs
-                ]
-                + [operator.tuples_in, operator.tuples_out]
-            )
-        assert outs[0] == outs[1]
-
-    def test_filter_batch_matches_per_tuple(self):
-        self.run_both(
-            lambda: FilterOperator("f", lambda t: t.ts % 2 == 0),
-            lambda: [tup(i, x=i) for i in range(10)],
-        )
-
-    def test_map_batch_matches_per_tuple(self):
-        self.run_both(
-            lambda: MapOperator(
-                "m", lambda t: None if t.ts == 3 else t.derive(values={"y": t["x"] * 2})
-            ),
-            lambda: [tup(i, x=i) for i in range(10)],
-        )
-
-    def test_send_batch_matches_per_tuple(self):
-        # The binary codec frames one blob per flush, so the batch path ships
-        # one 5-tuple blob where the per-tuple path ships five 1-tuple blobs:
-        # compare the *decoded* streams (and tuple counts), not raw payloads.
-        contents = []
-        for use_batch in (True, False):
-            channel = Channel("c")
-            send = SendOperator("send", channel)
-            (stream,), _ = wire(send, n_inputs=1, n_outputs=0)
-            stream.push_many([tup(i, x=i) for i in range(5)])
-            stream.close()
-            send.work() if use_batch else send.work_per_tuple()
-            decoder = BinaryChannelDecoder("c")
-            decoded = [
-                (t.ts, dict(t.values))
-                for payload in channel.receive_all()
-                for t in decoder.decode_batch(payload)[0]
-            ]
-            contents.append((decoded, channel.tuples_sent))
-        assert contents[0] == contents[1]
-
-    def test_union_merge_matches_seed_merge(self):
-        def build():
-            union = UnionOperator("u")
-            inputs, outputs = wire(union, n_inputs=3, n_outputs=1)
-            inputs[0].push_many([tup(1, s=0), tup(4, s=0), tup(4.0, s=0)])
-            inputs[1].push_many([tup(1, s=1), tup(2, s=1)])
-            inputs[2].push_many([tup(0, s=2), tup(4, s=2)])
-            inputs[0].advance_watermark(5)
-            inputs[1].advance_watermark(4)  # empty after drain: blocks ts > 4
-            inputs[2].advance_watermark(4)
-            return union, inputs, outputs[0]
-
-        union_a, inputs_a, out_a = build()
-        union_a.work()
-        union_b, inputs_b, out_b = build()
-        union_b.work_per_tuple()
-        assert [(t.ts, t["s"]) for t in out_a.drain()] == [
-            (t.ts, t["s"]) for t in out_b.drain()
+    def test_merge_stops_at_the_empty_input_barrier(self):
+        union = UnionOperator("u")
+        inputs, (out,) = wire(union, n_inputs=3, n_outputs=1)
+        inputs[0].push_many([tup(1, s=0), tup(4, s=0), tup(4.0, s=0)])
+        inputs[1].push_many([tup(1, s=1), tup(2, s=1)])
+        inputs[2].push_many([tup(0, s=2), tup(4, s=2)])
+        inputs[0].advance_watermark(5)
+        inputs[1].advance_watermark(4)  # empty after drain: blocks ts > 4
+        inputs[2].advance_watermark(4)
+        union.work()
+        # input 1 runs dry at watermark 4: a ts-4 tuple may still arrive on
+        # it, so input 0's two ts-4 tuples (lower index) pass and input 2's
+        # (higher index) must wait.
+        assert [(t.ts, t["s"]) for t in out.drain()] == [
+            (0, 2), (1, 0), (1, 1), (2, 1), (4, 0), (4, 0),
         ]
-        # same leftovers: the merge must stop at exactly the same barrier
-        assert [len(s) for s in inputs_a] == [len(s) for s in inputs_b]
-        assert union_a.tuples_in == union_b.tuples_in
+        assert [len(stream) for stream in inputs] == [0, 0, 1]
+        assert union.tuples_in == 6
 
     def test_merge_tie_break_prefers_lower_input_index(self):
         union = UnionOperator("u")
@@ -280,14 +217,13 @@ class TestEventScheduler:
         scheduler = Scheduler(query)
         wakeups = scheduler.run()
         assert sink.count == 20
-        assert wakeups == scheduler.wakeups == scheduler.passes
+        assert wakeups == scheduler.wakeups
         assert scheduler.finished
 
     def test_idle_operators_are_not_woken(self):
         # Two independent subgraphs in one query: a busy chain (many source
-        # batches) and a silent one (empty source).  The polling seed ran
-        # every operator on every pass; the event scheduler must only touch
-        # the silent chain for its seed pass and the close propagation.
+        # batches) and a silent one (empty source).  The scheduler must only
+        # touch the silent chain for its seed pass and the close propagation.
         query = Query("two_chains")
         busy_source = query.add_source(
             "busy_source", [tup(i, x=i) for i in range(64)], batch_size=4
@@ -326,14 +262,34 @@ class TestEventScheduler:
         assert not scheduler._unfinished
         assert not scheduler.has_ready_work
 
-    def test_stuck_receive_raises(self):
-        query = Query("stuck")
-        channel = Channel("never-fed")
-        receive = query.add_receive("receive", channel)
-        sink = query.add_sink("sink")
-        query.connect(receive, sink)
-        with pytest.raises(SchedulingError):
-            Scheduler(query).run()
+    @staticmethod
+    def never_fed(graph):
+        """``receive -> sink`` on a channel nobody feeds, added to ``graph``."""
+        receive = graph.add_receive("receive", Channel(f"{graph.name}-never-fed"))
+        sink = graph.add_sink("sink")
+        graph.connect(receive, sink)
+        return graph
+
+    def test_stuck_query_names_its_unfinished_operators(self):
+        scheduler = Scheduler(self.never_fed(Query("stuck")))
+        with pytest.raises(SchedulingError) as excinfo:
+            scheduler.run()
+        assert str(excinfo.value) == (
+            "query 'stuck' made no progress before completion; "
+            "unfinished operators: receive, sink"
+        )
+        assert scheduler.unfinished_operators() == ["receive", "sink"]
+
+    def test_stuck_deployment_names_instances_and_their_operators(self):
+        done = SPEInstance("done")
+        done.connect(done.add_source("source", [tup(1, x=1)]), done.add_sink("sink"))
+        waiting = self.never_fed(SPEInstance("waiting"))
+        with pytest.raises(SchedulingError) as excinfo:
+            DistributedRuntime([done, waiting]).run()
+        assert str(excinfo.value) == (
+            "distributed deployment made no progress before completion; "
+            "unfinished operators by instance: waiting -> receive, sink"
+        )
 
     def test_max_passes_guard(self):
         query, _ = self.build_chain([tup(i, x=i) for i in range(500)])
@@ -352,9 +308,6 @@ class TestEventScheduler:
     def test_distributed_runtime_stepwise_driving(self):
         # External drivers may step the runtime without calling run(); the
         # first step must seed the instances lazily.
-        from repro.spe.instance import SPEInstance
-        from repro.spe.runtime import DistributedRuntime
-
         channel = Channel("pipe")
         upstream = SPEInstance("up")
         source = upstream.add_source("source", [tup(i, x=i) for i in range(5)])
@@ -372,16 +325,6 @@ class TestEventScheduler:
             steps += 1
             assert steps < 100
         assert [t["x"] for t in sink.received] == [0, 1, 2, 3, 4]
-
-    def test_matches_polling_scheduler_output(self):
-        tuples = [tup(i, x=i) for i in range(100)]
-        event_query, event_sink = self.build_chain(list(tuples))
-        Scheduler(event_query).run()
-        polling_query, polling_sink = self.build_chain(list(tuples))
-        PollingScheduler(polling_query).run()
-        assert [(t.ts, dict(t.values)) for t in event_sink.received] == [
-            (t.ts, dict(t.values)) for t in polling_sink.received
-        ]
 
 
 class TestStreamTupleFastPath:

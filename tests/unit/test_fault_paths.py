@@ -2,10 +2,12 @@
 
 Covers the failure scenarios of the bugfix sweep:
 
-* a worker crash under the :class:`~repro.spe.threaded.ThreadedRuntime` or
-  the :class:`~repro.spe.multiprocess.MultiprocessRuntime` must stop the
-  healthy workers immediately and surface the *original* exception (not a
-  timeout masking it),
+* an instance crashing mid-stream must surface the *original* exception
+  (not a stuck-graph error or a timeout masking it) -- in process under the
+  :class:`~repro.spe.runtime.DistributedRuntime`, and with the healthy
+  workers stopped immediately under the
+  :class:`~repro.spe.multiprocess.MultiprocessRuntime` (the cluster suite
+  runs the same scenario over sockets),
 * a :class:`~repro.spe.fault_tolerance.ReliableSendOperator` that crashes
   between backup and channel send must leave the payload replayable,
 * a :class:`~repro.provstore.backends.JsonlLedgerBackend` whose writer was
@@ -29,7 +31,7 @@ from repro.spe.errors import ChannelError, SchedulingError
 from repro.spe.fault_tolerance import ReliableSendOperator, UpstreamBackup, replay_into
 from repro.spe.instance import SPEInstance
 from repro.spe.multiprocess import MultiprocessRuntime
-from repro.spe.threaded import ThreadedRuntime
+from repro.spe.runtime import DistributedRuntime
 from tests.optest import tup
 
 fork_required = pytest.mark.skipif(
@@ -68,26 +70,18 @@ def crashing_deployment(process_backed: bool):
     return [upstream, downstream]
 
 
-class TestThreadedCrashPropagation:
-    def test_original_error_surfaces_fast_not_the_timeout(self):
-        runtime = ThreadedRuntime(crashing_deployment(False), timeout_s=60.0)
-        started = time.monotonic()
-        with pytest.raises(SchedulingError, match="upstream exploded mid-stream"):
+class TestInProcessCrashPropagation:
+    def test_original_error_surfaces_not_a_stuck_graph(self):
+        upstream, downstream = crashing_deployment(False)
+        runtime = DistributedRuntime([upstream, downstream])
+        # the supplier's own exception, unwrapped: no SchedulingError about
+        # the downstream Receive that will now never see a close marker.
+        with pytest.raises(RuntimeError, match="upstream exploded mid-stream"):
             runtime.run()
-        elapsed = time.monotonic() - started
-        # the downstream worker was woken and stopped immediately instead of
-        # parking until the 60s deadline turned the crash into a timeout.
-        assert elapsed < 10.0
-        assert runtime._stop_event.is_set()
-        for worker in runtime.workers:
-            worker.join(timeout=5.0)
-            assert not worker.is_alive()
-
-    def test_error_is_chained_as_the_cause(self):
-        runtime = ThreadedRuntime(crashing_deployment(False), timeout_s=60.0)
-        with pytest.raises(SchedulingError) as excinfo:
-            runtime.run()
-        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        # everything sent before the crash was delivered, in order.
+        sink = downstream["sink"]
+        assert [t["v"] for t in sink.received] == list(range(sink.count))
+        assert not runtime.finished
 
 
 @fork_required
@@ -201,7 +195,7 @@ class TestReceiveWatermarkRace:
     tuples the drain missed.  The Receive would then promise downstream
     that nothing below the watermark follows -- and emit exactly such a
     tuple on its next wake-up, making an order-restoring Merge release out
-    of order (a crash first seen under the ThreadedRuntime with keyed
+    of order (a crash first seen with a concurrent producer under keyed
     parallelism).
     """
 

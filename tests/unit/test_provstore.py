@@ -278,7 +278,7 @@ class TestTaps:
         sink = SinkOperator("provenance_sink")
         sink.add_tap(tap)
         sink.process_batch([StreamTuple(ts=1.0), StreamTuple(ts=2.0)])
-        sink.process_tuple(StreamTuple(ts=3.0))
+        sink.process_batch([StreamTuple(ts=3.0)])
         assert tap.seen == [1.0, 2.0, 3.0]
 
     def test_sink_calls_each_tap_once_per_batch(self):
@@ -295,7 +295,7 @@ class TestTaps:
         sink.add_tap(first)
         sink.add_tap(second)
         sink.process_batch([StreamTuple(ts=1.0), StreamTuple(ts=2.0), StreamTuple(ts=3.0)])
-        sink.process_tuple(StreamTuple(ts=4.0))
+        sink.process_batch([StreamTuple(ts=4.0)])
         assert first.sizes == second.sizes == [3, 1]
         assert order == [1.0, 2.0, 3.0, 4.0]
         assert [t.ts for t in sink.received] == order and sink.count == 4

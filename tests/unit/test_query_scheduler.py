@@ -119,12 +119,12 @@ class TestScheduler:
         Scheduler(query).run()
         assert [t["x"] for t in sink.received] == [2, 4, 6]
 
-    def test_reports_pass_count(self):
+    def test_reports_wakeup_count(self):
         query, _ = simple_query([tup(i, x=i) for i in range(100)])
         scheduler = Scheduler(query)
-        passes = scheduler.run()
-        assert passes == scheduler.passes
-        assert passes >= 1
+        wakeups = scheduler.run()
+        assert wakeups == scheduler.wakeups
+        assert wakeups >= 1
 
     def test_finished_property(self):
         query, _ = simple_query([tup(1, x=1)])

@@ -151,28 +151,24 @@ def ship(manager=None, ship_provenance=True, tuples=None):
     return channel
 
 
-def receive(channel, manager, per_tuple):
-    """Drain ``channel`` through one of the two receive loops."""
+def receive(channel, manager):
+    """Drain ``channel`` through a Receive operator; return the restored tuples."""
     operator = ReceiveOperator("receive", channel)
     operator.set_provenance(manager)
     out = Stream("out")
     operator.add_output(out)
-    work = operator.work_per_tuple if per_tuple else operator.work
-    for _ in range(1000):
-        if not work():
-            break
+    run_operator(operator)
     assert operator.finished
     return collect(out)
 
 
 class TestPayloadReattachment:
-    """Both receive loops decode and re-attach through one helper."""
+    """The Receive decodes and re-attaches provenance payloads."""
 
-    @pytest.mark.parametrize("per_tuple", [False, True])
-    def test_payloads_reach_the_manager(self, per_tuple):
+    def test_payloads_reach_the_manager(self):
         channel = ship(RecordingManager())
         manager = RecordingManager()
-        restored = receive(channel, manager, per_tuple)
+        restored = receive(channel, manager)
         assert [t["x"] for t in restored] == [1, 2]
         assert [payload for _, payload in manager.received] == [
             {"marker": 1},
@@ -180,33 +176,30 @@ class TestPayloadReattachment:
         ]
         assert [t for t, _ in manager.received] == restored
 
-    @pytest.mark.parametrize("per_tuple", [False, True])
-    def test_unshipped_provenance_never_calls_on_receive(self, per_tuple):
+    def test_unshipped_provenance_never_calls_on_receive(self):
         sender = RecordingManager()
         channel = ship(sender, ship_provenance=False)
         assert sender.sent == []
         manager = RecordingManager()
-        restored = receive(channel, manager, per_tuple)
+        restored = receive(channel, manager)
         assert [t["x"] for t in restored] == [1, 2]
         assert manager.received == []
         assert all(t.meta is None for t in restored)
 
-    @pytest.mark.parametrize("per_tuple", [False, True])
-    def test_empty_payloads_never_call_on_receive(self, per_tuple):
+    def test_empty_payloads_never_call_on_receive(self):
         channel = ship(EmptyPayloadManager())
         manager = RecordingManager()
-        receive(channel, manager, per_tuple)
+        receive(channel, manager)
         assert manager.received == []
 
-    @pytest.mark.parametrize("per_tuple", [False, True])
-    def test_json_documents_take_the_same_path(self, per_tuple):
+    def test_json_documents_take_the_same_path(self):
         channel = Channel("c", codec="json")
         send = SendOperator("send", channel, ship_provenance=False)
         (send_in,), _ = wire(send, n_outputs=0)
         feed(send_in, [tup(1, x=1)], close=True)
         run_operator(send)
         manager = RecordingManager()
-        restored = receive(channel, manager, per_tuple)
+        restored = receive(channel, manager)
         assert [t["x"] for t in restored] == [1]
         assert manager.received == []
 

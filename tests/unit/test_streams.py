@@ -12,14 +12,12 @@ def tup(ts, **values):
 
 
 class TestStreamBasics:
-    def test_push_peek_pop_fifo_order(self):
+    def test_push_pop_ready_fifo_order(self):
         stream = Stream("s")
         stream.push(tup(1))
         stream.push(tup(2))
-        assert stream.peek().ts == 1
-        assert stream.pop().ts == 1
-        assert stream.pop().ts == 2
-        assert stream.peek() is None
+        assert [t.ts for t in stream.pop_ready()] == [1, 2]
+        assert stream.pop_ready() == []
         assert len(stream) == 0
 
     def test_len_and_iter(self):
@@ -83,14 +81,3 @@ class TestWatermarks:
         stream.close()
         with pytest.raises(StreamOrderError):
             stream.push(tup(1))
-
-    def test_frontier_prefers_head_tuple(self):
-        stream = Stream("s")
-        stream.advance_watermark(50)
-        stream.push(tup(60))
-        assert stream.frontier == 60
-
-    def test_frontier_falls_back_to_watermark(self):
-        stream = Stream("s")
-        stream.advance_watermark(50)
-        assert stream.frontier == 50

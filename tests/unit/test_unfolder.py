@@ -192,14 +192,13 @@ def reserved_input(manager, side, name):
 
 class TestReservedAttributeNames:
     @pytest.mark.parametrize("side,name", RESERVED)
-    @pytest.mark.parametrize("per_tuple", [False, True], ids=["batch", "tuple"])
-    def test_su_rejects_naming_operator_and_attribute(self, manager, side, name, per_tuple):
+    def test_su_rejects_naming_operator_and_attribute(self, manager, side, name):
         su = SUOperator("su_alerts")
         su.set_provenance(manager)
         wire(su, n_outputs=2)
         bad = reserved_input(manager, side, name)
         with pytest.raises(ReservedAttributeError) as caught:
-            su.process_tuple(bad) if per_tuple else su.process_batch([bad])
+            su.process_batch([bad])
         assert "'su_alerts'" in str(caught.value)
         assert f"{side} attribute {name!r}" in str(caught.value)
 
