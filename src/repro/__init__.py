@@ -1,6 +1,6 @@
 """Reproduction of *GeneaLog: Fine-Grained Data Streaming Provenance at the Edge*.
 
-The package is organised in five layers:
+The package is organised in four main layers:
 
 * :mod:`repro.api` -- the primary user-facing surface: a fluent dataflow DSL
   and the ``Pipeline`` facade that handles provenance splicing, scheduling
@@ -12,8 +12,9 @@ The package is organised in five layers:
   the SU/MU unfolder operators, and the Ariadne-style baseline.
 * :mod:`repro.workloads` -- synthetic Linear Road and Smart Grid workloads and
   the four evaluation queries (Q1-Q4).
-* :mod:`repro.experiments` -- the measurement harness that regenerates the
-  paper's figures (12, 13 and 14).
+
+The paper's figures are measured by the repository's ``perfbench/``
+benchmark, not by this package.
 """
 
 from repro.api import Dataflow, Pipeline, PipelineResult, Placement

@@ -61,7 +61,6 @@ def analyze_plan(
     placement: Optional[object] = None,
     mode: ProvenanceMode = ProvenanceMode.NONE,
     execution: str = "event",
-    codec: str = "binary",
     retention: Optional[float] = None,
     store: Optional[object] = None,
 ) -> AnalysisReport:
@@ -76,7 +75,6 @@ def analyze_plan(
             placement=placement,
             mode=mode,
             execution=execution,
-            codec=codec,
             retention=retention,
             store=store,
         )

@@ -6,7 +6,7 @@ calling ``instantiate()`` -- instantiating would consume single-use stages
 and exhaust one-shot suppliers, and the whole point of the analyzer is to
 verify a plan **without executing it**.  The model also carries the
 deployment context the plan would run under (provenance mode, placement,
-execution core, wire codec, retention override), because several rules are
+execution core, retention override), because several rules are
 only violations in some deployments.
 """
 
@@ -73,7 +73,6 @@ class PlanModel:
     deployment: str = "intra"
     mode: ProvenanceMode = ProvenanceMode.NONE
     execution: str = "event"
-    codec: str = "binary"
     #: the pipeline's explicit retention override (None = derived).
     retention: Optional[float] = None
     #: the attached provenance store's retention bound, if any.
@@ -96,7 +95,6 @@ class PlanModel:
         placement: Optional[object] = None,
         mode: ProvenanceMode = ProvenanceMode.NONE,
         execution: str = "event",
-        codec: str = "binary",
         retention: Optional[float] = None,
         store: Optional[object] = None,
     ) -> "PlanModel":
@@ -157,7 +155,6 @@ class PlanModel:
             deployment="inter" if placement is not None else "intra",
             mode=mode,
             execution=execution,
-            codec=codec,
             retention=retention,
             store_retention=store_retention,
             window_sum=dataflow.retention_s(),

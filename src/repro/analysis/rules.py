@@ -869,7 +869,6 @@ def analyze_model(model: PlanModel) -> AnalysisReport:
             "deployment": model.deployment,
             "mode": model.mode.value,
             "execution": model.execution,
-            "codec": model.codec,
         },
     )
     for rule in ALL_RULES:

@@ -45,7 +45,6 @@ from repro.provstore.backends import JsonlLedgerBackend
 from repro.provstore.ledger import ProvenanceLedger
 from repro.provstore.tap import LedgerTap
 from repro.spe.channels import Channel, ProcessTransport
-from repro.spe.codec import check_codec
 from repro.spe.cluster import ClusterRuntime
 from repro.spe.instance import SPEInstance
 from repro.spe.metrics import (
@@ -312,10 +311,8 @@ class Pipeline:
     :class:`~repro.spe.multiprocess.MultiprocessRuntime`), and ``"cluster"``
     ships each SPE instance to a worker daemon over TCP with socket-backed
     channels (requires a placement; ``hosts`` places the instances -- see
-    :class:`~repro.spe.cluster.ClusterRuntime`).  ``codec`` picks the wire
-    format of the inter-instance channels: ``"binary"`` (default, the
-    batched :mod:`repro.spe.codec` format) or ``"json"`` (the seed's
-    per-tuple documents, kept for compatibility and debugging).
+    :class:`~repro.spe.cluster.ClusterRuntime`).  Inter-instance channels
+    carry :mod:`repro.spe.codec` batch blobs under every ``execution``.
     ``telemetry`` enables runtime observability for the run (default off):
     ``True``, a :class:`~repro.obs.telemetry.TelemetryConfig` or a
     :class:`~repro.obs.telemetry.Telemetry` object -- the run's spans, time
@@ -335,7 +332,6 @@ class Pipeline:
         execution: str = "event",
         provenance_store: Union[ProvenanceLedger, str, None] = None,
         hosts=None,
-        codec: str = "binary",
         telemetry=None,
         validate: str = "warn",
     ) -> None:
@@ -368,7 +364,6 @@ class Pipeline:
         self.keep_unfolded_tuples = keep_unfolded_tuples
         self.execution = execution
         self.hosts = hosts
-        self.codec = check_codec(codec)
         try:
             self.telemetry = coerce_telemetry(telemetry)
         except ValueError as exc:
@@ -427,7 +422,6 @@ class Pipeline:
             placement=self.placement,
             mode=self.mode,
             execution=self.execution,
-            codec=self.codec,
             retention=self.retention,
             store=self.store,
         )
@@ -493,21 +487,20 @@ class Pipeline:
         )
 
     def _build_inter(self) -> PipelineResult:
-        codec = self.codec
         if self.execution == "process":
             # Channels must be pipe-backed before the workers fork: each
             # transport is one multiprocessing pipe carrying the serialised
             # payloads across the process boundary.
             def channel_factory(name: str) -> Channel:
-                return Channel(name, transport=ProcessTransport(), codec=codec)
+                return Channel(name, transport=ProcessTransport())
         elif self.execution == "cluster":
             # Socket transports start detached; the cluster wiring attaches
             # the producer and consumer sockets on the workers' hosts.
             def channel_factory(name: str) -> Channel:
-                return Channel(name, transport=SocketTransport(name), codec=codec)
+                return Channel(name, transport=SocketTransport(name))
         else:
             def channel_factory(name: str) -> Channel:
-                return Channel(name, codec=codec)
+                return Channel(name)
         builder = _DistributedBuilder(
             self.dataflow,
             self.placement,

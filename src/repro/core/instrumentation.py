@@ -65,8 +65,8 @@ class GeneaLogProvenance(ProvenanceManager):
         instances (footnote 2 of section 6).
     record_traversal_times:
         When True (the default), :meth:`unfold` records how long every
-        contribution-graph traversal took; the experiment harness reads these
-        samples to reproduce Figure 14.
+        contribution-graph traversal took; the benchmark's
+        ``core.traversal.*`` rows read these samples (Figure 14).
     """
 
     name = "GL"

@@ -74,21 +74,5 @@ def get_meta(tup: StreamTuple) -> Optional[GeneaLogMeta]:
     return meta if isinstance(meta, GeneaLogMeta) else None
 
 
-def require_meta(tup: StreamTuple) -> GeneaLogMeta:
-    """Return the metadata block of ``tup``, *materialising* one when absent.
-
-    A bare tuple gets an explicit ``T = SOURCE`` block, which is the same
-    tuple in the other encoding.  This writes to ``tup``: use it only where a
-    block is about to be mutated (an ``N`` link or a unique id is being
-    stored); read paths use ``tup.meta`` / :func:`get_meta` and handle
-    ``None``.
-    """
-    meta = get_meta(tup)
-    if meta is None:
-        meta = GeneaLogMeta(TupleType.SOURCE)
-        tup.meta = meta
-    return meta
-
-
 #: Number of meta-attributes GeneaLog adds to a tuple (T, U1, U2, N, ID).
 METADATA_FIELDS = 5

@@ -105,7 +105,7 @@ class ProvenanceCollector:
     (it has the shape of a :class:`~repro.provstore.tap.ProvenanceTap`) and
     consumes the unfolded stream one Sink batch at a time.  The paper stores
     the same information on disk; keeping it in memory makes it available to
-    tests and to the experiment harness.
+    tests and to the benchmark.
     """
 
     def __init__(self, name: str = "provenance") -> None:

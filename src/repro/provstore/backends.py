@@ -8,9 +8,8 @@ are provided:
 * :class:`MemoryLedgerBackend` -- the default; keeps the records in plain
   dictionaries, nothing survives the process.
 * :class:`JsonlLedgerBackend` -- append-only JSONL segment files inside a
-  directory, written with the same compact document serialisation the
-  inter-instance channels use (:mod:`repro.spe.serialization`).  A store
-  directory survives the process and can be re-opened read-only with
+  directory, one compact JSON document per line.  A store directory
+  survives the process and can be re-opened read-only with
   :func:`repro.provstore.ledger.open_provenance_store`; segments rotate
   after ``segment_records`` lines so long-running captures never grow one
   unbounded file.
@@ -18,12 +17,12 @@ are provided:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.provstore.entries import SinkMapping, SourceEntry
 from repro.spe.errors import SerializationError, SPEError
-from repro.spe.serialization import dumps_document, loads_document
 
 #: JSONL segment file name pattern; the index keeps append order sortable.
 SEGMENT_PATTERN = "segment-{index:05d}.jsonl"
@@ -31,6 +30,27 @@ SEGMENT_GLOB = "segment-*.jsonl"
 
 #: format version written into every segment's leading meta record.
 FORMAT_VERSION = 1
+
+
+def dumps_document(document: Dict[str, Any]) -> str:
+    """Serialise a ledger record into one compact JSON line.
+
+    Payload values that are not JSON types (sets, datetimes, custom objects)
+    degrade to their ``str`` form instead of failing the seal -- the store is
+    a materialised report, not a transport that must round-trip exactly.
+    """
+    try:
+        return json.dumps(document, separators=(",", ":"), default=str)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"cannot serialise document: {exc}") from exc
+
+
+def loads_document(data: str) -> Dict[str, Any]:
+    """Parse one serialised document line (inverse of :func:`dumps_document`)."""
+    try:
+        return json.loads(data)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"cannot deserialise document: {exc}") from exc
 
 
 class LedgerError(SPEError):
@@ -152,11 +172,7 @@ class JsonlLedgerBackend(LedgerBackend):
 
     def _write(self, document: Dict) -> None:
         assert self._handle is not None
-        # default=str: payload values that are not JSON types (sets,
-        # datetimes, custom objects) degrade to their string form instead of
-        # failing the seal -- the store is a materialised report, not a
-        # transport that must round-trip exactly.
-        self._handle.write(dumps_document(document, default=str) + "\n")
+        self._handle.write(dumps_document(document) + "\n")
         self._records_in_segment += 1
 
     # -- appends ------------------------------------------------------------

@@ -4,8 +4,8 @@ This package plays the role of the Liebre SPE in the original paper: it
 provides streams, the standard stateless and stateful operators (Map, Filter,
 Multiplex, Union, Aggregate, Join), Sources, Sinks, Send/Receive operators for
 crossing process boundaries, a deterministic watermark-driven scheduler, and a
-multi-instance runtime that connects several SPE instances with serialising
-channels.
+multi-instance runtime that connects several SPE instances with channels
+carrying binary batch blobs (:mod:`repro.spe.codec`).
 
 Determinism (see section 2 of the paper) is obtained by requiring sources to
 emit timestamp-sorted streams and by having every multi-input operator merge
@@ -22,12 +22,6 @@ from repro.spe.multiprocess import MultiprocessRuntime, run_multiprocess
 from repro.spe.cluster import ClusterRuntime, ClusterWorker, run_cluster
 from repro.spe.channels import Channel, ChannelTransport, InMemoryTransport, ProcessTransport
 from repro.spe.sockets import SocketTransport
-from repro.spe.fault_tolerance import (
-    DownstreamProgress,
-    ReliableSendOperator,
-    UpstreamBackup,
-    replay_into,
-)
 
 __all__ = [
     "StreamTuple",
@@ -48,8 +42,4 @@ __all__ = [
     "InMemoryTransport",
     "ProcessTransport",
     "SocketTransport",
-    "DownstreamProgress",
-    "ReliableSendOperator",
-    "UpstreamBackup",
-    "replay_into",
 ]

@@ -2,16 +2,17 @@
 
 A :class:`Channel` models the link between two SPE instances (in the paper:
 two processes on distinct Odroid boards connected by a 100 Mbps switch).  It
-carries *serialised* tuples only, tracks the producer watermark, and records
-simple traffic statistics (tuples and bytes transferred) that the experiment
-harness uses to reason about network load.
+carries :mod:`repro.spe.codec` batch blobs only -- one ``bytes`` payload per
+Send flush -- tracks the producer watermark, and records the traffic
+statistics (tuples and bytes transferred) of the Fig. 13 network-load
+comparison.
 
 The queueing mechanics live behind a :class:`ChannelTransport`:
 
 * :class:`InMemoryTransport` (the default) is a plain deque shared by both
   sides -- the cooperative :class:`~repro.spe.scheduler.Scheduler` and the
   :class:`~repro.spe.runtime.DistributedRuntime` use it.
-* :class:`ProcessTransport` carries the same serialised payloads over a
+* :class:`ProcessTransport` carries the same blobs over a
   :mod:`multiprocessing` pipe, so the producer and the consumer can live in
   *different OS processes* (the :class:`~repro.spe.multiprocess.MultiprocessRuntime`).
   Watermark advances and the close marker travel as explicit control
@@ -20,8 +21,8 @@ The queueing mechanics live behind a :class:`ChannelTransport`:
 
 Like :class:`~repro.spe.streams.Stream`, a channel participates in readiness
 propagation: the Receive operator reading it registers itself as
-``consumer``, and every producer-side mutation (:meth:`send`,
-:meth:`send_many`, :meth:`advance_watermark`, :meth:`close`) signals it.
+``consumer``, and every producer-side mutation (:meth:`send_block`,
+:meth:`advance_watermark`, :meth:`close`) signals it.
 That is what lets the :class:`~repro.spe.runtime.DistributedRuntime` wake
 exactly the instance whose channel received data and never touch an idle
 one.  Cross-process transports skip that in-memory hook:
@@ -40,22 +41,23 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from collections import deque
-from typing import Any, Deque, Iterable, List, Optional, Sequence, Tuple, Union
+from multiprocessing.connection import Connection
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.spe.errors import ChannelError
 from repro.spe.tuples import FINAL_WATERMARK
 
-#: one wire payload: a legacy JSON document (str) or a binary batch blob.
-Payload = Union[str, bytes]
+#: one wire payload: a binary batch blob.
+Payload = bytes
 
 
 class ChannelTransport:
     """The producer-to-consumer path of one :class:`Channel`.
 
-    The producer side calls :meth:`send` / :meth:`send_many` /
-    :meth:`advance_watermark` / :meth:`close`; the consumer side calls
-    :meth:`receive` / :meth:`receive_all` and reads :attr:`watermark`,
-    :attr:`closed` and ``len()``.  ``local`` tells the owning channel
+    The producer side calls :meth:`send` / :meth:`advance_watermark` /
+    :meth:`close`; the consumer side calls :meth:`receive_all` and reads
+    :attr:`watermark`, :attr:`closed` and ``len()``.  Transports never look
+    inside a payload.  ``local`` tells the owning channel
     whether both sides share this very object (so the in-memory
     consumer-signalling hook works) or live in different processes.
     """
@@ -67,9 +69,6 @@ class ChannelTransport:
     def send(self, payload: Payload) -> None:
         raise NotImplementedError
 
-    def send_many(self, payloads: Sequence[Payload]) -> None:
-        raise NotImplementedError
-
     def advance_watermark(self, ts: float) -> bool:
         """Advance the watermark (monotone); return True when it moved."""
         raise NotImplementedError
@@ -78,9 +77,6 @@ class ChannelTransport:
         raise NotImplementedError
 
     # -- consumer side -----------------------------------------------------
-    def receive(self) -> Optional[Payload]:
-        raise NotImplementedError
-
     def receive_all(self) -> List[Payload]:
         raise NotImplementedError
 
@@ -112,9 +108,6 @@ class InMemoryTransport(ChannelTransport):
     def send(self, payload: Payload) -> None:
         self._queue.append(payload)
 
-    def send_many(self, payloads: Sequence[Payload]) -> None:
-        self._queue.extend(payloads)
-
     def advance_watermark(self, ts: float) -> bool:
         if ts > self._watermark:
             self._watermark = ts
@@ -126,11 +119,6 @@ class InMemoryTransport(ChannelTransport):
         self._watermark = FINAL_WATERMARK
 
     # -- consumer side -----------------------------------------------------
-    def receive(self) -> Optional[Payload]:
-        if not self._queue:
-            return None
-        return self._queue.popleft()
-
     def receive_all(self) -> List[Payload]:
         # Drain with atomic ``popleft`` calls rather than snapshot+clear:
         # a producer may append from another thread, and a payload sent
@@ -160,19 +148,19 @@ _MSG_CLOSE = "c"
 
 
 class ProcessTransport(ChannelTransport):
-    """A :mod:`multiprocessing` pipe carrying the serialised payloads.
+    """A :mod:`multiprocessing` pipe carrying the batch blobs.
 
     Built *before* the worker processes are forked, so both sides inherit
     the same pipe.  After the fork the two copies of this object diverge:
     the producer process uses the write end (and its local ``_watermark`` /
     ``_closed`` record what it already announced), the consumer process
     drains the read end into a local buffer and updates its own view from
-    the control messages.  Data messages carry whole batches, so one
-    ``send_many`` is one pipe write.
+    the control messages.  A data message carries one blob, so one Send
+    flush is one pipe write.
 
     The consumer-side state (:attr:`watermark`, :attr:`closed`, ``len()``)
-    is only refreshed by :meth:`receive` / :meth:`receive_all` -- never by
-    the property reads themselves.  That keeps reads side-effect free: a
+    is only refreshed by :meth:`receive_all` -- never by the property reads
+    themselves.  That keeps reads side-effect free: a
     coordinator holding a third copy of the object can inspect it without
     stealing messages from the real consumer.  The Receive operator always
     drains before checking state, so it observes a consistent snapshot.
@@ -188,16 +176,13 @@ class ProcessTransport(ChannelTransport):
         self._closed = False
 
     @property
-    def reader(self):
+    def reader(self) -> Connection:
         """The pipe's read end (waitable via ``multiprocessing.connection.wait``)."""
         return self._reader
 
     # -- producer side -----------------------------------------------------
     def send(self, payload: Payload) -> None:
-        self._writer.send((_MSG_DATA, (payload,)))
-
-    def send_many(self, payloads: Sequence[Payload]) -> None:
-        self._writer.send((_MSG_DATA, tuple(payloads)))
+        self._writer.send((_MSG_DATA, payload))
 
     def advance_watermark(self, ts: float) -> bool:
         if ts > self._watermark:
@@ -218,20 +203,13 @@ class ProcessTransport(ChannelTransport):
         while reader.poll():
             tag, body = reader.recv()
             if tag == _MSG_DATA:
-                buffer.extend(body)
+                buffer.append(body)
             elif tag == _MSG_WATERMARK:
                 if body > self._watermark:
                     self._watermark = body
             else:  # _MSG_CLOSE
                 self._closed = True
                 self._watermark = FINAL_WATERMARK
-
-    def receive(self) -> Optional[Payload]:
-        if not self._buffer:
-            self._drain()
-        if not self._buffer:
-            return None
-        return self._buffer.popleft()
 
     def receive_all(self) -> List[Payload]:
         self._drain()
@@ -252,14 +230,10 @@ class ProcessTransport(ChannelTransport):
 
 
 class Channel:
-    """A FIFO of serialised tuple payloads between two SPE instances.
+    """A FIFO of :mod:`repro.spe.codec` batch blobs between two SPE instances.
 
-    A payload is either one legacy JSON document (``str``, ``codec="json"``)
-    or one :mod:`repro.spe.codec` binary batch blob (``bytes``,
-    ``codec="binary"``, the default).  ``codec`` only records which format
-    the Send/Receive operators at the two ends should speak -- the channel
-    itself carries payloads opaquely, and :meth:`send_block` lets a batched
-    producer account N tuples for one blob.
+    The channel carries blobs opaquely; :meth:`send_block` accounts the N
+    tuples a blob encodes, so ``tuples_sent`` stays a tuple count.
     """
 
     __slots__ = (
@@ -269,7 +243,6 @@ class Channel:
         "tuples_sent",
         "bytes_sent",
         "consumer",
-        "codec",
         "tracer",
     )
 
@@ -277,16 +250,12 @@ class Channel:
         self,
         name: str = "",
         transport: Optional[ChannelTransport] = None,
-        codec: str = "binary",
     ) -> None:
         self.name = name
         self._transport = transport if transport is not None else InMemoryTransport()
         self._lock = threading.Lock()
         self.tuples_sent = 0
         self.bytes_sent = 0
-        #: wire format the Send/Receive pair on this channel speaks
-        #: ("binary" or "json"); see :mod:`repro.spe.codec`.
-        self.codec = codec
         #: the Receive operator reading this channel (registered by
         #: ``ReceiveOperator``); signalled on every producer-side mutation
         #: when the transport is local (cross-process transports wake the
@@ -296,7 +265,7 @@ class Channel:
         #: layer).  Deliberately a per-channel slot, not a module global:
         #: in-process loopback cluster workers share the interpreter and a
         #: global would cross-contaminate their traces.
-        self.tracer = None
+        self.tracer: Any = None
 
     @property
     def transport(self) -> ChannelTransport:
@@ -312,38 +281,10 @@ class Channel:
             consumer.signal()
 
     # -- producer side -----------------------------------------------------
-    def send(self, payload: Payload) -> None:
-        """Enqueue one serialised tuple."""
-        with self._lock:
-            if self._transport.closed:
-                raise ChannelError(f"channel {self.name!r} is closed")
-            self._transport.send(payload)
-            self.tuples_sent += 1
-            self.bytes_sent += len(payload)
-        if self.tracer is not None:
-            self.tracer.event("channel.send", self.name, count=1)
-        self._wake()
+    def send_block(self, payload: Payload, count: int) -> None:
+        """Enqueue one batch blob carrying ``count`` tuples.
 
-    def send_many(self, payloads: Iterable[Payload]) -> None:
-        """Enqueue a batch of serialised tuples with one consumer wake-up."""
-        batch = payloads if isinstance(payloads, (list, tuple)) else list(payloads)
-        if not batch:
-            return
-        with self._lock:
-            if self._transport.closed:
-                raise ChannelError(f"channel {self.name!r} is closed")
-            self._transport.send_many(batch)
-            self.tuples_sent += len(batch)
-            self.bytes_sent += sum(len(payload) for payload in batch)
-        if self.tracer is not None:
-            self.tracer.event("channel.send", self.name, count=len(batch))
-        self._wake()
-
-    def send_block(self, payload, count: int) -> None:
-        """Enqueue one payload carrying ``count`` tuples (a batch blob).
-
-        The traffic counters account the batched tuples individually --
-        ``tuples_sent`` stays a tuple count across codecs -- while
+        The traffic counters account the batched tuples individually while
         ``bytes_sent`` grows by the blob's wire size.
         """
         with self._lock:
@@ -374,15 +315,8 @@ class Channel:
         self._wake()
 
     # -- consumer side -----------------------------------------------------
-    def receive(self) -> Optional[Payload]:
-        """Dequeue one serialised tuple, or None when the channel is empty."""
-        payload = self._transport.receive()
-        if payload is not None and self.tracer is not None:
-            self.tracer.event("channel.recv", self.name, count=1)
-        return payload
-
     def receive_all(self) -> List[Payload]:
-        """Dequeue every available serialised tuple."""
+        """Dequeue every available batch blob."""
         payloads = self._transport.receive_all()
         if payloads and self.tracer is not None:
             self.tracer.event("channel.recv", self.name, count=len(payloads))

@@ -1,15 +1,12 @@
 """Batched binary wire codec for cross-boundary tuple transport.
 
-The seed shipped every cross-boundary tuple as its own JSON document
-(:mod:`repro.spe.serialization`), so the provenance-carrying inter-process
-cells paid a per-tuple serialisation tax that dwarfed the provenance capture
-itself (q1 GL inter ran at ~1/5th of the NP throughput).  This module
-replaces that wire format with a *batched, columnar, stateful* binary codec:
+Every cross-boundary tuple travels in a blob of this *batched, columnar,
+stateful* binary codec -- the only channel wire format:
 
 * **one blob per channel flush** -- a Send operator encodes the whole batch
   it was handed into a single ``bytes`` payload, so the per-tuple Python
-  overhead (dict building, ``json.dumps``, per-payload channel accounting)
-  is paid once per batch;
+  overhead (encoding calls, per-payload channel accounting) is paid once
+  per batch;
 * **columnar packing at C speed** -- within a batch, tuples sharing an
   attribute schema are stored column by column, and every column kind that
   occurs on the hot channels is packed and unpacked by *one* C-level call
@@ -35,11 +32,11 @@ plan carries only empty codec state), and FIFO transports keep them in
 sync.  :meth:`BinaryChannelEncoder.reset` / :meth:`BinaryChannelDecoder.reset`
 drop the dictionaries, e.g. when a channel reconnects mid-stream.
 
-JSON remains the compatibility/debug format: a decoder dispatches on the
-payload type (``bytes`` means a binary batch, ``str`` means one legacy JSON
-document), so fault-tolerance replay buffers and JSON-configured peers keep
-working against a binary-configured receiver.  The provenance ledger's JSONL
-segments intentionally stay JSON (human-readable, greppable).
+A payload that is not a blob of this layout -- a retired JSON document, a
+``str``, a foreign byte string -- fails its decode with
+:class:`SerializationError` naming the channel.  The provenance ledger's
+JSONL segments are a separate, persisted format and stay JSON
+(human-readable, greppable).
 
 Wire layout of one batch blob (all integers are LEB128 varints unless a
 fixed width is noted; ``istr`` is an interned string: escape ``0`` = new
@@ -88,19 +85,12 @@ from itertools import groupby
 from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.spe.errors import SerializationError
-from repro.spe.serialization import deserialize_tuple
 from repro.spe.tuples import StreamTuple
 
 #: first byte of every binary batch blob.  JSON payloads start with ``{`` or
 #: ``[``; a foreign payload -- or a peer still speaking the 0xB5 layout --
 #: fails on its first batch.
 MAGIC = 0xB6
-
-#: codec names accepted by :class:`~repro.spe.channels.Channel` /
-#: :class:`repro.api.pipeline.Pipeline`.
-CODEC_BINARY = "binary"
-CODEC_JSON = "json"
-CODECS = (CODEC_BINARY, CODEC_JSON)
 
 #: interning limits: strings longer than this, or arriving once the table is
 #: full, ship as literals / text columns and do not grow the dictionaries.
@@ -448,9 +438,7 @@ class BinaryChannelDecoder:
 
     Mirrors :class:`BinaryChannelEncoder`: its dictionaries are rebuilt from
     the explicit "new entry" markers on the wire, so feeding it the
-    encoder's blobs in FIFO order reproduces the encoder's state.  ``str``
-    payloads fall back to the legacy JSON document format (compatibility:
-    fault-tolerance replay buffers, JSON-configured peers).
+    encoder's blobs in FIFO order reproduces the encoder's state.
     """
 
     __slots__ = ("channel", "_strings", "_schemas")
@@ -466,17 +454,14 @@ class BinaryChannelDecoder:
 
     # -- batch entry point -------------------------------------------------
     def decode_batch(
-        self, payload: str | bytes
+        self, payload: bytes
     ) -> Tuple[List[StreamTuple], Optional[List[Dict[str, Any]]]]:
-        """Decode one channel payload into ``(tuples, provenance_payloads)``.
+        """Decode one batch blob into ``(tuples, provenance_payloads)``.
 
         ``provenance_payloads`` is ``None`` when the batch carried the
         every-payload-is-empty flag: there is nothing to re-attach, and no
         per-tuple dict is built to say so.
         """
-        if isinstance(payload, str):
-            tup, prov = deserialize_tuple(payload, channel=self.channel)
-            return [tup], [prov]
         try:
             return self._decode_binary(payload)
         except SerializationError:
@@ -492,10 +477,11 @@ class BinaryChannelDecoder:
         self, buf: bytes
     ) -> Tuple[List[StreamTuple], Optional[List[Dict[str, Any]]]]:
         if not buf or buf[0] != MAGIC:
-            head = bytes(buf[:1])
+            # ``buf[:1]!r`` names a ``str`` payload (a retired JSON
+            # document) as well as a foreign byte string.
             raise SerializationError(
-                f"channel {self.channel!r}: payload does not start with the "
-                f"binary batch magic (first byte {head!r})"
+                f"channel {self.channel!r}: {type(buf).__name__} payload does "
+                f"not start with the binary batch magic (first byte {buf[:1]!r})"
             )
         count, pos = read_uvarint(buf, 1)
         if count > _MAX_BATCH_TUPLES:
@@ -689,11 +675,3 @@ class BinaryChannelDecoder:
             + f" value tag {tag:#x} on the wire"
         )
 
-
-def check_codec(codec: str) -> str:
-    """Validate a codec name (:data:`CODECS`); return it unchanged."""
-    if codec not in CODECS:
-        raise ValueError(
-            f"unknown wire codec {codec!r}; expected one of {CODECS}"
-        )
-    return codec

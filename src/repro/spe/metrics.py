@@ -1,190 +1,15 @@
-"""Measurement utilities shared by the experiment harness and benchmarks.
+"""A run's execution counters, snapshotted by ``PipelineResult.metrics()``.
 
-The evaluation of the paper reports, per query and provenance technique:
-
-* **throughput** -- source tuples processed per second,
-* **latency** -- time between the production of a sink tuple and the arrival
-  of the latest source tuple contributing to it,
-* **memory footprint** -- average and maximum memory used by the process,
-* **traversal time** -- time spent walking the contribution graph per sink
-  tuple.
-
-This module provides small, dependency-free helpers to collect those numbers:
-summary statistics with confidence intervals, a tracemalloc-based memory
-sampler, and a container bundling the per-run results.
+Per-operator ``work_calls`` / ``tuples_in`` / ``tuples_out`` and
+per-channel ``tuples_sent`` / ``bytes_sent`` are deterministic counts; the
+timing, latency and memory side of a run is measured by :mod:`repro.obs`
+(``Histogram``, ``TimeSeriesSampler``) and by the repository's benchmark.
 """
 
 from __future__ import annotations
 
-import math
-import tracemalloc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-
-def percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile of an already *sorted* sample.
-
-    ``q`` is a fraction in [0, 1].  Empty input yields 0.0 so callers can
-    report it without special-casing.
-    """
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    position = q * (len(ordered) - 1)
-    lower = int(math.floor(position))
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = position - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
-
-
-@dataclass
-class StatSummary:
-    """Mean / min / max / stdev / percentiles / 95% CI half-width of a sample."""
-
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    stdev: float
-    ci95: float
-    p50: float = 0.0
-    p95: float = 0.0
-    p99: float = 0.0
-
-    @classmethod
-    def of(cls, samples: Sequence[float]) -> "StatSummary":
-        """Summarise ``samples`` (empty input yields an all-zero summary)."""
-        values = list(samples)
-        if not values:
-            return cls(count=0, mean=0.0, minimum=0.0, maximum=0.0, stdev=0.0, ci95=0.0)
-        count = len(values)
-        mean = sum(values) / count
-        if count > 1:
-            variance = sum((v - mean) ** 2 for v in values) / (count - 1)
-            stdev = math.sqrt(variance)
-            ci95 = 1.96 * stdev / math.sqrt(count)
-        else:
-            stdev = 0.0
-            ci95 = 0.0
-        ordered = sorted(values)
-        return cls(
-            count=count,
-            mean=mean,
-            minimum=ordered[0],
-            maximum=ordered[-1],
-            stdev=stdev,
-            ci95=ci95,
-            p50=percentile_of_sorted(ordered, 0.50),
-            p95=percentile_of_sorted(ordered, 0.95),
-            p99=percentile_of_sorted(ordered, 0.99),
-        )
-
-
-class MemorySampler:
-    """Samples process heap usage (via :mod:`tracemalloc`) during a run.
-
-    The paper reports the average and maximum memory of the process running a
-    query.  Here we sample the traced Python heap at regular scheduler passes,
-    which captures exactly the part that differs between NP, GL and BL: the
-    tuples, windows, annotations and stores the techniques retain.
-    """
-
-    def __init__(self) -> None:
-        self.samples_bytes: List[int] = []
-        self.peak_bytes: int = 0
-        self._started_here = False
-
-    def start(self) -> None:
-        """Begin tracing allocations (no-op when tracemalloc already runs)."""
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_here = True
-        tracemalloc.reset_peak()
-
-    def sample(self) -> int:
-        """Record one sample of the currently allocated bytes."""
-        current, peak = tracemalloc.get_traced_memory()
-        self.samples_bytes.append(current)
-        self.peak_bytes = max(self.peak_bytes, peak)
-        return current
-
-    def stop(self) -> None:
-        """Stop tracing (only if this sampler started it)."""
-        current, peak = tracemalloc.get_traced_memory()
-        self.peak_bytes = max(self.peak_bytes, peak)
-        if self._started_here:
-            tracemalloc.stop()
-            self._started_here = False
-
-    @property
-    def average_bytes(self) -> float:
-        """Mean of the collected samples (0 when nothing was sampled)."""
-        if not self.samples_bytes:
-            return 0.0
-        return sum(self.samples_bytes) / len(self.samples_bytes)
-
-    @property
-    def max_bytes(self) -> int:
-        """Peak traced allocation observed during the run."""
-        return self.peak_bytes
-
-
-@dataclass
-class RunMetrics:
-    """Metrics collected for one execution of a query under one technique."""
-
-    query: str
-    technique: str
-    deployment: str
-    source_tuples: int = 0
-    sink_tuples: int = 0
-    wall_time_s: float = 0.0
-    latencies_s: List[float] = field(default_factory=list)
-    memory_samples_bytes: List[int] = field(default_factory=list)
-    memory_peak_bytes: int = 0
-    traversal_times_s: List[float] = field(default_factory=list)
-    per_instance_traversal_s: Dict[str, List[float]] = field(default_factory=dict)
-    provenance_sizes: List[int] = field(default_factory=list)
-    bytes_transferred: int = 0
-    tuples_transferred: int = 0
-
-    @property
-    def throughput_tps(self) -> float:
-        """Source tuples processed per wall-clock second."""
-        if self.wall_time_s <= 0:
-            return 0.0
-        return self.source_tuples / self.wall_time_s
-
-    @property
-    def latency(self) -> StatSummary:
-        """Summary of per-sink-tuple latency (seconds)."""
-        return StatSummary.of(self.latencies_s)
-
-    @property
-    def memory_average_mb(self) -> float:
-        """Average sampled memory in megabytes."""
-        if not self.memory_samples_bytes:
-            return 0.0
-        return sum(self.memory_samples_bytes) / len(self.memory_samples_bytes) / 1e6
-
-    @property
-    def memory_max_mb(self) -> float:
-        """Peak memory in megabytes."""
-        return self.memory_peak_bytes / 1e6
-
-    @property
-    def traversal(self) -> StatSummary:
-        """Summary of per-sink-tuple contribution-graph traversal time (seconds)."""
-        return StatSummary.of(self.traversal_times_s)
-
-    @property
-    def average_provenance_size(self) -> float:
-        """Average number of source tuples contributing to a sink tuple."""
-        if not self.provenance_sizes:
-            return 0.0
-        return sum(self.provenance_sizes) / len(self.provenance_sizes)
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -249,7 +74,7 @@ class MetricsSnapshot:
         }
 
     def to_document(self) -> Dict[str, Dict]:
-        """JSON-ready representation (used by the benchmark reports)."""
+        """JSON-ready representation."""
         return {
             "operators": {
                 key: {
@@ -283,28 +108,3 @@ def snapshot_operators(
             tuples_out=operator.tuples_out,
         )
     return snapshot
-
-
-def merge_metrics(runs: Sequence[RunMetrics]) -> Optional[RunMetrics]:
-    """Merge repeated runs of the same experiment cell into one record.
-
-    Throughput-related counters are averaged; sample lists are concatenated.
-    """
-    if not runs:
-        return None
-    first = runs[0]
-    merged = RunMetrics(query=first.query, technique=first.technique, deployment=first.deployment)
-    merged.source_tuples = int(sum(r.source_tuples for r in runs) / len(runs))
-    merged.sink_tuples = int(sum(r.sink_tuples for r in runs) / len(runs))
-    merged.wall_time_s = sum(r.wall_time_s for r in runs) / len(runs)
-    merged.memory_peak_bytes = max(r.memory_peak_bytes for r in runs)
-    merged.bytes_transferred = int(sum(r.bytes_transferred for r in runs) / len(runs))
-    merged.tuples_transferred = int(sum(r.tuples_transferred for r in runs) / len(runs))
-    for run in runs:
-        merged.latencies_s.extend(run.latencies_s)
-        merged.memory_samples_bytes.extend(run.memory_samples_bytes)
-        merged.traversal_times_s.extend(run.traversal_times_s)
-        merged.provenance_sizes.extend(run.provenance_sizes)
-        for instance, samples in run.per_instance_traversal_s.items():
-            merged.per_instance_traversal_s.setdefault(instance, []).extend(samples)
-    return merged

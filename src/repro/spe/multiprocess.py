@@ -7,10 +7,10 @@ parallelism is lost.  :class:`MultiprocessRuntime` closes that gap: every
 :class:`~repro.spe.instance.SPEInstance` is driven by the event-driven
 :class:`~repro.spe.scheduler.Scheduler` inside its own child process, and
 the instances communicate exclusively through channels backed by
-:class:`~repro.spe.channels.ProcessTransport` pipes carrying the
-already-serialised JSON payloads (data tuples, watermark advances, close
-markers -- and, under GL/BL, the cross-boundary provenance payloads that
-are deserialised and re-ingested on the provenance instance's process).
+:class:`~repro.spe.channels.ProcessTransport` pipes carrying
+:mod:`repro.spe.codec` batch blobs plus watermark advances and close markers
+(under GL/BL the blobs also carry the cross-boundary provenance payloads,
+decoded and re-ingested on the provenance instance's process).
 
 Because each instance still consumes its inputs in deterministic
 timestamp-merged order, the results are identical to the cooperative

@@ -7,19 +7,13 @@ The provenance manager is consulted on both sides: on Send it contributes the
 payload that must survive serialisation (GeneaLog: tuple type and unique ID),
 on Receive it re-attaches metadata to the freshly created tuple.
 
-The wire format is chosen by the channel's ``codec``:
-
-* ``"binary"`` (default) -- the Send operator encodes each batch it is
-  handed into **one** :mod:`repro.spe.codec` blob and flushes it with a
-  single :meth:`~repro.spe.channels.Channel.send_block`, so the per-tuple
-  serialisation and channel-accounting overhead is paid per batch.
-* ``"json"`` -- the seed's compatibility/debug format: one JSON document
-  per tuple, shipped with ``send_many``.
-
-The Receive operator decodes *any* payload regardless of its own codec
-setting: a ``bytes`` payload is a binary batch, a ``str`` payload is one
-JSON document (e.g. a fault-tolerance replay buffer, or a JSON-configured
-peer), so mixed traffic on one channel still deserialises correctly.
+The Send operator encodes each batch it is handed into **one**
+:mod:`repro.spe.codec` blob and flushes it with a single
+:meth:`~repro.spe.channels.Channel.send_block`, so the per-tuple
+serialisation and channel-accounting overhead is paid per batch; the Receive
+operator decodes each blob back into a batch.  Blobs are the only wire
+format: anything else fails the decode with
+:class:`~repro.spe.errors.SerializationError` naming the channel.
 """
 
 from __future__ import annotations
@@ -27,9 +21,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.spe.channels import Channel, Payload
-from repro.spe.codec import CODEC_JSON, BinaryChannelDecoder, BinaryChannelEncoder
+from repro.spe.codec import BinaryChannelDecoder, BinaryChannelEncoder
 from repro.spe.operators.base import Operator, SingleInputOperator
-from repro.spe.serialization import serialize_tuple
 from repro.spe.tuples import StreamTuple
 
 
@@ -54,34 +47,18 @@ class SendOperator(SingleInputOperator):
         # Per-channel-direction encoder state (interned strings, schemas).
         # Fresh state here matches the fresh decoder the receiving end
         # builds; both grow in lock-step via the wire.
-        self._encoder: Optional[BinaryChannelEncoder]
-        if getattr(channel, "codec", "binary") == CODEC_JSON:
-            self._encoder = None
-        else:
-            self._encoder = BinaryChannelEncoder(channel.name)
+        self._encoder = BinaryChannelEncoder(channel.name)
 
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         """Serialise the whole batch and flush it to the channel in one call."""
-        encoder = self._encoder
-        # ``None`` = no payload at all: the binary codec ships one flag byte
-        # for the batch instead of a document per tuple.
+        # ``None`` = no payload at all: the codec ships one flag byte for the
+        # batch instead of a document per tuple.
         payloads: Optional[List[Dict[str, Any]]] = None
         if self.ship_provenance:
             on_send = self.provenance.on_send
             payloads = [on_send(tup) for tup in batch]
-        if encoder is None:
-            name = self.channel.name
-            if payloads is None:
-                payloads = [{}] * len(batch)
-            self.channel.send_many(
-                [
-                    serialize_tuple(tup, payload, channel=name)
-                    for tup, payload in zip(batch, payloads)
-                ]
-            )
-        else:
-            blob = encoder.encode_batch(batch, payloads)
-            self.channel.send_block(blob, len(batch))
+        blob = self._encoder.encode_batch(batch, payloads)
+        self.channel.send_block(blob, len(batch))
         self._progress = True
 
     def on_watermark(self, watermark: float) -> None:
@@ -103,12 +80,11 @@ class ReceiveOperator(Operator):
         # Channel activity (send / watermark / close) must mark this operator
         # runnable: it has no input stream to signal it.
         channel.consumer = self
-        #: decoder for binary batch payloads; its JSON fallback also covers
-        #: ``str`` payloads, so it is built regardless of the channel codec.
+        #: mirror of the producing Send's encoder state.
         self._decoder = BinaryChannelDecoder(channel.name)
 
     def _decode(self, payload: Payload) -> List[StreamTuple]:
-        """Decode one channel payload and re-attach its provenance payloads.
+        """Decode one batch blob and re-attach its provenance payloads.
 
         Sends with ``ship_provenance=False`` (the GeneaLog unfolded streams)
         ship no payloads and other tuples may carry an empty one; nothing

@@ -14,8 +14,8 @@ class SinkOperator(SingleInputOperator):
 
     The sink records, for every received tuple, the wall-clock instant of its
     arrival; the difference with the tuple's ``wall`` attribute (the arrival
-    of the latest contributing source tuple) is the per-tuple latency used by
-    the evaluation harness.
+    of the latest contributing source tuple) is the per-tuple latency the
+    benchmark reports.
     """
 
     max_inputs = 1

@@ -24,7 +24,7 @@ class ProvenanceManager:
     "no provenance" (NP) configuration.
     """
 
-    #: short identifier used in experiment reports ("NP", "GL", "BL").
+    #: short identifier used in reports ("NP", "GL", "BL").
     name = "NP"
 
     #: True when every creation hook is a no-op (the NP configuration).

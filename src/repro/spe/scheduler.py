@@ -32,7 +32,7 @@ class Scheduler:
     them, or when they ask to be rescheduled (Sources that still have
     supplier data).  ``max_passes`` bounds the number of operator wake-ups;
     ``pass_callback`` is invoked every ``callback_every`` wake-ups (the
-    experiment harness uses it for memory sampling).
+    telemetry sampler is built on it).
     """
 
     def __init__(

@@ -15,8 +15,8 @@ and re-enacted on the coordinator-side objects.
 This module is that machinery, extracted so the two runtimes cannot diverge:
 
 * :class:`ShippingTap` records a sink's observed stream (tuples, watermark
-  advances, the close) in the worker, serialised with the channel
-  serialisation so anything that reached a sink ships back losslessly.
+  advances, the close) in the worker, encoded with the channel codec so
+  anything that reached a sink ships back losslessly.
 * :func:`prepare_sinks` installs shipping taps in the worker, displacing the
   coordinator-owned callbacks/taps (which must not run twice, and whose
   targets belong to the coordinator).
@@ -180,8 +180,7 @@ def replay_sink(sink: SinkOperator, shipped: Dict) -> None:
     decoder = BinaryChannelDecoder(f"shipping:{sink.name}")
     for kind, body in shipped["events"]:
         if kind == EVENT_TUPLE:
-            # one event is one batch blob (or one legacy JSON document --
-            # the decoder dispatches on the payload type either way).
+            # one event is one batch blob.
             tuples, _ = decoder.decode_batch(body)
             sink.deliver(tuples)
         elif kind == EVENT_WATERMARK:

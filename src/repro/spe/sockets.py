@@ -10,21 +10,18 @@ a :mod:`multiprocessing` pipe.  This module provides the wire layer:
   across ``recv`` calls, several frames in one read) and flags torn trailing
   frames and absurd lengths (corruption / protocol confusion) instead of
   allocating unbounded buffers.
-* **messages**: the same ``(tag, body)`` protocol the
-  :class:`~repro.spe.channels.ProcessTransport` pipes carry -- ``("d",
-  [payloads...])`` data batches of already-serialised tuple payloads,
-  ``("w", ts)`` watermark advances, ``("c", None)`` close markers.  They are
-  encoded *binary* by default (a one-byte tag, varint-framed payloads that
-  may be :mod:`repro.spe.codec` batch blobs or legacy JSON documents, a
-  fixed float64 watermark); the original JSON array encoding
-  (:func:`encode_message` / :func:`decode_message`) remains the
-  compatibility/debug format, and the decoder auto-detects it (JSON frames
-  start with ``[``), so an old peer can still talk to a new consumer.
-  Payloads are the exact objects the Send operator produced, so a tuple's
-  bytes on the wire are identical across the process and cluster runtimes.
+* **messages**: the same three messages the
+  :class:`~repro.spe.channels.ProcessTransport` pipes carry, each one frame
+  led by a one-byte tag -- ``D`` + one :mod:`repro.spe.codec` batch blob,
+  ``W`` + a float64 watermark, ``C`` for the close marker.  Any other lead
+  byte (a peer still speaking the retired JSON array encoding starts with
+  ``[``) fails the drain with :class:`SerializationError` naming the
+  channel.  The blob is the exact ``bytes`` the Send operator produced, so a
+  tuple's bytes on the wire are identical across the process and cluster
+  runtimes.
 * :class:`SocketTransport` -- the :class:`~repro.spe.channels.ChannelTransport`
   speaking that protocol over a TCP socket.  The producer side owns a
-  connected (blocking) socket and writes one frame per send/batch/control
+  connected (blocking) socket and writes one frame per blob or control
   message; the consumer side owns a non-blocking socket it drains into a
   local buffer exactly like the pipe transport drains its pipe.  Both sides
   may live on the same object (a loopback socketpair is created lazily),
@@ -42,15 +39,13 @@ end of a connection.
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
 import time
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.spe.channels import ChannelTransport, Payload
-from repro.spe.codec import read_uvarint, write_uvarint
 from repro.spe.errors import ChannelError, SerializationError
 from repro.spe.tuples import FINAL_WATERMARK
 
@@ -60,13 +55,15 @@ FRAME_HEADER = struct.Struct(">I")
 #: refuse frames larger than this (corrupt length prefix / wrong protocol).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: message tags shared with the pipe transport's wire protocol.
-MSG_DATA = "d"
-MSG_WATERMARK = "w"
-MSG_CLOSE = "c"
-
 #: bytes read from the socket per drain iteration.
 _RECV_CHUNK = 1 << 16
+
+#: lead bytes of the three channel messages.
+_DATA = b"D"
+_WATERMARK = b"W"
+_CLOSE = b"C"
+
+_WATERMARK_STRUCT = struct.Struct("<d")
 
 
 def encode_frame(payload: bytes) -> bytes:
@@ -76,137 +73,6 @@ def encode_frame(payload: bytes) -> bytes:
             f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )
     return FRAME_HEADER.pack(len(payload)) + payload
-
-
-def encode_message(tag: str, body) -> bytes:
-    """Encode one ``(tag, body)`` protocol message into a frame."""
-    try:
-        payload = json.dumps([tag, body], separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"cannot encode message {tag!r}: {exc}") from exc
-    return encode_frame(payload)
-
-
-def decode_message(payload: bytes) -> Tuple[str, object]:
-    """Decode one frame payload back into its ``(tag, body)`` message."""
-    try:
-        document = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SerializationError(f"cannot decode message frame: {exc}") from exc
-    if not isinstance(document, list) or len(document) != 2 or not isinstance(document[0], str):
-        raise SerializationError(
-            f"malformed message frame: expected a [tag, body] pair, got {document!r}"
-        )
-    return document[0], document[1]
-
-
-#: one-byte tags of the binary channel-message encoding.  The JSON fallback
-#: is detected by its first byte: a JSON message frame always starts with
-#: ``[`` (0x5B), which none of these tags use.
-_BIN_DATA = ord("D")
-_BIN_WATERMARK = ord("W")
-_BIN_CLOSE = ord("C")
-_JSON_OPEN = ord("[")
-
-#: per-payload kind markers inside a binary data message.
-_KIND_BLOB = 0  # bytes: a binary codec batch blob
-_KIND_TEXT = 1  # str: a legacy JSON tuple document
-
-_WATERMARK_STRUCT = struct.Struct("<d")
-
-
-def encode_channel_message(tag: str, body) -> bytes:
-    """Encode one channel message into a frame using the binary encoding.
-
-    Data bodies are sequences of payloads; each payload ships with a kind
-    marker so ``bytes`` batch blobs and ``str`` JSON documents both survive
-    (a channel can legitimately carry a mix, e.g. fault-tolerance replays
-    into a binary-configured channel).
-    """
-    if tag == MSG_DATA:
-        out = bytearray()
-        out.append(_BIN_DATA)
-        write_uvarint(out, len(body))
-        for payload in body:
-            if isinstance(payload, bytes):
-                out.append(_KIND_BLOB)
-                write_uvarint(out, len(payload))
-                out += payload
-            elif isinstance(payload, str):
-                raw = payload.encode("utf-8")
-                out.append(_KIND_TEXT)
-                write_uvarint(out, len(raw))
-                out += raw
-            else:
-                raise SerializationError(
-                    f"cannot encode data message: payload of type "
-                    f"{type(payload).__name__} is neither bytes nor str"
-                )
-        return encode_frame(bytes(out))
-    if tag == MSG_WATERMARK:
-        return encode_frame(bytes((_BIN_WATERMARK,)) + _WATERMARK_STRUCT.pack(body))
-    if tag == MSG_CLOSE:
-        return encode_frame(bytes((_BIN_CLOSE,)))
-    raise SerializationError(f"cannot encode message with unknown tag {tag!r}")
-
-
-def decode_channel_message(frame: bytes, channel: str = "") -> Tuple[str, object]:
-    """Decode one frame payload into ``(tag, body)``, either encoding.
-
-    Binary messages are recognised by their tag byte; a frame starting with
-    ``[`` is the JSON compatibility encoding and is delegated to
-    :func:`decode_message`.
-    """
-    if not frame:
-        raise SerializationError(
-            f"channel {channel!r}: empty message frame on the wire"
-        )
-    lead = frame[0]
-    if lead == _JSON_OPEN:
-        return decode_message(frame)
-    try:
-        if lead == _BIN_DATA:
-            count, pos = read_uvarint(frame, 1)
-            payloads: List[Payload] = []
-            for _ in range(count):
-                kind = frame[pos]
-                length, pos = read_uvarint(frame, pos + 1)
-                end = pos + length
-                raw = frame[pos:end]
-                if len(raw) != length:
-                    raise SerializationError(
-                        f"channel {channel!r}: data message truncated "
-                        f"(payload declares {length} bytes, {len(raw)} left)"
-                    )
-                if kind == _KIND_BLOB:
-                    payloads.append(raw)
-                elif kind == _KIND_TEXT:
-                    payloads.append(raw.decode("utf-8"))
-                else:
-                    raise SerializationError(
-                        f"channel {channel!r}: unknown payload kind {kind:#x} "
-                        "in a data message"
-                    )
-                pos = end
-            if pos != len(frame):
-                raise SerializationError(
-                    f"channel {channel!r}: {len(frame) - pos} trailing byte(s) "
-                    "after a data message"
-                )
-            return MSG_DATA, payloads
-        if lead == _BIN_WATERMARK:
-            (ts,) = _WATERMARK_STRUCT.unpack_from(frame, 1)
-            return MSG_WATERMARK, ts
-        if lead == _BIN_CLOSE:
-            return MSG_CLOSE, None
-    except (IndexError, struct.error, UnicodeDecodeError) as exc:
-        raise SerializationError(
-            f"channel {channel!r}: truncated or corrupt channel message "
-            f"({len(frame)} bytes): {exc}"
-        ) from exc
-    raise SerializationError(
-        f"channel {channel!r}: unknown message tag {lead:#x} on the wire"
-    )
 
 
 class FrameDecoder:
@@ -319,13 +185,13 @@ def connect_with_retry(
 
 
 class SocketTransport(ChannelTransport):
-    """A TCP socket carrying the serialised channel payloads.
+    """A TCP socket carrying the channel's batch blobs.
 
-    Speaks the same message protocol as the pipe-backed
-    :class:`~repro.spe.channels.ProcessTransport` -- data batches of
-    pre-serialised tuples, watermark advances, close markers -- with each
-    message travelling as one length-prefixed frame, so one ``send_many`` is
-    one frame (and typically one TCP segment burst).
+    Speaks the same messages as the pipe-backed
+    :class:`~repro.spe.channels.ProcessTransport` -- one blob per data
+    message, watermark advances, close markers -- with each message
+    travelling as one length-prefixed frame, so one Send flush is one frame
+    (and typically one TCP segment burst).
 
     A transport starts *detached*: the cluster worker wiring attaches the
     producer socket on the sending host and the consumer socket on the
@@ -335,9 +201,9 @@ class SocketTransport(ChannelTransport):
     :func:`socket.socketpair` is created lazily on first use.
 
     Like the pipe transport, the consumer-side state (:attr:`watermark`,
-    :attr:`closed`, ``len()``) is only refreshed by :meth:`receive` /
-    :meth:`receive_all` drains, never by property reads, so a coordinator
-    inspecting its (detached) copy of the object steals nothing.  Instances
+    :attr:`closed`, ``len()``) is only refreshed by :meth:`receive_all`
+    drains, never by property reads, so a coordinator inspecting its
+    (detached) copy of the object steals nothing.  Instances
     are picklable while detached: a plan shipped to a cluster worker carries
     the transport's identity, and the worker attaches the live sockets.
     """
@@ -355,7 +221,7 @@ class SocketTransport(ChannelTransport):
         self._eof = False
 
     # -- plan shipping -----------------------------------------------------
-    def __getstate__(self):
+    def __getstate__(self) -> Dict[str, str]:
         if self._producer_sock is not None or self._consumer_sock is not None:
             raise SerializationError(
                 f"socket transport {self.name!r} is attached to live sockets "
@@ -363,8 +229,8 @@ class SocketTransport(ChannelTransport):
             )
         return {"name": self.name}
 
-    def __setstate__(self, state) -> None:
-        self.__init__(state["name"])
+    def __setstate__(self, state: Dict[str, str]) -> None:
+        SocketTransport.__init__(self, state["name"])
 
     # -- wiring ------------------------------------------------------------
     def attach_producer(self, sock: socket.socket) -> None:
@@ -405,11 +271,12 @@ class SocketTransport(ChannelTransport):
         self._consumer_sock = None
 
     # -- producer side -----------------------------------------------------
-    def _send_message(self, tag: str, body) -> None:
+    def _send_message(self, message: bytes) -> None:
         if self._producer_sock is None:
             self._ensure_loopback()
+        assert self._producer_sock is not None
         try:
-            send_frame(self._producer_sock, encode_channel_message(tag, body))
+            send_frame(self._producer_sock, encode_frame(message))
         except OSError as exc:
             raise ChannelError(
                 f"channel {self.name!r}: cannot send to peer ({exc}); the "
@@ -417,42 +284,43 @@ class SocketTransport(ChannelTransport):
             ) from exc
 
     def send(self, payload: Payload) -> None:
-        self._send_message(MSG_DATA, (payload,))
-
-    def send_many(self, payloads: Sequence[Payload]) -> None:
-        self._send_message(MSG_DATA, tuple(payloads))
+        self._send_message(_DATA + payload)
 
     def advance_watermark(self, ts: float) -> bool:
         if ts > self._watermark:
             self._watermark = ts
-            self._send_message(MSG_WATERMARK, ts)
+            self._send_message(_WATERMARK + _WATERMARK_STRUCT.pack(ts))
             return True
         return False
 
     def close(self) -> None:
         self._closed = True
         self._watermark = FINAL_WATERMARK
-        self._send_message(MSG_CLOSE, None)
+        self._send_message(_CLOSE)
 
     # -- consumer side -----------------------------------------------------
-    def _apply(self, tag: str, body) -> None:
-        if tag == MSG_DATA:
-            self._buffer.extend(body)
-        elif tag == MSG_WATERMARK:
-            if body > self._watermark:
-                self._watermark = body
-        elif tag == MSG_CLOSE:
+    def _apply(self, frame: bytes) -> None:
+        lead = frame[:1]
+        if lead == _DATA:
+            self._buffer.append(frame[1:])
+        elif lead == _WATERMARK and len(frame) == 1 + _WATERMARK_STRUCT.size:
+            (ts,) = _WATERMARK_STRUCT.unpack_from(frame, 1)
+            if ts > self._watermark:
+                self._watermark = ts
+        elif lead == _CLOSE and len(frame) == 1:
             self._closed = True
             self._watermark = FINAL_WATERMARK
         else:
             raise SerializationError(
-                f"channel {self.name!r}: unknown message tag {tag!r} on the wire"
+                f"channel {self.name!r}: malformed message frame on the wire "
+                f"({len(frame)} bytes, lead byte {lead!r})"
             )
 
     def _drain(self) -> None:
         if self._consumer_sock is None:
             self._ensure_loopback()
         sock = self._consumer_sock
+        assert sock is not None
         while not self._eof:
             try:
                 data = sock.recv(_RECV_CHUNK)
@@ -466,7 +334,7 @@ class SocketTransport(ChannelTransport):
                 self._eof = True
                 break
             for frame in self._decoder.feed(data):
-                self._apply(*decode_channel_message(frame, self.name))
+                self._apply(frame)
         if self._eof and not self._closed:
             torn = self._decoder.pending_bytes
             raise ChannelError(
@@ -474,13 +342,6 @@ class SocketTransport(ChannelTransport):
                 "the close marker (worker died mid-run"
                 + (f"; {torn} torn trailing byte(s))" if torn else ")")
             )
-
-    def receive(self) -> Optional[Payload]:
-        if not self._buffer:
-            self._drain()
-        if not self._buffer:
-            return None
-        return self._buffer.popleft()
 
     def receive_all(self) -> List[Payload]:
         self._drain()

@@ -424,7 +424,6 @@ def query_pipeline(
     execution: str = "event",
     parallelism: int = 1,
     hosts=None,
-    codec: str = "binary",
     telemetry=None,
 ) -> Pipeline:
     """A ready-to-run :class:`Pipeline` for query ``name``.
@@ -437,8 +436,7 @@ def query_pipeline(
     instances -- see :class:`~repro.spe.cluster.ClusterRuntime`).  ``parallelism``
     shards the keyed stateful stages; inter-process deployments then use
     :func:`query_parallel_placement`, spreading each replica onto its own
-    SPE instance.  ``codec`` selects the channel wire format
-    (``"binary"`` batched blobs, default, or per-tuple ``"json"``).
+    SPE instance.
     """
     if deployment not in ("intra", "inter"):
         raise ValueError(f"unknown deployment {deployment!r}; expected 'intra' or 'inter'")
@@ -457,7 +455,6 @@ def query_pipeline(
         fused=fused,
         execution=execution,
         hosts=hosts,
-        codec=codec,
         telemetry=telemetry,
     )
 

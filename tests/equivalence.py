@@ -161,15 +161,13 @@ def data_channel_counts(channels):
 _EVENT_RESULTS = {}
 
 
-def run_cell(
-    query_name, mode, parallelism=1, deployment="inter", execution="event", codec="binary"
-):
+def run_cell(query_name, mode, parallelism=1, deployment="inter", execution="event"):
     """Run one cell of the equivalence matrix; return its ``PipelineResult``.
 
-    In-process binary-codec cells are run once per session and shared by
-    every suite (read-only: none of the compared quantities depends on the
-    wall stamps, and no test mutates a result); out-of-process and JSON
-    cells run fresh on every call.
+    In-process cells are run once per session and shared by every suite
+    (read-only: none of the compared quantities depends on the wall stamps,
+    and no test mutates a result); out-of-process cells run fresh on every
+    call.
     """
     def run():
         return query_pipeline(
@@ -179,10 +177,9 @@ def run_cell(
             deployment=deployment,
             execution=execution,
             parallelism=parallelism,
-            codec=codec,
         ).run()
 
-    if execution != "event" or codec != "binary":
+    if execution != "event":
         return run()
     key = (query_name, mode, parallelism, deployment)
     if key not in _EVENT_RESULTS:

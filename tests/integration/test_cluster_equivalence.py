@@ -81,9 +81,8 @@ class TestClusterEquivalence:
             # NP traffic carries no opaque ids, but the stateful binary codec
             # frames one blob per Send flush, and flush sizes follow OS
             # scheduling across runtimes -- so wire bytes are not comparable
-            # cell-by-cell (the per-tuple json codec's byte identity is
-            # covered in the multiprocess suite).  Every data channel must
-            # still have moved actual payload bytes.
+            # cell-by-cell.  Every data channel must still have moved actual
+            # payload bytes.
             assert all(
                 c.bytes_sent > 0 for c in cluster.channels if c.tuples_sent
             )

@@ -13,8 +13,7 @@ parallelism {1, 2} these tests run ``execution="process"`` against
 * data-channel transfer counts -- identical per-channel tuple counts, GL's
   unfold channels excluded (byte volumes are not compared: the stateful
   binary codec frames one blob per Send flush, and flush sizes follow OS
-  scheduling, so wire bytes are only comparable under the per-tuple ``json``
-  codec -- covered by a dedicated JSON-codec cell below).
+  scheduling).
 
 The canonicalisers, workloads and ``run_cell`` are :mod:`tests.equivalence`'s,
 shared with the parallel, cluster and reference-oracle suites.
@@ -89,21 +88,6 @@ class TestMultiprocessEquivalence:
         assert snapshot.total_work_calls > 0
         assert snapshot.total_tuples_sent == process.tuples_transferred()
         assert process.wakeups > 0 and process.rounds > 0
-
-    def test_json_codec_preserves_byte_identical_np_traffic(self):
-        """The per-tuple ``json`` codec keeps NP wire bytes runtime-independent.
-
-        This is the seed's original byte-identity oracle, still valid under
-        the compatibility codec: one JSON document per tuple means payload
-        bytes are a pure function of the data, independent of how the OS
-        scheduler carved the stream into Send flushes.
-        """
-        event = run_cell("q1", ProvenanceMode.NONE, 2, codec="json")
-        process = run_cell("q1", ProvenanceMode.NONE, 2, execution="process", codec="json")
-        assert sink_bytes(process.sink) == sink_bytes(event.sink)
-        assert sorted((c.name, c.bytes_sent) for c in process.channels) == sorted(
-            (c.name, c.bytes_sent) for c in event.channels
-        )
 
 
 class TestMultiprocessProvenanceStore:

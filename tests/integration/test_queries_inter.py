@@ -137,15 +137,23 @@ class TestInterProcessMechanics:
         assert set(times) == {"spe1", "spe2"}
         assert all(samples for samples in times.values())
 
-    def test_baseline_ships_the_whole_source_stream(self):
-        baseline = run_inter("q1", ProvenanceMode.BASELINE)
-        source_count = baseline.source.tuples_out
+    @pytest.mark.parametrize("query_name", ALL_QUERIES)
+    def test_baseline_ships_the_whole_source_stream(self, query_name):
+        runs = {mode: run_inter(query_name, mode) for mode in ProvenanceMode}
+        baseline = runs[ProvenanceMode.BASELINE]
         baseline_sources_channel = next(
             channel for channel in baseline.channels if "sources" in channel.name
         )
         # The baseline has no choice: every source tuple crosses the network,
         # contributing or not (the paper's main criticism of BL).
-        assert baseline_sources_channel.tuples_sent == source_count
+        assert baseline_sources_channel.tuples_sent == baseline.source.tuples_out
+        # Fig. 13's traffic shape: both techniques ship more than NP does.
+        wire_bytes = {
+            mode: sum(channel.bytes_sent for channel in run.channels)
+            for mode, run in runs.items()
+        }
+        assert wire_bytes[ProvenanceMode.GENEALOG] > wire_bytes[ProvenanceMode.NONE]
+        assert wire_bytes[ProvenanceMode.BASELINE] > wire_bytes[ProvenanceMode.NONE]
 
     def test_genealog_ships_only_candidate_provenance(self):
         genealog = run_inter("q1", ProvenanceMode.GENEALOG)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+from repro.spe.codec import BinaryChannelEncoder
 from repro.spe.operators.base import Operator
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple
@@ -61,3 +62,9 @@ def run_operator(operator: Operator, max_rounds: int = 1000) -> None:
 def collect(stream: Stream) -> List[StreamTuple]:
     """Drain ``stream`` and return its tuples."""
     return stream.drain()
+
+
+def blobs(*batches: List[StreamTuple], channel: str = "c") -> List[bytes]:
+    """Encode each batch into one blob, as a Send on ``channel`` would."""
+    encoder = BinaryChannelEncoder(channel)
+    return [encoder.encode_batch(batch) for batch in batches]

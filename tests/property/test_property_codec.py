@@ -17,7 +17,8 @@ whole encoded streams in FIFO order through one encoder/decoder pair:
 * string columns round-trip exactly whichever way they ship (interned codes,
   front-coded text, generic fallback), including the values the retired id
   dictionary had to special-case,
-* retired tags and non-string document keys fail loudly, naming the channel,
+* retired tags, retired ``str`` (JSON document) payloads and non-string
+  document keys fail loudly, naming the channel,
 * a warm batch costs O(columns) interpreter steps plus O(rows): added string
   columns add the same number of traced lines whatever the row count.
 """
@@ -506,6 +507,12 @@ class TestWireHygiene:
         blob = BinaryChannelEncoder("prop").encode_batch(rows(x=[1]))
         with pytest.raises(SerializationError, match="'stale'.*magic"):
             BinaryChannelDecoder("stale").decode_batch(b"\xb5" + blob[1:])
+
+    @pytest.mark.parametrize("payload", ['{"ts": 1.0, "values": {}}', ""])
+    def test_retired_json_document_fails_naming_the_channel(self, payload):
+        # A ``str`` payload is the retired per-tuple JSON wire format.
+        with pytest.raises(SerializationError, match="'stale'.*str payload.*magic"):
+            BinaryChannelDecoder("stale").decode_batch(payload)
 
     @pytest.mark.parametrize("where", ["values", "payload"])
     def test_non_string_document_key_names_channel_and_key(self, where):

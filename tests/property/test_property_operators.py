@@ -1,6 +1,5 @@
 """Property-based tests for the deterministic-merge and windowing machinery."""
 
-import json
 import math
 
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.spe.operators.aggregate import AggregateOperator, WindowSpec
 from repro.spe.operators.union import UnionOperator
-from repro.spe.serialization import deserialize_tuple, serialize_tuple
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple
 
@@ -142,37 +140,3 @@ class TestAggregateProperties:
         while operator.work():
             pass
         assert operator.buffered_tuples() == 0
-
-
-# ---------------------------------------------------------------------------
-# Serialisation
-# ---------------------------------------------------------------------------
-
-json_values = st.dictionaries(
-    st.text(min_size=1, max_size=8),
-    st.one_of(
-        st.integers(-1000, 1000),
-        st.floats(allow_nan=False, allow_infinity=False, width=32),
-        st.text(max_size=12),
-        st.booleans(),
-        st.none(),
-    ),
-    max_size=6,
-)
-
-
-class TestSerializationProperties:
-    @given(
-        st.floats(min_value=0, max_value=1e9, allow_nan=False),
-        json_values,
-        st.dictionaries(st.text(min_size=1, max_size=5), st.text(max_size=10), max_size=3),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_round_trip(self, ts, values, payload):
-        original = StreamTuple(ts=ts, values=values)
-        data = serialize_tuple(original, payload)
-        json.loads(data)  # the wire format is valid JSON
-        restored, restored_payload = deserialize_tuple(data)
-        assert restored.ts == original.ts
-        assert restored.values == original.values
-        assert restored_payload == payload

@@ -1,10 +1,14 @@
 """Unit tests of the channel transport interface.
 
 The :class:`~repro.spe.channels.Channel` API is transport-agnostic: the
-in-memory deque and the multiprocessing pipe must be observably identical
-to the Send/Receive operators.  A :class:`ProcessTransport` also works with
-producer and consumer in the *same* process (a pipe to self), which is what
-these tests exploit to exercise the wire protocol without forking.
+in-memory deque, the multiprocessing pipe and the TCP socket must be
+observably identical to the Send/Receive operators.  The contract is
+``send_block`` / ``advance_watermark`` / ``close`` on the producer side and
+``receive_all`` on the consumer side, over opaque ``bytes`` batch blobs.  A
+:class:`ProcessTransport` (a pipe to self) and a detached
+:class:`SocketTransport` (a loopback socket pair) also work with producer and
+consumer in the *same* process, which is what these tests exploit to
+exercise the wire protocols without forking.
 """
 
 from __future__ import annotations
@@ -17,25 +21,36 @@ from repro.spe.operators.send_receive import ReceiveOperator, SendOperator
 from repro.spe.sockets import SocketTransport
 from repro.spe.streams import Stream
 from repro.spe.tuples import FINAL_WATERMARK
-from tests.optest import collect, feed, run_operator, tup, wire
+from tests.optest import blobs, collect, feed, run_operator, tup, wire
 
 TRANSPORTS = (InMemoryTransport, ProcessTransport, SocketTransport)
 
+#: three consecutive blobs of one channel: 2, 1 and 3 tuples.
+BATCHES = (
+    [tup(1.0, v=1), tup(2.0, v=2)],
+    [tup(3.0, v=3)],
+    [tup(4.0, v=4), tup(5.0, v=5), tup(6.0, v=6)],
+)
 
-@pytest.mark.parametrize("transport_cls", TRANSPORTS, ids=lambda c: c.__name__)
+
+@pytest.fixture(params=TRANSPORTS, ids=lambda cls: cls.__name__)
+def channel(request):
+    channel = Channel("c", transport=request.param())
+    yield channel
+    if isinstance(channel.transport, SocketTransport):
+        channel.transport.close_sockets()
+
+
 class TestTransportContract:
-    def test_send_receive_round_trip(self, transport_cls):
-        channel = Channel("c", transport=transport_cls())
-        channel.send("one")
-        channel.send_many(["two", "three"])
-        assert channel.receive() == "one"
-        assert channel.receive_all() == ["two", "three"]
-        assert channel.receive() is None
-        assert channel.tuples_sent == 3
-        assert channel.bytes_sent == len("one") + len("two") + len("three")
+    def test_send_block_then_receive_all_is_fifo(self, channel):
+        sent = blobs(*BATCHES)
+        for blob, batch in zip(sent, BATCHES):
+            channel.send_block(blob, len(batch))
+        assert channel.receive_all() == sent
+        assert channel.receive_all() == []
+        assert len(channel) == 0
 
-    def test_watermark_is_monotone(self, transport_cls):
-        channel = Channel("c", transport=transport_cls())
+    def test_watermark_is_monotone(self, channel):
         channel.advance_watermark(5.0)
         channel.advance_watermark(3.0)
         channel.receive_all()  # cross-process views refresh on drains
@@ -44,28 +59,25 @@ class TestTransportContract:
         channel.receive_all()
         assert channel.watermark == 7.0
 
-    def test_close_finalises_the_watermark(self, transport_cls):
-        channel = Channel("c", transport=transport_cls())
-        channel.send("last")
+    def test_close_refuses_the_next_send_and_still_drains(self, channel):
+        first, second = blobs(BATCHES[0], BATCHES[1])
+        channel.send_block(first, 2)
         channel.close()
-        with pytest.raises(ChannelError):
-            channel.send("after close")
-        with pytest.raises(ChannelError):
-            channel.send_many(["after close"])
-        assert channel.receive_all() == ["last"]
+        with pytest.raises(ChannelError, match="'c' is closed"):
+            channel.send_block(second, 1)
+        assert channel.receive_all() == [first]
         assert channel.closed
         assert channel.watermark == FINAL_WATERMARK
+        assert channel.counters() == (2, len(first))
 
-    def test_len_counts_undelivered_payloads(self, transport_cls):
-        channel = Channel("c", transport=transport_cls())
-        channel.send_many(["a", "b", "c"])
-        channel.receive_all()  # the consumer-side buffer refreshes on drains
-        assert len(channel) == 0
-        channel.send("d")
-        assert channel.receive() == "d"
+    def test_counters_account_tuples_and_wire_bytes(self, channel):
+        sent = blobs(*BATCHES)
+        for blob, batch in zip(sent, BATCHES):
+            channel.send_block(blob, len(batch))
+        assert channel.counters() == (6, sum(map(len, sent)))
+        assert (channel.tuples_sent, channel.bytes_sent) == channel.counters()
 
-    def test_send_receive_operators_through_the_transport(self, transport_cls):
-        channel = Channel("c", transport=transport_cls())
+    def test_send_receive_operators_through_the_transport(self, channel):
         send = SendOperator("send", channel)
         (send_in,), _ = wire(send, n_outputs=0)
         feed(send_in, [tup(1.0, v=1), tup(2.0, v=2)], close=True)
@@ -87,11 +99,12 @@ class TestProcessTransportProtocol:
         # consumer's messages.
         transport = ProcessTransport()
         channel = Channel("c", transport=transport)
-        channel.send("payload")
+        (blob,) = blobs(BATCHES[0])
+        channel.send_block(blob, 2)
         channel.advance_watermark(4.0)
         assert len(channel) == 0  # nothing drained into the local buffer yet
         assert transport.reader.poll()  # ... and the messages are still piped
-        assert channel.receive_all() == ["payload"]
+        assert channel.receive_all() == [blob]
         assert channel.watermark == 4.0
 
     def test_reader_is_waitable(self):
@@ -100,7 +113,7 @@ class TestProcessTransportProtocol:
         transport = ProcessTransport()
         channel = Channel("c", transport=transport)
         assert connection.wait([transport.reader], timeout=0.0) == []
-        channel.send("payload")
+        channel.send_block(*blobs(BATCHES[1]), 1)
         assert connection.wait([transport.reader], timeout=1.0) == [transport.reader]
 
     def test_no_consumer_signal_for_cross_process_transports(self):
@@ -110,12 +123,13 @@ class TestProcessTransportProtocol:
             def signal(self):
                 signals.append(True)
 
+        (blob,) = blobs(BATCHES[1])
         local = Channel("local")
         local.consumer = FakeConsumer()
-        local.send("x")
+        local.send_block(blob, 1)
         assert signals == [True]
 
         piped = Channel("piped", transport=ProcessTransport())
         piped.consumer = FakeConsumer()
-        piped.send("x")
+        piped.send_block(blob, 1)
         assert signals == [True]  # unchanged: the pipe is the wake-up signal

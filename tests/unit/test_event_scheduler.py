@@ -2,7 +2,7 @@
 
 Covers the readiness bookkeeping (wake-on-push, wake-on-watermark,
 wake-on-close, wake deduplication, no lost wake-ups), the batch dataplane
-(``pop_ready`` / ``push_many`` / ``send_many`` / ``emit_many``), the
+(``pop_ready`` / ``push_many`` / ``emit_many``), the
 single-pass multi-input merge (tie-break and barrier), stuck-graph
 diagnostics, and the :class:`StreamTuple` fast-construction path.
 """
@@ -20,7 +20,7 @@ from repro.spe.runtime import DistributedRuntime
 from repro.spe.scheduler import Scheduler
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple, owned_values
-from tests.optest import tup, wire
+from tests.optest import blobs, tup, wire
 
 
 def attach_waker(operator):
@@ -91,7 +91,7 @@ class TestReadinessBookkeeping:
         receive = ReceiveOperator("recv", channel)
         wire(receive, n_inputs=0, n_outputs=1)
         woken = attach_waker(receive)
-        channel.send('{"ts": 1, "values": {}, "wall": 0, "prov": {}}')
+        channel.send_block(*blobs([tup(1)]), 1)
         assert woken == [receive]
         receive._queued = False
         channel.advance_watermark(1.0)
@@ -135,13 +135,6 @@ class TestBatchDataplane:
         woken = attach_waker(flt)
         stream.push_many([tup(1), tup(2), tup(3)])
         assert woken == [flt]
-
-    def test_channel_send_many_counts_tuples_and_bytes(self):
-        channel = Channel("c")
-        channel.send_many(["abc", "defgh"])
-        assert channel.tuples_sent == 2
-        assert channel.bytes_sent == 8
-        assert channel.receive_all() == ["abc", "defgh"]
 
 
 class TestDeterministicMerge:

@@ -8,8 +8,8 @@ Covers the failure scenarios of the bugfix sweep:
   workers stopped immediately under the
   :class:`~repro.spe.multiprocess.MultiprocessRuntime` (the cluster suite
   runs the same scenario over sockets),
-* a :class:`~repro.spe.fault_tolerance.ReliableSendOperator` that crashes
-  between backup and channel send must leave the payload replayable,
+* a Receive racing a concurrent producer must never emit behind the
+  watermark it forwarded,
 * a :class:`~repro.provstore.backends.JsonlLedgerBackend` whose writer was
   killed mid-append (torn trailing JSONL line) must still re-open,
 * :class:`~repro.spe.channels.Channel` traffic counters must stay
@@ -27,12 +27,11 @@ import pytest
 from repro.provstore import ProvenanceLedger, open_provenance_store
 from repro.provstore.backends import JsonlLedgerBackend, LedgerError
 from repro.spe.channels import Channel, InMemoryTransport, ProcessTransport
-from repro.spe.errors import ChannelError, SchedulingError
-from repro.spe.fault_tolerance import ReliableSendOperator, UpstreamBackup, replay_into
+from repro.spe.errors import SchedulingError
 from repro.spe.instance import SPEInstance
 from repro.spe.multiprocess import MultiprocessRuntime
 from repro.spe.runtime import DistributedRuntime
-from tests.optest import tup
+from tests.optest import blobs, tup
 
 fork_required = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -100,37 +99,6 @@ class TestMultiprocessCrashPropagation:
     def test_rejects_non_process_channels(self):
         with pytest.raises(SchedulingError, match="not process-backed"):
             MultiprocessRuntime(crashing_deployment(False))
-
-
-class TestReliableSendOrdering:
-    class _ExplodingChannel(Channel):
-        """A channel whose send fails (downstream link lost mid-send)."""
-
-        def send(self, payload):
-            raise ChannelError("link lost mid-send")
-
-    def test_payload_is_backed_up_before_the_send(self):
-        backup = UpstreamBackup(retention=100)
-        channel = self._ExplodingChannel("lossy")
-        send = ReliableSendOperator("send", channel, backup)
-        with pytest.raises(ChannelError):
-            send.process_tuple(tup(1.0, v=42))
-        # the crash hit *between* backup and send: the tuple must be
-        # recoverable, not silently lost.
-        assert len(backup) == 1
-        recovery = Channel("recovery")
-        assert replay_into(backup, recovery) == 1
-        assert recovery.tuples_sent == 1
-
-    def test_batch_path_records_each_tuple_before_sending_it(self):
-        backup = UpstreamBackup(retention=100)
-        channel = self._ExplodingChannel("lossy")
-        send = ReliableSendOperator("send", channel, backup)
-        with pytest.raises(ChannelError):
-            send.process_batch([tup(1.0, v=1), tup(2.0, v=2)])
-        # per-tuple fallback: the first tuple was recorded before its send
-        # failed; nothing was sent-but-unbacked-up.
-        assert len(backup) == 1
 
 
 class TestTornLedgerTail:
@@ -212,8 +180,8 @@ class TestReceiveWatermarkRace:
                 self.raced = True
                 # the producer thread runs here: two tuples, then the
                 # watermark that covers them.
-                super().send('{"ts": 10530.0, "values": {"v": 1}, "wall": 0.0, "prov": {}}')
-                super().send('{"ts": 10590.0, "values": {"v": 2}, "wall": 0.0, "prov": {}}')
+                for blob in blobs([tup(10530.0, v=1)], [tup(10590.0, v=2)], channel="racy"):
+                    super().send(blob)
                 super().advance_watermark(10590.0)
             return drained
 
@@ -238,10 +206,11 @@ class TestChannelCounterConsistency:
     def test_concurrent_producers_never_lose_counter_updates(self):
         channel = Channel("contended")
         per_thread = 2000
+        (blob,) = blobs([tup(0.0, v=0), tup(1.0, v=1)], channel="contended")
 
         def blast(base):
             for index in range(per_thread):
-                channel.send(f"payload-{base + index}")
+                channel.send_block(blob, 2)
                 channel.advance_watermark(float(base + index))
 
         threads = [
@@ -252,11 +221,7 @@ class TestChannelCounterConsistency:
         for thread in threads:
             thread.join()
         tuples_sent, bytes_sent = channel.counters()
-        assert tuples_sent == 2 * per_thread
-        assert bytes_sent == sum(
-            len(f"payload-{base + index}")
-            for base in (0, 10_000)
-            for index in range(per_thread)
-        )
+        assert tuples_sent == 2 * 2 * per_thread
+        assert bytes_sent == 2 * per_thread * len(blob)
         assert channel.watermark == float(10_000 + per_thread - 1)
         assert len(channel) == 2 * per_thread

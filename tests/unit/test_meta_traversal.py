@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.meta import METADATA_FIELDS, GeneaLogMeta, get_meta, require_meta
+from repro.core.meta import METADATA_FIELDS, GeneaLogMeta, get_meta
 from repro.core.traversal import (
     contribution_graph,
     direct_contributors,
@@ -58,12 +58,6 @@ class TestMeta:
         assert get_meta(StreamTuple(ts=1)) is None
         other = StreamTuple(ts=1, meta="not-genealog")
         assert get_meta(other) is None
-
-    def test_require_meta_treats_bare_tuples_as_sources(self):
-        bare = StreamTuple(ts=1)
-        meta = require_meta(bare)
-        assert meta.type is TupleType.SOURCE
-        assert bare.meta is meta
 
 
 class TestFindProvenance:

@@ -192,17 +192,6 @@ class TestPayloadReattachment:
         receive(channel, manager)
         assert manager.received == []
 
-    def test_json_documents_take_the_same_path(self):
-        channel = Channel("c", codec="json")
-        send = SendOperator("send", channel, ship_provenance=False)
-        (send_in,), _ = wire(send, n_outputs=0)
-        feed(send_in, [tup(1, x=1)], close=True)
-        run_operator(send)
-        manager = RecordingManager()
-        restored = receive(channel, manager)
-        assert [t["x"] for t in restored] == [1]
-        assert manager.received == []
-
     def test_unshipped_batch_spends_one_byte_on_payloads(self):
         batch = [tup(float(i), x=i) for i in range(50)]
         unshipped = ship(ship_provenance=False, tuples=batch)

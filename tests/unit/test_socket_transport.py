@@ -8,7 +8,8 @@ this file covers what is *specific* to the wire:
 * the length-prefixed frame codec under arbitrary fragmentation -- partial
   reads, many frames per read, torn tails, oversized declared lengths --
   including a property-based fuzz over random payloads and chunkings,
-* the message layer (empty batches, unknown tags, malformed frames),
+* the message layer: one blob per data frame, and a frame with any other
+  lead byte -- including the retired JSON array encoding -- failing loudly,
 * EOF semantics: a producer socket dying *before* the close marker is a
   :class:`~repro.spe.errors.ChannelError` naming the channel (the cluster
   fail-fast trigger), while EOF *after* the close is a normal end,
@@ -32,11 +33,12 @@ from repro.spe.sockets import (
     FrameDecoder,
     SocketTransport,
     connect_with_retry,
-    decode_message,
     encode_frame,
-    encode_message,
 )
 from repro.spe.tuples import FINAL_WATERMARK
+from tests.optest import blobs, tup
+
+(BLOB,) = blobs([tup(1.0, v=1), tup(2.0, v=2)])
 
 
 class TestFrameCodec:
@@ -107,70 +109,42 @@ class TestFrameCodec:
         assert decoder.pending_bytes == 0
 
 
-class TestMessageCodec:
-    def test_message_round_trip(self):
-        decoder = FrameDecoder()
-        (frame,) = decoder.feed(encode_message("d", ["p1", "p2"]))
-        assert decode_message(frame) == ("d", ["p1", "p2"])
-
-    def test_malformed_message_raises(self):
-        with pytest.raises(SerializationError, match="decode"):
-            decode_message(b"\xff\xfe not json")
-        with pytest.raises(SerializationError, match="tag, body"):
-            decode_message(b'{"not": "a pair"}')
-
-    def test_unserialisable_body_raises(self):
-        with pytest.raises(SerializationError, match="cannot encode"):
-            encode_message("d", object())
-
-
 def _wired_pair(name="c"):
-    """A consumer-side transport fed by a raw producer socket we control."""
-    producer, consumer = socket.socketpair()
-    transport = SocketTransport(name)
-    transport.attach_consumer(consumer)
-    return producer, transport
+    """A producer socket we control, its transport, and the consumer side."""
+    producer_sock, consumer_sock = socket.socketpair()
+    producer = SocketTransport(name)
+    producer.attach_producer(producer_sock)
+    consumer = SocketTransport(name)
+    consumer.attach_consumer(consumer_sock)
+    return producer_sock, producer, consumer
 
 
 class TestSocketTransportEOF:
     def test_eof_before_close_marker_raises_naming_the_channel(self):
-        producer, transport = _wired_pair("lost_link")
-        producer.sendall(encode_message("d", ["payload"]))
-        producer.close()
+        _, producer, consumer = _wired_pair("lost_link")
+        producer.send(BLOB)
+        producer.close_sockets()
         with pytest.raises(ChannelError, match="lost_link.*worker died"):
-            transport.receive_all()
+            consumer.receive_all()
 
     def test_eof_with_torn_frame_reports_torn_bytes(self):
-        producer, transport = _wired_pair("torn_link")
-        producer.sendall(encode_frame(b"x" * 10)[:-3])
-        producer.close()
+        producer_sock, _, consumer = _wired_pair("torn_link")
+        producer_sock.sendall(encode_frame(b"x" * 10)[:-3])
+        producer_sock.close()
         with pytest.raises(ChannelError, match="torn trailing byte"):
-            transport.receive_all()
+            consumer.receive_all()
 
     def test_eof_after_close_marker_is_a_normal_end(self):
-        producer, transport = _wired_pair()
-        producer.sendall(encode_message("d", ["last"]))
-        producer.sendall(encode_message("w", 9.0))
-        producer.sendall(encode_message("c", None))
+        _, producer, consumer = _wired_pair()
+        producer.send(BLOB)
+        producer.advance_watermark(9.0)
         producer.close()
-        assert transport.receive_all() == ["last"]
-        assert transport.closed
-        assert transport.watermark == FINAL_WATERMARK
+        producer.close_sockets()
+        assert consumer.receive_all() == [BLOB]
+        assert consumer.closed
+        assert consumer.watermark == FINAL_WATERMARK
         # further reads after the clean EOF stay benign
-        assert transport.receive_all() == []
-
-    def test_empty_batch_frame_delivers_nothing(self):
-        producer, transport = _wired_pair()
-        producer.sendall(encode_message("d", []))
-        producer.sendall(encode_message("c", None))
-        assert transport.receive_all() == []
-        assert transport.closed
-
-    def test_unknown_tag_on_the_wire_raises(self):
-        producer, transport = _wired_pair("odd")
-        producer.sendall(encode_message("z", None))
-        with pytest.raises(SerializationError, match="unknown message tag"):
-            transport.receive_all()
+        assert consumer.receive_all() == []
 
     def test_send_into_a_dead_peer_raises(self):
         producer_sock, consumer_sock = socket.socketpair()
@@ -181,7 +155,21 @@ class TestSocketTransportEOF:
             # the first send may land in the kernel buffer before the RST
             # comes back; the second is guaranteed to fail.
             for _ in range(50):
-                transport.send("x" * 4096)
+                transport.send(b"x" * 4096)
+
+
+class TestMessageLayer:
+    def test_retired_json_message_frame_raises_naming_the_channel(self):
+        producer_sock, _, consumer = _wired_pair("legacy")
+        producer_sock.sendall(encode_frame(b'["d",["p1","p2"]]'))
+        with pytest.raises(SerializationError, match=r"'legacy'.*lead byte b'\['"):
+            consumer.receive_all()
+
+    def test_unknown_tag_on_the_wire_raises(self):
+        producer_sock, _, consumer = _wired_pair("odd")
+        producer_sock.sendall(encode_frame(b"z"))
+        with pytest.raises(SerializationError, match="'odd'.*malformed message frame"):
+            consumer.receive_all()
 
 
 class TestSocketTransportShipping:
@@ -191,8 +179,9 @@ class TestSocketTransportShipping:
         assert isinstance(clone.transport, SocketTransport)
         assert clone.transport.name == "c1"
         # the revived transport is fully detached and usable via loopback
-        clone.send("p")
-        assert clone.receive_all() == ["p"]
+        clone.send_block(BLOB, 2)
+        assert clone.receive_all() == [BLOB]
+        clone.transport.close_sockets()
 
     def test_attached_transport_refuses_to_pickle(self):
         transport = SocketTransport("c2")
