@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.spe.channels import Channel, InMemoryTransport, ProcessTransport
+from repro.spe.codec import BinaryChannelDecoder
 from repro.spe.errors import ChannelError
 from repro.spe.operators.send_receive import ReceiveOperator, SendOperator
 from repro.spe.sockets import SocketTransport
@@ -77,6 +78,50 @@ class TestTransportContract:
         assert channel.counters() == (6, sum(map(len, sent)))
         assert (channel.tuples_sent, channel.bytes_sent) == channel.counters()
 
+    def test_send_receive_round_trip(self, channel):
+        for blob, batch in zip(blobs(*BATCHES), BATCHES):
+            channel.send_block(blob, len(batch))
+        decoder = BinaryChannelDecoder("c")
+        received = [
+            (t.ts, t.values)
+            for blob in channel.receive_all()
+            for t in decoder.decode_batch(blob)[0]
+        ]
+        assert received == [(t.ts, t.values) for batch in BATCHES for t in batch]
+
+    def test_fresh_channel_is_open_and_empty(self, channel):
+        assert channel.receive_all() == []
+        assert not channel.closed
+        assert channel.watermark == float("-inf")
+        assert channel.counters() == (0, 0)
+
+    def test_close_finalises_the_watermark(self, channel):
+        channel.advance_watermark(5.0)
+        channel.close()
+        channel.advance_watermark(9.0)  # no-op: nothing follows the close
+        assert channel.receive_all() == []
+        assert channel.closed
+        assert channel.watermark == FINAL_WATERMARK
+
+    def test_len_counts_undelivered_payloads(self, channel):
+        for blob, batch in zip(blobs(*BATCHES), BATCHES):
+            channel.send_block(blob, len(batch))
+        # cross-process views only buffer what a drain pulled off the wire
+        assert len(channel) == (len(BATCHES) if channel.transport.local else 0)
+        assert len(channel.receive_all()) == len(BATCHES)
+        assert len(channel) == 0
+
+    def test_watermarks_interleave_with_blobs_in_order(self, channel):
+        sent = blobs(*BATCHES)
+        channel.send_block(sent[0], 2)
+        channel.advance_watermark(2.0)
+        channel.send_block(sent[1], 1)
+        channel.advance_watermark(3.0)
+        channel.send_block(sent[2], 3)
+        assert channel.receive_all() == sent
+        assert channel.watermark == 3.0
+        assert not channel.closed
+
     def test_send_receive_operators_through_the_transport(self, channel):
         send = SendOperator("send", channel)
         (send_in,), _ = wire(send, n_outputs=0)
@@ -133,3 +178,42 @@ class TestProcessTransportProtocol:
         piped.consumer = FakeConsumer()
         piped.send_block(blob, 1)
         assert signals == [True]  # unchanged: the pipe is the wake-up signal
+
+
+class TestChannelHooks:
+    def test_local_consumer_is_signalled_on_every_producer_mutation(self):
+        signals = []
+
+        class FakeConsumer:
+            def signal(self):
+                signals.append(True)
+
+        channel = Channel("c")
+        channel.consumer = FakeConsumer()
+        channel.send_block(*blobs(BATCHES[1]), 1)
+        channel.advance_watermark(3.0)
+        channel.advance_watermark(2.0)  # did not move: nothing to wake for
+        channel.close()
+        assert len(signals) == 3
+
+    def test_tracer_sees_sends_watermark_moves_close_and_non_empty_drains(self):
+        events = []
+
+        class FakeTracer:
+            def event(self, kind, name, **fields):
+                events.append((kind, name, fields))
+
+        channel = Channel("c")
+        channel.tracer = FakeTracer()
+        channel.send_block(*blobs(BATCHES[0]), 2)
+        channel.advance_watermark(2.0)
+        channel.advance_watermark(1.0)
+        channel.receive_all()
+        channel.receive_all()
+        channel.close()
+        assert events == [
+            ("channel.send", "c", {"count": 2}),
+            ("channel.watermark", "c", {}),
+            ("channel.recv", "c", {"count": 1}),
+            ("channel.close", "c", {}),
+        ]

@@ -1,109 +1,79 @@
-"""Unit tests for the measurement utilities."""
+"""Unit tests for the execution-counter snapshot of ``PipelineResult.metrics()``."""
+
+import dataclasses
+import json
 
 import pytest
 
-from repro.spe.metrics import MemorySampler, RunMetrics, StatSummary, merge_metrics
+from repro.spe.metrics import ChannelCounters, MetricsSnapshot, snapshot_operators
+from repro.spe.operators.filter import FilterOperator
+from tests.optest import feed, run_operator, tup, wire
 
 
-class TestStatSummary:
-    def test_empty_sample(self):
-        summary = StatSummary.of([])
-        assert summary.count == 0
-        assert summary.mean == 0.0
-        assert summary.ci95 == 0.0
-
-    def test_single_sample(self):
-        summary = StatSummary.of([4.0])
-        assert summary.count == 1
-        assert summary.mean == 4.0
-        assert summary.stdev == 0.0
-        assert summary.ci95 == 0.0
-
-    def test_basic_statistics(self):
-        summary = StatSummary.of([1.0, 2.0, 3.0, 4.0])
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-        assert summary.stdev == pytest.approx(1.29099, rel=1e-4)
-        assert summary.ci95 == pytest.approx(1.96 * summary.stdev / 2, rel=1e-6)
+def filter_that_ran(name):
+    """A Filter that received three tuples and kept the two even ones."""
+    operator = FilterOperator(name, lambda t: t["v"] % 2 == 0)
+    (stream,), _ = wire(operator)
+    feed(stream, [tup(1.0, v=1), tup(2.0, v=2), tup(3.0, v=4)], close=True)
+    run_operator(operator)
+    return operator
 
 
-class TestMemorySampler:
-    def test_samples_and_peak(self):
-        sampler = MemorySampler()
-        sampler.start()
-        payload = [bytearray(100_000) for _ in range(5)]
-        sampler.sample()
-        del payload
-        sampler.sample()
-        sampler.stop()
-        assert len(sampler.samples_bytes) == 2
-        assert sampler.max_bytes >= sampler.samples_bytes[0]
-        assert sampler.average_bytes > 0
-
-    def test_average_of_no_samples_is_zero(self):
-        assert MemorySampler().average_bytes == 0.0
+def snapshot():
+    operators = snapshot_operators([filter_that_ran("keep")], instance="spe1")
+    operators.update(snapshot_operators([filter_that_ran("keep_shard0")]))
+    channels = {
+        "data": ChannelCounters("data", tuples_sent=5, bytes_sent=120),
+        "upstream": ChannelCounters("upstream", tuples_sent=2, bytes_sent=40),
+    }
+    return MetricsSnapshot(operators=operators, channels=channels)
 
 
-class TestRunMetrics:
-    def _metrics(self):
-        metrics = RunMetrics(query="q1", technique="GL", deployment="intra")
-        metrics.source_tuples = 1000
-        metrics.wall_time_s = 2.0
-        metrics.latencies_s = [0.1, 0.2]
-        metrics.memory_samples_bytes = [1_000_000, 3_000_000]
-        metrics.memory_peak_bytes = 4_000_000
-        metrics.traversal_times_s = [0.001, 0.003]
-        metrics.provenance_sizes = [4, 4, 8]
-        return metrics
+class TestSnapshotOperators:
+    def test_intra_process_keys_are_bare_names(self):
+        operator = filter_that_ran("keep")
+        (key, counters), = snapshot_operators([operator]).items()
+        assert key == "keep"
+        assert counters.instance is None
+        assert counters.kind == "FilterOperator"
+        assert (counters.tuples_in, counters.tuples_out) == (3, 2)
+        assert counters.work_calls == operator.work_calls
 
-    def test_throughput(self):
-        assert self._metrics().throughput_tps == 500.0
+    def test_distributed_keys_are_qualified_with_the_instance(self):
+        (key, counters), = snapshot_operators(
+            [filter_that_ran("keep")], instance="spe2"
+        ).items()
+        assert key == "spe2/keep"
+        assert (counters.name, counters.instance) == ("keep", "spe2")
 
-    def test_throughput_with_zero_wall_time(self):
-        metrics = RunMetrics(query="q", technique="NP", deployment="intra")
-        assert metrics.throughput_tps == 0.0
-
-    def test_latency_summary(self):
-        assert self._metrics().latency.mean == pytest.approx(0.15)
-
-    def test_memory_in_megabytes(self):
-        metrics = self._metrics()
-        assert metrics.memory_average_mb == pytest.approx(2.0)
-        assert metrics.memory_max_mb == pytest.approx(4.0)
-
-    def test_traversal_summary(self):
-        assert self._metrics().traversal.mean == pytest.approx(0.002)
-
-    def test_average_provenance_size(self):
-        assert self._metrics().average_provenance_size == pytest.approx(16 / 3)
-
-    def test_empty_provenance_sizes(self):
-        metrics = RunMetrics(query="q", technique="NP", deployment="intra")
-        assert metrics.average_provenance_size == 0.0
+    def test_counters_are_frozen(self):
+        counters = snapshot().operators["spe1/keep"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            counters.tuples_in = 0
 
 
-class TestMergeMetrics:
-    def test_merge_of_nothing_is_none(self):
-        assert merge_metrics([]) is None
+class TestMetricsSnapshot:
+    def test_totals_sum_over_operators_and_channels(self):
+        metrics = snapshot()
+        assert metrics.total_work_calls == sum(
+            op.work_calls for op in metrics.operators.values()
+        )
+        assert (metrics.total_tuples_sent, metrics.total_bytes_sent) == (7, 160)
 
-    def test_merge_averages_counters_and_concatenates_samples(self):
-        first = RunMetrics(query="q1", technique="GL", deployment="intra")
-        first.source_tuples = 100
-        first.wall_time_s = 1.0
-        first.latencies_s = [0.1]
-        first.memory_peak_bytes = 10
-        first.per_instance_traversal_s = {"spe1": [0.1]}
-        second = RunMetrics(query="q1", technique="GL", deployment="intra")
-        second.source_tuples = 200
-        second.wall_time_s = 3.0
-        second.latencies_s = [0.2, 0.3]
-        second.memory_peak_bytes = 20
-        second.per_instance_traversal_s = {"spe1": [0.2], "spe2": [0.4]}
+    def test_operators_named_matches_the_unqualified_prefix(self):
+        metrics = snapshot()
+        assert set(metrics.operators_named("keep")) == {"spe1/keep", "keep_shard0"}
+        assert set(metrics.operators_named("keep_shard")) == {"keep_shard0"}
+        assert metrics.operators_named("spe1") == {}
 
-        merged = merge_metrics([first, second])
-        assert merged.source_tuples == 150
-        assert merged.wall_time_s == pytest.approx(2.0)
-        assert merged.latencies_s == [0.1, 0.2, 0.3]
-        assert merged.memory_peak_bytes == 20
-        assert merged.per_instance_traversal_s == {"spe1": [0.1, 0.2], "spe2": [0.4]}
+    def test_document_is_json_ready(self):
+        metrics = snapshot()
+        document = metrics.to_document()
+        assert json.loads(json.dumps(document)) == document
+        assert document["operators"]["spe1/keep"] == {
+            "kind": "FilterOperator",
+            "work_calls": metrics.operators["spe1/keep"].work_calls,
+            "tuples_in": 3,
+            "tuples_out": 2,
+        }
+        assert document["channels"]["data"] == {"tuples_sent": 5, "bytes_sent": 120}

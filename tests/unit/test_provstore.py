@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.unfolder import (
@@ -20,7 +22,9 @@ from repro.provstore import (
     ProvenanceTap,
     open_provenance_store,
 )
+from repro.provstore.backends import dumps_document, loads_document
 from repro.provstore.entries import SinkMapping, SourceEntry, content_key
+from repro.spe.errors import SerializationError
 from repro.spe.operators.sink import SinkOperator
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple
@@ -445,6 +449,41 @@ class TestJsonlPersistence:
         store = open_provenance_store(path)
         subscription = store.subscribe(replay=True)
         assert [m.sink_key for m in subscription.drain()] == ["s:1", "s:2"]
+
+
+class TestDocumentLines:
+    """One ledger record per JSONL line: ``dumps_document`` / ``loads_document``."""
+
+    def test_round_trip_preserves_json_types(self):
+        document = {
+            "key": "a:1",
+            "ts": 1.5,
+            "n": 3,
+            "ok": True,
+            "none": None,
+            "values": {"list": [1, "x"], "nested": {"y": 2.0}},
+        }
+        assert loads_document(dumps_document(document)) == document
+
+    def test_one_compact_line(self):
+        line = dumps_document({"a": [1, 2], "b": "two words\nsecond line"})
+        assert "\n" not in line
+        assert line.startswith('{"a":[1,2],"b":')
+
+    def test_non_json_values_degrade_to_their_str_form(self):
+        restored = loads_document(dumps_document({"raw": {1}, "obj": Path("p")}))
+        assert restored == {"raw": "{1}", "obj": "p"}
+
+    def test_circular_document_raises(self):
+        document = {}
+        document["self"] = document
+        with pytest.raises(SerializationError, match="cannot serialise"):
+            dumps_document(document)
+
+    @pytest.mark.parametrize("line", ['{"torn": ', "not json", None])
+    def test_unreadable_line_raises(self, line):
+        with pytest.raises(SerializationError, match="cannot deserialise"):
+            loads_document(line)
 
 
 class TestEntries:

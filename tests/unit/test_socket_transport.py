@@ -8,8 +8,9 @@ this file covers what is *specific* to the wire:
 * the length-prefixed frame codec under arbitrary fragmentation -- partial
   reads, many frames per read, torn tails, oversized declared lengths --
   including a property-based fuzz over random payloads and chunkings,
-* the message layer: one blob per data frame, and a frame with any other
-  lead byte -- including the retired JSON array encoding -- failing loudly,
+* the message layer: one opaque blob per data frame, monotone watermark
+  frames, and a frame with any other lead byte or a malformed control body
+  -- including the retired JSON array encoding -- failing loudly,
 * EOF semantics: a producer socket dying *before* the close marker is a
   :class:`~repro.spe.errors.ChannelError` naming the channel (the cluster
   fail-fast trigger), while EOF *after* the close is a normal end,
@@ -19,6 +20,7 @@ this file covers what is *specific* to the wire:
 from __future__ import annotations
 
 import socket
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,41 @@ class TestMessageLayer:
         producer_sock.sendall(encode_frame(b"z"))
         with pytest.raises(SerializationError, match="'odd'.*malformed message frame"):
             consumer.receive_all()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [b"", b"W", b"W" + bytes(9), b"C\x00"],
+        ids=["empty", "bare-watermark", "long-watermark", "close-with-body"],
+    )
+    def test_malformed_control_frame_raises_naming_the_channel(self, frame):
+        producer_sock, _, consumer = _wired_pair("ctl")
+        producer_sock.sendall(encode_frame(frame))
+        with pytest.raises(SerializationError, match="'ctl'.*malformed message frame"):
+            consumer.receive_all()
+
+    @pytest.mark.parametrize(
+        "payload", [b"", bytes(32 * 1024), BLOB], ids=["empty", "raw-32KiB", "blob"]
+    )
+    def test_data_frames_carry_their_bytes_opaquely(self, payload):
+        _, producer, consumer = _wired_pair()
+        producer.send(payload)
+        assert consumer.receive_all() == [payload]
+        assert not consumer.closed
+
+    def test_stale_watermark_frame_is_ignored(self):
+        producer_sock, _, consumer = _wired_pair()
+        for ts in (9.0, 3.0):
+            producer_sock.sendall(encode_frame(b"W" + struct.pack("<d", ts)))
+        consumer.receive_all()
+        assert consumer.watermark == 9.0
+
+    def test_frame_torn_across_drains_is_buffered_until_complete(self):
+        producer_sock, _, consumer = _wired_pair()
+        wire = encode_frame(b"D" + BLOB)
+        producer_sock.sendall(wire[:7])
+        assert consumer.receive_all() == []
+        producer_sock.sendall(wire[7:])
+        assert consumer.receive_all() == [BLOB]
 
 
 class TestSocketTransportShipping:
