@@ -44,8 +44,8 @@ from repro.obs.telemetry import Telemetry, coerce_telemetry
 from repro.provstore.backends import JsonlLedgerBackend
 from repro.provstore.ledger import ProvenanceLedger
 from repro.provstore.tap import LedgerTap
-from repro.spe.channels import Channel, ProcessTransport
-from repro.spe.cluster import ClusterRuntime
+from repro.spe.channels import Channel
+from repro.spe.cluster import LAUNCHERS, RemoteRuntime
 from repro.spe.instance import SPEInstance
 from repro.spe.metrics import (
     ChannelCounters,
@@ -55,12 +55,10 @@ from repro.spe.metrics import (
 from repro.spe.operators.base import Operator
 from repro.spe.operators.sink import SinkOperator
 from repro.spe.operators.source import SourceOperator
-from repro.spe.multiprocess import MultiprocessRuntime
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.query import Query
 from repro.spe.runtime import DistributedRuntime
 from repro.spe.scheduler import Scheduler
-from repro.spe.sockets import SocketTransport
 
 #: name of the dedicated provenance instance of distributed deployments.
 PROVENANCE_INSTANCE = "provenance_node"
@@ -306,13 +304,13 @@ class Pipeline:
     of provenance the MU / baseline resolver must retain) defaults to the sum
     of the dataflow's window sizes.  ``execution`` selects where the
     event-driven scheduler runs: ``"event"`` (default) keeps everything in
-    this process, ``"process"`` runs each SPE instance as its own OS process
-    connected by pipe-backed channels (requires a placement; see
-    :class:`~repro.spe.multiprocess.MultiprocessRuntime`), and ``"cluster"``
-    ships each SPE instance to a worker daemon over TCP with socket-backed
-    channels (requires a placement; ``hosts`` places the instances -- see
-    :class:`~repro.spe.cluster.ClusterRuntime`).  Inter-instance channels
-    carry :mod:`repro.spe.codec` batch blobs under every ``execution``.
+    this process, ``"process"`` forks one OS process per SPE instance
+    connected by pipe-backed channels, and ``"cluster"`` ships each SPE
+    instance to a worker daemon over TCP with socket-backed channels
+    (``hosts`` places the instances).  Both need a placement and run on the
+    :class:`~repro.spe.cluster.RemoteRuntime`, whose ``LAUNCHERS`` table
+    pairs each with its transport.  Inter-instance channels carry
+    :mod:`repro.spe.codec` batch blobs under every ``execution``.
     ``telemetry`` enables runtime observability for the run (default off):
     ``True``, a :class:`~repro.obs.telemetry.TelemetryConfig` or a
     :class:`~repro.obs.telemetry.Telemetry` object -- the run's spans, time
@@ -340,12 +338,12 @@ class Pipeline:
                 f"unknown validate mode {validate!r}; expected 'strict', "
                 "'warn' or 'off'"
             )
-        if execution not in ("event", "process", "cluster"):
+        if execution != "event" and execution not in LAUNCHERS:
             raise DataflowError(
                 f"unknown execution mode {execution!r}; expected 'event', "
                 "'process' or 'cluster'"
             )
-        if execution in ("process", "cluster") and placement is None:
+        if execution in LAUNCHERS and placement is None:
             raise DataflowError(
                 f"execution={execution!r} runs each SPE instance in its own "
                 "process and therefore needs a Placement (an inter-process "
@@ -487,20 +485,16 @@ class Pipeline:
         )
 
     def _build_inter(self) -> PipelineResult:
-        if self.execution == "process":
-            # Channels must be pipe-backed before the workers fork: each
-            # transport is one multiprocessing pipe carrying the serialised
-            # payloads across the process boundary.
-            def channel_factory(name: str) -> Channel:
-                return Channel(name, transport=ProcessTransport())
-        elif self.execution == "cluster":
-            # Socket transports start detached; the cluster wiring attaches
-            # the producer and consumer sockets on the workers' hosts.
-            def channel_factory(name: str) -> Channel:
-                return Channel(name, transport=SocketTransport(name))
-        else:
-            def channel_factory(name: str) -> Channel:
+        launcher = LAUNCHERS.get(self.execution)
+
+        # Out of process, every channel gets the launcher's transport before
+        # any worker starts (pipes exist before the fork; sockets start
+        # detached and are wired on the workers' hosts).
+        def channel_factory(name: str) -> Channel:
+            if launcher is None:
                 return Channel(name)
+            return Channel(name, transport=launcher.new_transport(name))
+
         builder = _DistributedBuilder(
             self.dataflow,
             self.placement,
@@ -524,7 +518,7 @@ class Pipeline:
 
         ``round_callback`` is invoked every ``callback_every`` operator
         wake-ups (intra) / instance wake-ups (inter), e.g. for memory
-        sampling.
+        sampling; out of process it fires once per collected worker result.
         """
         self._gate()
         result = self.build()
@@ -548,38 +542,25 @@ class Pipeline:
                 scheduler.tracer = telemetry.tracer
             scheduler.run()
             result.rounds = result.wakeups = scheduler.wakeups
-        elif self.execution == "process":
-            runtime = MultiprocessRuntime(
-                result.instances,
-                max_rounds=max_rounds,
-                round_callback=round_callback,
-                callback_every=callback_every,
-                telemetry=telemetry,
-            )
-            runtime.run()
-            result.rounds = runtime.rounds
-            result.wakeups = runtime.total_wakeups()
-        elif self.execution == "cluster":
-            runtime = ClusterRuntime(
-                result.instances,
-                hosts=self.hosts,
-                max_rounds=max_rounds,
-                round_callback=round_callback,
-                callback_every=callback_every,
-                telemetry=telemetry,
-            )
-            runtime.run()
-            result.rounds = runtime.rounds
-            result.wakeups = runtime.total_wakeups()
         else:
-            runtime = DistributedRuntime(
-                result.instances,
-                max_rounds=max_rounds,
-                round_callback=round_callback,
-                callback_every=callback_every,
-            )
-            if telemetry is not None:
-                runtime.install_tracer(telemetry.tracer)
+            if self.execution in LAUNCHERS:
+                runtime = RemoteRuntime(
+                    result.instances,
+                    execution=self.execution,
+                    hosts=self.hosts,
+                    max_rounds=max_rounds,
+                    round_callback=round_callback,
+                    telemetry=telemetry,
+                )
+            else:
+                runtime = DistributedRuntime(
+                    result.instances,
+                    max_rounds=max_rounds,
+                    round_callback=round_callback,
+                    callback_every=callback_every,
+                )
+                if telemetry is not None:
+                    runtime.install_tracer(telemetry.tracer)
             runtime.run()
             result.rounds = runtime.rounds
             result.wakeups = runtime.total_wakeups()

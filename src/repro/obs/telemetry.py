@@ -193,8 +193,8 @@ def coerce_telemetry(value) -> Optional[Telemetry]:
 def enable_worker_telemetry(instance, scheduler, capacity: int = 0) -> SpanTracer:
     """Opt one worker-side instance into span recording; return its tracer.
 
-    Called inside a forked process (:mod:`repro.spe.multiprocess`) or a
-    plan-shipped worker session (:mod:`repro.spe.cluster`), where every
+    Called by a :mod:`repro.spe.cluster` worker session -- a forked child
+    or a plan-shipped daemon session -- where every
     object reached here is the worker's own copy.  The tracer's node is the
     instance name, so the shipped buffer lands on its own timeline lane.
     """

@@ -3,9 +3,10 @@
 This package plays the role of the Liebre SPE in the original paper: it
 provides streams, the standard stateless and stateful operators (Map, Filter,
 Multiplex, Union, Aggregate, Join), Sources, Sinks, Send/Receive operators for
-crossing process boundaries, a deterministic watermark-driven scheduler, and a
-multi-instance runtime that connects several SPE instances with channels
-carrying binary batch blobs (:mod:`repro.spe.codec`).
+crossing process boundaries, a deterministic watermark-driven scheduler, and
+multi-instance runtimes -- in process, or one worker process per instance --
+that connect SPE instances with channels carrying binary batch blobs
+(:mod:`repro.spe.codec`).
 
 Determinism (see section 2 of the paper) is obtained by requiring sources to
 emit timestamp-sorted streams and by having every multi-input operator merge
@@ -18,8 +19,7 @@ from repro.spe.query import Query
 from repro.spe.scheduler import Scheduler
 from repro.spe.instance import SPEInstance
 from repro.spe.runtime import DistributedRuntime
-from repro.spe.multiprocess import MultiprocessRuntime, run_multiprocess
-from repro.spe.cluster import ClusterRuntime, ClusterWorker, run_cluster
+from repro.spe.cluster import ClusterWorker, RemoteRuntime
 from repro.spe.channels import Channel, ChannelTransport, InMemoryTransport, ProcessTransport
 from repro.spe.sockets import SocketTransport
 
@@ -32,11 +32,8 @@ __all__ = [
     "Scheduler",
     "SPEInstance",
     "DistributedRuntime",
-    "MultiprocessRuntime",
-    "run_multiprocess",
-    "ClusterRuntime",
+    "RemoteRuntime",
     "ClusterWorker",
-    "run_cluster",
     "Channel",
     "ChannelTransport",
     "InMemoryTransport",

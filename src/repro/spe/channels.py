@@ -14,7 +14,8 @@ The queueing mechanics live behind a :class:`ChannelTransport`:
   :class:`~repro.spe.runtime.DistributedRuntime` use it.
 * :class:`ProcessTransport` carries the same blobs over a
   :mod:`multiprocessing` pipe, so the producer and the consumer can live in
-  *different OS processes* (the :class:`~repro.spe.multiprocess.MultiprocessRuntime`).
+  *different OS processes* (the fork launcher of
+  :class:`~repro.spe.cluster.RemoteRuntime`, ``execution="process"``).
   Watermark advances and the close marker travel as explicit control
   messages; each side of the fork keeps its own local view of the channel
   state, updated when the consumer drains the pipe.
@@ -177,7 +178,7 @@ class ProcessTransport(ChannelTransport):
 
     @property
     def reader(self) -> Connection:
-        """The pipe's read end (waitable via ``multiprocessing.connection.wait``)."""
+        """The pipe's read end (selectable: a worker parks on its ``fileno()``)."""
         return self._reader
 
     # -- producer side -----------------------------------------------------

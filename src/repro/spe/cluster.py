@@ -1,59 +1,63 @@
-"""Cluster runtime: SPE instances as worker daemons on separate hosts.
+"""The out-of-process runtime: one coordinator, two launchers, one worker loop.
 
-The paper deploys GeneaLog across distinct machines (Odroid boards on a
-switch); the :class:`~repro.spe.multiprocess.MultiprocessRuntime` gets as far
-as separate *processes* on one machine, inheriting everything through
-``fork``.  This module removes the shared-memory crutch entirely: instances
-run inside **worker daemons** that may live anywhere reachable over TCP, and
-everything they need -- the lowered plan, the channel wiring, the results --
-travels over sockets.
+The paper deploys every SPE instance as its own process (Odroid boards on a
+switch), joined by Send/Receive channels, with the MU on a provenance
+instance.  :class:`RemoteRuntime` is the coordinator of that deployment.  A
+*launcher* gets each instance into a worker process; ``Pipeline(execution=)``
+picks one from :data:`LAUNCHERS`, together with the channel transport its
+workers speak:
 
-Topology
---------
-One **coordinator** (:class:`ClusterRuntime`, selected with
-``Pipeline(execution="cluster", hosts=...)``) and one worker daemon per host
-(spawnable as ``python -m repro.spe.cluster --serve host:port``, or
-in-process for tests and single-machine runs).  Per run, the coordinator
-opens one control connection per SPE instance and drives a five-step
-session:
+* ``"process"`` -- the **fork** launcher.  The coordinator forks one child
+  per instance, in instance order.  The child inherits its instance
+  (closures, generators and the pipe ends included), so nothing is
+  serialised, and channels are :class:`~repro.spe.channels.ProcessTransport`
+  pipes.
+* ``"cluster"`` -- the **daemon** launcher.  Instances run inside
+  :class:`ClusterWorker` daemons reachable over TCP (``python -m
+  repro.spe.cluster --serve host:port``, or in-process loopback workers for
+  ``hosts=None``), and channels are :class:`~repro.spe.sockets.SocketTransport`
+  sockets.  Two setup steps come first, one control connection per instance:
 
-1. **plan** -- the instance is serialised with
-   :mod:`repro.spe.plan` (closures ship by value) and sent together with a
-   Python/format version stamp, which the worker checks before unpickling.
-2. **ready** -- the worker deserialises the plan, opens an ephemeral *data
-   listener*, and reports its ``host:port`` back.
-3. **wire** -- the coordinator assembles the channel map (every channel is
-   consumed by exactly one instance; its worker's data listener is that
-   channel's address) and broadcasts it.  Each worker connects one data
-   socket per *outgoing* channel -- announcing the channel name in a hello
-   frame -- while its listener accepts and binds one socket per *incoming*
-   channel.  Channels cross hosts as length-prefixed frames carrying the
-   same serialised payloads the pipe transport ships
-   (:class:`~repro.spe.sockets.SocketTransport`).
-4. **start** -- once every worker reports **wired**, the coordinator starts
-   them all.  Each worker drives its instance with the event-driven
-   :class:`~repro.spe.scheduler.Scheduler`, parking on a selector over its
-   consumer data sockets (plus the control socket, so a stop request
-   interrupts an idle worker) exactly as the multiprocess workers park on
-   their pipes.
-5. **result** -- at quiescence the worker ships the same result document the
-   multiprocess workers ship (sink streams, worker-measured latencies,
-   per-operator / per-channel counters, traversal samples); the coordinator
-   replays it into the coordinator-side objects via
-   :mod:`repro.spe.shipping`, so callbacks, provenance collectors and
-   ledger taps observe exactly the stream they would have seen locally.
+  1. **plan** -- the instance is serialised with :mod:`repro.spe.plan`
+     (closures ship by value) and sent with a Python/format version stamp,
+     which the worker checks before unpickling.  The worker opens an
+     ephemeral *data listener* and answers **ready** with its address.
+  2. **wire** -- the coordinator broadcasts the channel map (a channel's
+     address is its consuming worker's data listener).  Each worker connects
+     one data socket per outgoing channel, announcing the channel in a hello
+     frame, while its listener binds one socket per incoming channel; then
+     it answers **wired**.
 
-Determinism and failure follow the multiprocess contract: every instance
-still consumes its inputs in timestamp-merged order, so sinks are
-byte-identical to ``execution="event"``; a worker that raises (or whose
-control socket reaches EOF mid-run -- a dead daemon) makes the coordinator
-stop every other worker immediately and re-raise the *first* failure.
+From **start** on, both launchers are the same protocol over one control
+socket per worker: a forked child holds one end of a ``socket.socketpair()``
+(the coordinator closes its copy of the child's end right after the fork,
+and the child closes every control end that is not its own), a daemon
+session holds its TCP control connection.
+
+* **start** carries the telemetry options.  The worker drives its instance
+  with the event-driven :class:`~repro.spe.scheduler.Scheduler` in the one
+  worker loop (:meth:`_WorkerSession._drive`), parking on one selector over
+  its input endpoints -- pipe read ends or consumer sockets, which both
+  expose ``fileno()`` -- and its control socket, so a **stop** interrupts an
+  idle worker.
+* At quiescence the worker answers **ok** with the result document of
+  :mod:`repro.spe.shipping` (sink streams, worker-measured latencies,
+  counters, traversal samples, its span buffer), which the coordinator
+  replays into the coordinator-side objects; a raising worker answers
+  **error** with its traceback, a stopped one **stopped**.
+
+Every instance still consumes its inputs in timestamp-merged order, so sinks
+are byte-identical to ``execution="event"``.  Failure is one contract: the
+first error -- or death, which is EOF on the control socket whether a forked
+child or a daemon died -- makes the coordinator stop every other worker and
+re-raise that failure, naming the instance.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import multiprocessing
 import pickle
 import selectors
 import socket
@@ -61,8 +65,23 @@ import sys
 import threading
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from multiprocessing.process import BaseProcess
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+    cast,
+)
 
+from repro.spe.channels import ChannelTransport, ProcessTransport
 from repro.spe.errors import ChannelError, SchedulingError, SerializationError
 from repro.spe.instance import SPEInstance
 from repro.spe.plan import (
@@ -93,13 +112,21 @@ from repro.spe.sockets import (
 #: how long an idle worker parks on its selector before re-checking state.
 _WAIT_TIMEOUT_S = 0.05
 
-logger = logging.getLogger(__name__)
-
 #: how long the wire step waits for every inbound data socket to appear.
 _WIRE_TIMEOUT_S = 30.0
 
+#: how long a data listener waits for an accepted connection's hello frame.
+#: Producers send it right after connecting; a connection that stays silent
+#: is dropped so the producers queued behind it still get bound.
+_HELLO_TIMEOUT_S = 1.0
+
+logger = logging.getLogger(__name__)
+
 #: address of a worker daemon.
 Address = Tuple[str, int]
+
+#: how a worker ended: ("ok" | "error" | "stopped" | "died", document).
+Outcome = Tuple[str, Dict[str, Any]]
 
 
 # -- control-plane codec -----------------------------------------------------
@@ -113,11 +140,11 @@ Address = Tuple[str, int]
 _CONTROL_PICKLE_PROTOCOL = 4
 
 
-def _encode_control(tag: str, body) -> bytes:
+def _encode_control(tag: str, body: Any) -> bytes:
     return encode_frame(pickle.dumps((tag, body), protocol=_CONTROL_PICKLE_PROTOCOL))
 
 
-def _decode_control(payload: bytes) -> Tuple[str, object]:
+def _decode_control(payload: bytes) -> Tuple[str, Any]:
     try:
         tag, body = pickle.loads(payload)
     except Exception as exc:
@@ -125,11 +152,11 @@ def _decode_control(payload: bytes) -> Tuple[str, object]:
     return tag, body
 
 
-def _send_control(sock: socket.socket, tag: str, body) -> None:
+def _send_control(sock: socket.socket, tag: str, body: Any) -> None:
     send_frame(sock, _encode_control(tag, body))
 
 
-def _recv_control(sock: socket.socket, decoder: FrameDecoder) -> Optional[Tuple[str, object]]:
+def _recv_control(sock: socket.socket, decoder: FrameDecoder) -> Optional[Tuple[str, Any]]:
     frame = recv_frame(sock, decoder)
     if frame is None:
         return None
@@ -157,7 +184,7 @@ def parse_address(text: str) -> Address:
 # -- the worker --------------------------------------------------------------
 
 class _DataListener:
-    """A worker's inbound data endpoint: accepts producers, binds channels.
+    """A daemon worker's inbound data endpoint: accepts producers, binds channels.
 
     Listens on an ephemeral port; every accepted connection announces which
     channel it carries in a hello frame (``("h", channel_name)``), after
@@ -170,7 +197,7 @@ class _DataListener:
     def __init__(self, host: str) -> None:
         self._listener = socket.create_server((host, 0))
         self._host = host
-        self._port = self._listener.getsockname()[1]
+        self._port: int = self._listener.getsockname()[1]
         self._accepted: Dict[str, socket.socket] = {}
         self._condition = threading.Condition()
         self._closed = False
@@ -191,8 +218,10 @@ class _DataListener:
                 return
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.settimeout(_HELLO_TIMEOUT_S)
                 message = _recv_control(sock, FrameDecoder("data-hello"))
-            except Exception:
+                sock.settimeout(None)
+            except Exception:  # silent, torn or foreign: not a producer
                 sock.close()
                 continue
             if message is None or message[0] != "h":
@@ -237,48 +266,72 @@ class _DataListener:
             pass
 
 
-class _WorkerSession:
-    """One coordinator-to-worker session: plan, wire, run, ship the result."""
+def _input_endpoint(transport: ChannelTransport) -> Any:
+    """The ``fileno()``-bearing consumer end of a cross-process channel."""
+    if isinstance(transport, ProcessTransport):
+        return transport.reader
+    if isinstance(transport, SocketTransport):
+        return transport.consumer_socket
+    return None
 
-    def __init__(self, control: socket.socket, host: str) -> None:
+
+class _StopRequested(Exception):
+    """The coordinator asked this worker to stop (or went away)."""
+
+
+class _WorkerSession:
+    """A worker's side of the control protocol: [plan, wire,] start, result.
+
+    A daemon session starts empty and receives its instance as a plan; a
+    forked child already holds its instance and goes straight to start.
+    """
+
+    def __init__(
+        self,
+        control: socket.socket,
+        host: str = "",
+        instance: Optional[SPEInstance] = None,
+        max_passes: int = 10_000_000,
+    ) -> None:
         self._control = control
         self._host = host
         self._decoder = FrameDecoder("worker-control")
-        self._instance: Optional[SPEInstance] = None
+        self._instance = instance
+        self._max_passes = max_passes
         self._listener: Optional[_DataListener] = None
-        self._producer_socks: List[socket.socket] = []
-        self._consumer_socks: List[socket.socket] = []
+        self._data_socks: List[socket.socket] = []
 
     # -- protocol steps ----------------------------------------------------
     def run(self) -> None:
         try:
-            self._handle_plan()
-            self._handle_wire()
+            if self._instance is None:
+                self._handle_plan()
+                self._handle_wire()
             self._handle_start()
         except _StopRequested:
-            name = self._instance.name if self._instance is not None else "?"
-            try:
-                _send_control(self._control, "stopped", {"instance": name})
-            except OSError:  # coordinator already gone
-                pass
+            self._reply("stopped", {"instance": self._name()})
         except BaseException as exc:  # noqa: BLE001 - shipped to the coordinator
-            name = self._instance.name if self._instance is not None else "?"
-            try:
-                _send_control(
-                    self._control,
-                    "error",
-                    {
-                        "instance": name,
-                        "error": repr(exc),
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-            except OSError:  # coordinator already gone
-                pass
+            self._reply(
+                "error",
+                {
+                    "instance": self._name(),
+                    "error": repr(exc),
+                    "traceback": traceback.format_exc(),
+                },
+            )
         finally:
             self.close()
 
-    def _expect(self, expected: str):
+    def _name(self) -> str:
+        return self._instance.name if self._instance is not None else "?"
+
+    def _reply(self, tag: str, body: Dict[str, Any]) -> None:
+        try:
+            _send_control(self._control, tag, body)
+        except OSError:  # coordinator already gone
+            pass
+
+    def _expect(self, expected: str) -> Any:
         message = _recv_control(self._control, self._decoder)
         if message is None:
             raise ChannelError(
@@ -296,12 +349,13 @@ class _WorkerSession:
     def _handle_plan(self) -> None:
         body = self._expect("plan")
         check_plan_version(body.get("version"))
-        self._instance = deserialize_plan(body["plan"])
-        self._max_passes = int(body.get("max_passes", 10_000_000))
+        instance = deserialize_plan(body["plan"])
+        self._instance = instance
+        self._max_passes = int(body.get("max_passes", self._max_passes))
         logger.debug(
             "session on %s: received plan for instance %r (%d bytes)",
             self._host,
-            self._instance.name,
+            instance.name,
             len(body["plan"]),
         )
         self._listener = _DataListener(self._host)
@@ -309,15 +363,16 @@ class _WorkerSession:
         _send_control(
             self._control,
             "ready",
-            {"instance": self._instance.name, "data_host": host, "data_port": port},
+            {"instance": instance.name, "data_host": host, "data_port": port},
         )
 
     def _handle_wire(self) -> None:
         body = self._expect("wire")
-        addresses: Dict[str, Tuple[str, int]] = {
+        instance = self._instance
+        assert instance is not None and self._listener is not None
+        addresses: Dict[str, Address] = {
             name: (host, port) for name, (host, port) in body["channels"].items()
         }
-        instance = self._instance
         # Outgoing: connect one data socket per Send channel and announce it.
         for send in instance.sends():
             channel = send.channel
@@ -326,8 +381,8 @@ class _WorkerSession:
                 host, port, what=f"data listener of channel {channel.name!r}"
             )
             _send_control(sock, "h", channel.name)
-            channel.transport.attach_producer(sock)
-            self._producer_socks.append(sock)
+            cast(SocketTransport, channel.transport).attach_producer(sock)
+            self._data_socks.append(sock)
         # Incoming: the listener thread accepted the producers' connections.
         incoming = [receive.channel for receive in instance.receives()]
         accepted = self._listener.wait_for(
@@ -335,33 +390,20 @@ class _WorkerSession:
         )
         for channel in incoming:
             sock = accepted[channel.name]
-            channel.transport.attach_consumer(sock)
-            self._consumer_socks.append(sock)
+            cast(SocketTransport, channel.transport).attach_consumer(sock)
+            self._data_socks.append(sock)
         _send_control(self._control, "wired", {"instance": instance.name})
-
-    def _poll_stop(self) -> bool:
-        """Non-blocking check for a coordinator stop (or a dead coordinator)."""
-        try:
-            data = self._control.recv(1 << 16)
-        except (BlockingIOError, InterruptedError):
-            return False
-        except OSError:
-            return True
-        if not data:
-            return True  # coordinator gone: stop quietly
-        for frame in self._decoder.feed(data):
-            if _decode_control(frame)[0] == "stop":
-                return True
-        return False
 
     def _handle_start(self) -> None:
         body = self._expect("start")
         instance = self._instance
+        assert instance is not None
         taps = prepare_sinks(instance)
         scheduler = Scheduler(instance, max_passes=self._max_passes)
-        # The start body opts this worker into telemetry: the deserialised
-        # instance builds its *own* tracer (plan-shipped objects never carry
-        # one) and ships the ring home inside the result document.
+        # The start body opts this worker into telemetry: the worker's copy
+        # of the instance builds its *own* tracer (a forked or plan-shipped
+        # one could never ship its buffer back) and the ring rides home
+        # inside the result document.
         telemetry_options = (body or {}).get("telemetry")
         if telemetry_options:
             from repro.obs.telemetry import enable_worker_telemetry
@@ -370,54 +412,7 @@ class _WorkerSession:
                 instance, scheduler, int(telemetry_options.get("capacity", 0))
             )
         logger.debug("session on %s: starting instance %r", self._host, instance.name)
-        # The control socket joins the park selector so a stop request (or a
-        # dead coordinator) interrupts an idle worker immediately.
-        self._control.setblocking(False)
-        selector = selectors.DefaultSelector()
-        selector.register(self._control, selectors.EVENT_READ, None)
-        waitable: Dict[socket.socket, object] = {}
-        for receive in instance.receives():
-            transport = receive.channel.transport
-            if isinstance(transport, SocketTransport):
-                sock = transport.consumer_socket
-                waitable[sock] = receive
-                selector.register(sock, selectors.EVENT_READ, receive)
-        passes = 0
-        stopped = False
-        try:
-            while True:
-                progressed = scheduler.step()
-                passes += 1
-                if scheduler.finished:
-                    break
-                if self._poll_stop():
-                    stopped = True
-                    break
-                if progressed or scheduler.has_ready_work:
-                    continue
-                if not waitable:
-                    raise SchedulingError(
-                        f"instance {instance.name!r} made no progress before completion"
-                    )
-                # Park on the data sockets: a frame from an upstream worker
-                # makes its socket readable, and signalling the Receive puts
-                # it on this scheduler's ready queue.  Closed channels are
-                # unregistered (a drained EOF would stay readable forever).
-                for key, _ in selector.select(timeout=_WAIT_TIMEOUT_S):
-                    receive = key.data
-                    if receive is not None:
-                        receive.signal()
-                for sock, receive in list(waitable.items()):
-                    if receive.channel.closed:
-                        selector.unregister(sock)
-                        del waitable[sock]
-        finally:
-            selector.close()
-            self._control.setblocking(True)
-        if stopped:
-            logger.info("session on %s: instance %r stopped", self._host, instance.name)
-            _send_control(self._control, "stopped", {"instance": instance.name})
-            return
+        passes = self._drive(instance, scheduler)
         logger.debug(
             "session on %s: instance %r finished after %d passes",
             self._host,
@@ -428,22 +423,96 @@ class _WorkerSession:
             self._control, "ok", collect_result(instance, scheduler, passes, taps)
         )
 
+    def _poll_stop(self) -> bool:
+        """Non-blocking check for a coordinator stop (or a dead coordinator).
+
+        A stop may already sit in the decoder: sent right behind ``start``,
+        it arrives in the same read that :meth:`_expect` consumed.
+        """
+        ready = self._decoder.ready
+        data: Optional[bytes] = None
+        try:
+            data = self._control.recv(1 << 16)
+        except (BlockingIOError, InterruptedError):
+            pass
+        except OSError:
+            return True
+        if data == b"":
+            return True  # coordinator gone: stop quietly
+        if data:
+            ready.extend(self._decoder.feed(data))
+        if not ready:
+            return False
+        stop = any(_decode_control(frame)[0] == "stop" for frame in ready)
+        ready.clear()
+        return stop
+
+    def _drive(self, instance: SPEInstance, scheduler: Scheduler) -> int:
+        """The worker loop: step the scheduler to quiescence; return the passes.
+
+        Idle, it parks on one selector over the input endpoints and the
+        control socket: a frame or pipe message from an upstream worker makes
+        its endpoint readable, and signalling the Receive puts it on this
+        scheduler's ready queue; a stop (or EOF) on the control socket ends
+        the run.  Closed channels are unregistered (a drained socket EOF
+        would stay readable forever).
+        """
+        self._control.setblocking(False)
+        selector = selectors.DefaultSelector()
+        selector.register(self._control, selectors.EVENT_READ, None)
+        waitable: Dict[Any, Any] = {}
+        for receive in instance.receives():
+            endpoint = _input_endpoint(receive.channel.transport)
+            if endpoint is not None:
+                waitable[endpoint] = receive
+                selector.register(endpoint, selectors.EVENT_READ, receive)
+        passes = 0
+        try:
+            while True:
+                progressed = scheduler.step()
+                passes += 1
+                if scheduler.finished:
+                    return passes
+                if self._poll_stop():
+                    logger.info("worker of instance %r stopped", instance.name)
+                    raise _StopRequested()
+                if progressed or scheduler.has_ready_work:
+                    continue
+                if not waitable:
+                    raise SchedulingError(
+                        f"instance {instance.name!r} made no progress before completion"
+                    )
+                for key, _ in selector.select(timeout=_WAIT_TIMEOUT_S):
+                    if key.data is not None:
+                        key.data.signal()
+                for endpoint, receive in list(waitable.items()):
+                    if receive.channel.closed:
+                        selector.unregister(endpoint)
+                        del waitable[endpoint]
+        finally:
+            selector.close()
+            self._control.setblocking(True)
+
     def close(self) -> None:
         if self._listener is not None:
             self._listener.close()
-        for sock in self._producer_socks + self._consumer_socks:
+        for sock in self._data_socks + [self._control]:
             try:
                 sock.close()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
-        try:
-            self._control.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
 
 
-class _StopRequested(Exception):
-    """The coordinator asked this worker to stop before it started."""
+def _forked_worker(
+    instance: SPEInstance,
+    control: socket.socket,
+    inherited: List[socket.socket],
+    max_passes: int,
+) -> None:
+    """A forked child: drop the control ends that are not its own, then serve."""
+    for sock in inherited:
+        sock.close()
+    _WorkerSession(control, instance=instance, max_passes=max_passes).run()
 
 
 class ClusterWorker:
@@ -459,7 +528,7 @@ class ClusterWorker:
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._listener = socket.create_server((host, port))
         self._host = host
-        self._port = self._listener.getsockname()[1]
+        self._port: int = self._listener.getsockname()[1]
         self._closed = False
         self._thread: Optional[threading.Thread] = None
 
@@ -502,25 +571,46 @@ class ClusterWorker:
 
 # -- the coordinator ---------------------------------------------------------
 
-class _InstanceSession:
-    """Coordinator-side handle of one instance's worker session."""
+class _Session:
+    """Coordinator-side handle of one worker: its control socket and fate."""
 
-    __slots__ = ("instance", "address", "sock", "decoder", "outcome", "data_address")
+    __slots__ = ("instance", "sock", "decoder", "outcome", "address", "process", "data_address")
 
-    def __init__(self, instance: SPEInstance, address: Address) -> None:
+    def __init__(
+        self,
+        instance: SPEInstance,
+        sock: socket.socket,
+        address: Optional[Address] = None,
+        process: Optional[BaseProcess] = None,
+    ) -> None:
         self.instance = instance
-        self.address = address
-        self.sock: Optional[socket.socket] = None
+        self.sock = sock
         self.decoder = FrameDecoder("coordinator-control")
-        #: ("ok" | "error" | "stopped" | "died", document) once known.
-        self.outcome: Optional[Tuple[str, Dict]] = None
+        self.outcome: Optional[Outcome] = None
+        #: the daemon serving this instance (daemon launcher) ...
+        self.address = address
+        #: ... or the forked child running it (fork launcher).
+        self.process = process
+        #: the daemon's data listener, reported in its "ready" answer.
         self.data_address: Optional[Address] = None
 
+    def where(self) -> str:
+        """Where the worker runs, for error messages."""
+        if self.process is not None:
+            return f"process {self.process.pid} (exit code {self.process.exitcode})"
+        assert self.address is not None
+        return f"at {self.address[0]}:{self.address[1]}"
 
-class ClusterRuntime(_RuntimeBase):
-    """Runs a distributed deployment on worker daemons over TCP.
 
-    ``hosts`` selects where the instances run:
+Hosts = Union[None, Sequence[Any], Dict[str, Any]]
+
+
+class RemoteRuntime(_RuntimeBase):
+    """Runs a distributed deployment with one worker process per SPE instance.
+
+    ``execution`` selects the launcher in :data:`LAUNCHERS`: ``"process"``
+    forks one child per instance; ``"cluster"`` ships the plans to worker
+    daemons, and ``hosts`` places them:
 
     * ``None`` (the default) -- one in-process :class:`ClusterWorker` per
       instance on a loopback ephemeral port.  Everything still crosses real
@@ -530,56 +620,72 @@ class ClusterRuntime(_RuntimeBase):
       instances are assigned round-robin over the daemons.
     * a dict ``instance name -> "host:port"`` -- explicit placement.
 
-    Every inter-instance channel must be backed by a
-    :class:`~repro.spe.sockets.SocketTransport` (the
-    :class:`~repro.api.pipeline.Pipeline` builds them that way under
-    ``execution="cluster"``).
+    Every inter-instance channel must use the launcher's transport (the
+    :class:`~repro.api.pipeline.Pipeline` builds them that way).
+    ``max_rounds`` bounds each worker's scheduler wake-ups;
+    ``round_callback`` fires once per collected worker result.
     """
 
     def __init__(
         self,
         instances: List[SPEInstance],
-        hosts: Union[None, Sequence, Dict[str, object]] = None,
+        execution: str = "process",
+        hosts: Hosts = None,
         timeout_s: float = 300.0,
         max_rounds: int = 10_000_000,
-        round_callback=None,
-        callback_every: int = 16,
+        round_callback: Optional[Callable[[int], None]] = None,
         connect_retries: int = 10,
         connect_backoff_s: float = 0.05,
-        telemetry=None,
+        telemetry: Any = None,
     ) -> None:
         super().__init__(instances)
+        if execution not in LAUNCHERS:
+            raise SchedulingError(
+                f"unknown execution {execution!r}; expected one of {sorted(LAUNCHERS)!r}"
+            )
+        if execution == "process" and "fork" not in multiprocessing.get_all_start_methods():
+            raise SchedulingError(
+                "execution='process' forks its workers (operator logic is "
+                "arbitrary Python, inherited rather than pickled); this "
+                "platform cannot fork -- use execution='cluster'"
+            )
+        if hosts is not None and execution != "cluster":
+            raise SchedulingError("hosts=... only applies to execution='cluster'")
+        self.execution = execution
+        self._launcher = LAUNCHERS[execution]
         #: the run's :class:`repro.obs.telemetry.Telemetry` (None = off);
         #: each worker records its own spans (opted in through the start
-        #: body), the coordinator records the plan/wire/collect/apply
-        #: phases, and the shipped buffers merge on apply.
+        #: body), the coordinator records its phases, and the shipped
+        #: buffers merge on apply.
         self.telemetry = telemetry
         self.timeout_s = timeout_s
         self.connect_retries = connect_retries
         self.connect_backoff_s = connect_backoff_s
         self.max_rounds = max_rounds
         self.round_callback = round_callback
-        self.callback_every = max(1, callback_every)
+        #: instance wake-up ("pass") counts summed over all workers.
         self.rounds = 0
         self._wakeups = 0
-        self.sessions: List[_InstanceSession] = []
+        self.sessions: List[_Session] = []
         #: instance name -> shipped result document (after a successful run).
-        self.results: Dict[str, Dict] = {}
+        self.results: Dict[str, Dict[str, Any]] = {}
         self._own_workers: List[ClusterWorker] = []
         self._hosts = hosts
         self._validate_hosts()
-        require_unique_channel_names(self.channels(), "cluster")
+        require_unique_channel_names(self.channels(), execution)
+        transport = self._launcher.transport
         for channel in self.channels():
-            if not isinstance(channel.transport, SocketTransport):
+            if not isinstance(channel.transport, transport):
                 raise SchedulingError(
-                    f"channel {channel.name!r} is not socket-backed; build "
-                    "the deployment with socket transports (e.g. "
-                    "Pipeline(execution='cluster'))"
+                    f"channel {channel.name!r} uses "
+                    f"{type(channel.transport).__name__}, not the "
+                    f"{transport.__name__} execution={execution!r} needs; "
+                    f"build the deployment with Pipeline(execution={execution!r})"
                 )
 
     # -- placement ---------------------------------------------------------
     @staticmethod
-    def _as_address(value) -> Address:
+    def _as_address(value: Any) -> Address:
         if isinstance(value, str):
             return parse_address(value)
         try:
@@ -601,42 +707,40 @@ class ClusterRuntime(_RuntimeBase):
         ``ValueError`` from address parsing (or an ``OSError`` from the
         socket layer), after workers have already been spawned.
         """
-        if self._hosts is None:
+        hosts = self._hosts
+        if hosts is None:
             return
-        entries = (
-            self._hosts.items()
-            if isinstance(self._hosts, dict)
-            else enumerate(self._hosts)
+        entries: Iterable[Tuple[Any, Any]] = (
+            hosts.items() if isinstance(hosts, dict) else enumerate(hosts)
         )
         for key, value in entries:
             try:
                 self._as_address(value)
             except ValueError as exc:
-                where = (
-                    f"hosts[{key!r}]" if isinstance(self._hosts, dict) else f"hosts[{key}]"
-                )
+                where = f"hosts[{key!r}]" if isinstance(hosts, dict) else f"hosts[{key}]"
                 raise SchedulingError(f"invalid worker address at {where}: {exc}") from None
 
     def _assign_addresses(self) -> Dict[str, Address]:
         """Instance name -> worker daemon address (spawning local ones if needed)."""
-        if self._hosts is None:
-            addresses = {}
+        hosts = self._hosts
+        if hosts is None:
+            addresses: Dict[str, Address] = {}
             for instance in self.instances:
                 worker = ClusterWorker().start()
                 self._own_workers.append(worker)
                 addresses[instance.name] = worker.address
             return addresses
-        if isinstance(self._hosts, dict):
-            missing = [i.name for i in self.instances if i.name not in self._hosts]
+        if isinstance(hosts, dict):
+            missing = [i.name for i in self.instances if i.name not in hosts]
             if missing:
                 raise SchedulingError(
                     f"hosts mapping does not place instance(s) {missing!r}"
                 )
             return {
-                instance.name: self._as_address(self._hosts[instance.name])
+                instance.name: self._as_address(hosts[instance.name])
                 for instance in self.instances
             }
-        pool = [self._as_address(value) for value in self._hosts]
+        pool = [self._as_address(value) for value in hosts]
         if not pool:
             raise SchedulingError("hosts must name at least one worker daemon")
         return {
@@ -649,108 +753,129 @@ class ClusterRuntime(_RuntimeBase):
         """Run every instance to quiescence; return the worker pass count."""
         for instance in self.instances:
             instance.validate()
-        addresses = self._assign_addresses()
-        self.sessions = [
-            _InstanceSession(instance, addresses[instance.name])
-            for instance in self.instances
-        ]
-        saved_sinks = {
-            session.instance.name: strip_sinks(session.instance)
-            for session in self.sessions
-        }
         telemetry = self.telemetry
-        tracer = telemetry.tracer if telemetry is not None else None
         start_body = (
             {"telemetry": {"capacity": telemetry.config.capacity}}
             if telemetry is not None
             else None
         )
-
-        def _phase(name: str, step) -> None:
-            if tracer is None:
-                step()
-                return
-            started = tracer.clock()
-            step()
-            tracer.record(name, "workers", started)
-
+        self.sessions = []
         try:
-            _phase("cluster.plan", self._ship_plans)
-            _phase("cluster.wire", self._wire_channels)
+            self._launcher.launch(self)
             for session in self.sessions:
-                _send_control(session.sock, "start", start_body)
-            _phase("cluster.collect", self._collect)
+                try:
+                    _send_control(session.sock, "start", start_body)
+                except OSError:  # already dead: collect reads its EOF
+                    pass
+            self._phase("collect", self._collect)
         finally:
             self._shutdown()
-            for session in self.sessions:
-                restore_sinks(session.instance, saved_sinks[session.instance.name])
         self._raise_on_failure()
-        _phase("cluster.apply", self._apply_results)
+        self._phase("apply", self._apply_results)
         return self.rounds
 
-    def _ship_plans(self) -> None:
-        version = plan_version()
-        for session in self.sessions:
-            host, port = session.address
+    def _phase(self, name: str, step: Callable[[], None]) -> None:
+        """Run one coordinator phase, recorded as an ``<execution>.<name>`` span."""
+        tracer = self.telemetry.tracer if self.telemetry is not None else None
+        if tracer is None:
+            step()
+            return
+        started = tracer.clock()
+        step()
+        tracer.record(f"{self.execution}.{name}", "workers", started)
+
+    def _fork(self) -> None:
+        """The fork launcher: one child per instance, in instance order."""
+        context = multiprocessing.get_context("fork")
+        for instance in self.instances:
+            mine, theirs = socket.socketpair()
+            inherited = [session.sock for session in self.sessions] + [mine]
+            process = context.Process(
+                target=_forked_worker,
+                args=(instance, theirs, inherited, self.max_rounds),
+                name=f"spe-{instance.name}",
+                daemon=True,
+            )
             try:
-                session.sock = connect_with_retry(
+                process.start()
+            finally:
+                theirs.close()
+            self.sessions.append(_Session(instance, mine, process=process))
+
+    def _deploy(self) -> None:
+        """The daemon launcher: plan -> ready, then wire -> wired, on every worker."""
+        addresses = self._assign_addresses()
+        # Coordinator-owned callbacks and taps (a collector, a ledger over an
+        # open file) must neither travel nor need to be picklable.
+        saved = {instance.name: strip_sinks(instance) for instance in self.instances}
+        try:
+            self._phase("plan", lambda: self._ship_plans(addresses))
+        finally:
+            for instance in self.instances:
+                restore_sinks(instance, saved[instance.name])
+        self._phase("wire", self._wire_channels)
+
+    def _ship_plans(self, addresses: Dict[str, Address]) -> None:
+        version = plan_version()
+        for instance in self.instances:
+            host, port = addresses[instance.name]
+            try:
+                sock = connect_with_retry(
                     host,
                     port,
                     retries=self.connect_retries,
                     backoff_s=self.connect_backoff_s,
-                    what=f"cluster worker for instance {session.instance.name!r}",
+                    what=f"cluster worker for instance {instance.name!r}",
                 )
             except ChannelError as exc:
                 raise SchedulingError(
-                    f"cannot deploy instance {session.instance.name!r}: {exc}"
+                    f"cannot deploy instance {instance.name!r}: {exc}"
                 ) from exc
+            self.sessions.append(_Session(instance, sock, address=(host, port)))
             _send_control(
-                session.sock,
+                sock,
                 "plan",
                 {
                     "version": version,
-                    "instance": session.instance.name,
-                    "plan": serialize_plan(session.instance),
+                    "instance": instance.name,
+                    "plan": serialize_plan(instance),
                     "max_passes": self.max_rounds,
                 },
             )
         for session in self.sessions:
-            tag, body = self._await(session, ("ready",))
+            body = self._await(session, "ready")
             session.data_address = (body["data_host"], body["data_port"])
 
     def _wire_channels(self) -> None:
         # A channel is consumed by exactly one instance; its worker's data
         # listener is the channel's inbound address.
-        consumer_of: Dict[str, _InstanceSession] = {}
-        for session in self.sessions:
-            for channel in session.instance.incoming_channels():
-                consumer_of[channel.name] = session
         channel_map = {
-            name: list(session.data_address) for name, session in consumer_of.items()
+            channel.name: list(session.data_address or ())
+            for session in self.sessions
+            for channel in session.instance.incoming_channels()
         }
         for session in self.sessions:
             _send_control(session.sock, "wire", {"channels": channel_map})
         for session in self.sessions:
-            self._await(session, ("wired",))
+            self._await(session, "wired")
 
-    def _await(self, session: _InstanceSession, expected: Tuple[str, ...]):
-        """Block on one session's next control message; errors raise at once."""
-        deadline = time.monotonic() + self.timeout_s
-        session.sock.settimeout(self.timeout_s)
+    def _await(self, session: _Session, expected: str) -> Dict[str, Any]:
+        """Block on one session's next setup answer; errors raise at once."""
+        sock = session.sock
+        sock.settimeout(self.timeout_s)
         try:
-            message = _recv_control(session.sock, session.decoder)
+            message = _recv_control(sock, session.decoder)
         except (OSError, ChannelError) as exc:
             raise SchedulingError(
-                f"cluster worker of instance {session.instance.name!r} at "
-                f"{session.address[0]}:{session.address[1]} went away during "
-                f"setup: {exc}"
+                f"worker of instance {session.instance.name!r} {session.where()} "
+                f"went away during setup: {exc}"
             ) from exc
         finally:
-            session.sock.settimeout(None)
+            sock.settimeout(None)
         if message is None:
             raise SchedulingError(
-                f"cluster worker of instance {session.instance.name!r} at "
-                f"{session.address[0]}:{session.address[1]} hung up during setup"
+                f"worker of instance {session.instance.name!r} {session.where()} "
+                "hung up during setup"
             )
         tag, body = message
         if tag == "error":
@@ -759,28 +884,21 @@ class ClusterRuntime(_RuntimeBase):
                 f"instance {body.get('instance', session.instance.name)!r} "
                 f"failed: {body.get('error')}\n{body.get('traceback', '')}"
             )
-        if tag not in expected:
+        if tag != expected:
             raise SchedulingError(
                 f"protocol error from instance {session.instance.name!r}: "
-                f"expected one of {expected!r}, got {tag!r}"
+                f"expected {expected!r}, got {tag!r}"
             )
-        if time.monotonic() > deadline:  # pragma: no cover - settimeout covers it
-            raise SchedulingError(
-                f"instance {session.instance.name!r} setup exceeded "
-                f"{self.timeout_s} seconds"
-            )
-        return tag, body
+        return dict(body)
 
     def _collect(self) -> None:
         """Wait for every worker's result (or death), within the deadline."""
         deadline = time.monotonic() + self.timeout_s
         selector = selectors.DefaultSelector()
-        pending: Dict[socket.socket, _InstanceSession] = {}
         for session in self.sessions:
             session.sock.setblocking(False)
             selector.register(session.sock, selectors.EVENT_READ, session)
-            pending[session.sock] = session
-        collected = 0
+        pending = len(self.sessions)
         failed = False
         try:
             while pending:
@@ -789,17 +907,14 @@ class ClusterRuntime(_RuntimeBase):
                     return
                 for key, _ in selector.select(timeout=min(remaining, 0.25)):
                     session = key.data
-                    if session.sock not in pending:
-                        continue
                     outcome = self._read_outcome(session)
                     if outcome is None:
                         continue
                     session.outcome = outcome
                     selector.unregister(session.sock)
-                    del pending[session.sock]
-                    collected += 1
+                    pending -= 1
                     if self.round_callback is not None:
-                        self.round_callback(collected)
+                        self.round_callback(len(self.sessions) - pending)
                     if outcome[0] in ("error", "died") and not failed:
                         # Fail fast: stop the healthy workers instead of
                         # letting them park until the deadline masks the
@@ -811,17 +926,11 @@ class ClusterRuntime(_RuntimeBase):
                             outcome[0],
                         )
                         failed = True
-                        self._broadcast_stop(exclude=session)
+                        self._broadcast_stop()
         finally:
             selector.close()
-            for session in self.sessions:
-                if session.sock is not None:
-                    try:
-                        session.sock.setblocking(True)
-                    except OSError:
-                        pass
 
-    def _read_outcome(self, session: _InstanceSession) -> Optional[Tuple[str, Dict]]:
+    def _read_outcome(self, session: _Session) -> Optional[Outcome]:
         """Drain one session's control socket; return its outcome if final."""
         while True:
             try:
@@ -837,9 +946,9 @@ class ClusterRuntime(_RuntimeBase):
                 if tag in ("ok", "error", "stopped"):
                     return (tag, body)
 
-    def _broadcast_stop(self, exclude: Optional[_InstanceSession] = None) -> None:
+    def _broadcast_stop(self) -> None:
         for session in self.sessions:
-            if session is exclude or session.sock is None or session.outcome is not None:
+            if session.outcome is not None:
                 continue
             try:
                 _send_control(session.sock, "stop", None)
@@ -847,40 +956,44 @@ class ClusterRuntime(_RuntimeBase):
                 pass
 
     def _shutdown(self) -> None:
+        """Stop whatever still runs, close the control sockets, reap the workers."""
         self._broadcast_stop()
         for session in self.sessions:
-            if session.sock is not None:
-                try:
-                    session.sock.close()
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
+            try:
+                session.sock.close()
+            except OSError:  # pragma: no cover - best-effort cleanup
+                pass
+        for session in self.sessions:
+            process = session.process
+            if process is None:
+                continue
+            process.join(timeout=5.0)
+            if process.is_alive():  # pragma: no cover - last resort
+                logger.warning("terminating unresponsive worker %r", session.instance.name)
+                process.terminate()
+                process.join(timeout=5.0)
         for worker in self._own_workers:
             worker.close()
         self._own_workers = []
 
     def _raise_on_failure(self) -> None:
-        errors = [s for s in self.sessions if s.outcome and s.outcome[0] == "error"]
-        if errors:
-            session = errors[0]
-            document = session.outcome[1]
-            raise SchedulingError(
-                f"instance {document['instance']!r} failed: {document['error']}\n"
-                f"{document.get('traceback', '')}"
-            )
-        died = [s for s in self.sessions if s.outcome and s.outcome[0] == "died"]
-        if died:
-            session = died[0]
-            raise SchedulingError(
-                f"instance {session.instance.name!r} cluster worker at "
-                f"{session.address[0]}:{session.address[1]} died without a result"
-            )
-        unfinished = [
-            s for s in self.sessions if s.outcome is None or s.outcome[0] == "stopped"
-        ]
+        outcomes = [(s, s.outcome or ("", {})) for s in self.sessions]
+        for _, (tag, document) in outcomes:
+            if tag == "error":
+                raise SchedulingError(
+                    f"instance {document['instance']!r} failed: {document['error']}\n"
+                    f"{document.get('traceback', '')}"
+                )
+        for session, (tag, _) in outcomes:
+            if tag == "died":
+                raise SchedulingError(
+                    f"instance {session.instance.name!r} worker {session.where()} "
+                    "died without a result"
+                )
+        unfinished = [s.instance.name for s, (tag, _) in outcomes if tag != "ok"]
         if unfinished:
-            names = [s.instance.name for s in unfinished]
             raise SchedulingError(
-                f"instance(s) {names!r} did not finish within {self.timeout_s} seconds"
+                f"instance(s) {unfinished!r} did not finish within {self.timeout_s} seconds"
             )
 
     # -- result application ------------------------------------------------
@@ -888,6 +1001,7 @@ class ClusterRuntime(_RuntimeBase):
         """Copy shipped counters / sink streams onto the coordinator objects."""
         by_channel = {channel.name: channel for channel in self.channels()}
         for session in self.sessions:
+            assert session.outcome is not None
             document = session.outcome[1]
             self.results[session.instance.name] = document
             self.rounds += document["passes"]
@@ -910,15 +1024,22 @@ class ClusterRuntime(_RuntimeBase):
         )
 
 
-def run_cluster(
-    instances: List[SPEInstance],
-    hosts=None,
-    timeout_s: float = 300.0,
-) -> ClusterRuntime:
-    """Convenience wrapper: build a :class:`ClusterRuntime`, run it, return it."""
-    runtime = ClusterRuntime(instances, hosts=hosts, timeout_s=timeout_s)
-    runtime.run()
-    return runtime
+class Launcher(NamedTuple):
+    """How one ``execution`` gets instances into workers, and what they speak."""
+
+    #: starts one worker per instance and fills ``runtime.sessions``.
+    launch: Callable[[RemoteRuntime], None]
+    #: the channel transport class every channel of the deployment must use.
+    transport: Type[ChannelTransport]
+    #: builds that transport for the channel of the given name.
+    new_transport: Callable[[str], ChannelTransport]
+
+
+#: ``Pipeline(execution=...)`` -> launcher and channel transport; the one table.
+LAUNCHERS: Dict[str, Launcher] = {
+    "process": Launcher(RemoteRuntime._fork, ProcessTransport, lambda name: ProcessTransport()),
+    "cluster": Launcher(RemoteRuntime._deploy, SocketTransport, SocketTransport),
+}
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -110,7 +110,7 @@ class ReceiveOperator(Operator):
             # advances it after appending every tuple it covers, so all
             # tuples the snapshot promises are caught by the drain below.
             # Reading it after the drain races with a concurrent producer
-            # (multiprocess / cluster runtimes): a tuple sent between the
+            # (out-of-process workers): a tuple sent between the
             # drain and the read would be emitted on the *next* wake-up,
             # after a watermark that already covers it, and downstream
             # merges would release out of order.

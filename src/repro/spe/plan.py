@@ -1,11 +1,12 @@
 """Plan serialisation: shipping a lowered SPE instance to a cluster worker.
 
-The :class:`~repro.spe.cluster.ClusterRuntime` coordinator builds the whole
-deployment locally (instances, operators, streams, channels) and then ships
-each :class:`~repro.spe.instance.SPEInstance` to the worker daemon that will
-run it.  Unlike the :class:`~repro.spe.multiprocess.MultiprocessRuntime`,
-which forks and therefore never serialises anything, a cluster worker may be
-a *fresh* Python process on another host -- the plan must actually travel.
+Under ``execution="cluster"`` the :class:`~repro.spe.cluster.RemoteRuntime`
+coordinator builds the whole deployment locally (instances, operators,
+streams, channels) and then ships each
+:class:`~repro.spe.instance.SPEInstance` to the worker daemon that will run
+it.  Unlike the fork launcher (``execution="process"``), which never
+serialises anything, a cluster worker may be a *fresh* Python process on
+another host -- the plan must actually travel.
 
 Standard :mod:`pickle` almost suffices: operators, streams, tuples and
 transports are ordinary classes importable on the worker.  What it refuses

@@ -25,8 +25,9 @@ from repro.spe.scheduler import Scheduler
 
 
 class _RuntimeBase:
-    """What every runtime (in-process, multiprocess, cluster) shares: the
-    instance list, its ordering values and the channel traffic statistics."""
+    """What both runtimes (in-process, and the out-of-process
+    :class:`~repro.spe.cluster.RemoteRuntime`) share: the instance list, its
+    ordering values and the channel traffic statistics."""
 
     def __init__(self, instances: List[SPEInstance]) -> None:
         if not instances:
@@ -190,8 +191,8 @@ class DistributedRuntime(_RuntimeBase):
 
         Each scheduler keeps its own ``trace_node`` (the instance name), so
         one coordinator-resident tracer yields per-instance timeline lanes --
-        the in-process analogue of the per-worker tracers the process and
-        cluster runtimes ship back.
+        the in-process analogue of the per-worker tracers the
+        :class:`~repro.spe.cluster.RemoteRuntime` workers ship back.
         """
         for scheduler in self._schedulers:
             scheduler.tracer = tracer

@@ -1,10 +1,9 @@
-"""Sink-stream shipping and replay shared by the out-of-process runtimes.
+"""Sink-stream shipping and replay for the out-of-process runtime.
 
-Both the :class:`~repro.spe.multiprocess.MultiprocessRuntime` (one forked OS
-process per SPE instance, pipe-backed channels) and the
-:class:`~repro.spe.cluster.ClusterRuntime` (worker daemons on separate hosts,
-socket-backed channels) execute SPE instances *away* from the coordinator
-that built the deployment.  Everything the coordinator promised its caller --
+The :class:`~repro.spe.cluster.RemoteRuntime` executes SPE instances *away*
+from the coordinator that built the deployment -- in forked OS processes
+(pipe-backed channels) or on worker daemons (socket-backed channels).
+Everything the coordinator promised its caller --
 sink callbacks, :class:`~repro.provstore.tap.ProvenanceTap`-shaped observers
 (the :class:`~repro.core.provenance.ProvenanceCollector`, the
 :class:`~repro.provstore.tap.LedgerTap` feeding a provenance store),
@@ -12,7 +11,7 @@ per-operator and per-channel counters, worker-measured latencies and
 traversal samples -- therefore materialises remotely and must be shipped back
 and re-enacted on the coordinator-side objects.
 
-This module is that machinery, extracted so the two runtimes cannot diverge:
+This module is that machinery, one copy for both launchers:
 
 * :class:`ShippingTap` records a sink's observed stream (tuples, watermark
   advances, the close) in the worker, encoded with the channel codec so
@@ -111,7 +110,7 @@ def prepare_sinks(instance: SPEInstance) -> Dict[str, ShippingTap]:
 def strip_sinks(instance: SPEInstance) -> Dict[str, Tuple[Any, bool, list]]:
     """Detach every sink's callback/taps/keep flag; return them for restoring.
 
-    The cluster coordinator serialises the lowered plan before shipping it to
+    The daemon launcher serialises the lowered plan before shipping it to
     a worker, and the coordinator-owned callbacks and taps (a collector, a
     ledger over an open file) must neither travel nor need to be picklable.
     The worker installs :func:`prepare_sinks` recorders on arrival anyway.

@@ -1,8 +1,9 @@
 """TCP framing and the socket-backed channel transport.
 
-The :class:`~repro.spe.cluster.ClusterRuntime` places SPE instances on
-separate hosts; their channels then cross a real network boundary instead of
-a :mod:`multiprocessing` pipe.  This module provides the wire layer:
+Under ``execution="cluster"`` the :class:`~repro.spe.cluster.RemoteRuntime`
+places SPE instances on worker daemons, possibly on separate hosts; their
+channels then cross a real network boundary instead of a
+:mod:`multiprocessing` pipe.  This module provides the wire layer:
 
 * a **length-prefixed frame codec** -- every message travels as a 4-byte
   big-endian length followed by that many payload bytes.  TCP is a byte
@@ -17,8 +18,8 @@ a :mod:`multiprocessing` pipe.  This module provides the wire layer:
   byte (a peer still speaking the retired JSON array encoding starts with
   ``[``) fails the drain with :class:`SerializationError` naming the
   channel.  The blob is the exact ``bytes`` the Send operator produced, so a
-  tuple's bytes on the wire are identical across the process and cluster
-  runtimes.
+  tuple's bytes on the wire are identical under ``execution="process"`` and
+  ``"cluster"``.
 * :class:`SocketTransport` -- the :class:`~repro.spe.channels.ChannelTransport`
   speaking that protocol over a TCP socket.  The producer side owns a
   connected (blocking) socket and writes one frame per blob or control

@@ -433,7 +433,7 @@ def query_pipeline(
     ``execution`` is ``"event"`` (everything in this process, default),
     ``"process"`` (one OS process per SPE instance, inter only) or
     ``"cluster"`` (worker daemons over TCP, inter only; ``hosts`` places the
-    instances -- see :class:`~repro.spe.cluster.ClusterRuntime`).  ``parallelism``
+    instances -- see :class:`~repro.spe.cluster.RemoteRuntime`).  ``parallelism``
     shards the keyed stateful stages; inter-process deployments then use
     :func:`query_parallel_placement`, spreading each replica onto its own
     SPE instance.

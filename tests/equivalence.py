@@ -12,7 +12,7 @@ any parallelism -- must agree on
   *share* a handle may not,
 * data-channel tuple counts (:func:`data_channel_counts`).
 
-The parallel, multiprocess, cluster and reference-oracle suites all import
+The parallel, out-of-process and reference-oracle suites all import
 these helpers, the Linear Road / Smart Grid configurations and
 :func:`run_cell` from here so they cannot drift apart.
 """

@@ -62,12 +62,20 @@ class TestSpanParityAcrossExecutions:
         if not HAS_FORK:
             pytest.skip("process execution requires the fork start method")
         lanes = {}
+        # the coordinator's phase spans, which perfbench's spe.shipping rows read.
+        phases = {
+            "event": set(),
+            "process": {"process.collect", "process.apply"},
+            "cluster": {"cluster.plan", "cluster.wire", "cluster.collect", "cluster.apply"},
+        }
         for execution in ("event", "process", "cluster"):
             telemetry = Telemetry()
             result = run_q1(execution, telemetry=telemetry)
             assert result.sink.count > 0
             lanes[execution] = work_lanes(telemetry)
             assert lanes[execution], f"{execution}: no operator.work spans"
+            kinds = {span.kind for span in telemetry.spans() if span.node == "coordinator"}
+            assert phases[execution] <= kinds, (execution, kinds)
         assert lanes["event"] == lanes["process"] == lanes["cluster"]
 
     def test_worker_spans_ship_home(self):

@@ -1,10 +1,12 @@
-"""Small harness for exercising a single operator in isolation."""
+"""Small harness for exercising a single operator (or a two-instance link) in isolation."""
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+from repro.spe.channels import Channel, ChannelTransport
 from repro.spe.codec import BinaryChannelEncoder
+from repro.spe.instance import SPEInstance
 from repro.spe.operators.base import Operator
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple
@@ -68,3 +70,27 @@ def blobs(*batches: List[StreamTuple], channel: str = "c") -> List[bytes]:
     """Encode each batch into one blob, as a Send on ``channel`` would."""
     encoder = BinaryChannelEncoder(channel)
     return [encoder.encode_batch(batch) for batch in batches]
+
+
+def two_instances(supplier, transport: Optional[ChannelTransport] = None) -> List[SPEInstance]:
+    """``upstream`` (source -> send) feeding ``downstream`` (receive -> sink)
+    over one channel ``a_to_b``, in source batches of 16."""
+    channel = Channel("a_to_b", transport=transport)
+    upstream = SPEInstance("upstream")
+    source = upstream.add_source("source", supplier, batch_size=16)
+    upstream.connect(source, upstream.add_send("send", channel))
+    downstream = SPEInstance("downstream")
+    downstream.connect(downstream.add_receive("receive", channel), downstream.add_sink("sink"))
+    return [upstream, downstream]
+
+
+def exploding_supplier():
+    """200 tuples, then a crash mid-stream, before the channel is closed.
+
+    The downstream Receive never sees a close marker, so a runtime that
+    only notices errors at join time would let it wait out the deadline.
+    """
+    for ts in range(1000):
+        if ts == 200:
+            raise RuntimeError("upstream exploded mid-stream")
+        yield tup(float(ts), v=ts)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Dataflow, Pipeline, Placement
-from repro.spe.cluster import ClusterRuntime, main as cluster_main, parse_address
+from repro.spe.cluster import RemoteRuntime, main as cluster_main, parse_address
 from repro.spe.errors import SchedulingError
 from repro.spe.tuples import StreamTuple
 
@@ -77,6 +77,6 @@ class TestEagerHostValidation:
             _two_instance_pipeline([("localhost", 99999)]).run()
 
     def test_as_address_accepts_tuples(self):
-        assert ClusterRuntime._as_address(("h", 7700)) == ("h", 7700)
+        assert RemoteRuntime._as_address(("h", 7700)) == ("h", 7700)
         with pytest.raises(ValueError):
-            ClusterRuntime._as_address(("h",))
+            RemoteRuntime._as_address(("h",))

@@ -3,11 +3,9 @@
 Covers the failure scenarios of the bugfix sweep:
 
 * an instance crashing mid-stream must surface the *original* exception
-  (not a stuck-graph error or a timeout masking it) -- in process under the
-  :class:`~repro.spe.runtime.DistributedRuntime`, and with the healthy
-  workers stopped immediately under the
-  :class:`~repro.spe.multiprocess.MultiprocessRuntime` (the cluster suite
-  runs the same scenario over sockets),
+  (not a stuck-graph error or a timeout masking it) under the in-process
+  :class:`~repro.spe.runtime.DistributedRuntime` (the out-of-process
+  equivalence suite runs the same scenario on forked and daemon workers),
 * a Receive racing a concurrent producer must never emit behind the
   watermark it forwarded,
 * a :class:`~repro.provstore.backends.JsonlLedgerBackend` whose writer was
@@ -18,60 +16,20 @@ Covers the failure scenarios of the bugfix sweep:
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import time
 
 import pytest
 
 from repro.provstore import ProvenanceLedger, open_provenance_store
 from repro.provstore.backends import JsonlLedgerBackend, LedgerError
-from repro.spe.channels import Channel, InMemoryTransport, ProcessTransport
-from repro.spe.errors import SchedulingError
-from repro.spe.instance import SPEInstance
-from repro.spe.multiprocess import MultiprocessRuntime
+from repro.spe.channels import Channel, InMemoryTransport
 from repro.spe.runtime import DistributedRuntime
-from tests.optest import blobs, tup
-
-fork_required = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="multiprocess execution requires the fork start method",
-)
-
-
-def crashing_deployment(process_backed: bool):
-    """Upstream crashes mid-stream; downstream would park forever without it.
-
-    The upstream source raises after a few batches and before closing its
-    channel, so the downstream Receive never sees a close marker -- exactly
-    the scenario in which a runtime that only notices errors at join time
-    lets the downstream wait out the full deadline.
-    """
-    channel = Channel(
-        "a_to_b", transport=ProcessTransport() if process_backed else None
-    )
-
-    def exploding_supplier():
-        for ts in range(1000):
-            if ts == 200:
-                raise RuntimeError("upstream exploded mid-stream")
-            yield tup(float(ts), v=ts)
-
-    upstream = SPEInstance("upstream")
-    source = upstream.add_source("source", exploding_supplier, batch_size=16)
-    send = upstream.add_send("send", channel)
-    upstream.connect(source, send)
-
-    downstream = SPEInstance("downstream")
-    receive = downstream.add_receive("receive", channel)
-    sink = downstream.add_sink("sink")
-    downstream.connect(receive, sink)
-    return [upstream, downstream]
+from tests.optest import blobs, exploding_supplier, tup, two_instances
 
 
 class TestInProcessCrashPropagation:
     def test_original_error_surfaces_not_a_stuck_graph(self):
-        upstream, downstream = crashing_deployment(False)
+        upstream, downstream = two_instances(exploding_supplier)
         runtime = DistributedRuntime([upstream, downstream])
         # the supplier's own exception, unwrapped: no SchedulingError about
         # the downstream Receive that will now never see a close marker.
@@ -81,24 +39,6 @@ class TestInProcessCrashPropagation:
         sink = downstream["sink"]
         assert [t["v"] for t in sink.received] == list(range(sink.count))
         assert not runtime.finished
-
-
-@fork_required
-class TestMultiprocessCrashPropagation:
-    def test_original_error_surfaces_fast_not_the_timeout(self):
-        runtime = MultiprocessRuntime(crashing_deployment(True), timeout_s=60.0)
-        started = time.monotonic()
-        with pytest.raises(SchedulingError, match="upstream exploded mid-stream"):
-            runtime.run()
-        elapsed = time.monotonic() - started
-        assert elapsed < 20.0
-        # every worker process was stopped and reaped.
-        for worker in runtime.workers:
-            assert not worker.process.is_alive()
-
-    def test_rejects_non_process_channels(self):
-        with pytest.raises(SchedulingError, match="not process-backed"):
-            MultiprocessRuntime(crashing_deployment(False))
 
 
 class TestTornLedgerTail:
