@@ -484,10 +484,13 @@ class StreamBuilder:
         """Declare the key of the stream for the next stateful stage.
 
         Returns a builder at the same position carrying ``key_function``.
-        The key serves two purposes on the stage that consumes it:
+        The key serves three purposes on the stage that consumes it:
 
         * it is the default ``key_function`` of an :meth:`aggregate` that
-          does not pass one explicitly, and
+          does not pass one explicitly,
+        * it makes a :meth:`join` whose inputs are both keyed an equi-join
+          on the two keys at every parallelism (its predicate must imply key
+          equality), whose windows are indexed by key, and
         * it is the **partition key** when the stage runs with
           ``parallelism > 1`` -- tuples are hash-routed so every key's
           tuples land on one replica shard.  When a finer group-by
@@ -623,9 +626,12 @@ class StreamBuilder:
     ) -> "StreamBuilder":
         """Windowed join; ``self`` is the left input, ``other`` the right.
 
-        With ``parallelism > 1`` both inputs must declare their key with
-        :meth:`key_by`; the join only pairs tuples whose keys are equal (the
-        predicate must imply key equality), so both sides are hash-routed to
+        When both inputs declare their key with :meth:`key_by`, the stage is
+        an equi-join on those keys at every parallelism: the predicate must
+        imply key equality, and each tuple probes only the other input's
+        window bucket of its own key (see
+        :class:`~repro.spe.operators.join.JoinOperator`).  ``parallelism > 1``
+        requires both keys; both sides are then hash-routed to
         ``parallelism`` key-disjoint replica joins and re-united by an
         order-restoring Merge whose output matches the sequential stage's.
         """
@@ -637,17 +643,18 @@ class StreamBuilder:
             "predicate": predicate,
             "combiner": combiner,
         }
+        keys = None if self.key is None or other.key is None else (self.key, other.key)
         if parallelism <= 1:
             builder = self._then(
                 "join",
                 stage,
-                lambda: JoinOperator(stage, window_size, predicate, combiner),
+                lambda: JoinOperator(stage, window_size, predicate, combiner, keys=keys),
                 retention_s=window_size,
                 meta=stage_meta,
             )
             self.dataflow._add_edge(other.node, builder.node, out_port=other.out_port)
             return builder
-        if self.key is None or other.key is None:
+        if keys is None:
             raise DataflowError(
                 f"stage {stage!r}: a parallel join needs both inputs keyed -- "
                 "declare the partition keys with .key_by(...) on the left and "
@@ -656,7 +663,7 @@ class StreamBuilder:
 
         def replica_factory(shard_name):
             return lambda: JoinOperator(
-                shard_name, window_size, predicate, combiner, tag_order_key=True
+                shard_name, window_size, predicate, combiner, keys=keys, tag_order_key=True
             )
 
         return self._expand_parallel(

@@ -159,6 +159,13 @@ class MUOperator(MultiInputOperator):
         self.emit(out)
 
     # -- state management -----------------------------------------------------------
+    def on_close(self) -> None:
+        self._upstream_by_id.clear()
+        self._upstream_order.clear()
+        self._upstream_pairs.clear()
+        self._derived_by_origin.clear()
+        self._derived_order.clear()
+
     def on_watermark(self, watermark: float) -> None:
         if watermark == float("inf"):
             return
@@ -212,7 +219,8 @@ def attach_mu(
     With ``fused=True`` a single :class:`MUOperator` is added.  With
     ``fused=False`` the standard-operator composition of Figure 8 is built: a
     Union merging the upstream streams (only when there are two or more), a
-    Join matching upstream ``sink_id`` with derived ``id_o``, and -- when the
+    Join matching upstream ``sink_id`` with derived ``id_o`` (keyed on those
+    two fields, so each tuple probes only its id's bucket), and -- when the
     derived stream may contain SOURCE tuples -- a Multiplex plus two Filters
     and a final Union that bypass complete tuples around the Join.
     """
@@ -226,6 +234,10 @@ def attach_mu(
         predicate=lambda upstream, derived: upstream.get(SINK_ID_FIELD)
         == derived.get(ORIGIN_ID_FIELD),
         combiner=lambda upstream, derived: combine_derived_and_upstream(derived, upstream),
+        keys=(
+            lambda upstream: upstream.get(SINK_ID_FIELD),
+            lambda derived: derived.get(ORIGIN_ID_FIELD),
+        ),
     )
     # The upstream union is always created (even for a single upstream
     # stream) so that the Join's left input is guaranteed to be the upstream

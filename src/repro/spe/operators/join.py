@@ -9,12 +9,21 @@ Inputs are consumed in deterministic merged timestamp order; a pair is
 emitted when the later of its two tuples is processed, so every matching pair
 is produced exactly once and output timestamps (the maximum of the pair) are
 non-decreasing.
+
+Each input's window is indexed by key (key -> that key's tuples) next to one
+deque of ``(key, tuple)`` entries that watermark eviction pops, both in
+consumption order.  A new tuple probes only the other input's bucket of its
+key, still checking window distance and predicate per candidate.  An unkeyed
+join files every tuple under the key ``None``: the nested-loop join is the
+one-bucket case.  Keys never change the emission order, since a bucket keeps
+consumption order and a tuple of another key could not pass a predicate that
+implies key equality.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Mapping, Optional
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.spe.errors import QueryValidationError
 from repro.spe.operators.base import MultiInputOperator
@@ -22,6 +31,9 @@ from repro.spe.tuples import StreamTuple, owned_values
 
 JoinPredicate = Callable[[StreamTuple, StreamTuple], bool]
 JoinCombiner = Callable[[StreamTuple, StreamTuple], Optional[Mapping[str, Any]]]
+JoinKey = Callable[[StreamTuple], Any]
+#: ``(left key, right key)`` extractors of an equi-join.
+JoinKeys = Tuple[JoinKey, JoinKey]
 
 LEFT = 0
 RIGHT = 1
@@ -43,6 +55,9 @@ class JoinOperator(MultiInputOperator):
         (returning ``None`` suppresses the pair).  A returned plain dict is
         taken over by the engine without copying -- the combiner must build a
         fresh mapping per call and not mutate it afterwards.
+    keys:
+        ``(left key, right key)`` extractors of an equi-join (the predicate
+        must imply key equality), or ``None``; the output is the same.
     tag_order_key:
         Set on the replicas of a key-sharded parallel join.  The sequential
         join emits pairs in consumption order of the newer tuple, then in
@@ -65,6 +80,7 @@ class JoinOperator(MultiInputOperator):
         window_size: float,
         predicate: JoinPredicate,
         combiner: JoinCombiner,
+        keys: Optional[JoinKeys] = None,
         tag_order_key: bool = False,
     ) -> None:
         super().__init__(name)
@@ -73,8 +89,12 @@ class JoinOperator(MultiInputOperator):
         self.window_size = float(window_size)
         self._predicate = predicate
         self._combiner = combiner
+        self._keys = keys
         self._tag_order_key = tag_order_key
-        self._buffers: Dict[int, Deque[StreamTuple]] = {LEFT: deque(), RIGHT: deque()}
+        #: per input: key -> that key's window tuples, in consumption order.
+        self._index: Tuple[Dict[Any, List[StreamTuple]], ...] = ({}, {})
+        #: per input: the window's ``(key, tuple)`` entries, in consumption order.
+        self._order: Tuple[Deque[Tuple[Any, StreamTuple]], ...] = (deque(), deque())
         self.pairs_emitted = 0
 
     def validate(self) -> None:
@@ -85,19 +105,20 @@ class JoinOperator(MultiInputOperator):
             )
 
     def process_tuple(self, tup: StreamTuple, input_index: int) -> None:
-        other_index = RIGHT if input_index == LEFT else LEFT
-        for candidate in self._buffers[other_index]:
+        key = None if self._keys is None else self._keys[input_index](tup)
+        for candidate in self._index[1 - input_index].get(key, ()):
             if abs(tup.ts - candidate.ts) > self.window_size:
                 continue
             left, right = (tup, candidate) if input_index == LEFT else (candidate, tup)
             if not self._predicate(left, right):
                 continue
             self._emit_pair(left, right, newer=tup, older=candidate, newer_index=input_index)
-        self._buffers[input_index].append(tup)
+        self._index[input_index].setdefault(key, []).append(tup)
+        self._order[input_index].append((key, tup))
 
     def _pair_order_key(
         self, newer: StreamTuple, older: StreamTuple, newer_index: int
-    ):
+    ) -> Tuple[int, Any, float, Any]:
         newer_seq = newer.order_key
         older_seq = older.order_key
         if newer_seq is None or older_seq is None:
@@ -136,10 +157,21 @@ class JoinOperator(MultiInputOperator):
         if watermark == float("inf"):
             return
         horizon = watermark - self.window_size
-        for buffer in self._buffers.values():
-            while buffer and buffer[0].ts < horizon:
-                buffer.popleft()
+        for index, order in zip(self._index, self._order):
+            # Deque and buckets both keep consumption order, so the entry
+            # popped here is always the front of its key's bucket.
+            while order and order[0][1].ts < horizon:
+                key, _ = order.popleft()
+                bucket = index[key]
+                del bucket[0]
+                if not bucket:
+                    del index[key]
+
+    def on_close(self) -> None:
+        for index, order in zip(self._index, self._order):
+            index.clear()
+            order.clear()
 
     def buffered_tuples(self) -> int:
         """Number of tuples currently held in the join windows."""
-        return len(self._buffers[LEFT]) + len(self._buffers[RIGHT])
+        return len(self._order[LEFT]) + len(self._order[RIGHT])

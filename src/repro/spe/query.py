@@ -149,9 +149,14 @@ class Query:
             )
         )
 
-    def add_join(self, name: str, window_size: float, predicate, combiner) -> JoinOperator:
-        """Add a windowed Join operator (left = first connect, right = second)."""
-        return self.add(JoinOperator(name, window_size, predicate, combiner))
+    def add_join(
+        self, name: str, window_size: float, predicate, combiner, keys=None
+    ) -> JoinOperator:
+        """Add a windowed Join operator (left = first connect, right = second).
+
+        ``keys`` are the ``(left, right)`` key extractors of an equi-join.
+        """
+        return self.add(JoinOperator(name, window_size, predicate, combiner, keys=keys))
 
     def add_send(
         self, name: str, channel: Channel, ship_provenance: bool = True

@@ -392,16 +392,16 @@ class TestStreamTupleFastPath:
 
         join = JoinOperator("j", 10.0, lambda l, r: True, lambda l, r: l.values)
         (left, right), (out,) = wire(join, n_inputs=2, n_outputs=1)
-        left.push(tup(1, v=1))
+        original = tup(1, v=1)
+        left.push(original)
         right.push(tup(2, v=2))
         left.close()
         right.close()
         join.work()
         (emitted,) = out.drain()
-        original = join._buffers[0][0] if join._buffers[0] else None
         emitted["v"] = 99
-        assert emitted.values is not None
-        assert original is None or original["v"] == 1
+        assert emitted.values is not original.values
+        assert original["v"] == 1
 
     def test_owned_values_reuses_plain_dicts_only(self):
         plain = {"x": 1}

@@ -109,6 +109,35 @@ class TestJoinState:
         run_operator(op)
         assert op.buffered_tuples() == 1
 
+    def test_window_is_released_on_close(self):
+        op = make_join(window_size=10)
+        (left, right), (out,) = wire(op, n_inputs=2)
+        feed(left, [tup(45, k="a", v=1)], close=True)
+        feed(right, [tup(46, k="b", v=2)], close=True)
+        run_operator(op)
+        assert op.buffered_tuples() == 0
+
+    def test_keyed_probe_tests_only_same_key_tuples(self):
+        calls = []
+
+        def predicate(left, right):
+            calls.append((left["v"], right["v"]))
+            return True
+
+        op = JoinOperator(
+            "join",
+            window_size=10,
+            predicate=predicate,
+            combiner=lambda left, right: {"l": left["v"], "r": right["v"]},
+            keys=(lambda t: t["k"], lambda t: t["k"]),
+        )
+        (left, right), (out,) = wire(op, n_inputs=2)
+        feed(left, [tup(1, k="a", v=1), tup(2, k="b", v=2)], close=True)
+        feed(right, [tup(3, k="a", v=3), tup(4, k="c", v=4)], close=True)
+        run_operator(op)
+        assert calls == [(1, 3)]
+        assert [(t["l"], t["r"]) for t in collect(out)] == [(1, 3)]
+
     def test_negative_window_size_rejected(self):
         with pytest.raises(QueryValidationError):
             JoinOperator(

@@ -119,6 +119,16 @@ class TestMUOperator:
         assert mu.buffered_tuples() == 1
 
 
+    def test_buffers_are_released_on_close(self):
+        mu, derived_in, upstream_in, out = wire_mu(retention=1000)
+        upstream = unfolded(5, "spe1:5", 3, "spe1:2", "SOURCE")
+        derived = unfolded(6, "spe2:1", 6, "spe1:9", "REMOTE")
+        feed(upstream_in, [upstream], close=True)
+        feed(derived_in, [derived], close=True)
+        run_operator(mu)
+        assert mu.buffered_tuples() == 0
+
+
 class TestAttachMU:
     def _run(self, fused):
         query = Query("mu-query")
