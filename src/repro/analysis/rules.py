@@ -398,8 +398,8 @@ def check_unmanaged_channel(model: PlanModel) -> List[Diagnostic]:
                     channels=model.channel_name(node.name),
                     hint=(
                         "let the Pipeline create the channel (cut the edge "
-                        "with a Placement) or wire a process-capable "
-                        "transport explicitly"
+                        "with a Placement) or wire a SocketTransport "
+                        "explicitly"
                     ),
                 )
             )

@@ -59,6 +59,7 @@ from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.query import Query
 from repro.spe.runtime import DistributedRuntime
 from repro.spe.scheduler import Scheduler
+from repro.spe.sockets import SocketTransport
 
 #: name of the dedicated provenance instance of distributed deployments.
 PROVENANCE_INSTANCE = "provenance_node"
@@ -305,12 +306,13 @@ class Pipeline:
     of the dataflow's window sizes.  ``execution`` selects where the
     event-driven scheduler runs: ``"event"`` (default) keeps everything in
     this process, ``"process"`` forks one OS process per SPE instance
-    connected by pipe-backed channels, and ``"cluster"`` ships each SPE
-    instance to a worker daemon over TCP with socket-backed channels
-    (``hosts`` places the instances).  Both need a placement and run on the
-    :class:`~repro.spe.cluster.RemoteRuntime`, whose ``LAUNCHERS`` table
-    pairs each with its transport.  Inter-instance channels carry
-    :mod:`repro.spe.codec` batch blobs under every ``execution``.
+    connected by socketpair channels, and ``"cluster"`` ships each SPE
+    instance to a worker daemon with TCP channels (``hosts`` places the
+    instances).  Both need a placement and run on the
+    :class:`~repro.spe.cluster.RemoteRuntime` (its ``LAUNCHERS`` table), with
+    every channel a :class:`~repro.spe.sockets.SocketTransport`.
+    Inter-instance channels carry :mod:`repro.spe.codec` batch blobs under
+    every ``execution``.
     ``telemetry`` enables runtime observability for the run (default off):
     ``True``, a :class:`~repro.obs.telemetry.TelemetryConfig` or a
     :class:`~repro.obs.telemetry.Telemetry` object -- the run's spans, time
@@ -485,15 +487,12 @@ class Pipeline:
         )
 
     def _build_inter(self) -> PipelineResult:
-        launcher = LAUNCHERS.get(self.execution)
+        remote = self.execution in LAUNCHERS
 
-        # Out of process, every channel gets the launcher's transport before
-        # any worker starts (pipes exist before the fork; sockets start
-        # detached and are wired on the workers' hosts).
+        # Out of process, every channel is a socket transport, detached until
+        # a launcher connects its ends.
         def channel_factory(name: str) -> Channel:
-            if launcher is None:
-                return Channel(name)
-            return Channel(name, transport=launcher.new_transport(name))
+            return Channel(name, transport=SocketTransport(name) if remote else None)
 
         builder = _DistributedBuilder(
             self.dataflow,

@@ -20,7 +20,7 @@ from repro.spe.scheduler import Scheduler
 from repro.spe.instance import SPEInstance
 from repro.spe.runtime import DistributedRuntime
 from repro.spe.cluster import ClusterWorker, RemoteRuntime
-from repro.spe.channels import Channel, ChannelTransport, InMemoryTransport, ProcessTransport
+from repro.spe.channels import Channel, ChannelTransport, InMemoryTransport
 from repro.spe.sockets import SocketTransport
 
 __all__ = [
@@ -37,6 +37,5 @@ __all__ = [
     "Channel",
     "ChannelTransport",
     "InMemoryTransport",
-    "ProcessTransport",
     "SocketTransport",
 ]

@@ -4,19 +4,22 @@ The paper deploys every SPE instance as its own process (Odroid boards on a
 switch), joined by Send/Receive channels, with the MU on a provenance
 instance.  :class:`RemoteRuntime` is the coordinator of that deployment.  A
 *launcher* gets each instance into a worker process; ``Pipeline(execution=)``
-picks one from :data:`LAUNCHERS`, together with the channel transport its
-workers speak:
+picks one from :data:`LAUNCHERS`.  Under both, every channel is a
+:class:`~repro.spe.sockets.SocketTransport`; only how its ends get connected
+differs:
 
-* ``"process"`` -- the **fork** launcher.  The coordinator forks one child
-  per instance, in instance order.  The child inherits its instance
-  (closures, generators and the pipe ends included), so nothing is
-  serialised, and channels are :class:`~repro.spe.channels.ProcessTransport`
-  pipes.
+* ``"process"`` -- the **fork** launcher.  The coordinator pairs every
+  channel over one ``socket.socketpair()``, then forks one child per
+  instance, in instance order.  The child inherits its instance (closures,
+  generators and the socket ends included), so nothing is serialised, and
+  keeps only the producer ends of its Sends and the consumer ends of its
+  Receives; the coordinator closes its ends after the last fork.  A dead
+  producer is thus an EOF at its consumer.
 * ``"cluster"`` -- the **daemon** launcher.  Instances run inside
   :class:`ClusterWorker` daemons reachable over TCP (``python -m
   repro.spe.cluster --serve host:port``, or in-process loopback workers for
-  ``hosts=None``), and channels are :class:`~repro.spe.sockets.SocketTransport`
-  sockets.  Two setup steps come first, one control connection per instance:
+  ``hosts=None``), and channels are TCP connections between them.  Two
+  setup steps come first, one control connection per instance:
 
   1. **plan** -- the instance is serialised with :mod:`repro.spe.plan`
      (closures ship by value) and sent with a Python/format version stamp,
@@ -37,9 +40,8 @@ session holds its TCP control connection.
 * **start** carries the telemetry options.  The worker drives its instance
   with the event-driven :class:`~repro.spe.scheduler.Scheduler` in the one
   worker loop (:meth:`_WorkerSession._drive`), parking on one selector over
-  its input endpoints -- pipe read ends or consumer sockets, which both
-  expose ``fileno()`` -- and its control socket, so a **stop** interrupts an
-  idle worker.
+  the consumer sockets of its channels and its control socket, so a
+  **stop** interrupts an idle worker.
 * At quiescence the worker answers **ok** with the result document of
   :mod:`repro.spe.shipping` (sink streams, worker-measured latencies,
   counters, traversal samples, its span buffer), which the coordinator
@@ -50,7 +52,9 @@ Every instance still consumes its inputs in timestamp-merged order, so sinks
 are byte-identical to ``execution="event"``.  Failure is one contract: the
 first error -- or death, which is EOF on the control socket whether a forked
 child or a daemon died -- makes the coordinator stop every other worker and
-re-raise that failure, naming the instance.
+re-raise the root failure, naming the instance: a lost input (an input
+socket ending before its close marker) only echoes its producer's failure,
+so it is blamed after every other error and death.
 """
 
 from __future__ import annotations
@@ -72,17 +76,15 @@ from typing import (
     Dict,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    Type,
     Union,
     cast,
 )
 
-from repro.spe.channels import ChannelTransport, ProcessTransport
-from repro.spe.errors import ChannelError, SchedulingError, SerializationError
+from repro.spe.channels import Channel
+from repro.spe.errors import ChannelError, ProducerLostError, SchedulingError, SerializationError
 from repro.spe.instance import SPEInstance
 from repro.spe.plan import (
     check_plan_version,
@@ -266,15 +268,6 @@ class _DataListener:
             pass
 
 
-def _input_endpoint(transport: ChannelTransport) -> Any:
-    """The ``fileno()``-bearing consumer end of a cross-process channel."""
-    if isinstance(transport, ProcessTransport):
-        return transport.reader
-    if isinstance(transport, SocketTransport):
-        return transport.consumer_socket
-    return None
-
-
 class _StopRequested(Exception):
     """The coordinator asked this worker to stop (or went away)."""
 
@@ -317,6 +310,8 @@ class _WorkerSession:
                     "instance": self._name(),
                     "error": repr(exc),
                     "traceback": traceback.format_exc(),
+                    # an input's producer died: the root failure is upstream.
+                    "lost_input": isinstance(exc, ProducerLostError),
                 },
             )
         finally:
@@ -450,22 +445,22 @@ class _WorkerSession:
     def _drive(self, instance: SPEInstance, scheduler: Scheduler) -> int:
         """The worker loop: step the scheduler to quiescence; return the passes.
 
-        Idle, it parks on one selector over the input endpoints and the
-        control socket: a frame or pipe message from an upstream worker makes
-        its endpoint readable, and signalling the Receive puts it on this
-        scheduler's ready queue; a stop (or EOF) on the control socket ends
-        the run.  Closed channels are unregistered (a drained socket EOF
-        would stay readable forever).
+        Idle, it parks on one selector over the consumer sockets and the
+        control socket: a frame from an upstream worker makes its socket
+        readable, and signalling the Receive puts it on this scheduler's
+        ready queue; a stop (or EOF) on the control socket ends the run.
+        Closed channels are unregistered (a drained socket EOF would stay
+        readable forever).
         """
         self._control.setblocking(False)
         selector = selectors.DefaultSelector()
         selector.register(self._control, selectors.EVENT_READ, None)
         waitable: Dict[Any, Any] = {}
         for receive in instance.receives():
-            endpoint = _input_endpoint(receive.channel.transport)
-            if endpoint is not None:
-                waitable[endpoint] = receive
-                selector.register(endpoint, selectors.EVENT_READ, receive)
+            endpoint = cast(SocketTransport, receive.channel.transport).consumer_socket
+            assert endpoint is not None, f"channel {receive.channel.name!r} is not wired"
+            waitable[endpoint] = receive
+            selector.register(endpoint, selectors.EVENT_READ, receive)
         passes = 0
         try:
             while True:
@@ -507,11 +502,17 @@ def _forked_worker(
     instance: SPEInstance,
     control: socket.socket,
     inherited: List[socket.socket],
+    channels: List[Channel],
     max_passes: int,
 ) -> None:
-    """A forked child: drop the control ends that are not its own, then serve."""
+    """A forked child: drop the control and data ends not its own, then serve."""
     for sock in inherited:
         sock.close()
+    outgoing, incoming = instance.outgoing_channels(), instance.incoming_channels()
+    for channel in channels:
+        cast(SocketTransport, channel.transport).close_sockets(
+            keep_producer=channel in outgoing, keep_consumer=channel in incoming
+        )
     _WorkerSession(control, instance=instance, max_passes=max_passes).run()
 
 
@@ -620,7 +621,8 @@ class RemoteRuntime(_RuntimeBase):
       instances are assigned round-robin over the daemons.
     * a dict ``instance name -> "host:port"`` -- explicit placement.
 
-    Every inter-instance channel must use the launcher's transport (the
+    Every inter-instance channel must be a
+    :class:`~repro.spe.sockets.SocketTransport` (the
     :class:`~repro.api.pipeline.Pipeline` builds them that way).
     ``max_rounds`` bounds each worker's scheduler wake-ups;
     ``round_callback`` fires once per collected worker result.
@@ -673,13 +675,12 @@ class RemoteRuntime(_RuntimeBase):
         self._hosts = hosts
         self._validate_hosts()
         require_unique_channel_names(self.channels(), execution)
-        transport = self._launcher.transport
         for channel in self.channels():
-            if not isinstance(channel.transport, transport):
+            if not isinstance(channel.transport, SocketTransport):
                 raise SchedulingError(
                     f"channel {channel.name!r} uses "
                     f"{type(channel.transport).__name__}, not the "
-                    f"{transport.__name__} execution={execution!r} needs; "
+                    f"SocketTransport execution={execution!r} needs; "
                     f"build the deployment with Pipeline(execution={execution!r})"
                 )
 
@@ -761,7 +762,7 @@ class RemoteRuntime(_RuntimeBase):
         )
         self.sessions = []
         try:
-            self._launcher.launch(self)
+            self._launcher(self)
             for session in self.sessions:
                 try:
                     _send_control(session.sock, "start", start_body)
@@ -785,22 +786,30 @@ class RemoteRuntime(_RuntimeBase):
         tracer.record(f"{self.execution}.{name}", "workers", started)
 
     def _fork(self) -> None:
-        """The fork launcher: one child per instance, in instance order."""
+        """The fork launcher: pair every channel, then one child per instance."""
         context = multiprocessing.get_context("fork")
-        for instance in self.instances:
-            mine, theirs = socket.socketpair()
-            inherited = [session.sock for session in self.sessions] + [mine]
-            process = context.Process(
-                target=_forked_worker,
-                args=(instance, theirs, inherited, self.max_rounds),
-                name=f"spe-{instance.name}",
-                daemon=True,
-            )
-            try:
-                process.start()
-            finally:
-                theirs.close()
-            self.sessions.append(_Session(instance, mine, process=process))
+        channels = self.channels()
+        try:
+            for channel in channels:
+                cast(SocketTransport, channel.transport).pair()
+            for instance in self.instances:
+                mine, theirs = socket.socketpair()
+                inherited = [session.sock for session in self.sessions] + [mine]
+                process = context.Process(
+                    target=_forked_worker,
+                    args=(instance, theirs, inherited, channels, self.max_rounds),
+                    name=f"spe-{instance.name}",
+                    daemon=True,
+                )
+                try:
+                    process.start()
+                finally:
+                    theirs.close()
+                self.sessions.append(_Session(instance, mine, process=process))
+        finally:
+            # Each end now lives in its one child only.
+            for channel in channels:
+                cast(SocketTransport, channel.transport).close_sockets()
 
     def _deploy(self) -> None:
         """The daemon launcher: plan -> ready, then wire -> wired, on every worker."""
@@ -977,14 +986,19 @@ class RemoteRuntime(_RuntimeBase):
         self._own_workers = []
 
     def _raise_on_failure(self) -> None:
-        outcomes = [(s, s.outcome or ("", {})) for s in self.sessions]
-        for _, (tag, document) in outcomes:
+        # Blame errors, then deaths, then lost inputs: a lost input only
+        # echoes its producer's failure, which may reach us after it.
+        rank = {"error": 0, "died": 1}
+        outcomes = sorted(
+            ((s, s.outcome or ("", {})) for s in self.sessions),
+            key=lambda o: rank.get(o[1][0], 2) + 2 * bool(o[1][1].get("lost_input")),
+        )
+        for session, (tag, document) in outcomes:
             if tag == "error":
                 raise SchedulingError(
                     f"instance {document['instance']!r} failed: {document['error']}\n"
                     f"{document.get('traceback', '')}"
                 )
-        for session, (tag, _) in outcomes:
             if tag == "died":
                 raise SchedulingError(
                     f"instance {session.instance.name!r} worker {session.where()} "
@@ -1024,21 +1038,11 @@ class RemoteRuntime(_RuntimeBase):
         )
 
 
-class Launcher(NamedTuple):
-    """How one ``execution`` gets instances into workers, and what they speak."""
-
-    #: starts one worker per instance and fills ``runtime.sessions``.
-    launch: Callable[[RemoteRuntime], None]
-    #: the channel transport class every channel of the deployment must use.
-    transport: Type[ChannelTransport]
-    #: builds that transport for the channel of the given name.
-    new_transport: Callable[[str], ChannelTransport]
-
-
-#: ``Pipeline(execution=...)`` -> launcher and channel transport; the one table.
-LAUNCHERS: Dict[str, Launcher] = {
-    "process": Launcher(RemoteRuntime._fork, ProcessTransport, lambda name: ProcessTransport()),
-    "cluster": Launcher(RemoteRuntime._deploy, SocketTransport, SocketTransport),
+#: ``Pipeline(execution=...)`` -> the launcher that starts one worker per
+#: instance and fills ``runtime.sessions``; the one table.
+LAUNCHERS: Dict[str, Callable[[RemoteRuntime], None]] = {
+    "process": RemoteRuntime._fork,
+    "cluster": RemoteRuntime._deploy,
 }
 
 

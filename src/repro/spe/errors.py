@@ -25,5 +25,9 @@ class ChannelError(SPEError):
     """A Send/Receive channel was used incorrectly (e.g. after closing)."""
 
 
+class ProducerLostError(ChannelError):
+    """A channel's producer went away before its close marker (it died mid-run)."""
+
+
 class ReservedAttributeError(SPEError):
     """A tuple attribute uses a name the unfolded provenance schema reserves."""

@@ -125,7 +125,7 @@ class ReceiveOperator(Operator):
             if watermark > self._in_watermark:
                 self._in_watermark = watermark
                 self._advance_outputs(watermark)
-            # The drain itself may have refreshed the channel view (pipe
+            # The drain itself may have refreshed the channel view (socket
             # transports fold control messages into it): go around again
             # until a pass neither delivered tuples nor moved the watermark.
             if not payloads and channel.watermark == watermark:

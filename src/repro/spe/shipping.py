@@ -2,7 +2,7 @@
 
 The :class:`~repro.spe.cluster.RemoteRuntime` executes SPE instances *away*
 from the coordinator that built the deployment -- in forked OS processes
-(pipe-backed channels) or on worker daemons (socket-backed channels).
+(socketpair channels) or on worker daemons (TCP channels).
 Everything the coordinator promised its caller --
 sink callbacks, :class:`~repro.provstore.tap.ProvenanceTap`-shaped observers
 (the :class:`~repro.core.provenance.ProvenanceCollector`, the

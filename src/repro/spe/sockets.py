@@ -1,9 +1,10 @@
-"""TCP framing and the socket-backed channel transport.
+"""Stream-socket framing and the one cross-process channel transport.
 
-Under ``execution="cluster"`` the :class:`~repro.spe.cluster.RemoteRuntime`
-places SPE instances on worker daemons, possibly on separate hosts; their
-channels then cross a real network boundary instead of a
-:mod:`multiprocessing` pipe.  This module provides the wire layer:
+Out of process, the :class:`~repro.spe.cluster.RemoteRuntime` runs every SPE
+instance in its own worker: a forked child over ``socket.socketpair()``
+channels (``execution="process"``), or a worker daemon, possibly on another
+host, over TCP channels (``execution="cluster"``).  This module provides
+the wire layer both share:
 
 * a **length-prefixed frame codec** -- every message travels as a 4-byte
   big-endian length followed by that many payload bytes.  TCP is a byte
@@ -11,31 +12,29 @@ channels then cross a real network boundary instead of a
   across ``recv`` calls, several frames in one read) and flags torn trailing
   frames and absurd lengths (corruption / protocol confusion) instead of
   allocating unbounded buffers.
-* **messages**: the same three messages the
-  :class:`~repro.spe.channels.ProcessTransport` pipes carry, each one frame
-  led by a one-byte tag -- ``D`` + one :mod:`repro.spe.codec` batch blob,
-  ``W`` + a float64 watermark, ``C`` for the close marker.  Any other lead
-  byte (a peer still speaking the retired JSON array encoding starts with
-  ``[``) fails the drain with :class:`SerializationError` naming the
-  channel.  The blob is the exact ``bytes`` the Send operator produced, so a
-  tuple's bytes on the wire are identical under ``execution="process"`` and
-  ``"cluster"``.
+* **messages**: three channel messages, each one frame led by a one-byte
+  tag -- ``D`` + one :mod:`repro.spe.codec` batch blob, ``W`` + a float64
+  watermark, ``C`` for the close marker.  Any other lead byte (a peer still
+  speaking the retired JSON array encoding starts with ``[``) fails the
+  drain with :class:`SerializationError` naming the channel.  The blob is
+  the exact ``bytes`` the Send operator produced, so a tuple's bytes on the
+  wire are identical under ``execution="process"`` and ``"cluster"``.
 * :class:`SocketTransport` -- the :class:`~repro.spe.channels.ChannelTransport`
-  speaking that protocol over a TCP socket.  The producer side owns a
-  connected (blocking) socket and writes one frame per blob or control
-  message; the consumer side owns a non-blocking socket it drains into a
-  local buffer exactly like the pipe transport drains its pipe.  Both sides
-  may live on the same object (a loopback socketpair is created lazily),
-  which is what the transport-contract unit tests exercise, or be attached
-  separately by the cluster worker wiring.
+  speaking that protocol over a connected stream socket.  The producer side
+  owns a blocking socket and writes one frame per blob or control message;
+  the consumer side owns a non-blocking socket it drains into a local
+  buffer.  Both sides may live on the same object (a socketpair is created
+  lazily), which is what the transport-contract unit tests exercise, or be
+  attached separately by the launchers' wiring.
 * :func:`connect_with_retry` -- bounded retry/backoff TCP connect that names
   the unreachable ``host:port`` when it gives up.
 
 A consumer socket reaching EOF *before* the close marker means the producer
-worker died mid-run; the transport raises :class:`ChannelError` from the
-drain so the Receive operator's worker fails fast and the coordinator can
-stop the rest of the deployment.  EOF after the close marker is the normal
-end of a connection.
+worker died mid-run; the transport raises :class:`ProducerLostError` from
+the drain so the Receive operator's worker fails fast and the coordinator
+can stop the rest of the deployment -- blaming the producer, not the
+worker that noticed.  EOF after the close marker is the normal end of a
+connection.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.spe.channels import ChannelTransport, Payload
-from repro.spe.errors import ChannelError, SerializationError
+from repro.spe.errors import ChannelError, ProducerLostError, SerializationError
 from repro.spe.tuples import FINAL_WATERMARK
 
 #: frame header: payload length as a 4-byte big-endian unsigned integer.
@@ -186,27 +185,25 @@ def connect_with_retry(
 
 
 class SocketTransport(ChannelTransport):
-    """A TCP socket carrying the channel's batch blobs.
+    """A connected stream socket carrying the channel's batch blobs.
 
-    Speaks the same messages as the pipe-backed
-    :class:`~repro.spe.channels.ProcessTransport` -- one blob per data
-    message, watermark advances, close markers -- with each message
-    travelling as one length-prefixed frame, so one Send flush is one frame
-    (and typically one TCP segment burst).
+    One blob per data message, watermark advances and close markers, each
+    message travelling as one length-prefixed frame, so one Send flush is
+    one frame (and typically one segment burst).
 
-    A transport starts *detached*: the cluster worker wiring attaches the
+    A transport starts *detached*.  The daemon launcher attaches the
     producer socket on the sending host and the consumer socket on the
-    receiving host (:meth:`attach_producer` / :meth:`attach_consumer`).  When
-    both sides are driven through a single detached object -- the unit-test
-    contract, or a single-process deployment -- a loopback
-    :func:`socket.socketpair` is created lazily on first use.
+    receiving host (:meth:`attach_producer` / :meth:`attach_consumer`); the
+    fork launcher calls :meth:`pair` before forking, and each child keeps
+    only its own end (:meth:`close_sockets`).  A detached object driven
+    from both sides -- the unit-test contract -- pairs lazily on first use.
 
-    Like the pipe transport, the consumer-side state (:attr:`watermark`,
-    :attr:`closed`, ``len()``) is only refreshed by :meth:`receive_all`
-    drains, never by property reads, so a coordinator inspecting its
-    (detached) copy of the object steals nothing.  Instances
-    are picklable while detached: a plan shipped to a cluster worker carries
-    the transport's identity, and the worker attaches the live sockets.
+    The consumer-side state (:attr:`watermark`, :attr:`closed`, ``len()``)
+    is only refreshed by :meth:`receive_all` drains, never by property
+    reads, so a coordinator inspecting its (detached) copy of the object
+    steals nothing.  Instances are picklable while detached: a plan shipped
+    to a cluster worker carries the transport's identity, and the worker
+    attaches the live sockets.
     """
 
     local = False
@@ -248,33 +245,30 @@ class SocketTransport(ChannelTransport):
         sock.setblocking(False)
         self._consumer_sock = sock
 
+    def pair(self) -> None:
+        """Connect both ends over one fresh :func:`socket.socketpair`."""
+        producer, consumer = socket.socketpair()
+        self.attach_producer(producer)
+        self.attach_consumer(consumer)
+
     @property
     def consumer_socket(self) -> Optional[socket.socket]:
         """The consumer-side socket (selectable by the worker's idle loop)."""
         return self._consumer_sock
 
-    def _ensure_loopback(self) -> None:
-        """Lazily self-connect a detached transport used from one process."""
-        if self._producer_sock is None and self._consumer_sock is None:
-            producer, consumer = socket.socketpair()
-            self.attach_producer(producer)
-            self.attach_consumer(consumer)
-
-    def close_sockets(self) -> None:
-        """Tear down whichever socket ends this side holds (idempotent)."""
-        for sock in (self._producer_sock, self._consumer_sock):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
-        self._producer_sock = None
-        self._consumer_sock = None
+    def close_sockets(self, keep_producer: bool = False, keep_consumer: bool = False) -> None:
+        """Close the socket ends this side holds, except the ones to keep (idempotent)."""
+        if not keep_producer and self._producer_sock is not None:
+            self._producer_sock.close()
+            self._producer_sock = None
+        if not keep_consumer and self._consumer_sock is not None:
+            self._consumer_sock.close()
+            self._consumer_sock = None
 
     # -- producer side -----------------------------------------------------
     def _send_message(self, message: bytes) -> None:
-        if self._producer_sock is None:
-            self._ensure_loopback()
+        if self._producer_sock is None and self._consumer_sock is None:
+            self.pair()  # a detached transport driven from one process
         assert self._producer_sock is not None
         try:
             send_frame(self._producer_sock, encode_frame(message))
@@ -318,8 +312,8 @@ class SocketTransport(ChannelTransport):
             )
 
     def _drain(self) -> None:
-        if self._consumer_sock is None:
-            self._ensure_loopback()
+        if self._producer_sock is None and self._consumer_sock is None:
+            self.pair()  # a detached transport driven from one process
         sock = self._consumer_sock
         assert sock is not None
         while not self._eof:
@@ -338,7 +332,7 @@ class SocketTransport(ChannelTransport):
                 self._apply(frame)
         if self._eof and not self._closed:
             torn = self._decoder.pending_bytes
-            raise ChannelError(
+            raise ProducerLostError(
                 f"channel {self.name!r}: producer socket reached EOF before "
                 "the close marker (worker died mid-run"
                 + (f"; {torn} torn trailing byte(s))" if torn else ")")

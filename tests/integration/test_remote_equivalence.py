@@ -1,7 +1,7 @@
 """Out-of-process equivalence: forked and daemon workers reproduce event execution.
 
 The :class:`~repro.spe.cluster.RemoteRuntime` runs each SPE instance in its
-own worker process -- forked, with pipe-backed channels
+own worker process -- forked, with socketpair channels
 (``execution="process"``), or shipped as a plan to a worker daemon over TCP
 (``execution="cluster"``; localhost workers stand in for hosts, but the
 plans still round-trip through the serialiser and every channel crosses a
@@ -19,14 +19,18 @@ both launchers, these tests compare against ``execution="event"``:
 The canonicalisers, workloads and ``run_cell`` are :mod:`tests.equivalence`'s.
 Further blocks hold both launchers to the rest of the contract -- a live
 provenance store fed through shipped ledger entries, worker-measured
-latencies, fail-fast on a crashing upstream and on a worker killed mid-run,
-rejection of a channel with another launcher's transport -- and cover the
-cluster-only parts: host placement, connection robustness and a standalone
-``python -m repro.spe.cluster --serve`` daemon.
+latencies, fail-fast on a crashing upstream and on a worker killed mid-run
+(blamed on that worker, not on the downstream that lost its input),
+rejection of a channel that is not a socket transport, no data-plane file
+descriptor left in the coordinator -- and cover the cluster-only parts: host
+placement, connection robustness and standalone ``python -m
+repro.spe.cluster --serve`` daemons.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import multiprocessing
 import os
 import re
@@ -40,14 +44,14 @@ import time
 import pytest
 
 from repro.core.provenance import ProvenanceMode
-from repro.spe.channels import ProcessTransport
 from repro.spe.cluster import (
-    LAUNCHERS,
     ClusterWorker,
     RemoteRuntime,
     _DataListener,
     _encode_control,
     _recv_control,
+    _Session,
+    _forked_worker,
     _WorkerSession,
     parse_address,
 )
@@ -157,11 +161,20 @@ def run_killing_mid_run(runtime, marker):
     return str(info.value), time.monotonic() - started
 
 
+#: worker result documents for the blame-ranking cases.
+ERROR = {"instance": "upstream", "error": "RuntimeError('boom')", "lost_input": False}
+LOST_INPUT = (
+    "error",
+    {"instance": "downstream", "error": "ProducerLostError('a_to_b')", "lost_input": True},
+)
+
+
 class TestRemoteFailFast:
     def test_original_error_surfaces_fast_not_the_timeout(self, execution):
-        transport = LAUNCHERS[execution].new_transport("a_to_b")
         runtime = RemoteRuntime(
-            two_instances(exploding_supplier, transport), execution=execution, timeout_s=60.0
+            two_instances(exploding_supplier, SocketTransport("a_to_b")),
+            execution=execution,
+            timeout_s=60.0,
         )
         started = time.monotonic()
         with pytest.raises(SchedulingError, match="upstream exploded mid-stream"):
@@ -171,38 +184,147 @@ class TestRemoteFailFast:
         assert time.monotonic() - started < 20.0
         assert multiprocessing.active_children() == []
 
-    def test_stop_arriving_with_start_is_honoured(self):
-        # a worker that failed fast upstream makes the coordinator send
-        # "stop" right behind "start"; one read can carry both frames.
-        _, downstream = two_instances(exploding_supplier, ProcessTransport())
+    @staticmethod
+    def _serve_one(instance, *tags):
+        """Send ``tags`` (default: start) in one write to an in-thread worker
+        session running ``instance``; return its answer."""
         coordinator, worker = socket.socketpair()
-        coordinator.sendall(_encode_control("start", None) + _encode_control("stop", None))
-        threading.Thread(
-            target=_WorkerSession(worker, instance=downstream).run, daemon=True
-        ).start()
+        coordinator.sendall(b"".join(_encode_control(tag, None) for tag in tags or ("start",)))
+        threading.Thread(target=_WorkerSession(worker, instance=instance).run, daemon=True).start()
         coordinator.settimeout(10.0)
         try:
-            assert _recv_control(coordinator, FrameDecoder())[0] == "stopped"
+            return _recv_control(coordinator, FrameDecoder())
         finally:
             coordinator.close()
 
+    def test_stop_arriving_with_start_is_honoured(self):
+        # a worker that failed fast upstream makes the coordinator send
+        # "stop" right behind "start"; one read can carry both frames.
+        transport = SocketTransport("a_to_b")
+        transport.pair()  # what the fork launcher does before forking
+        _, downstream = two_instances(exploding_supplier, transport)
+        try:
+            assert self._serve_one(downstream, "start", "stop")[0] == "stopped"
+        finally:
+            transport.close_sockets()
+
+    @pytest.mark.parametrize("side", ["upstream", "downstream"])
+    def test_forked_child_keeps_only_its_own_data_ends(self, side):
+        # Only the producing child may hold a channel's producer end, so
+        # that its death is an EOF at the consumer; run in-thread here, with
+        # a stop queued so the session returns at once.
+        transport = SocketTransport("a_to_b")
+        transport.pair()
+        upstream, downstream = two_instances(exploding_supplier, transport)
+        instance = upstream if side == "upstream" else downstream
+        coordinator, worker = socket.socketpair()
+        coordinator.sendall(_encode_control("stop", None))
+        try:
+            _forked_worker(instance, worker, [], upstream.outgoing_channels(), 1)
+            assert (transport._producer_sock is not None) == (side == "upstream")
+            assert (transport.consumer_socket is not None) == (side == "downstream")
+        finally:
+            coordinator.close()
+            transport.close_sockets()
+
+    def test_worker_reports_a_lost_input(self):
+        transport = SocketTransport("a_to_b")
+        transport.pair()
+        _, downstream = two_instances(exploding_supplier, transport)
+        transport.close_sockets(keep_consumer=True)  # the producing worker is gone
+        try:
+            tag, document = self._serve_one(downstream)
+        finally:
+            transport.close_sockets()
+        assert tag == "error" and document["lost_input"] is True
+        assert "ProducerLostError" in document["error"]
+
+    def test_worker_reports_its_own_error_as_the_root(self):
+        transport = SocketTransport("a_to_b")
+        transport.pair()
+        upstream, _ = two_instances(exploding_supplier, transport)
+        try:
+            tag, document = self._serve_one(upstream)
+        finally:
+            transport.close_sockets()
+        assert tag == "error" and document["lost_input"] is False
+        assert "upstream exploded mid-stream" in document["error"]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["upstream_first", "downstream_first"])
+    @pytest.mark.parametrize(
+        "upstream, downstream, blamed",
+        [
+            (("died", {}), LOST_INPUT, r"'upstream' worker at h:1 died"),
+            (("error", ERROR), LOST_INPUT, r"'upstream' failed: RuntimeError"),
+            (("stopped", {}), LOST_INPUT, r"'downstream' failed: ProducerLostError"),
+            (("died", {}), ("error", dict(ERROR, instance="downstream")), r"'downstream' failed"),
+        ],
+        ids=[
+            "death_over_lost_input",
+            "error_over_lost_input",
+            "lost_input_alone",
+            "error_over_death",
+        ],
+    )
+    def test_root_failure_is_blamed_whatever_the_arrival_order(
+        self, upstream, downstream, blamed, reverse
+    ):
+        runtime = RemoteRuntime(
+            two_instances(exploding_supplier, SocketTransport("a_to_b")), execution="cluster"
+        )
+        runtime.sessions = [_Session(i, None, address=("h", 1)) for i in runtime.instances]
+        for session, outcome in zip(runtime.sessions, (upstream, downstream)):
+            session.outcome = outcome
+        if reverse:
+            runtime.sessions.reverse()
+        with pytest.raises(SchedulingError, match=blamed):
+            runtime._raise_on_failure()
+
     def test_rejects_channels_of_another_transport(self, execution):
-        wanted = LAUNCHERS[execution].transport.__name__
-        with pytest.raises(SchedulingError, match=f"InMemoryTransport, not the {wanted}"):
+        with pytest.raises(SchedulingError, match="InMemoryTransport, not the SocketTransport"):
             RemoteRuntime(two_instances(exploding_supplier), execution=execution)
 
     @fork_required
     def test_process_worker_killed_mid_run_fails_fast(self, tmp_path):
         marker = tmp_path / "mid_run"
         runtime = RemoteRuntime(
-            stalling_deployment(marker, ProcessTransport()), execution="process", timeout_s=60.0
+            stalling_deployment(marker, SocketTransport("a_to_b")),
+            execution="process",
+            timeout_s=60.0,
         )
         error, elapsed = run_killing_mid_run(runtime, marker)
         # the child's control socket reached EOF: the coordinator stopped the
-        # downstream worker and named the dead one, well before the deadline.
+        # downstream worker and named the dead one -- not the downstream that
+        # saw its input end early -- well before the deadline.
         assert re.search(r"instance 'upstream' worker process \d+ .*died", error), error
         assert elapsed < 30.0
         assert multiprocessing.active_children() == []
+
+
+@fork_required
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+class TestForkLauncherDescriptors:
+    def test_coordinator_holds_no_data_plane_descriptor(self):
+        # Channels stay detached until the launcher pairs them, and the
+        # coordinator closes every data end it held for the fork: a held
+        # result pins no descriptor.
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        gc.collect()
+        baseline = open_fds()
+        pipeline = query_pipeline(
+            "q1",
+            workload_for("q1"),
+            mode=ProvenanceMode.GENEALOG,
+            deployment="inter",
+            execution="process",
+        )
+        pipeline.build()
+        assert open_fds() == baseline
+        result = pipeline.run()
+        assert result.sink.count > 0
+        assert open_fds() == baseline
 
 
 class TestClusterHostPlacement:
@@ -305,6 +427,39 @@ class TestClusterConnectionRobustness:
             listener.close()
 
 
+@contextlib.contextmanager
+def spawned_daemon():
+    """A ``--serve`` daemon subprocess: yields ``(process, (host, port))``.
+
+    Terminated and reaped on exit (``wait`` raises if one is left behind).
+    """
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.spe.cluster", "--serve", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+        text=True,
+    )
+    try:
+        # skip interpreter noise (e.g. runpy's found-in-sys.modules
+        # warning) until the daemon reports its bound address.
+        match = None
+        for _ in range(10):
+            banner = process.stdout.readline()
+            match = re.search(r"serving on (\S+)", banner)
+            if match or not banner:
+                break
+        assert match, f"daemon did not report its address: {banner!r}"
+        yield process, parse_address(match.group(1))
+    finally:
+        process.terminate()
+        process.wait(timeout=10)
+        process.stdout.close()
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX subprocess handling")
 class TestClusterStandaloneDaemon:
     """``python -m repro.spe.cluster --serve``: a genuinely foreign worker.
@@ -315,31 +470,13 @@ class TestClusterStandaloneDaemon:
 
     @pytest.fixture()
     def daemon(self):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.spe.cluster", "--serve", "127.0.0.1:0"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
-        )
-        try:
-            # skip interpreter noise (e.g. runpy's found-in-sys.modules
-            # warning) until the daemon reports its bound address.
-            match = None
-            for _ in range(10):
-                banner = process.stdout.readline()
-                match = re.search(r"serving on (\S+)", banner)
-                if match or not banner:
-                    break
-            assert match, f"daemon did not report its address: {banner!r}"
-            yield process, parse_address(match.group(1))
-        finally:
-            process.terminate()
-            process.wait(timeout=10)
-            process.stdout.close()
+        with spawned_daemon() as daemon:
+            yield daemon
+
+    @pytest.fixture()
+    def two_daemons(self):
+        with spawned_daemon() as first, spawned_daemon() as second:
+            yield first, second
 
     def test_full_run_on_a_daemon_subprocess(self, daemon):
         process, (host, port) = daemon
@@ -371,3 +508,21 @@ class TestClusterStandaloneDaemon:
         error, elapsed = run_killing_mid_run(runtime, marker)
         assert re.search("died|went away|hung up", error), error
         assert elapsed < 30.0
+
+    def test_killed_upstream_daemon_is_blamed_not_its_downstream(self, two_daemons, tmp_path):
+        # Killing upstream's daemon ends the a_to_b socket early, so the
+        # downstream daemon reports a lost input too -- possibly before the
+        # coordinator sees upstream's control socket close.  The death is
+        # the root failure and must be the one raised.
+        (upstream_daemon, upstream_at), (_, downstream_at) = two_daemons
+        marker = tmp_path / "mid_run"
+        runtime = RemoteRuntime(
+            stalling_deployment(marker, SocketTransport("a_to_b")),
+            execution="cluster",
+            hosts={"upstream": "%s:%d" % upstream_at, "downstream": "%s:%d" % downstream_at},
+            timeout_s=60.0,
+        )
+        error, elapsed = run_killing_mid_run(runtime, marker)
+        assert re.search(r"instance 'upstream' worker at \S+ died", error), error
+        assert elapsed < 30.0
+        assert upstream_daemon.wait(timeout=10) == -signal.SIGKILL

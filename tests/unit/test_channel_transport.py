@@ -1,21 +1,22 @@
 """Unit tests of the channel transport interface.
 
 The :class:`~repro.spe.channels.Channel` API is transport-agnostic: the
-in-memory deque, the multiprocessing pipe and the TCP socket must be
-observably identical to the Send/Receive operators.  The contract is
-``send_block`` / ``advance_watermark`` / ``close`` on the producer side and
-``receive_all`` on the consumer side, over opaque ``bytes`` batch blobs.  A
-:class:`ProcessTransport` (a pipe to self) and a detached
-:class:`SocketTransport` (a loopback socket pair) also work with producer and
-consumer in the *same* process, which is what these tests exploit to
-exercise the wire protocols without forking.
+in-memory deque and the socket transport must be observably identical to
+the Send/Receive operators.  The contract is ``send_block`` /
+``advance_watermark`` / ``close`` on the producer side and ``receive_all``
+on the consumer side, over opaque ``bytes`` batch blobs.  A detached
+:class:`SocketTransport` (a lazily created socket pair) also works with
+producer and consumer in the *same* process, which is what these tests
+exploit to exercise the wire protocol without forking.
 """
 
 from __future__ import annotations
 
+import select
+
 import pytest
 
-from repro.spe.channels import Channel, InMemoryTransport, ProcessTransport
+from repro.spe.channels import Channel, InMemoryTransport
 from repro.spe.codec import BinaryChannelDecoder
 from repro.spe.errors import ChannelError
 from repro.spe.operators.send_receive import ReceiveOperator, SendOperator
@@ -24,7 +25,7 @@ from repro.spe.streams import Stream
 from repro.spe.tuples import FINAL_WATERMARK
 from tests.optest import blobs, collect, feed, run_operator, tup, wire
 
-TRANSPORTS = (InMemoryTransport, ProcessTransport, SocketTransport)
+TRANSPORTS = (InMemoryTransport, SocketTransport)
 
 #: three consecutive blobs of one channel: 2, 1 and 3 tuples.
 BATCHES = (
@@ -137,31 +138,40 @@ class TestTransportContract:
         assert receive.finished
 
 
-class TestProcessTransportProtocol:
-    def test_state_reads_do_not_steal_pipe_messages(self):
-        # Property reads must stay side-effect free so a third copy of the
+@pytest.fixture()
+def socket_transport():
+    transport = SocketTransport("c")
+    transport.pair()
+    yield transport
+    transport.close_sockets()
+
+
+def readable(sock, timeout):
+    return select.select([sock], [], [], timeout)[0] == [sock]
+
+
+class TestSocketTransportProtocol:
+    def test_state_reads_do_not_steal_socket_messages(self, socket_transport):
+        # Property reads must stay side-effect free so another copy of the
         # object (the coordinator's) can inspect it without stealing the
         # consumer's messages.
-        transport = ProcessTransport()
-        channel = Channel("c", transport=transport)
+        channel = Channel("c", transport=socket_transport)
         (blob,) = blobs(BATCHES[0])
         channel.send_block(blob, 2)
         channel.advance_watermark(4.0)
         assert len(channel) == 0  # nothing drained into the local buffer yet
-        assert transport.reader.poll()  # ... and the messages are still piped
+        # ... and the messages still wait on the consumer socket
+        assert readable(socket_transport.consumer_socket, 1.0)
         assert channel.receive_all() == [blob]
         assert channel.watermark == 4.0
 
-    def test_reader_is_waitable(self):
-        from multiprocessing import connection
-
-        transport = ProcessTransport()
-        channel = Channel("c", transport=transport)
-        assert connection.wait([transport.reader], timeout=0.0) == []
+    def test_consumer_end_is_waitable(self, socket_transport):
+        channel = Channel("c", transport=socket_transport)
+        assert not readable(socket_transport.consumer_socket, 0.0)
         channel.send_block(*blobs(BATCHES[1]), 1)
-        assert connection.wait([transport.reader], timeout=1.0) == [transport.reader]
+        assert readable(socket_transport.consumer_socket, 1.0)
 
-    def test_no_consumer_signal_for_cross_process_transports(self):
+    def test_no_consumer_signal_for_cross_process_transports(self, socket_transport):
         signals = []
 
         class FakeConsumer:
@@ -174,10 +184,10 @@ class TestProcessTransportProtocol:
         local.send_block(blob, 1)
         assert signals == [True]
 
-        piped = Channel("piped", transport=ProcessTransport())
-        piped.consumer = FakeConsumer()
-        piped.send_block(blob, 1)
-        assert signals == [True]  # unchanged: the pipe is the wake-up signal
+        remote = Channel("remote", transport=socket_transport)
+        remote.consumer = FakeConsumer()
+        remote.send_block(blob, 1)
+        assert signals == [True]  # unchanged: the socket is the wake-up signal
 
 
 class TestChannelHooks:

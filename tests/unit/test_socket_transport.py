@@ -12,8 +12,10 @@ this file covers what is *specific* to the wire:
   frames, and a frame with any other lead byte or a malformed control body
   -- including the retired JSON array encoding -- failing loudly,
 * EOF semantics: a producer socket dying *before* the close marker is a
-  :class:`~repro.spe.errors.ChannelError` naming the channel (the cluster
+  :class:`~repro.spe.errors.ProducerLostError` naming the channel (the
   fail-fast trigger), while EOF *after* the close is a normal end,
+* the fork launcher's wiring: :meth:`SocketTransport.pair` and
+  ``close_sockets(keep_producer=..., keep_consumer=...)``,
 * bounded-retry connects that name the unreachable ``host:port``.
 """
 
@@ -27,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spe.channels import Channel
-from repro.spe.errors import ChannelError, SerializationError
+from repro.spe.errors import ChannelError, ProducerLostError, SerializationError
 from repro.spe.plan import deserialize_plan, serialize_plan
 from repro.spe.sockets import (
     FRAME_HEADER,
@@ -126,7 +128,7 @@ class TestSocketTransportEOF:
         _, producer, consumer = _wired_pair("lost_link")
         producer.send(BLOB)
         producer.close_sockets()
-        with pytest.raises(ChannelError, match="lost_link.*worker died"):
+        with pytest.raises(ProducerLostError, match="lost_link.*worker died"):
             consumer.receive_all()
 
     def test_eof_with_torn_frame_reports_torn_bytes(self):
@@ -158,6 +160,50 @@ class TestSocketTransportEOF:
             # comes back; the second is guaranteed to fail.
             for _ in range(50):
                 transport.send(b"x" * 4096)
+
+
+class TestForkPairing:
+    """How the fork launcher splits one paired transport across processes."""
+
+    def test_pair_refuses_an_attached_transport(self):
+        transport = SocketTransport("p")
+        transport.pair()
+        try:
+            with pytest.raises(ChannelError, match="'p' already has a producer"):
+                transport.pair()
+        finally:
+            transport.close_sockets()
+
+    def test_kept_consumer_end_reports_a_lost_producer(self):
+        transport = SocketTransport("lost")
+        transport.pair()
+        transport.send(BLOB)
+        transport.close_sockets(keep_consumer=True)  # the producing child died
+        try:
+            with pytest.raises(ProducerLostError, match="'lost'"):
+                transport.receive_all()
+        finally:
+            transport.close_sockets()
+
+    def test_kept_producer_end_reports_a_gone_consumer(self):
+        transport = SocketTransport("gone")
+        transport.pair()
+        transport.close_sockets(keep_producer=True)  # the consuming child died
+        try:
+            with pytest.raises(ChannelError, match="'gone'.*consuming worker is gone"):
+                for _ in range(50):
+                    transport.send(b"x" * 4096)
+        finally:
+            transport.close_sockets()
+
+    def test_closing_every_end_detaches_the_transport(self):
+        transport = SocketTransport("coordinator_copy")
+        transport.pair()
+        transport.close_sockets()
+        transport.close_sockets()  # idempotent
+        assert transport.consumer_socket is None
+        # detached again: ships like a never-wired transport
+        assert deserialize_plan(serialize_plan(transport)).name == "coordinator_copy"
 
 
 class TestMessageLayer:
