@@ -14,8 +14,10 @@ deployment mechanics the examples used to hand-wire:
   inserted on every edge crossing a process boundary, and -- depending on the
   technique -- GeneaLog's SU/MU machinery (section 6) or the Ariadne-style
   baseline's source shipping is spliced in before a dedicated provenance
-  instance is appended.  The :class:`~repro.spe.runtime.DistributedRuntime`
-  runs the deployment.
+  instance is appended.  In process, one
+  :class:`~repro.spe.scheduler.Scheduler` runs every instance; out of
+  process, the :class:`~repro.spe.cluster.RemoteRuntime` runs one worker
+  per instance.
 
 Either way :meth:`Pipeline.run` returns a :class:`PipelineResult` bundling
 the sinks, the collected provenance records and the transfer statistics.
@@ -46,7 +48,7 @@ from repro.provstore.ledger import ProvenanceLedger
 from repro.provstore.tap import LedgerTap
 from repro.spe.channels import Channel
 from repro.spe.cluster import LAUNCHERS, RemoteRuntime
-from repro.spe.instance import SPEInstance
+from repro.spe.instance import SPEInstance, assign_ordering_values
 from repro.spe.metrics import (
     ChannelCounters,
     MetricsSnapshot,
@@ -57,7 +59,6 @@ from repro.spe.operators.sink import SinkOperator
 from repro.spe.operators.source import SourceOperator
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.query import Query
-from repro.spe.runtime import DistributedRuntime
 from repro.spe.scheduler import Scheduler
 from repro.spe.sockets import SocketTransport
 
@@ -207,11 +208,12 @@ class PipelineResult:
     collector: Optional[ProvenanceCollector] = None
     managers: Dict[str, ProvenanceManager] = field(default_factory=dict)
     channels: List[Channel] = field(default_factory=list)
-    #: operator wake-ups (intra) or instance wake-ups (inter) executed by
-    #: :meth:`Pipeline.run`.
+    #: what :meth:`Pipeline.run` executed: operator wake-ups in process
+    #: (``execution="event"``), worker passes summed over the workers out
+    #: of process.
     rounds: int = 0
-    #: operator wake-ups executed (intra: equals ``rounds``; inter: summed
-    #: over all instance schedulers).
+    #: operator wake-ups executed (in process: equals ``rounds``; out of
+    #: process: summed over the worker schedulers).
     wakeups: int = 0
     #: live provenance store attached via ``Pipeline(provenance_store=...)``.
     store: Optional[ProvenanceLedger] = None
@@ -299,13 +301,13 @@ class Pipeline:
 
     ``provenance`` is ``"none"``/``"genealog"``/``"baseline"`` (or the
     paper's NP/GL/BL labels, or a :class:`ProvenanceMode`).  ``placement``
-    selects the deployment: ``None`` runs everything in one process with the
-    :class:`Scheduler`; a :class:`Placement` deploys onto several SPE
-    instances run by the :class:`DistributedRuntime`.  ``retention`` (seconds
-    of provenance the MU / baseline resolver must retain) defaults to the sum
-    of the dataflow's window sizes.  ``execution`` selects where the
-    event-driven scheduler runs: ``"event"`` (default) keeps everything in
-    this process, ``"process"`` forks one OS process per SPE instance
+    selects the deployment: ``None`` runs everything as one query; a
+    :class:`Placement` deploys onto several SPE instances.  ``retention``
+    (seconds of provenance the MU / baseline resolver must retain) defaults
+    to the sum of the dataflow's window sizes.  ``execution`` selects where
+    the event-driven scheduler runs: ``"event"`` (default) keeps everything
+    in this process, one :class:`Scheduler` over the query or over every
+    instance, ``"process"`` forks one OS process per SPE instance
     connected by socketpair channels, and ``"cluster"`` ships each SPE
     instance to a worker daemon with TCP channels (``hosts`` places the
     instances).  Both need a placement and run on the
@@ -371,6 +373,7 @@ class Pipeline:
         self.validate = validate
         self.store = self._resolve_store(provenance_store)
         self._result: Optional[PipelineResult] = None
+        self._ran = False
 
     def _resolve_store(
         self, provenance_store: Union[ProvenanceLedger, str, None]
@@ -515,10 +518,16 @@ class Pipeline:
     ) -> PipelineResult:
         """Build (if needed) and run to quiescence; return the result.
 
-        ``round_callback`` is invoked every ``callback_every`` operator
-        wake-ups (intra) / instance wake-ups (inter), e.g. for memory
-        sampling; out of process it fires once per collected worker result.
+        In process (``execution="event"``, with or without a placement)
+        ``max_rounds`` bounds the operator wake-ups and ``round_callback``
+        is invoked every ``callback_every`` of them, e.g. for memory
+        sampling; out of process ``max_rounds`` bounds each worker's
+        wake-ups and the callback fires once per collected worker result.
+        Like :meth:`build`, a second call returns the finished result
+        without executing again (the sources are consumed).
         """
+        if self._ran:
+            return self.build()
         self._gate()
         result = self.build()
         telemetry = self.telemetry
@@ -530,9 +539,22 @@ class Pipeline:
                 # from the round callback; the out-of-process ones do not
                 # (the coordinator's counters only materialise after the run).
                 round_callback = telemetry.wrap_callback(round_callback)
-        if result.deployment == "intra":
+        if self.execution in LAUNCHERS:
+            runtime = RemoteRuntime(
+                result.instances,
+                execution=self.execution,
+                hosts=self.hosts,
+                max_rounds=max_rounds,
+                round_callback=round_callback,
+                telemetry=telemetry,
+            )
+            runtime.run()
+            result.rounds = runtime.rounds
+            result.wakeups = runtime.total_wakeups()
+        else:
+            queries = [result.query] if result.query is not None else result.instances
             scheduler = Scheduler(
-                result.query,
+                *queries,
                 max_passes=max_rounds,
                 pass_callback=round_callback,
                 callback_every=callback_every,
@@ -541,30 +563,9 @@ class Pipeline:
                 scheduler.tracer = telemetry.tracer
             scheduler.run()
             result.rounds = result.wakeups = scheduler.wakeups
-        else:
-            if self.execution in LAUNCHERS:
-                runtime = RemoteRuntime(
-                    result.instances,
-                    execution=self.execution,
-                    hosts=self.hosts,
-                    max_rounds=max_rounds,
-                    round_callback=round_callback,
-                    telemetry=telemetry,
-                )
-            else:
-                runtime = DistributedRuntime(
-                    result.instances,
-                    max_rounds=max_rounds,
-                    round_callback=round_callback,
-                    callback_every=callback_every,
-                )
-                if telemetry is not None:
-                    runtime.install_tracer(telemetry.tracer)
-            runtime.run()
-            result.rounds = runtime.rounds
-            result.wakeups = runtime.total_wakeups()
         if telemetry is not None:
             telemetry.finalize(result)
+        self._ran = True
         return result
 
 
@@ -735,12 +736,14 @@ class _DistributedBuilder:
             # must also use the instance's provenance manager.
             instance.set_provenance(self.managers[instance.name])
             instance.validate()
+        instances = list(self.instances.values())
+        assign_ordering_values(instances)
 
         return PipelineResult(
             mode=self.mode,
             deployment="inter",
             fused=self.fused,
-            instances=list(self.instances.values()),
+            instances=instances,
             sources=sources,
             sinks=sinks,
             collector=self.collector,

@@ -10,8 +10,10 @@ execution mode, and finalizes the object into
 Hook installation is execution-mode aware:
 
 * **intra / inter in-process** (``event``): the coordinator's
-  tracer is installed directly on the scheduler(s), operators, channels,
+  tracer is installed directly on the one scheduler, operators, channels,
   provenance managers and the ledger -- everything lives in this process.
+  The scheduler records each wake-up span on its operator's query lane,
+  so an inter deployment gets one timeline lane per instance.
 * **process / cluster**: the coordinator deliberately installs *no*
   instance-side hooks (a forked or plan-shipped copy of the coordinator's
   tracer could never ship its records back).  Instead each worker calls
@@ -202,7 +204,6 @@ def enable_worker_telemetry(instance, scheduler, capacity: int = 0) -> SpanTrace
         node=instance.name, capacity=capacity or DEFAULT_CAPACITY
     )
     scheduler.tracer = tracer
-    scheduler.trace_node = instance.name
     for operator in instance.operators:
         operator.tracer = tracer
         manager = getattr(operator, "provenance", None)

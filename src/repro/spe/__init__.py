@@ -3,10 +3,10 @@
 This package plays the role of the Liebre SPE in the original paper: it
 provides streams, the standard stateless and stateful operators (Map, Filter,
 Multiplex, Union, Aggregate, Join), Sources, Sinks, Send/Receive operators for
-crossing process boundaries, a deterministic watermark-driven scheduler, and
-multi-instance runtimes -- in process, or one worker process per instance --
-that connect SPE instances with channels carrying binary batch blobs
-(:mod:`repro.spe.codec`).
+crossing process boundaries, a deterministic watermark-driven scheduler that
+also runs several SPE instances in one process, and an out-of-process
+runtime with one worker process per instance; SPE instances are connected by
+channels carrying binary batch blobs (:mod:`repro.spe.codec`).
 
 Determinism (see section 2 of the paper) is obtained by requiring sources to
 emit timestamp-sorted streams and by having every multi-input operator merge
@@ -18,7 +18,6 @@ from repro.spe.streams import Stream
 from repro.spe.query import Query
 from repro.spe.scheduler import Scheduler
 from repro.spe.instance import SPEInstance
-from repro.spe.runtime import DistributedRuntime
 from repro.spe.cluster import ClusterWorker, RemoteRuntime
 from repro.spe.channels import Channel, ChannelTransport, InMemoryTransport
 from repro.spe.sockets import SocketTransport
@@ -31,7 +30,6 @@ __all__ = [
     "Query",
     "Scheduler",
     "SPEInstance",
-    "DistributedRuntime",
     "RemoteRuntime",
     "ClusterWorker",
     "Channel",

@@ -10,8 +10,8 @@ comparison.
 The queueing mechanics live behind a :class:`ChannelTransport`:
 
 * :class:`InMemoryTransport` (the default) is a plain deque shared by both
-  sides -- the cooperative :class:`~repro.spe.scheduler.Scheduler` and the
-  :class:`~repro.spe.runtime.DistributedRuntime` use it.
+  sides -- the cooperative :class:`~repro.spe.scheduler.Scheduler` uses it
+  when it runs several SPE instances in one process.
 * :class:`~repro.spe.sockets.SocketTransport` carries the same blobs over a
   stream socket, so the producer and the consumer can live in *different OS
   processes*: a ``socket.socketpair()`` under the fork launcher of
@@ -25,9 +25,9 @@ Like :class:`~repro.spe.streams.Stream`, a channel participates in readiness
 propagation: the Receive operator reading it registers itself as
 ``consumer``, and every producer-side mutation (:meth:`send_block`,
 :meth:`advance_watermark`, :meth:`close`) signals it.
-That is what lets the :class:`~repro.spe.runtime.DistributedRuntime` wake
-exactly the instance whose channel received data and never touch an idle
-one.  Cross-process transports skip that in-memory hook:
+That is what lets one :class:`~repro.spe.scheduler.Scheduler` over several
+instances wake exactly the Receive whose channel received data and never
+touch an idle one.  Cross-process transports skip that in-memory hook:
 there the socket itself is the wake-up signal (the consumer's worker loop
 waits on the consumer end).
 

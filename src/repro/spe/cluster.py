@@ -85,14 +85,13 @@ from typing import (
 
 from repro.spe.channels import Channel
 from repro.spe.errors import ChannelError, ProducerLostError, SchedulingError, SerializationError
-from repro.spe.instance import SPEInstance
+from repro.spe.instance import SPEInstance, assign_ordering_values
 from repro.spe.plan import (
     check_plan_version,
     deserialize_plan,
     plan_version,
     serialize_plan,
 )
-from repro.spe.runtime import _RuntimeBase
 from repro.spe.scheduler import Scheduler
 from repro.spe.shipping import (
     apply_instance_result,
@@ -606,7 +605,7 @@ class _Session:
 Hosts = Union[None, Sequence[Any], Dict[str, Any]]
 
 
-class RemoteRuntime(_RuntimeBase):
+class RemoteRuntime:
     """Runs a distributed deployment with one worker process per SPE instance.
 
     ``execution`` selects the launcher in :data:`LAUNCHERS`: ``"process"``
@@ -640,7 +639,10 @@ class RemoteRuntime(_RuntimeBase):
         connect_backoff_s: float = 0.05,
         telemetry: Any = None,
     ) -> None:
-        super().__init__(instances)
+        if not instances:
+            raise SchedulingError("a distributed runtime needs at least one instance")
+        self.instances = list(instances)
+        assign_ordering_values(self.instances)
         if execution not in LAUNCHERS:
             raise SchedulingError(
                 f"unknown execution {execution!r}; expected one of {sorted(LAUNCHERS)!r}"
@@ -683,6 +685,15 @@ class RemoteRuntime(_RuntimeBase):
                     f"SocketTransport execution={execution!r} needs; "
                     f"build the deployment with Pipeline(execution={execution!r})"
                 )
+
+    def channels(self) -> List[Channel]:
+        """Every channel used by the deployment (deduplicated)."""
+        seen: List[Channel] = []
+        for instance in self.instances:
+            for channel in instance.outgoing_channels():
+                if channel not in seen:
+                    seen.append(channel)
+        return seen
 
     # -- placement ---------------------------------------------------------
     @staticmethod

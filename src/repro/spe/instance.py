@@ -8,9 +8,11 @@ serialised (so only explicitly serialised metadata survives).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.spe.channels import Channel
+from repro.spe.errors import SchedulingError
 from repro.spe.query import Query
 
 
@@ -24,13 +26,12 @@ class SPEInstance(Query):
     * every other instance is *intermediate*.
 
     The *ordering value* of an instance is the longest path from a source
-    instance to it; it is computed by the
-    :class:`~repro.spe.runtime.DistributedRuntime`.
+    instance to it; :func:`assign_ordering_values` computes it.
     """
 
     def __init__(self, name: str) -> None:
         super().__init__(name=name)
-        #: longest path from a source instance, filled in by the runtime.
+        #: longest path from a source instance (see assign_ordering_values).
         self.ordering_value: Optional[int] = None
 
     # -- classification ------------------------------------------------------
@@ -63,3 +64,41 @@ class SPEInstance(Query):
             f"SPEInstance(name={self.name!r}, operators={len(self.operators)}, "
             f"ordering_value={self.ordering_value})"
         )
+
+
+def assign_ordering_values(instances: Sequence[SPEInstance]) -> None:
+    """Set each instance's ordering value (longest path from a source).
+
+    Raises :class:`SchedulingError` when the instance graph (one edge per
+    channel, producer to consumer) contains a cycle.
+    """
+    producers: Dict[Channel, SPEInstance] = {}
+    for instance in instances:
+        for channel in instance.outgoing_channels():
+            producers[channel] = instance
+    edges: Dict[SPEInstance, Set[SPEInstance]] = {i: set() for i in instances}
+    for instance in instances:
+        for channel in instance.incoming_channels():
+            producer = producers.get(channel)
+            if producer is not None:
+                edges[producer].add(instance)
+    indegree: Dict[SPEInstance, int] = {i: 0 for i in instances}
+    for downstream_set in edges.values():
+        for downstream in downstream_set:
+            indegree[downstream] += 1
+    order: List[SPEInstance] = [i for i in instances if indegree[i] == 0]
+    values: Dict[SPEInstance, int] = {i: 0 for i in order}
+    queue = deque(order)
+    while queue:
+        instance = queue.popleft()
+        for downstream in edges[instance]:
+            candidate = values[instance] + 1
+            if candidate > values.get(downstream, -1):
+                values[downstream] = candidate
+            indegree[downstream] -= 1
+            if indegree[downstream] == 0:
+                queue.append(downstream)
+    if len(values) != len(instances):
+        raise SchedulingError("instance graph contains a cycle")
+    for instance in instances:
+        instance.ordering_value = values[instance]

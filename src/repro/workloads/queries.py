@@ -429,7 +429,7 @@ def query_pipeline(
     """A ready-to-run :class:`Pipeline` for query ``name``.
 
     ``deployment`` is ``"intra"`` (single process, deterministic Scheduler)
-    or ``"inter"`` (the paper's three-instance DistributedRuntime deployment).
+    or ``"inter"`` (the paper's three-instance deployment).
     ``execution`` is ``"event"`` (everything in this process, default),
     ``"process"`` (one OS process per SPE instance, inter only) or
     ``"cluster"`` (worker daemons over TCP, inter only; ``hosts`` places the

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.provenance import ProvenanceMode
 from repro.spe.scheduler import Scheduler
-from repro.spe.runtime import DistributedRuntime
 from repro.spe.tuples import StreamTuple
 
 # a helper module whose assertions should report like a test module's
@@ -48,11 +47,9 @@ def run_query(bundle) -> None:
     Scheduler(bundle.query).run()
 
 
-def run_distributed(bundle) -> DistributedRuntime:
-    """Run a :class:`DistributedBundle` to completion and return the runtime."""
-    runtime = DistributedRuntime(bundle.instances)
-    runtime.run()
-    return runtime
+def run_distributed(bundle) -> None:
+    """Run a :class:`DistributedBundle`'s instances to completion."""
+    Scheduler(*bundle.instances).run()
 
 
 def record_index(records: Iterable) -> Dict[Tuple, Tuple[float, ...]]:

@@ -128,6 +128,41 @@ class TestRemoteEquivalence:
         assert all(latency != 0.0 for latency in result.sink.latencies)
 
 
+class TestSecondRun:
+    """A second ``Pipeline.run()`` returns the finished result untouched.
+
+    Out of process, the workers consume their own copies of the sources, so
+    the coordinator's copies still hold data; re-running would fork or ship
+    them again and double every count.
+    """
+
+    @pytest.mark.parametrize(
+        "execution",
+        ["event", pytest.param("process", marks=fork_required), "cluster"],
+    )
+    def test_second_run_does_not_execute_again(self, execution):
+        pipeline = query_pipeline(
+            "q1", workload_for("q1"), mode=ProvenanceMode.GENEALOG,
+            deployment="inter", execution=execution,
+        )
+
+        def observed(result):
+            return (
+                result.sink.count,
+                len(result.sink.latencies),
+                result.rounds,
+                result.wakeups,
+                len(result.provenance_records()),
+            )
+
+        first = pipeline.run()
+        before = observed(first)
+        assert before[0] > 0
+        second = pipeline.run()
+        assert second is first
+        assert observed(second) == before
+
+
 def stalling_deployment(marker, transport):
     """Upstream writes its pid into ``marker`` at tuple 50 of 200, then crawls."""
 

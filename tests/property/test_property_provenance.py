@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.provenance import ProvenanceMode
-from repro.spe.runtime import DistributedRuntime
 from repro.spe.scheduler import Scheduler
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
 from repro.workloads.queries import build_distributed_query, build_query
@@ -39,7 +38,7 @@ def run_intra(config, mode):
 
 def run_inter(config, mode):
     bundle = build_distributed_query("q1", LinearRoadGenerator(config).tuples, mode=mode)
-    DistributedRuntime(bundle.instances).run()
+    Scheduler(*bundle.instances).run()
     return bundle
 
 

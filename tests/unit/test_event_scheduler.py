@@ -16,7 +16,6 @@ from repro.spe.operators.filter import FilterOperator
 from repro.spe.operators.send_receive import ReceiveOperator
 from repro.spe.operators.union import UnionOperator
 from repro.spe.query import Query
-from repro.spe.runtime import DistributedRuntime
 from repro.spe.scheduler import Scheduler
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple, owned_values
@@ -278,28 +277,31 @@ class TestEventScheduler:
         done.connect(done.add_source("source", [tup(1, x=1)]), done.add_sink("sink"))
         waiting = self.never_fed(SPEInstance("waiting"))
         with pytest.raises(SchedulingError) as excinfo:
-            DistributedRuntime([done, waiting]).run()
+            Scheduler(done, waiting).run()
         assert str(excinfo.value) == (
-            "distributed deployment made no progress before completion; "
-            "unfinished operators by instance: waiting -> receive, sink"
+            "queries 'done', 'waiting' made no progress before completion; "
+            "unfinished operators: waiting/receive, waiting/sink"
         )
+
+    def test_same_named_operators_are_told_apart_by_instance(self):
+        # both instances own an operator named "sink"; only one is stuck.
+        done = SPEInstance("done")
+        done.connect(done.add_source("source", [tup(1, x=1)]), done.add_sink("sink"))
+        waiting = self.never_fed(SPEInstance("waiting"))
+        scheduler = Scheduler(done, waiting)
+        with pytest.raises(SchedulingError, match="waiting/sink") as excinfo:
+            scheduler.run()
+        assert "done/sink" not in str(excinfo.value)
+        assert scheduler.unfinished_operators() == ["waiting/receive", "waiting/sink"]
+        assert done["sink"].count == 1
 
     def test_max_passes_guard(self):
         query, _ = self.build_chain([tup(i, x=i) for i in range(500)])
         with pytest.raises(SchedulingError):
             Scheduler(query, max_passes=1).run()
 
-    def test_on_wake_fires_on_empty_to_nonempty_transition(self):
-        query, _ = self.build_chain([tup(1, x=1)])
-        scheduler = Scheduler(query)
-        wakes = []
-        scheduler.on_wake = wakes.append
-        scheduler.run()
-        # the initial seeding is the one transition of a standalone run
-        assert wakes == [scheduler]
-
-    def test_distributed_runtime_stepwise_driving(self):
-        # External drivers may step the runtime without calling run(); the
+    def test_multi_instance_stepwise_driving(self):
+        # External drivers may step the scheduler without calling run(); the
         # first step must seed the instances lazily.
         channel = Channel("pipe")
         upstream = SPEInstance("up")
@@ -311,10 +313,10 @@ class TestEventScheduler:
         sink = downstream.add_sink("sink")
         downstream.connect(receive, sink)
 
-        runtime = DistributedRuntime([upstream, downstream])
+        scheduler = Scheduler(upstream, downstream)
         steps = 0
-        while not runtime.finished:
-            assert runtime.step() or runtime.finished
+        while not scheduler.finished:
+            assert scheduler.step() or scheduler.finished
             steps += 1
             assert steps < 100
         assert [t["x"] for t in sink.received] == [0, 1, 2, 3, 4]

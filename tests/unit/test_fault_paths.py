@@ -3,9 +3,10 @@
 Covers the failure scenarios of the bugfix sweep:
 
 * an instance crashing mid-stream must surface the *original* exception
-  (not a stuck-graph error or a timeout masking it) under the in-process
-  :class:`~repro.spe.runtime.DistributedRuntime` (the out-of-process
-  equivalence suite runs the same scenario on forked and daemon workers),
+  (not a stuck-graph error or a timeout masking it) when one in-process
+  :class:`~repro.spe.scheduler.Scheduler` runs both instances (the
+  out-of-process equivalence suite runs the same scenario on forked and
+  daemon workers),
 * a Receive racing a concurrent producer must never emit behind the
   watermark it forwarded,
 * a :class:`~repro.provstore.backends.JsonlLedgerBackend` whose writer was
@@ -23,22 +24,22 @@ import pytest
 from repro.provstore import ProvenanceLedger, open_provenance_store
 from repro.provstore.backends import JsonlLedgerBackend, LedgerError
 from repro.spe.channels import Channel, InMemoryTransport
-from repro.spe.runtime import DistributedRuntime
+from repro.spe.scheduler import Scheduler
 from tests.optest import blobs, exploding_supplier, tup, two_instances
 
 
 class TestInProcessCrashPropagation:
     def test_original_error_surfaces_not_a_stuck_graph(self):
         upstream, downstream = two_instances(exploding_supplier)
-        runtime = DistributedRuntime([upstream, downstream])
+        scheduler = Scheduler(upstream, downstream)
         # the supplier's own exception, unwrapped: no SchedulingError about
         # the downstream Receive that will now never see a close marker.
         with pytest.raises(RuntimeError, match="upstream exploded mid-stream"):
-            runtime.run()
+            scheduler.run()
         # everything sent before the crash was delivered, in order.
         sink = downstream["sink"]
         assert [t["v"] for t in sink.received] == list(range(sink.count))
-        assert not runtime.finished
+        assert not scheduler.finished
 
 
 class TestTornLedgerTail:

@@ -4,10 +4,9 @@ import pytest
 
 from repro.spe.channels import Channel
 from repro.spe.errors import QueryValidationError, SchedulingError
-from repro.spe.instance import SPEInstance
+from repro.spe.instance import SPEInstance, assign_ordering_values
 from repro.spe.operators import WindowSpec
 from repro.spe.query import Query
-from repro.spe.runtime import DistributedRuntime
 from repro.spe.scheduler import Scheduler
 from tests.optest import tup
 
@@ -195,7 +194,7 @@ class TestSPEInstanceClassification:
         assert len(instance.outgoing_channels()) == 1
 
 
-class TestDistributedRuntime:
+class TestMultiInstanceScheduler:
     def _two_instance_pipeline(self, values):
         channel = Channel("pipe")
         upstream = SPEInstance("upstream")
@@ -211,24 +210,24 @@ class TestDistributedRuntime:
 
     def test_runs_instances_to_completion(self):
         instances, sink = self._two_instance_pipeline([1, 2, 3])
-        runtime = DistributedRuntime(instances)
-        runtime.run()
+        scheduler = Scheduler(*instances)
+        scheduler.run()
         assert [t["x"] for t in sink.received] == [1, 2, 3]
-        assert runtime.finished
+        assert scheduler.finished
 
     def test_ordering_values(self):
         instances, _ = self._two_instance_pipeline([1])
-        DistributedRuntime(instances)
+        assign_ordering_values(instances)
         assert instances[0].ordering_value == 0
         assert instances[1].ordering_value == 1
 
     def test_traffic_statistics(self):
         instances, _ = self._two_instance_pipeline([1, 2])
-        runtime = DistributedRuntime(instances)
-        runtime.run()
-        assert runtime.total_tuples_transferred() == 2
-        assert runtime.total_bytes_transferred() > 0
+        Scheduler(*instances).run()
+        (channel,) = instances[0].outgoing_channels()
+        assert channel.tuples_sent == 2
+        assert channel.bytes_sent > 0
 
     def test_requires_at_least_one_instance(self):
         with pytest.raises(SchedulingError):
-            DistributedRuntime([])
+            Scheduler()
