@@ -793,16 +793,20 @@ class _DistributedBuilder:
         producer.outputs.insert(port, producer.outputs.pop())
 
     def _splice_su_before(
-        self, instance: SPEInstance, consumer: Operator, su_name: str
+        self, instance: SPEInstance, consumer: Operator, su_name: str, boundary: bool
     ) -> Operator:
-        """Re-route ``consumer``'s input through a fresh SU; return its U side."""
+        """Re-route ``consumer``'s input through a fresh SU; return its U side.
+
+        ``boundary`` marks an SU before a cut Send: it unfolds only what its
+        instance derived (see :func:`~repro.core.unfolder.attach_su`).
+        """
         stream = consumer.inputs[0]
         producer = instance.producer_of(stream)
         self._require_ordered(stream, producer)
         port = producer.outputs.index(stream)
         instance.disconnect(stream)
         data_out, unfolded_out = attach_su(
-            instance, producer, name=su_name, fused=self.fused
+            instance, producer, name=su_name, fused=self.fused, boundary=boundary
         )
         self._restore_output_port(producer, port)
         instance.connect(data_out, consumer)
@@ -810,7 +814,9 @@ class _DistributedBuilder:
 
     def _splice_genealog(self, sinks: List[SinkOperator]) -> None:
         for instance, send, label in self._cut_sends:
-            unfolded_out = self._splice_su_before(instance, send, f"su_{label}")
+            unfolded_out = self._splice_su_before(
+                instance, send, f"su_{label}", boundary=True
+            )
             upstream_channel = self._channel(f"upstream_{label}")
             # Unfolded tuples carry their provenance in their attributes
             # (sink_id / id_o / type_o); the MU and the ledger never read the
@@ -827,7 +833,9 @@ class _DistributedBuilder:
             )
         sink = sinks[0]
         instance = self._owning(sink)
-        unfolded_out = self._splice_su_before(instance, sink, f"su_{sink.name}")
+        unfolded_out = self._splice_su_before(
+            instance, sink, f"su_{sink.name}", boundary=False
+        )
         self._derived_channel = self._channel("derived")
         derived_send = instance.add_send(
             "send_derived", self._derived_channel, ship_provenance=False

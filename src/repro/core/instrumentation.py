@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.meta import GeneaLogMeta
 from repro.core.traversal import find_provenance
@@ -52,6 +52,26 @@ _AGGREGATE = TupleType.AGGREGATE
 _REMOTE = TupleType.REMOTE
 _SOURCE_VALUE = TupleType.SOURCE.value
 _REMOTE_VALUE = TupleType.REMOTE.value
+#: the types an operator of this instance mints (Multiplex copies resolved).
+_DERIVED = frozenset((_MAP, _JOIN, _AGGREGATE))
+
+
+def _resolve(tup: StreamTuple) -> Tuple[StreamTuple, Optional[GeneaLogMeta]]:
+    """Follow Multiplex copies to the tuple they copy; return it and its meta.
+
+    A Multiplex copy is the same logical tuple as its input (it only exists
+    so that two downstream branches get their own object), so ids, boundary
+    types and the boundary SU's unfolding rule all resolve through it.  This
+    is what makes the standard-operator SU composition of Figure 5B
+    (Multiplex + unfolding Map) interchangeable with the fused SU: the copy
+    fed to the Send/Sink and the copy fed to the unfolding Map report the
+    same id.
+    """
+    meta: Optional[GeneaLogMeta] = tup.meta
+    while meta is not None and meta.type is _MULTIPLEX and meta.u1 is not None:
+        tup = meta.u1
+        meta = tup.meta
+    return tup, meta
 
 
 class GeneaLogProvenance(ProvenanceManager):
@@ -91,23 +111,25 @@ class GeneaLogProvenance(ProvenanceManager):
         # MU or a process boundary ever need one (section 6), so the common
         # per-tuple path stays as cheap as possible.  A bare (SOURCE) tuple
         # gets its metadata block here, to hold the id.
-        #
-        # A Multiplex copy is the same logical tuple as its input (it only
-        # exists so that two downstream branches get their own object), so it
-        # resolves to its input's id.  This is what makes the standard-
-        # operator SU composition of Figure 5B (Multiplex + unfolding Map)
-        # interchangeable with the fused SU: the copy fed to the Send/Sink
-        # and the copy fed to the unfolding Map report the same id.
-        meta: Optional[GeneaLogMeta] = tup.meta
-        while meta is not None and meta.type is _MULTIPLEX and meta.u1 is not None:
-            tup = meta.u1
-            meta = tup.meta
+        tup, meta = _resolve(tup)
         if meta is None:
             meta = tup.meta = GeneaLogMeta(_SOURCE)
         tuple_id = meta.tuple_id
         if tuple_id is None:
             tuple_id = meta.tuple_id = self._new_id()
         return tuple_id
+
+    def derived_here(self, tup: StreamTuple) -> bool:
+        """True when ``tup`` (Multiplex copies resolved) was derived on this instance.
+
+        That is a MAP, JOIN or AGGREGATE tuple: the only kind that crosses a
+        process boundary as ``REMOTE`` under an id minted here.  A boundary
+        SU unfolds these alone -- a SOURCE crossing needs no upstream record
+        (the MU forwards whatever derives from it as it is), and a received
+        leaf passed straight through would unfold to its own identity.
+        """
+        meta = _resolve(tup)[1]
+        return meta is not None and meta.type in _DERIVED
 
     # -- instrumented creation hooks -------------------------------------------
     def on_source_output(self, tup: StreamTuple) -> None:
@@ -168,12 +190,9 @@ class GeneaLogProvenance(ProvenanceManager):
 
     # -- process boundary hooks ---------------------------------------------------
     def on_send(self, tup: StreamTuple) -> Dict[str, Any]:
-        # inlined :meth:`tuple_id` (this is the per-crossing hot path):
-        # resolve Multiplex copies to their input, assign the lazy id.
-        meta: Optional[GeneaLogMeta] = tup.meta
-        while meta is not None and meta.type is _MULTIPLEX and meta.u1 is not None:
-            tup = meta.u1
-            meta = tup.meta
+        # :meth:`tuple_id`, inlined on this per-crossing hot path to keep the
+        # resolved meta, whose type decides SOURCE or REMOTE.
+        tup, meta = _resolve(tup)
         if meta is None:
             meta = tup.meta = GeneaLogMeta(_SOURCE)
         tuple_id = meta.tuple_id

@@ -127,8 +127,11 @@ class MUOperator(MultiInputOperator):
             # adds no provenance information -- the informative record for
             # this id comes from the boundary where the id was minted -- and
             # combining with it would loop the recursive replacement forever.
-            # (SOURCE identity records, by contrast, are kept: they terminate
-            # a chain by delivering the originating source tuple's payload.)
+            # Pipeline-built deployments no longer send identity records (a
+            # boundary SU unfolds only tuples its instance derived); the
+            # guard stays for hand-built ones.  (SOURCE identity records are
+            # kept: they terminate a chain by delivering the originating
+            # source tuple's payload.)
             return
         pair = (sink_id, values.get(ORIGIN_ID_FIELD))
         if pair in self._upstream_pairs:

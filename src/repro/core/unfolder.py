@@ -183,30 +183,52 @@ def make_unfolded_values(
     return _with_origin(base, origin, manager, operator)
 
 
+def _to_unfold(
+    batch: Sequence[StreamTuple], manager: ProvenanceManager, boundary: bool
+) -> Sequence[StreamTuple]:
+    """The tuples of ``batch`` an SU unfolds.
+
+    A sink SU unfolds every tuple.  A boundary SU (spliced before a cut
+    Send) unfolds only the tuples its own instance derived: any other
+    crossing is a SOURCE leaf downstream, or a received leaf whose unfolding
+    is its own identity, and the MU needs an upstream record for neither.
+    """
+    if not boundary:
+        return batch
+    derived_here = manager.derived_here
+    return [tup for tup in batch if derived_here(tup)]
+
+
 class UnfoldMapOperator(SingleInputOperator):
     """The Map of Figure 5B: expands each tuple into its originating tuples.
 
     For every input tuple ``t`` it applies ``findProvenance`` (through the
     installed provenance manager) and emits one unfolded tuple per
-    originating tuple.
+    originating tuple.  ``boundary`` applies the boundary SU's rule (see
+    :func:`_to_unfold`).
     """
 
     max_inputs = 1
     max_outputs = 1
 
-    def process_tuple(self, tup: StreamTuple) -> None:
+    def __init__(self, name: str, boundary: bool = False) -> None:
+        super().__init__(name)
+        self.boundary = boundary
+
+    def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         manager = self.provenance
-        origins = manager.unfold(tup)
-        if not origins:
-            return
-        base = _sink_base_values(tup, manager, self.name)
-        for origin in origins:
-            out = StreamTuple.owned(
-                ts=tup.ts, values=_with_origin(base, origin, manager, self.name)
-            )
-            out.wall = max(tup.wall, origin.wall)
-            manager.on_map_output(out, tup)
-            self.emit(out)
+        for tup in _to_unfold(batch, manager, self.boundary):
+            origins = manager.unfold(tup)
+            if not origins:
+                continue
+            base = _sink_base_values(tup, manager, self.name)
+            for origin in origins:
+                out = StreamTuple.owned(
+                    ts=tup.ts, values=_with_origin(base, origin, manager, self.name)
+                )
+                out.wall = max(tup.wall, origin.wall)
+                manager.on_map_output(out, tup)
+                self.emit(out)
 
 
 class SUOperator(SingleInputOperator):
@@ -221,6 +243,7 @@ class SUOperator(SingleInputOperator):
     (the provenance Sink, or a Send towards the MU).  The Figure 5B
     composition (:class:`UnfoldMapOperator`) is a standard Map and links its
     outputs like one; the unfolded *values* of the two are identical.
+    ``boundary`` applies the boundary SU's rule (see :func:`_to_unfold`).
     """
 
     max_inputs = 1
@@ -230,6 +253,10 @@ class SUOperator(SingleInputOperator):
     DATA_PORT = 0
     #: output port delivering the unfolded stream.
     UNFOLDED_PORT = 1
+
+    def __init__(self, name: str, boundary: bool = False) -> None:
+        super().__init__(name)
+        self.boundary = boundary
 
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         # One pass-through emit and one unfolded emit per input batch
@@ -242,7 +269,7 @@ class SUOperator(SingleInputOperator):
         append = unfolded.append
         tracer = self.tracer
         started = tracer.clock() if tracer is not None else 0.0
-        for tup in batch:
+        for tup in _to_unfold(batch, manager, self.boundary):
             origins = unfold(tup)
             if not origins:
                 continue
@@ -266,6 +293,7 @@ def attach_su(
     producer: Operator,
     name: str = "su",
     fused: bool = True,
+    boundary: bool = False,
 ) -> Tuple[Operator, Operator]:
     """Insert an SU fed by ``producer`` into ``query``.
 
@@ -275,14 +303,15 @@ def attach_su(
 
     With ``fused=True`` a single :class:`SUOperator` is used; with
     ``fused=False`` the standard-operator composition of Figure 5B
-    (Multiplex + unfolding Map) is built instead.
+    (Multiplex + unfolding Map) is built instead.  ``boundary=True`` marks
+    an SU spliced before a cut Send rather than a Sink.
     """
     if fused:
-        su = query.add(SUOperator(name))
+        su = query.add(SUOperator(name, boundary))
         query.connect(producer, su)
         return su, su
     multiplex = query.add_multiplex(f"{name}_multiplex")
-    unfold = query.add(UnfoldMapOperator(f"{name}_unfold"))
+    unfold = query.add(UnfoldMapOperator(f"{name}_unfold", boundary))
     query.connect(producer, multiplex)
     query.connect(multiplex, unfold)
     return multiplex, unfold

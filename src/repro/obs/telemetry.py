@@ -22,7 +22,8 @@ Hook installation is execution-mode aware:
   (:func:`repro.spe.shipping.collect_result`), where
   :meth:`Telemetry.merge_worker` aligns it onto the coordinator timeline
   via its clock anchor.  Only the ledger stays coordinator-hooked: sink
-  streams are replayed (and sealed) coordinator-side after the run.
+  streams are replayed (and sealed) coordinator-side, chunk by chunk while
+  the workers run, each chunk an ``<execution>.replay`` span.
 """
 
 from __future__ import annotations

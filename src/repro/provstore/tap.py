@@ -13,7 +13,8 @@ re-ingested on the provenance instance.
 tap per batch it processes (a single tuple arrives as a batch of one), in
 stream order and interleaved with :meth:`~ProvenanceTap.on_watermark`
 exactly as the Sink observed them; replaying a remote Sink's shipped stream
-(:func:`repro.spe.shipping.replay_sink`) makes the same calls.  A tap that
+chunk by chunk while its worker runs (:func:`repro.spe.shipping.replay_sink`)
+makes the same calls, in the same order.  A tap that
 only cares about tuples overrides :meth:`~ProvenanceTap.on_tuple` and
 inherits the batch loop; a tap that can amortise work over a batch
 overrides :meth:`~ProvenanceTap.on_batch` (the

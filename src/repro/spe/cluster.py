@@ -42,19 +42,26 @@ session holds its TCP control connection.
   worker loop (:meth:`_WorkerSession._drive`), parking on one selector over
   the consumer sockets of its channels and its control socket, so a
   **stop** interrupts an idle worker.
-* At quiescence the worker answers **ok** with the result document of
-  :mod:`repro.spe.shipping` (sink streams, worker-measured latencies,
-  counters, traversal samples, its span buffer), which the coordinator
-  replays into the coordinator-side objects; a raising worker answers
-  **error** with its traceback, a stopped one **stopped**.
+* While it runs, the worker ships what its sinks recorded as **sink**
+  chunks (:mod:`repro.spe.shipping`), one after every scheduler pass that
+  recorded something.  The coordinator replays each chunk onto the
+  coordinator-side sinks as it arrives, so callbacks, the collector and a
+  provenance store ingest while the workers still run.
+* At quiescence the worker ships its last chunk and answers **ok** with
+  its result document (counters, sink counts and worker-measured
+  latencies, traversal samples, its span buffer), which the coordinator
+  copies onto its objects; a raising worker answers **error** with its
+  traceback, a stopped one **stopped**.
 
 Every instance still consumes its inputs in timestamp-merged order, so sinks
 are byte-identical to ``execution="event"``.  Failure is one contract: the
 first error -- or death, which is EOF on the control socket whether a forked
 child or a daemon died -- makes the coordinator stop every other worker and
-re-raise the root failure, naming the instance: a lost input (an input
-socket ending before its close marker) only echoes its producer's failure,
-so it is blamed after every other error and death.
+re-raise the root failure, naming the instance: a lost peer (an input
+socket ending before its close marker, or a send to a consumer that is
+gone) only echoes that peer's failure, so it is blamed after every other
+error and death.  What was replayed before a failure stays in the sinks,
+the collector and the store, as it would have in process.
 """
 
 from __future__ import annotations
@@ -84,8 +91,16 @@ from typing import (
 )
 
 from repro.spe.channels import Channel
-from repro.spe.errors import ChannelError, ProducerLostError, SchedulingError, SerializationError
+from repro.spe.codec import BinaryChannelDecoder
+from repro.spe.errors import (
+    ChannelError,
+    ConsumerLostError,
+    ProducerLostError,
+    SchedulingError,
+    SerializationError,
+)
 from repro.spe.instance import SPEInstance, assign_ordering_values
+from repro.spe.operators.sink import SinkOperator
 from repro.spe.plan import (
     check_plan_version,
     deserialize_plan,
@@ -94,12 +109,16 @@ from repro.spe.plan import (
 )
 from repro.spe.scheduler import Scheduler
 from repro.spe.shipping import (
+    ShippingTap,
+    SinkChunk,
     apply_instance_result,
     collect_result,
     prepare_sinks,
+    replay_sink,
     require_unique_channel_names,
     restore_sinks,
     strip_sinks,
+    take_chunk,
 )
 from repro.spe.sockets import (
     FrameDecoder,
@@ -309,8 +328,9 @@ class _WorkerSession:
                     "instance": self._name(),
                     "error": repr(exc),
                     "traceback": traceback.format_exc(),
-                    # an input's producer died: the root failure is upstream.
-                    "lost_input": isinstance(exc, ProducerLostError),
+                    # a peer worker died (an input's producer or an
+                    # output's consumer): the root failure is over there.
+                    "lost_peer": isinstance(exc, (ProducerLostError, ConsumerLostError)),
                 },
             )
         finally:
@@ -406,16 +426,29 @@ class _WorkerSession:
                 instance, scheduler, int(telemetry_options.get("capacity", 0))
             )
         logger.debug("session on %s: starting instance %r", self._host, instance.name)
-        passes = self._drive(instance, scheduler)
+        passes = self._drive(instance, scheduler, taps)
         logger.debug(
             "session on %s: instance %r finished after %d passes",
             self._host,
             instance.name,
             passes,
         )
-        _send_control(
-            self._control, "ok", collect_result(instance, scheduler, passes, taps)
-        )
+        self._ship_sinks(taps)
+        _send_control(self._control, "ok", collect_result(instance, scheduler, passes))
+
+    def _ship_sinks(self, taps: Dict[str, ShippingTap]) -> None:
+        """Send what the sinks recorded since the last chunk, if anything."""
+        chunk = take_chunk(taps)
+        if not chunk:
+            return
+        # Inside the worker loop the control socket is non-blocking; a large
+        # chunk must wait for buffer space, not raise BlockingIOError.
+        blocking = self._control.getblocking()
+        self._control.setblocking(True)
+        try:
+            _send_control(self._control, "sink", chunk)
+        finally:
+            self._control.setblocking(blocking)
 
     def _poll_stop(self) -> bool:
         """Non-blocking check for a coordinator stop (or a dead coordinator).
@@ -441,8 +474,14 @@ class _WorkerSession:
         ready.clear()
         return stop
 
-    def _drive(self, instance: SPEInstance, scheduler: Scheduler) -> int:
+    def _drive(
+        self, instance: SPEInstance, scheduler: Scheduler, taps: Dict[str, ShippingTap]
+    ) -> int:
         """The worker loop: step the scheduler to quiescence; return the passes.
+
+        After every pass whose sinks recorded something, the recorded events
+        ship to the coordinator as a ``sink`` chunk, so it replays them
+        while this worker still runs (the last chunk leaves before ``ok``).
 
         Idle, it parks on one selector over the consumer sockets and the
         control socket: a frame from an upstream worker makes its socket
@@ -467,6 +506,7 @@ class _WorkerSession:
                 passes += 1
                 if scheduler.finished:
                     return passes
+                self._ship_sinks(taps)
                 if self._poll_stop():
                     logger.info("worker of instance %r stopped", instance.name)
                     raise _StopRequested()
@@ -574,7 +614,9 @@ class ClusterWorker:
 class _Session:
     """Coordinator-side handle of one worker: its control socket and fate."""
 
-    __slots__ = ("instance", "sock", "decoder", "outcome", "address", "process", "data_address")
+    __slots__ = (
+        "instance", "sock", "decoder", "outcome", "address", "process", "data_address", "sinks"
+    )
 
     def __init__(
         self,
@@ -593,6 +635,12 @@ class _Session:
         self.process = process
         #: the daemon's data listener, reported in its "ready" answer.
         self.data_address: Optional[Address] = None
+        #: sink name -> (coordinator-side sink, the one decoder replaying
+        #: every chunk of its shipped stream).
+        self.sinks: Dict[str, Tuple[SinkOperator, BinaryChannelDecoder]] = {
+            sink.name: (sink, BinaryChannelDecoder(f"shipping:{sink.name}"))
+            for sink in instance.sinks()
+        }
 
     def where(self) -> str:
         """Where the worker runs, for error messages."""
@@ -951,7 +999,11 @@ class RemoteRuntime:
             selector.close()
 
     def _read_outcome(self, session: _Session) -> Optional[Outcome]:
-        """Drain one session's control socket; return its outcome if final."""
+        """Drain one session's control socket; return its outcome if final.
+
+        Sink chunks are replayed as they arrive, so the coordinator-side
+        sinks (and a ledger behind them) ingest while the workers run.
+        """
         while True:
             try:
                 data = session.sock.recv(1 << 16)
@@ -963,8 +1015,23 @@ class RemoteRuntime:
                 return ("died", {"instance": session.instance.name})
             for frame in session.decoder.feed(data):
                 tag, body = _decode_control(frame)
-                if tag in ("ok", "error", "stopped"):
+                if tag == "sink":
+                    self._replay(session, body)
+                elif tag in ("ok", "error", "stopped"):
                     return (tag, body)
+
+    def _replay(self, session: _Session, chunk: SinkChunk) -> None:
+        """Replay one shipped chunk, recorded as an ``<execution>.replay`` span."""
+        tracer = self.telemetry.tracer if self.telemetry is not None else None
+        started = tracer.clock() if tracer is not None else 0.0
+        replayed = 0
+        for name, events in chunk.items():
+            sink, decoder = session.sinks[name]
+            replayed += replay_sink(sink, events, decoder)
+        if tracer is not None:
+            tracer.record(
+                f"{self.execution}.replay", session.instance.name, started, count=replayed
+            )
 
     def _broadcast_stop(self) -> None:
         for session in self.sessions:
@@ -997,12 +1064,12 @@ class RemoteRuntime:
         self._own_workers = []
 
     def _raise_on_failure(self) -> None:
-        # Blame errors, then deaths, then lost inputs: a lost input only
-        # echoes its producer's failure, which may reach us after it.
+        # Blame errors, then deaths, then lost peers: a lost input or output
+        # only echoes its peer's failure, which may reach us after it.
         rank = {"error": 0, "died": 1}
         outcomes = sorted(
             ((s, s.outcome or ("", {})) for s in self.sessions),
-            key=lambda o: rank.get(o[1][0], 2) + 2 * bool(o[1][1].get("lost_input")),
+            key=lambda o: rank.get(o[1][0], 2) + 2 * bool(o[1][1].get("lost_peer")),
         )
         for session, (tag, document) in outcomes:
             if tag == "error":
@@ -1023,7 +1090,7 @@ class RemoteRuntime:
 
     # -- result application ------------------------------------------------
     def _apply_results(self) -> None:
-        """Copy shipped counters / sink streams onto the coordinator objects."""
+        """Copy shipped counters onto the coordinator objects."""
         by_channel = {channel.name: channel for channel in self.channels()}
         for session in self.sessions:
             assert session.outcome is not None

@@ -29,5 +29,9 @@ class ProducerLostError(ChannelError):
     """A channel's producer went away before its close marker (it died mid-run)."""
 
 
+class ConsumerLostError(ChannelError):
+    """A channel's consumer went away while its producer still sends (it died)."""
+
+
 class ReservedAttributeError(SPEError):
     """A tuple attribute uses a name the unfolded provenance schema reserves."""

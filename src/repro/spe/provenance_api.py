@@ -94,6 +94,14 @@ class ProvenanceManager:
         """Unique id of ``tup`` if the technique assigns one, else ``None``."""
         return None
 
+    def derived_here(self, tup: StreamTuple) -> bool:
+        """Whether ``tup`` was derived on this instance (a boundary SU unfolds it).
+
+        The default keeps every tuple; GeneaLog narrows it to the tuples
+        that cross a process boundary under an id minted here.
+        """
+        return True
+
     def unfold(self, tup: StreamTuple) -> List[StreamTuple]:
         """Return the originating tuples of ``tup`` (Definition 4.1).
 

@@ -19,15 +19,22 @@ This module is that machinery, one copy for both launchers:
 * :func:`prepare_sinks` installs shipping taps in the worker, displacing the
   coordinator-owned callbacks/taps (which must not run twice, and whose
   targets belong to the coordinator).
-* :func:`collect_result` assembles the result document a worker ships back.
-* :func:`apply_instance_result` replays such a document onto the
-  coordinator-side instance: sink streams re-enacted through the original
-  callbacks and taps, counters copied, traversal samples merged.
+* :func:`take_chunk` hands over what the taps recorded since the last
+  chunk.  The worker ships a chunk after every scheduler pass that recorded
+  something, so sink streams come home *while* the workers run.
+* :func:`replay_sink` re-enacts one sink's share of a chunk on the
+  coordinator-side sink, through one persistent decoder per sink, as the
+  chunk arrives.
+* :func:`collect_result` assembles the final result document a worker
+  ships back: counters, sink counts and worker-measured latencies,
+  traversal samples and spans -- no sink events, those came in chunks.
+* :func:`apply_instance_result` copies such a document onto the
+  coordinator-side instance.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, cast
 
 from repro.spe.channels import Channel
 from repro.spe.codec import BinaryChannelDecoder, BinaryChannelEncoder
@@ -42,6 +49,9 @@ EVENT_TUPLE = "t"
 EVENT_WATERMARK = "w"
 EVENT_CLOSE = "c"
 
+#: one recorded sink event: (tag, tuple batch blob | watermark | None).
+Event = Tuple[str, object]
+
 
 class ShippingTap:
     """Worker-side sink observer: records the sink's stream for shipping.
@@ -52,13 +62,14 @@ class ShippingTap:
     serialised with the channel binary codec, and consecutive tuples batch
     into one blob per :data:`EVENT_TUPLE` event (flushed whenever a
     watermark or the close interleaves, so replay preserves the exact
-    tuple/watermark order the worker observed), so anything that reached a
+    tuple/watermark order the worker observed, and whenever the worker
+    takes a chunk with :meth:`take`), so anything that reached a
     sink of a remote deployment ships back losslessly without paying a
     per-tuple serialisation.
     """
 
     def __init__(self, name: str = "") -> None:
-        self.events: List[Tuple[str, object]] = []
+        self.events: List[Event] = []
         self._encoder = BinaryChannelEncoder(f"shipping:{name}")
         self._pending: List[StreamTuple] = []
 
@@ -80,10 +91,26 @@ class ShippingTap:
         self._flush()
         self.events.append((EVENT_CLOSE, None))
 
-    def finalize(self) -> List[Tuple[str, object]]:
-        """Flush any trailing tuples and return the recorded event list."""
+    def take(self) -> List[Event]:
+        """Flush pending tuples; hand over the events recorded so far."""
         self._flush()
-        return self.events
+        events, self.events = self.events, []
+        return events
+
+
+#: sink name -> the events its :class:`ShippingTap` recorded since the last
+#: chunk; sinks that recorded nothing are left out.
+SinkChunk = Dict[str, List[Event]]
+
+
+def take_chunk(taps: Mapping[str, ShippingTap]) -> SinkChunk:
+    """Everything ``taps`` recorded since the last call (empty if nothing)."""
+    chunk: SinkChunk = {}
+    for name, tap in taps.items():
+        events = tap.take()
+        if events:
+            chunk[name] = events
+    return chunk
 
 
 def instance_manager(instance: SPEInstance) -> Optional[ProvenanceManager]:
@@ -133,10 +160,8 @@ def restore_sinks(instance: SPEInstance, saved: Mapping[str, Tuple[Any, bool, li
         sink.taps = taps
 
 
-def collect_result(
-    instance: SPEInstance, scheduler: Any, passes: int, taps: Dict[str, ShippingTap]
-) -> Dict:
-    """Everything the coordinator needs to reconstruct this instance's run."""
+def collect_result(instance: SPEInstance, scheduler: Any, passes: int) -> Dict:
+    """Everything but the sink events the coordinator needs for this instance."""
     manager = instance_manager(instance)
     tracer = getattr(scheduler, "tracer", None)
     return {
@@ -152,11 +177,7 @@ def collect_result(
             for channel in instance.outgoing_channels()
         },
         "sinks": {
-            sink.name: {
-                "count": sink.count,
-                "latencies": list(sink.latencies),
-                "events": taps[sink.name].finalize(),
-            }
+            sink.name: {"count": sink.count, "latencies": list(sink.latencies)}
             for sink in instance.sinks()
         },
         "traversal_times_s": list(getattr(manager, "traversal_times_s", ())),
@@ -166,26 +187,37 @@ def collect_result(
     }
 
 
-def replay_sink(sink: SinkOperator, shipped: Dict) -> None:
-    """Re-enact a worker sink's observed stream on the coordinator-side sink.
+def replay_sink(
+    sink: SinkOperator, events: Sequence[Event], decoder: BinaryChannelDecoder
+) -> int:
+    """Re-enact a chunk of a worker sink's stream on the coordinator-side sink.
 
     Tuples are deserialised and handed to the sink's original callback and
     taps in their arrival order, interleaved with the watermark advances and
     the close exactly as the worker observed them -- so a collector or a
     ledger fed through the coordinator-side sink sees the same stream it
-    would have seen running in-process.  Latencies are *not* re-measured
-    (replay time is meaningless); the worker's measurements are copied.
+    would have seen running in-process.  ``decoder`` must be the one decoder
+    that replays every chunk of this sink, in order (the codec is stateful).
+    Latencies are *not* re-measured (replay time is meaningless); the
+    worker's measurements arrive with its result document.  Returns the
+    number of tuples replayed.
     """
-    decoder = BinaryChannelDecoder(f"shipping:{sink.name}")
-    for kind, body in shipped["events"]:
+    replayed = 0
+    for kind, body in events:
         if kind == EVENT_TUPLE:
             # one event is one batch blob.
-            tuples, _ = decoder.decode_batch(body)
+            tuples, _ = decoder.decode_batch(cast(bytes, body))
             sink.deliver(tuples)
+            replayed += len(tuples)
         elif kind == EVENT_WATERMARK:
-            sink.on_watermark(body)
+            sink.on_watermark(cast(float, body))
         else:  # EVENT_CLOSE
             sink.on_close()
+    return replayed
+
+
+def adopt_sink_result(sink: SinkOperator, shipped: Mapping[str, Any]) -> None:
+    """Copy a worker sink's count and measured latencies onto ``sink``."""
     sink.count = shipped["count"]
     sink.latencies = list(shipped["latencies"])
 
@@ -196,13 +228,14 @@ def apply_instance_result(
     channels_by_name: Mapping[str, Channel],
     telemetry: Any = None,
 ) -> None:
-    """Copy one worker's shipped counters / sink streams onto the coordinator.
+    """Copy one worker's shipped counters onto the coordinator.
 
     ``document`` is the value :func:`collect_result` produced in the worker;
     ``channels_by_name`` maps channel names onto the *coordinator-side*
     channel objects (worker counters are shipped back by channel name).
     ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`) adopts the
-    worker's shipped span buffer, if any.
+    worker's shipped span buffer, if any.  The sink streams themselves were
+    replayed chunk by chunk during the run.
     """
     for operator in instance.operators:
         counters = document["operators"].get(operator.name)
@@ -213,7 +246,7 @@ def apply_instance_result(
         channel.tuples_sent = tuples_sent
         channel.bytes_sent = bytes_sent
     for sink in instance.sinks():
-        replay_sink(sink, document["sinks"][sink.name])
+        adopt_sink_result(sink, document["sinks"][sink.name])
     manager = instance_manager(instance)
     samples = document.get("traversal_times_s") or ()
     if samples and manager is not None:

@@ -34,7 +34,8 @@ worker died mid-run; the transport raises :class:`ProducerLostError` from
 the drain so the Receive operator's worker fails fast and the coordinator
 can stop the rest of the deployment -- blaming the producer, not the
 worker that noticed.  EOF after the close marker is the normal end of a
-connection.
+connection.  Symmetrically, a send to a consumer that died raises
+:class:`ConsumerLostError`, an echo of that death as well.
 """
 
 from __future__ import annotations
@@ -46,7 +47,12 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.spe.channels import ChannelTransport, Payload
-from repro.spe.errors import ChannelError, ProducerLostError, SerializationError
+from repro.spe.errors import (
+    ChannelError,
+    ConsumerLostError,
+    ProducerLostError,
+    SerializationError,
+)
 from repro.spe.tuples import FINAL_WATERMARK
 
 #: frame header: payload length as a 4-byte big-endian unsigned integer.
@@ -273,7 +279,7 @@ class SocketTransport(ChannelTransport):
         try:
             send_frame(self._producer_sock, encode_frame(message))
         except OSError as exc:
-            raise ChannelError(
+            raise ConsumerLostError(
                 f"channel {self.name!r}: cannot send to peer ({exc}); the "
                 "consuming worker is gone"
             ) from exc

@@ -132,10 +132,14 @@ class TestInterProcessMechanics:
             assert all(entry["type_o"] == TupleType.SOURCE.value for entry in record.sources)
 
     def test_traversal_happens_on_both_processing_instances(self):
-        bundle = run_inter("q1", ProvenanceMode.GENEALOG)
-        times = bundle.traversal_times_by_instance()
-        assert set(times) == {"spe1", "spe2"}
-        assert all(samples for samples in times.values())
+        # Q1's spe1 only filters: what it ships crosses as SOURCE, so its
+        # boundary SU traverses nothing.  Q2's spe1 aggregates, and unfolds
+        # every aggregate it ships.
+        q1 = run_inter("q1", ProvenanceMode.GENEALOG).traversal_times_by_instance()
+        assert set(q1) == {"spe2"} and q1["spe2"]
+        q2 = run_inter("q2", ProvenanceMode.GENEALOG).traversal_times_by_instance()
+        assert set(q2) == {"spe1", "spe2"}
+        assert all(samples for samples in q2.values())
 
     @pytest.mark.parametrize("query_name", ALL_QUERIES)
     def test_baseline_ships_the_whole_source_stream(self, query_name):
@@ -156,17 +160,25 @@ class TestInterProcessMechanics:
         assert wire_bytes[ProvenanceMode.BASELINE] > wire_bytes[ProvenanceMode.NONE]
 
     def test_genealog_ships_only_candidate_provenance(self):
-        genealog = run_inter("q1", ProvenanceMode.GENEALOG)
-        source_count = genealog.source.tuples_out
-        upstream_channel = next(
-            channel for channel in genealog.channels if "upstream" in channel.name
-        )
-        # GeneaLog forwards provenance data only for tuples that survive the
-        # first Filter (zero-speed reports), which is a strict subset of the
-        # source stream.
-        assert 0 < upstream_channel.tuples_sent < source_count
+        def upstream_tuples(query_name):
+            genealog = run_inter(query_name, ProvenanceMode.GENEALOG)
+            (upstream_channel,) = (c for c in genealog.channels if "upstream" in c.name)
+            return upstream_channel.tuples_sent, genealog.source.tuples_out
+
+        # Q1's crossings are filtered source tuples: the MU forwards whatever
+        # derives from them as it is, so no upstream provenance ships at all.
+        assert upstream_tuples("q1")[0] == 0
+        # Q2 ships aggregates, unfolded only for the tuples that survive the
+        # first Filter (zero-speed reports): a strict subset of the sources.
+        sent, source_count = upstream_tuples("q2")
+        assert 0 < sent < source_count
 
     def test_channels_report_traffic(self):
         bundle = run_inter("q1", ProvenanceMode.GENEALOG)
-        assert all(channel.bytes_sent > 0 for channel in bundle.channels)
         assert all(channel.closed for channel in bundle.channels)
+        assert all(
+            channel.bytes_sent > 0
+            for channel in bundle.channels
+            if "upstream" not in channel.name
+        )
+        assert [c.bytes_sent for c in bundle.channels if "upstream" in c.name] == [0]

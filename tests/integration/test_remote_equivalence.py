@@ -43,7 +43,9 @@ import time
 
 import pytest
 
+from repro.api import Pipeline
 from repro.core.provenance import ProvenanceMode
+from repro.provstore import ProvenanceTap, open_provenance_store
 from repro.spe.cluster import (
     ClusterWorker,
     RemoteRuntime,
@@ -58,7 +60,7 @@ from repro.spe.cluster import (
 from repro.spe.errors import SchedulingError
 from repro.spe.sockets import FrameDecoder, SocketTransport
 from repro.spe.tuples import StreamTuple
-from repro.workloads.queries import query_pipeline
+from repro.workloads.queries import query_dataflow, query_pipeline, query_placement
 from tests.equivalence import (  # noqa: F401
     ALL_MODES,
     ALL_QUERIES,
@@ -126,6 +128,89 @@ class TestRemoteEquivalence:
         result = run_cell("q1", ProvenanceMode.NONE, execution=execution)
         assert len(result.sink.latencies) == result.sink.count
         assert all(latency != 0.0 for latency in result.sink.latencies)
+
+
+class FirstBatch(ProvenanceTap):
+    """Calls ``on_first`` with the first batch its sink delivers."""
+
+    def __init__(self, on_first):
+        self.on_first = on_first
+
+    def on_batch(self, batch):
+        if self.on_first is not None:
+            self.on_first, on_first = None, self.on_first
+            on_first(batch)
+
+
+class TestSinkStreamsComeHomeDuringTheRun:
+    """Workers ship sink chunks as they run; the coordinator replays on arrival."""
+
+    def test_sink_sees_its_first_batch_before_every_worker_answered(self, execution):
+        pipeline = query_pipeline(
+            "q1", workload_for("q1"), mode=ProvenanceMode.GENEALOG,
+            deployment="inter", execution=execution,
+        )
+        result = pipeline.build()
+        answered = []  # one entry per collected worker result
+        answered_at_first_batch = []
+        result.sink.add_tap(
+            FirstBatch(lambda batch: answered_at_first_batch.append(len(answered)))
+        )
+        pipeline.run(round_callback=answered.append)
+        assert len(answered) == len(result.instances) == 3
+        # spe2 ships its sink chunks ahead of its own "ok" on one socket, so
+        # the first one is replayed while spe2, at least, is still running.
+        assert answered_at_first_batch and answered_at_first_batch[0] < 3
+
+    @fork_required
+    def test_killed_provenance_worker_leaves_replayed_provenance_and_a_store(
+        self, tmp_path
+    ):
+        # spe1's source holds back its last tuple until the provenance worker
+        # is dead, so that worker cannot finish first; it is SIGKILLed once
+        # the coordinator replayed a first provenance chunk into the store.
+        released = tmp_path / "killed"
+
+        def held_back_supplier():
+            tuples = list(workload_for("q1")())
+            yield from tuples[:-1]
+            deadline = time.monotonic() + 30.0
+            while not released.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            yield tuples[-1]
+
+        store_dir = tmp_path / "store"
+        pipeline = Pipeline(
+            query_dataflow("q1", held_back_supplier),
+            provenance=ProvenanceMode.GENEALOG,
+            placement=query_placement("q1"),
+            execution="process",
+            provenance_store=str(store_dir),
+        )
+        result = pipeline.build()
+
+        def kill_provenance_node(batch):
+            (victim,) = (
+                child for child in multiprocessing.active_children()
+                if child.name == "spe-provenance_node"
+            )
+            os.kill(victim.pid, signal.SIGKILL)
+            released.write_text(str(victim.pid))
+
+        (provenance_node,) = (i for i in result.instances if i.name == "provenance_node")
+        (provenance_sink,) = provenance_node.sinks()
+        provenance_sink.add_tap(FirstBatch(kill_provenance_node))
+        with pytest.raises(SchedulingError) as info:
+            pipeline.run()
+        assert released.exists(), "no provenance chunk was replayed"
+        assert re.search(
+            r"instance 'provenance_node' worker process \d+ .*died", str(info.value)
+        ), info.value
+        # What was replayed before the failure stays, as it would in process.
+        assert result.store.ingested_tuples > 0
+        assert multiprocessing.active_children() == []
+        reopened = open_provenance_store(store_dir)
+        assert reopened.sealed_count <= result.store.sealed_count
 
 
 class TestSecondRun:
@@ -197,10 +282,10 @@ def run_killing_mid_run(runtime, marker):
 
 
 #: worker result documents for the blame-ranking cases.
-ERROR = {"instance": "upstream", "error": "RuntimeError('boom')", "lost_input": False}
+ERROR = {"instance": "upstream", "error": "RuntimeError('boom')", "lost_peer": False}
 LOST_INPUT = (
     "error",
-    {"instance": "downstream", "error": "ProducerLostError('a_to_b')", "lost_input": True},
+    {"instance": "downstream", "error": "ProducerLostError('a_to_b')", "lost_peer": True},
 )
 
 
@@ -271,8 +356,23 @@ class TestRemoteFailFast:
             tag, document = self._serve_one(downstream)
         finally:
             transport.close_sockets()
-        assert tag == "error" and document["lost_input"] is True
+        assert tag == "error" and document["lost_peer"] is True
         assert "ProducerLostError" in document["error"]
+
+    def test_worker_reports_a_lost_output(self):
+        transport = SocketTransport("a_to_b")
+        transport.pair()
+        upstream, _ = two_instances(
+            lambda: [StreamTuple(ts=float(ts), values={"v": ts}) for ts in range(40)],
+            transport,
+        )
+        transport.close_sockets(keep_producer=True)  # the consuming worker is gone
+        try:
+            tag, document = self._serve_one(upstream)
+        finally:
+            transport.close_sockets()
+        assert tag == "error" and document["lost_peer"] is True
+        assert "ConsumerLostError" in document["error"]
 
     def test_worker_reports_its_own_error_as_the_root(self):
         transport = SocketTransport("a_to_b")
@@ -282,7 +382,7 @@ class TestRemoteFailFast:
             tag, document = self._serve_one(upstream)
         finally:
             transport.close_sockets()
-        assert tag == "error" and document["lost_input"] is False
+        assert tag == "error" and document["lost_peer"] is False
         assert "upstream exploded mid-stream" in document["error"]
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["upstream_first", "downstream_first"])

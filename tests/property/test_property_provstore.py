@@ -283,26 +283,44 @@ def drive(sink, events, cuts):
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=stream_events, cuts=st.lists(st.booleans(), max_size=40))
-def test_replayed_sink_stream_equals_in_process_taps(events, cuts):
+@given(
+    events=stream_events,
+    cuts=st.lists(st.booleans(), max_size=40),
+    takes=st.lists(st.booleans(), max_size=40),
+)
+def test_replayed_sink_stream_equals_in_process_taps(events, cuts, takes):
+    from repro.spe.codec import BinaryChannelDecoder
     from repro.spe.operators.sink import SinkOperator
-    from repro.spe.shipping import ShippingTap, replay_sink
+    from repro.spe.shipping import ShippingTap, adopt_sink_result, replay_sink
 
     local_ledger = ProvenanceLedger(retention=1.0)
     local = observed_sink(local_ledger)
     drive(local, events, cuts)
 
+    # The worker ships its recorded events in chunks, taken after the
+    # Hypothesis-chosen batches (as after a scheduler pass) and at the end.
     worker = SinkOperator("provenance_sink", keep_tuples=False)
     shipping = ShippingTap(worker.name)
     worker.add_tap(shipping)
-    drive(worker, events, cuts)
+    chunks = []
+    taken = iter(takes)
+    for kind, body in batches_of(events, cuts):
+        if kind == "t":
+            worker.process_batch(body)
+        else:
+            worker.on_watermark(float(body[1]))
+        if next(taken, False):
+            chunks.append(shipping.take())
+    worker.on_close()
+    chunks.append(shipping.take())
 
+    # ... and the coordinator replays every chunk through one decoder.
     replayed_ledger = ProvenanceLedger(retention=1.0)
     replayed = observed_sink(replayed_ledger)
-    replay_sink(
-        replayed,
-        {"events": shipping.finalize(), "count": worker.count, "latencies": [0.25]},
-    )
+    decoder = BinaryChannelDecoder(f"shipping:{replayed.name}")
+    replayed_tuples = sum(replay_sink(replayed, chunk, decoder) for chunk in chunks)
+    adopt_sink_result(replayed, {"count": worker.count, "latencies": [0.25]})
+    assert replayed_tuples == local.count
     assert replayed.recorder.events == local.recorder.events
     assert replayed.called == local.called
     assert [t.values for t in replayed.received] == [t.values for t in local.received]

@@ -29,7 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spe.channels import Channel
-from repro.spe.errors import ChannelError, ProducerLostError, SerializationError
+from repro.spe.errors import (
+    ChannelError,
+    ConsumerLostError,
+    ProducerLostError,
+    SerializationError,
+)
 from repro.spe.plan import deserialize_plan, serialize_plan
 from repro.spe.sockets import (
     FRAME_HEADER,
@@ -190,7 +195,7 @@ class TestForkPairing:
         transport.pair()
         transport.close_sockets(keep_producer=True)  # the consuming child died
         try:
-            with pytest.raises(ChannelError, match="'gone'.*consuming worker is gone"):
+            with pytest.raises(ConsumerLostError, match="'gone'.*consuming worker is gone"):
                 for _ in range(50):
                     transport.send(b"x" * 4096)
         finally:

@@ -169,6 +169,100 @@ class TestAttachSU:
         assert len(collect(out)) == 2
 
 
+def boundary_unfolded(manager, tuple_, fused):
+    """What a boundary SU (before a cut Send) unfolds for one input tuple.
+
+    Composed, the unfolding Map sees the Multiplex's copy of the input,
+    exactly as in the Figure 5B composition.
+    """
+    if fused:
+        su = SUOperator("su", boundary=True)
+        su.set_provenance(manager)
+        (inp,), (data_out, unfolded_out) = wire(su, n_outputs=2)
+        feed(inp, [tuple_], close=True)
+        run_operator(su)
+        assert collect(data_out) == [tuple_]
+        return collect(unfolded_out)
+    copy = StreamTuple(ts=tuple_.ts, values=dict(tuple_.values))
+    manager.on_multiplex_output(copy, tuple_)
+    unfold = UnfoldMapOperator("su_unfold", boundary=True)
+    unfold.set_provenance(manager)
+    (inp,), (out,) = wire(unfold)
+    feed(inp, [copy], close=True)
+    run_operator(unfold)
+    return collect(out)
+
+
+def received(manager, tuple_type):
+    leaf = tup(1, v=1)
+    manager.on_receive(leaf, {"type": tuple_type, "id": "upstream:7"})
+    return leaf
+
+
+def multiplex_copy(manager, tuple_):
+    copy = StreamTuple(ts=tuple_.ts, values=dict(tuple_.values))
+    manager.on_multiplex_output(copy, tuple_)
+    return copy
+
+
+def map_output(manager, parent):
+    out = tup(parent.ts, w=1)
+    manager.on_map_output(out, parent)
+    return out
+
+
+def join_output(manager):
+    newer, older = tup(2, a=1), tup(1, b=1)
+    out = tup(2, ab=1)
+    manager.on_join_output(out, newer, older)
+    return out
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "composed"])
+class TestBoundarySU:
+    """A boundary SU unfolds only the tuples its own instance derived."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m: tup(1, v=1),
+            lambda m: multiplex_copy(m, tup(1, v=1)),
+            lambda m: received(m, "SOURCE"),
+            lambda m: received(m, "REMOTE"),
+        ],
+        ids=["source", "multiplex_of_source", "received_source", "received_remote"],
+    )
+    def test_emits_nothing_for_what_crosses_without_an_id_minted_here(
+        self, manager, fused, make
+    ):
+        assert boundary_unfolded(manager, make(manager), fused) == []
+        assert manager.traversal_times_s == []  # not even traversed
+
+    @pytest.mark.parametrize(
+        "make, origins",
+        [
+            (lambda m: map_output(m, tup(1, v=1)), 1),
+            (lambda m: multiplex_copy(m, map_output(m, tup(1, v=1))), 1),
+            (lambda m: aggregate_tuple(m, [tup(1, v=1), tup(2, v=2)], ts=2), 2),
+            (join_output, 2),
+            (lambda m: map_output(m, received(m, "REMOTE")), 1),
+        ],
+        ids=["map", "multiplex_of_map", "aggregate", "join", "map_of_received_remote"],
+    )
+    def test_emits_for_derived_tuples(self, manager, fused, make, origins):
+        derived = make(manager)
+        unfolded = boundary_unfolded(manager, derived, fused)
+        assert len(unfolded) == origins
+        assert {t[SINK_ID_FIELD] for t in unfolded} == {manager.tuple_id(derived)}
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_attach_su_marks_the_unfolding_operator(self, fused, boundary):
+        query = Query("q")
+        source = query.add_source("s", [])
+        _, unfolding = attach_su(query, source, fused=fused, boundary=boundary)
+        assert unfolding.boundary is boundary
+
+
 #: (where the attribute sits, its name): every name the unfolded schema
 #: (Definition 6.2) reserves, which used to corrupt provenance silently.
 RESERVED = [
@@ -208,7 +302,7 @@ class TestReservedAttributeNames:
         unfold.set_provenance(manager)
         wire(unfold)
         with pytest.raises(ReservedAttributeError, match=f"'su_unfold'.*{name!r}"):
-            unfold.process_tuple(reserved_input(manager, side, name))
+            unfold.process_batch([reserved_input(manager, side, name)])
 
     @pytest.mark.parametrize("side,name", RESERVED)
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "composed"])
