@@ -16,8 +16,10 @@ deployment mechanics the examples used to hand-wire:
   baseline's source shipping is spliced in before a dedicated provenance
   instance is appended.  In process, one
   :class:`~repro.spe.scheduler.Scheduler` runs every instance; out of
-  process, the :class:`~repro.spe.cluster.RemoteRuntime` runs one worker
-  per instance.
+  process, every Sink is cut onto a last, *home* instance
+  (:func:`~repro.spe.cluster.cut_home`) that the
+  :class:`~repro.spe.cluster.RemoteRuntime` drives itself while it runs one
+  worker per other instance.
 
 Either way :meth:`Pipeline.run` returns a :class:`PipelineResult` bundling
 the sinks, the collected provenance records and the transfer statistics.
@@ -47,7 +49,7 @@ from repro.provstore.backends import JsonlLedgerBackend
 from repro.provstore.ledger import ProvenanceLedger
 from repro.provstore.tap import LedgerTap
 from repro.spe.channels import Channel
-from repro.spe.cluster import LAUNCHERS, RemoteRuntime
+from repro.spe.cluster import HOME_INSTANCE, LAUNCHERS, RemoteRuntime, cut_home
 from repro.spe.instance import SPEInstance, assign_ordering_values
 from repro.spe.metrics import (
     ChannelCounters,
@@ -111,11 +113,15 @@ class Placement:
     ) -> None:
         if not assignments:
             raise DataflowError("a placement needs at least one instance")
-        if PROVENANCE_INSTANCE in assignments:
-            raise DataflowError(
-                f"instance name {PROVENANCE_INSTANCE!r} is reserved for the "
-                "provenance instance added by the pipeline"
-            )
+        for reserved, role in (
+            (PROVENANCE_INSTANCE, "provenance instance"),
+            (HOME_INSTANCE, "home instance out of process, where the Sinks run"),
+        ):
+            if reserved in assignments:
+                raise DataflowError(
+                    f"instance name {reserved!r} is reserved for the {role} "
+                    "added by the pipeline"
+                )
         self.assignments: Dict[str, Tuple[str, ...]] = {
             instance: tuple(stages) for instance, stages in assignments.items()
         }
@@ -197,7 +203,8 @@ class PipelineResult:
     fused: bool
     #: the lowered query (intra-process deployments only).
     query: Optional[Query] = None
-    #: the lowered SPE instances (inter-process; provenance instance last).
+    #: the lowered SPE instances (inter-process): the provenance instance
+    #: last, then, out of process, the home instance holding every Sink.
     instances: List[SPEInstance] = field(default_factory=list)
     #: the dataflow's declared Sources / data Sinks (not provenance sinks).
     sources: List[SourceOperator] = field(default_factory=list)
@@ -207,6 +214,7 @@ class PipelineResult:
     #: inter-process provenance collector (None intra / with mode NP).
     collector: Optional[ProvenanceCollector] = None
     managers: Dict[str, ProvenanceManager] = field(default_factory=dict)
+    #: the inter-instance channels (the home instance's are not counted).
     channels: List[Channel] = field(default_factory=list)
     #: what :meth:`Pipeline.run` executed: operator wake-ups in process
     #: (``execution="event"``), worker passes summed over the workers out
@@ -507,7 +515,11 @@ class Pipeline:
             store=self.store,
             channel_factory=channel_factory,
         )
-        return builder.build()
+        result = builder.build()
+        if remote:
+            result.instances.append(cut_home(result.instances))
+            assign_ordering_values(result.instances)
+        return result
 
     # -- running -----------------------------------------------------------------
     def run(

@@ -18,12 +18,11 @@ Hook installation is execution-mode aware:
   instance-side hooks (a forked or plan-shipped copy of the coordinator's
   tracer could never ship its records back).  Instead each worker calls
   :func:`enable_worker_telemetry` on its own deserialised/forked instance,
-  and the resulting buffer rides home inside the shipped result document
-  (:func:`repro.spe.shipping.collect_result`), where
-  :meth:`Telemetry.merge_worker` aligns it onto the coordinator timeline
-  via its clock anchor.  Only the ledger stays coordinator-hooked: sink
-  streams are replayed (and sealed) coordinator-side, chunk by chunk while
-  the workers run, each chunk an ``<execution>.replay`` span.
+  and the resulting buffer rides home inside the worker's **ok** document
+  (see :mod:`repro.spe.cluster`), where :meth:`Telemetry.merge_worker`
+  aligns it onto the coordinator timeline via its clock anchor.  The
+  coordinator's tracer records the home instance (where every Sink runs,
+  on a ``home`` lane, while the workers run) and the ledger it feeds.
 """
 
 from __future__ import annotations

@@ -12,14 +12,14 @@ re-ingested on the provenance instance.
 **Batch protocol.**  The Sink calls :meth:`ProvenanceTap.on_batch` once per
 tap per batch it processes (a single tuple arrives as a batch of one), in
 stream order and interleaved with :meth:`~ProvenanceTap.on_watermark`
-exactly as the Sink observed them; replaying a remote Sink's shipped stream
-chunk by chunk while its worker runs (:func:`repro.spe.shipping.replay_sink`)
-makes the same calls, in the same order.  A tap that
-only cares about tuples overrides :meth:`~ProvenanceTap.on_tuple` and
-inherits the batch loop; a tap that can amortise work over a batch
-overrides :meth:`~ProvenanceTap.on_batch` (the
-:class:`~repro.core.provenance.ProvenanceCollector` and the worker-side
-:class:`~repro.spe.shipping.ShippingTap` are tap-shaped objects doing so).
+exactly as the Sink observed them.  Out of process the Sink runs in the
+coordinator's home instance (:func:`repro.spe.cluster.cut_home`), so its
+taps stay in the coordinator and make the same calls.  A tap that only
+cares about tuples overrides :meth:`~ProvenanceTap.on_tuple` and inherits
+the batch loop; a tap that can amortise work over a batch overrides
+:meth:`~ProvenanceTap.on_batch` (the
+:class:`~repro.core.provenance.ProvenanceCollector` is a tap-shaped object
+doing so).
 
 :class:`LedgerTap` is the concrete tap that forwards that stream into a
 :class:`~repro.provstore.ledger.ProvenanceLedger`.  Several taps can feed

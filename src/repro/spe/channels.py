@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.spe.errors import ChannelError
 from repro.spe.tuples import FINAL_WATERMARK
@@ -178,6 +178,18 @@ class Channel:
         #: in-process loopback cluster workers share the interpreter and a
         #: global would cross-contaminate their traces.
         self.tracer: Any = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A shipped plan must not drag the consuming instance along (and,
+        # through it, the next instance, up to the coordinator's Sinks):
+        # across processes the socket, not ``consumer``, wakes the Receive.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["consumer"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
     @property
     def transport(self) -> ChannelTransport:

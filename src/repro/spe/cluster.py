@@ -4,17 +4,22 @@ The paper deploys every SPE instance as its own process (Odroid boards on a
 switch), joined by Send/Receive channels, with the MU on a provenance
 instance.  :class:`RemoteRuntime` is the coordinator of that deployment.  A
 *launcher* gets each instance into a worker process; ``Pipeline(execution=)``
-picks one from :data:`LAUNCHERS`.  Under both, every channel is a
-:class:`~repro.spe.sockets.SocketTransport`; only how its ends get connected
-differs:
+picks one from :data:`LAUNCHERS`.  The coordinator drives one more instance
+itself, the **home** (:func:`cut_home`): every Sink runs there, fed over the
+data plane like any other instance boundary, so sink callbacks, the
+provenance collector and a provenance store run in the coordinator and see
+their streams while the workers run.  Under both launchers every channel is
+a :class:`~repro.spe.sockets.SocketTransport`; only how its ends get
+connected differs:
 
 * ``"process"`` -- the **fork** launcher.  The coordinator pairs every
   channel over one ``socket.socketpair()``, then forks one child per
   instance, in instance order.  The child inherits its instance (closures,
   generators and the socket ends included), so nothing is serialised, and
   keeps only the producer ends of its Sends and the consumer ends of its
-  Receives; the coordinator closes its ends after the last fork.  A dead
-  producer is thus an EOF at its consumer.
+  Receives; after the last fork the coordinator closes its ends, except
+  the consumer ends of the home's channels.  A dead producer is thus an
+  EOF at its consumer.
 * ``"cluster"`` -- the **daemon** launcher.  Instances run inside
   :class:`ClusterWorker` daemons reachable over TCP (``python -m
   repro.spe.cluster --serve host:port``, or in-process loopback workers for
@@ -25,11 +30,12 @@ differs:
      (closures ship by value) and sent with a Python/format version stamp,
      which the worker checks before unpickling.  The worker opens an
      ephemeral *data listener* and answers **ready** with its address.
-  2. **wire** -- the coordinator broadcasts the channel map (a channel's
-     address is its consuming worker's data listener).  Each worker connects
-     one data socket per outgoing channel, announcing the channel in a hello
-     frame, while its listener binds one socket per incoming channel; then
-     it answers **wired**.
+  2. **wire** -- the coordinator opens a data listener for the home's
+     channels and broadcasts the channel map (a channel's address is its
+     consumer's data listener).  Each worker connects one data socket per
+     outgoing channel, announcing the channel in a hello frame (its name in
+     UTF-8), while its listener binds one socket per incoming channel; then
+     it answers **wired**, and the coordinator binds the home's channels.
 
 From **start** on, both launchers are the same protocol over one control
 socket per worker: a forked child holds one end of a ``socket.socketpair()``
@@ -41,27 +47,25 @@ session holds its TCP control connection.
   with the event-driven :class:`~repro.spe.scheduler.Scheduler` in the one
   worker loop (:meth:`_WorkerSession._drive`), parking on one selector over
   the consumer sockets of its channels and its control socket, so a
-  **stop** interrupts an idle worker.
-* While it runs, the worker ships what its sinks recorded as **sink**
-  chunks (:mod:`repro.spe.shipping`), one after every scheduler pass that
-  recorded something.  The coordinator replays each chunk onto the
-  coordinator-side sinks as it arrives, so callbacks, the collector and a
-  provenance store ingest while the workers still run.
-* At quiescence the worker ships its last chunk and answers **ok** with
-  its result document (counters, sink counts and worker-measured
-  latencies, traversal samples, its span buffer), which the coordinator
-  copies onto its objects; a raising worker answers **error** with its
-  traceback, a stopped one **stopped**.
+  **stop** interrupts an idle worker.  The coordinator's collect loop
+  (:meth:`RemoteRuntime._collect`) drives the home the same way, parking
+  on the home's consumer sockets and every control socket.
+* At quiescence the worker answers **ok** with its result document
+  (counters, the sink latencies its home-bound Sends measured, traversal
+  samples, its span buffer), which the coordinator copies onto its
+  objects; a raising worker answers **error** with its traceback, a
+  stopped one **stopped**.
 
 Every instance still consumes its inputs in timestamp-merged order, so sinks
 are byte-identical to ``execution="event"``.  Failure is one contract: the
 first error -- or death, which is EOF on the control socket whether a forked
 child or a daemon died -- makes the coordinator stop every other worker and
 re-raise the root failure, naming the instance: a lost peer (an input
-socket ending before its close marker, or a send to a consumer that is
-gone) only echoes that peer's failure, so it is blamed after every other
-error and death.  What was replayed before a failure stays in the sinks,
-the collector and the store, as it would have in process.
+socket ending before its close marker, at a worker or at the home, or a
+send to a consumer that is gone) only echoes that peer's failure, so it is
+blamed after every other error and death.  What reached the home's Sinks
+before a failure stays in the sinks, the collector and the store, as it
+would have in process.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ from typing import (
 )
 
 from repro.spe.channels import Channel
-from repro.spe.codec import BinaryChannelDecoder
 from repro.spe.errors import (
     ChannelError,
     ConsumerLostError,
@@ -100,6 +103,7 @@ from repro.spe.errors import (
     SerializationError,
 )
 from repro.spe.instance import SPEInstance, assign_ordering_values
+from repro.spe.operators.send_receive import ReceiveOperator, SendOperator
 from repro.spe.operators.sink import SinkOperator
 from repro.spe.plan import (
     check_plan_version,
@@ -108,19 +112,8 @@ from repro.spe.plan import (
     serialize_plan,
 )
 from repro.spe.scheduler import Scheduler
-from repro.spe.shipping import (
-    ShippingTap,
-    SinkChunk,
-    apply_instance_result,
-    collect_result,
-    prepare_sinks,
-    replay_sink,
-    require_unique_channel_names,
-    restore_sinks,
-    strip_sinks,
-    take_chunk,
-)
 from repro.spe.sockets import (
+    FRAME_HEADER,
     FrameDecoder,
     SocketTransport,
     connect_with_retry,
@@ -140,6 +133,12 @@ _WIRE_TIMEOUT_S = 30.0
 #: is dropped so the producers queued behind it still get bound.
 _HELLO_TIMEOUT_S = 1.0
 
+#: the longest channel name (UTF-8 bytes) a hello frame may announce.
+_MAX_HELLO_BYTES = 4096
+
+#: name of the coordinator's own SPE instance, where every Sink runs.
+HOME_INSTANCE = "home"
+
 logger = logging.getLogger(__name__)
 
 #: address of a worker daemon.
@@ -152,8 +151,8 @@ Outcome = Tuple[str, Dict[str, Any]]
 # -- control-plane codec -----------------------------------------------------
 #
 # Control messages (plans, channel maps, result documents) are pickled --
-# they carry arbitrary Python payloads (the plan bytes, shipped sink events)
-# -- and framed exactly like the data plane.  The *plan bytes inside* are the
+# they carry arbitrary Python payloads (the plan bytes, span buffers) -- and
+# framed exactly like the data plane.  The *plan bytes inside* are the
 # version-checked part; the envelope itself uses a protocol both ends of any
 # supported interpreter pair can read.
 
@@ -201,23 +200,110 @@ def parse_address(text: str) -> Address:
     return host, port_number
 
 
-# -- the worker --------------------------------------------------------------
+# -- the home instance ---------------------------------------------------------
+
+def cut_home(instances: Sequence[SPEInstance]) -> SPEInstance:
+    """Move every Sink of ``instances`` into a new home instance; return it.
+
+    Each Sink's input edge is cut like any other instance boundary: a Send
+    takes the Sink's place on its instance, and a Receive in the home feeds
+    the Sink over a :class:`~repro.spe.sockets.SocketTransport` channel
+    named ``home:<sink>``.  The Sink object itself moves, with its callback,
+    kept tuples and taps, so none of them ever travels to a worker.  The
+    Send ships no provenance payload (nothing at home reads re-attached
+    metadata) and measures the Sink's latencies with the Sink's clock, in
+    the worker, where the tuples reach the Sink's place: the hop home and
+    the coordinator's queue stay out of them.
+    """
+    home = SPEInstance(HOME_INSTANCE)
+    for instance in instances:
+        instance.validate()  # every Sink has its one input stream
+        for sink in instance.sinks():
+            stream = sink.inputs[0]
+            producer = instance.producer_of(stream)
+            port = producer.outputs.index(stream)
+            instance.remove(sink)
+            name = f"home:{sink.name}"
+            channel = Channel(name, transport=SocketTransport(name))
+            send = instance.add(
+                SendOperator(
+                    f"send_{name}",
+                    channel,
+                    ship_provenance=False,
+                    latency_clock=sink._wall_clock,
+                )
+            )
+            send.set_provenance(sink.provenance)
+            instance.connect(
+                producer, send, name=stream.name, sorted_stream=stream.enforce_order
+            )
+            # keep the port: a Router's output i carries predicate i.
+            producer.outputs.insert(port, producer.outputs.pop())
+            home.add(sink)
+            home.connect(home.add_receive(f"receive_{name}", channel), sink)
+    return home
+
+
+def require_unique_channel_names(channels: List[Channel], runtime: str) -> None:
+    """Shipping counters back by name needs channel names to be unique."""
+    names = [channel.name for channel in channels]
+    duplicated = {name for name in names if names.count(name) > 1}
+    if duplicated:
+        raise SchedulingError(
+            f"channel name(s) {sorted(duplicated)!r} are not unique; the "
+            f"{runtime} runtime ships per-channel counters back by name"
+        )
+
+
+# -- data-plane wiring ---------------------------------------------------------
+
+def _send_hello(sock: socket.socket, channel_name: str) -> None:
+    """Announce the channel a fresh data connection carries."""
+    send_frame(sock, encode_frame(channel_name.encode("utf-8")))
+
+
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    data = bytearray()
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise ChannelError("connection closed inside its hello frame")
+        data += chunk
+    return bytes(data)
+
+
+def _recv_hello(sock: socket.socket) -> str:
+    """Read exactly one hello frame; return the channel name it announces.
+
+    Plain UTF-8, never unpickled: anyone can connect to a data port.
+    Raises on an oversized, torn or undecodable hello.
+    """
+    (length,) = FRAME_HEADER.unpack(_recv_exact(sock, FRAME_HEADER.size))
+    if length > _MAX_HELLO_BYTES:
+        raise ValueError(f"hello frame of {length} bytes")
+    return _recv_exact(sock, length).decode("utf-8")
+
 
 class _DataListener:
-    """A daemon worker's inbound data endpoint: accepts producers, binds channels.
+    """An inbound data endpoint: accepts producers, binds channels.
 
     Listens on an ephemeral port; every accepted connection announces which
-    channel it carries in a hello frame (``("h", channel_name)``), after
-    which the socket is handed to that channel's
-    :class:`~repro.spe.sockets.SocketTransport` consumer side.  Accepting
-    runs in a daemon thread so producers connecting early (while this worker
-    is still wiring its own outputs) are never refused.
+    channel it carries in a hello frame (:func:`_recv_hello`), after which
+    the socket is handed to that channel's
+    :class:`~repro.spe.sockets.SocketTransport` consumer side.  Only the
+    ``expected`` channel names bind, each to its first claimant; a silent,
+    torn, unknown or duplicate hello is dropped.  Accepting runs in a daemon
+    thread so producers connecting early (while this worker is still wiring
+    its own outputs) are never refused.  A worker daemon opens one for its
+    instance's incoming channels, the daemon launcher's coordinator one for
+    the home's.
     """
 
-    def __init__(self, host: str) -> None:
+    def __init__(self, host: str, expected: Iterable[str]) -> None:
         self._listener = socket.create_server((host, 0))
         self._host = host
         self._port: int = self._listener.getsockname()[1]
+        self._expected = frozenset(expected)
         self._accepted: Dict[str, socket.socket] = {}
         self._condition = threading.Condition()
         self._closed = False
@@ -239,36 +325,36 @@ class _DataListener:
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.settimeout(_HELLO_TIMEOUT_S)
-                message = _recv_control(sock, FrameDecoder("data-hello"))
+                name = _recv_hello(sock)
                 sock.settimeout(None)
-            except Exception:  # silent, torn or foreign: not a producer
-                sock.close()
-                continue
-            if message is None or message[0] != "h":
+            except (OSError, ValueError, ChannelError):  # silent, torn or foreign
                 sock.close()
                 continue
             with self._condition:
                 if self._closed:
                     sock.close()
                     return
-                self._accepted[str(message[1])] = sock
+                if name not in self._expected or name in self._accepted:
+                    sock.close()
+                    continue
+                self._accepted[name] = sock
                 self._condition.notify_all()
 
-    def wait_for(self, channel_names: Sequence[str], timeout_s: float) -> Dict[str, socket.socket]:
-        """Block until a producer connected for every named channel."""
+    def wait_for(self, timeout_s: float) -> Dict[str, socket.socket]:
+        """Block until a producer connected for every expected channel."""
         deadline = time.monotonic() + timeout_s
         with self._condition:
-            while not all(name in self._accepted for name in channel_names):
+            while len(self._accepted) < len(self._expected):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    missing = [n for n in channel_names if n not in self._accepted]
+                    missing = sorted(self._expected - set(self._accepted))
                     raise ChannelError(
                         f"data listener on {self._host}:{self._port} never "
                         f"heard from the producer(s) of channel(s) {missing!r} "
                         f"within {timeout_s} seconds"
                     )
                 self._condition.wait(timeout=min(remaining, 0.25))
-            return {name: self._accepted[name] for name in channel_names}
+            return dict(self._accepted)
 
     def close(self) -> None:
         with self._condition:
@@ -284,6 +370,104 @@ class _DataListener:
             self._listener.close()
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
+
+
+class _Waiter:
+    """One selector over an instance's Receive sockets and control sockets.
+
+    The worker loop and the coordinator's collect loop both park here.  A
+    readable Receive socket signals its Receive, which puts it on its
+    scheduler's ready queue; a Receive whose channel closed is unregistered
+    (a drained socket at EOF would stay readable forever).
+    """
+
+    def __init__(self, instance: SPEInstance) -> None:
+        self._selector = selectors.DefaultSelector()
+        self._receives: Dict[socket.socket, ReceiveOperator] = {}
+        for receive in instance.receives():
+            endpoint = cast(SocketTransport, receive.channel.transport).consumer_socket
+            assert endpoint is not None, f"channel {receive.channel.name!r} is not wired"
+            self._receives[endpoint] = receive
+            self._selector.register(endpoint, selectors.EVENT_READ, receive)
+
+    @property
+    def receiving(self) -> bool:
+        """True while some Receive's channel is still open."""
+        return bool(self._receives)
+
+    def watch(self, sock: socket.socket, data: Any) -> None:
+        """Also wake up when ``sock`` is readable; :meth:`wait` returns ``data``."""
+        self._selector.register(sock, selectors.EVENT_READ, data)
+
+    def unwatch(self, sock: socket.socket) -> None:
+        self._selector.unregister(sock)
+
+    def stop_receiving(self) -> None:
+        """Wake up no more for the Receives (their instance stopped)."""
+        for endpoint in self._receives:
+            self._selector.unregister(endpoint)
+        self._receives.clear()
+
+    def wait(self, timeout_s: float) -> List[Any]:
+        """Park until a socket is readable; return the watched sockets' data."""
+        readable: List[Any] = []
+        for key, _ in self._selector.select(timeout=timeout_s):
+            if isinstance(key.data, ReceiveOperator):
+                key.data.signal()
+            else:
+                readable.append(key.data)
+        for endpoint, receive in list(self._receives.items()):
+            if receive.channel.closed:
+                self._selector.unregister(endpoint)
+                del self._receives[endpoint]
+        return readable
+
+    def close(self) -> None:
+        self._selector.close()
+
+
+def _manager(instance: SPEInstance) -> Any:
+    """The provenance manager installed on ``instance``'s operators."""
+    return instance.operators[0].provenance if instance.operators else None
+
+
+def _result_document(instance: SPEInstance, scheduler: Scheduler, passes: int) -> Dict[str, Any]:
+    """What the coordinator needs of a finished worker (its **ok** body)."""
+    tracer = scheduler.tracer
+    return {
+        "instance": instance.name,
+        "passes": passes,
+        "wakeups": scheduler.wakeups,
+        "operators": {
+            op.name: (op.work_calls, op.tuples_in, op.tuples_out)
+            for op in instance.operators
+        },
+        "channels": {
+            channel.name: channel.counters() for channel in instance.outgoing_channels()
+        },
+        # home channel name -> the latencies of the Sink it feeds.
+        "latencies": {
+            send.channel.name: send.latencies
+            for send in instance.sends()
+            if send.latency_clock is not None
+        },
+        "traversal_times_s": list(getattr(_manager(instance), "traversal_times_s", ())),
+        # The worker's span ring + clock anchor (None when telemetry is off);
+        # the coordinator aligns it onto the merged timeline.
+        "telemetry": tracer.export() if tracer is not None else None,
+    }
+
+
+def _failure_document(instance_name: str, exc: BaseException) -> Dict[str, Any]:
+    """An **error** body: what failed where, and whether it only echoes a peer."""
+    return {
+        "instance": instance_name,
+        "error": repr(exc),
+        "traceback": traceback.format_exc(),
+        # a peer died (an input's producer or an output's consumer): the
+        # root failure is over there.
+        "lost_peer": isinstance(exc, (ProducerLostError, ConsumerLostError)),
+    }
 
 
 class _StopRequested(Exception):
@@ -322,17 +506,7 @@ class _WorkerSession:
         except _StopRequested:
             self._reply("stopped", {"instance": self._name()})
         except BaseException as exc:  # noqa: BLE001 - shipped to the coordinator
-            self._reply(
-                "error",
-                {
-                    "instance": self._name(),
-                    "error": repr(exc),
-                    "traceback": traceback.format_exc(),
-                    # a peer worker died (an input's producer or an
-                    # output's consumer): the root failure is over there.
-                    "lost_peer": isinstance(exc, (ProducerLostError, ConsumerLostError)),
-                },
-            )
+            self._reply("error", _failure_document(self._name(), exc))
         finally:
             self.close()
 
@@ -372,7 +546,9 @@ class _WorkerSession:
             instance.name,
             len(body["plan"]),
         )
-        self._listener = _DataListener(self._host)
+        self._listener = _DataListener(
+            self._host, [channel.name for channel in instance.incoming_channels()]
+        )
         host, port = self._listener.address
         _send_control(
             self._control,
@@ -394,25 +570,17 @@ class _WorkerSession:
             sock = connect_with_retry(
                 host, port, what=f"data listener of channel {channel.name!r}"
             )
-            _send_control(sock, "h", channel.name)
+            _send_hello(sock, channel.name)
             cast(SocketTransport, channel.transport).attach_producer(sock)
             self._data_socks.append(sock)
         # Incoming: the listener thread accepted the producers' connections.
-        incoming = [receive.channel for receive in instance.receives()]
-        accepted = self._listener.wait_for(
-            [channel.name for channel in incoming], _WIRE_TIMEOUT_S
-        )
-        for channel in incoming:
-            sock = accepted[channel.name]
-            cast(SocketTransport, channel.transport).attach_consumer(sock)
-            self._data_socks.append(sock)
+        self._data_socks.extend(_bind_consumers(instance, self._listener))
         _send_control(self._control, "wired", {"instance": instance.name})
 
     def _handle_start(self) -> None:
         body = self._expect("start")
         instance = self._instance
         assert instance is not None
-        taps = prepare_sinks(instance)
         scheduler = Scheduler(instance, max_passes=self._max_passes)
         # The start body opts this worker into telemetry: the worker's copy
         # of the instance builds its *own* tracer (a forked or plan-shipped
@@ -426,29 +594,14 @@ class _WorkerSession:
                 instance, scheduler, int(telemetry_options.get("capacity", 0))
             )
         logger.debug("session on %s: starting instance %r", self._host, instance.name)
-        passes = self._drive(instance, scheduler, taps)
+        passes = self._drive(instance, scheduler)
         logger.debug(
             "session on %s: instance %r finished after %d passes",
             self._host,
             instance.name,
             passes,
         )
-        self._ship_sinks(taps)
-        _send_control(self._control, "ok", collect_result(instance, scheduler, passes))
-
-    def _ship_sinks(self, taps: Dict[str, ShippingTap]) -> None:
-        """Send what the sinks recorded since the last chunk, if anything."""
-        chunk = take_chunk(taps)
-        if not chunk:
-            return
-        # Inside the worker loop the control socket is non-blocking; a large
-        # chunk must wait for buffer space, not raise BlockingIOError.
-        blocking = self._control.getblocking()
-        self._control.setblocking(True)
-        try:
-            _send_control(self._control, "sink", chunk)
-        finally:
-            self._control.setblocking(blocking)
+        _send_control(self._control, "ok", _result_document(instance, scheduler, passes))
 
     def _poll_stop(self) -> bool:
         """Non-blocking check for a coordinator stop (or a dead coordinator).
@@ -474,31 +627,16 @@ class _WorkerSession:
         ready.clear()
         return stop
 
-    def _drive(
-        self, instance: SPEInstance, scheduler: Scheduler, taps: Dict[str, ShippingTap]
-    ) -> int:
+    def _drive(self, instance: SPEInstance, scheduler: Scheduler) -> int:
         """The worker loop: step the scheduler to quiescence; return the passes.
 
-        After every pass whose sinks recorded something, the recorded events
-        ship to the coordinator as a ``sink`` chunk, so it replays them
-        while this worker still runs (the last chunk leaves before ``ok``).
-
-        Idle, it parks on one selector over the consumer sockets and the
-        control socket: a frame from an upstream worker makes its socket
-        readable, and signalling the Receive puts it on this scheduler's
-        ready queue; a stop (or EOF) on the control socket ends the run.
-        Closed channels are unregistered (a drained socket EOF would stay
-        readable forever).
+        Idle, it parks on a :class:`_Waiter` over the consumer sockets and
+        the control socket: a frame from an upstream worker wakes its
+        Receive; a stop (or EOF) on the control socket ends the run.
         """
         self._control.setblocking(False)
-        selector = selectors.DefaultSelector()
-        selector.register(self._control, selectors.EVENT_READ, None)
-        waitable: Dict[Any, Any] = {}
-        for receive in instance.receives():
-            endpoint = cast(SocketTransport, receive.channel.transport).consumer_socket
-            assert endpoint is not None, f"channel {receive.channel.name!r} is not wired"
-            waitable[endpoint] = receive
-            selector.register(endpoint, selectors.EVENT_READ, receive)
+        waiter = _Waiter(instance)
+        waiter.watch(self._control, None)
         passes = 0
         try:
             while True:
@@ -506,25 +644,18 @@ class _WorkerSession:
                 passes += 1
                 if scheduler.finished:
                     return passes
-                self._ship_sinks(taps)
                 if self._poll_stop():
                     logger.info("worker of instance %r stopped", instance.name)
                     raise _StopRequested()
                 if progressed or scheduler.has_ready_work:
                     continue
-                if not waitable:
+                if not waiter.receiving:
                     raise SchedulingError(
                         f"instance {instance.name!r} made no progress before completion"
                     )
-                for key, _ in selector.select(timeout=_WAIT_TIMEOUT_S):
-                    if key.data is not None:
-                        key.data.signal()
-                for endpoint, receive in list(waitable.items()):
-                    if receive.channel.closed:
-                        selector.unregister(endpoint)
-                        del waitable[endpoint]
+                waiter.wait(_WAIT_TIMEOUT_S)
         finally:
-            selector.close()
+            waiter.close()
             self._control.setblocking(True)
 
     def close(self) -> None:
@@ -535,6 +666,14 @@ class _WorkerSession:
                 sock.close()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
+
+
+def _bind_consumers(instance: SPEInstance, listener: _DataListener) -> List[socket.socket]:
+    """Attach the sockets ``listener`` accepted to ``instance``'s Receives."""
+    accepted = listener.wait_for(_WIRE_TIMEOUT_S)
+    for channel in instance.incoming_channels():
+        cast(SocketTransport, channel.transport).attach_consumer(accepted[channel.name])
+    return list(accepted.values())
 
 
 def _forked_worker(
@@ -614,9 +753,7 @@ class ClusterWorker:
 class _Session:
     """Coordinator-side handle of one worker: its control socket and fate."""
 
-    __slots__ = (
-        "instance", "sock", "decoder", "outcome", "address", "process", "data_address", "sinks"
-    )
+    __slots__ = ("instance", "sock", "decoder", "outcome", "address", "process", "data_address")
 
     def __init__(
         self,
@@ -635,12 +772,6 @@ class _Session:
         self.process = process
         #: the daemon's data listener, reported in its "ready" answer.
         self.data_address: Optional[Address] = None
-        #: sink name -> (coordinator-side sink, the one decoder replaying
-        #: every chunk of its shipped stream).
-        self.sinks: Dict[str, Tuple[SinkOperator, BinaryChannelDecoder]] = {
-            sink.name: (sink, BinaryChannelDecoder(f"shipping:{sink.name}"))
-            for sink in instance.sinks()
-        }
 
     def where(self) -> str:
         """Where the worker runs, for error messages."""
@@ -655,6 +786,12 @@ Hosts = Union[None, Sequence[Any], Dict[str, Any]]
 
 class RemoteRuntime:
     """Runs a distributed deployment with one worker process per SPE instance.
+
+    Every Sink runs in the coordinator, in the home instance: the last of
+    ``instances`` if it is named :data:`HOME_INSTANCE` (what
+    ``Pipeline.build()`` produces out of process), else one
+    :func:`cut_home` makes from ``instances``.  The home's channels count
+    in :meth:`channels`.
 
     ``execution`` selects the launcher in :data:`LAUNCHERS`: ``"process"``
     forks one child per instance; ``"cluster"`` ships the plans to worker
@@ -689,8 +826,8 @@ class RemoteRuntime:
     ) -> None:
         if not instances:
             raise SchedulingError("a distributed runtime needs at least one instance")
-        self.instances = list(instances)
-        assign_ordering_values(self.instances)
+        #: the instances the workers run.
+        self.instances = [i for i in instances if i.name != HOME_INSTANCE]
         if execution not in LAUNCHERS:
             raise SchedulingError(
                 f"unknown execution {execution!r}; expected one of {sorted(LAUNCHERS)!r}"
@@ -724,7 +861,6 @@ class RemoteRuntime:
         self._own_workers: List[ClusterWorker] = []
         self._hosts = hosts
         self._validate_hosts()
-        require_unique_channel_names(self.channels(), execution)
         for channel in self.channels():
             if not isinstance(channel.transport, SocketTransport):
                 raise SchedulingError(
@@ -733,9 +869,21 @@ class RemoteRuntime:
                     f"SocketTransport execution={execution!r} needs; "
                     f"build the deployment with Pipeline(execution={execution!r})"
                 )
+        homes = [i for i in instances if i.name == HOME_INSTANCE]
+        #: the coordinator's own instance: every Sink of the deployment.
+        self.home = homes[0] if homes else cut_home(self.instances)
+        assign_ordering_values(self.instances + [self.home])
+        require_unique_channel_names(self.channels(), execution)
+        self._home_scheduler = Scheduler(self.home, max_passes=max_rounds)
+        if telemetry is not None:
+            self._home_scheduler.tracer = telemetry.tracer
+        #: the home's failure, ranked with the workers' outcomes.
+        self._home_failure: Optional[Outcome] = None
+        #: the daemon launcher's data listener for the home's channels.
+        self._listener: Optional[_DataListener] = None
 
     def channels(self) -> List[Channel]:
-        """Every channel used by the deployment (deduplicated)."""
+        """Every channel used by the deployment, the home's included (deduplicated)."""
         seen: List[Channel] = []
         for instance in self.instances:
             for channel in instance.outgoing_channels():
@@ -811,7 +959,7 @@ class RemoteRuntime:
     # -- execution ---------------------------------------------------------
     def run(self) -> int:
         """Run every instance to quiescence; return the worker pass count."""
-        for instance in self.instances:
+        for instance in self.instances + [self.home]:
             instance.validate()
         telemetry = self.telemetry
         start_body = (
@@ -848,6 +996,7 @@ class RemoteRuntime:
         """The fork launcher: pair every channel, then one child per instance."""
         context = multiprocessing.get_context("fork")
         channels = self.channels()
+        home_channels = self.home.incoming_channels()
         try:
             for channel in channels:
                 cast(SocketTransport, channel.transport).pair()
@@ -866,21 +1015,16 @@ class RemoteRuntime:
                     theirs.close()
                 self.sessions.append(_Session(instance, mine, process=process))
         finally:
-            # Each end now lives in its one child only.
+            # Each end now lives in its one child only, or here at home.
             for channel in channels:
-                cast(SocketTransport, channel.transport).close_sockets()
+                cast(SocketTransport, channel.transport).close_sockets(
+                    keep_consumer=channel in home_channels
+                )
 
     def _deploy(self) -> None:
         """The daemon launcher: plan -> ready, then wire -> wired, on every worker."""
         addresses = self._assign_addresses()
-        # Coordinator-owned callbacks and taps (a collector, a ledger over an
-        # open file) must neither travel nor need to be picklable.
-        saved = {instance.name: strip_sinks(instance) for instance in self.instances}
-        try:
-            self._phase("plan", lambda: self._ship_plans(addresses))
-        finally:
-            for instance in self.instances:
-                restore_sinks(instance, saved[instance.name])
+        self._phase("plan", lambda: self._ship_plans(addresses))
         self._phase("wire", self._wire_channels)
 
     def _ship_plans(self, addresses: Dict[str, Address]) -> None:
@@ -916,16 +1060,28 @@ class RemoteRuntime:
 
     def _wire_channels(self) -> None:
         # A channel is consumed by exactly one instance; its worker's data
-        # listener is the channel's inbound address.
-        channel_map = {
-            channel.name: list(session.data_address or ())
-            for session in self.sessions
-            for channel in session.instance.incoming_channels()
+        # listener is the channel's inbound address, and the coordinator's
+        # own listener, where its first control connection is, the home's.
+        home = self.home
+        self._listener = _DataListener(
+            self.sessions[0].sock.getsockname()[0],
+            [channel.name for channel in home.incoming_channels()],
+        )
+        channel_map: Dict[str, List[Any]] = {
+            channel.name: list(self._listener.address)
+            for channel in home.incoming_channels()
         }
+        for session in self.sessions:
+            for channel in session.instance.incoming_channels():
+                channel_map[channel.name] = list(session.data_address or ())
         for session in self.sessions:
             _send_control(session.sock, "wire", {"channels": channel_map})
         for session in self.sessions:
             self._await(session, "wired")
+        try:
+            _bind_consumers(home, self._listener)
+        except ChannelError as exc:
+            raise SchedulingError(f"cannot wire the home instance: {exc}") from exc
 
     def _await(self, session: _Session, expected: str) -> Dict[str, Any]:
         """Block on one session's next setup answer; errors raise at once."""
@@ -960,33 +1116,40 @@ class RemoteRuntime:
         return dict(body)
 
     def _collect(self) -> None:
-        """Wait for every worker's result (or death), within the deadline."""
+        """Drive the home and wait for every worker's result (or death),
+        within the deadline."""
         deadline = time.monotonic() + self.timeout_s
-        selector = selectors.DefaultSelector()
+        home = self._home_scheduler
+        waiter = _Waiter(self.home)
         for session in self.sessions:
             session.sock.setblocking(False)
-            selector.register(session.sock, selectors.EVENT_READ, session)
+            waiter.watch(session.sock, session)
         pending = len(self.sessions)
         failed = False
         try:
-            while pending:
+            while pending or not (failed or home.finished):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return
-                for key, _ in selector.select(timeout=min(remaining, 0.25)):
-                    session = key.data
+                if not failed and self._step_home():
+                    failed = True
+                    waiter.stop_receiving()
+                    self._broadcast_stop()
+                idle = failed or not home.has_ready_work
+                for session in waiter.wait(min(remaining, 0.25) if idle else 0.0):
                     outcome = self._read_outcome(session)
                     if outcome is None:
                         continue
                     session.outcome = outcome
-                    selector.unregister(session.sock)
+                    waiter.unwatch(session.sock)
                     pending -= 1
                     if self.round_callback is not None:
                         self.round_callback(len(self.sessions) - pending)
                     if outcome[0] in ("error", "died") and not failed:
                         # Fail fast: stop the healthy workers instead of
                         # letting them park until the deadline masks the
-                        # real failure.
+                        # real failure.  The home stops too: its sockets
+                        # reach EOF as their producers go.
                         logger.warning(
                             "worker of instance %r reported %s; stopping the "
                             "deployment",
@@ -994,16 +1157,27 @@ class RemoteRuntime:
                             outcome[0],
                         )
                         failed = True
+                        waiter.stop_receiving()
                         self._broadcast_stop()
         finally:
-            selector.close()
+            waiter.close()
+
+    def _step_home(self) -> bool:
+        """Run the home's ready operators; record a failure, and return True.
+
+        A lost input there (``ProducerLostError``) only echoes a worker's
+        death, and is ranked so.
+        """
+        try:
+            self._home_scheduler.step()
+        except Exception as exc:  # noqa: BLE001 - ranked with the workers' outcomes
+            logger.warning("the home instance failed (%r); stopping the deployment", exc)
+            self._home_failure = ("error", _failure_document(HOME_INSTANCE, exc))
+            return True
+        return False
 
     def _read_outcome(self, session: _Session) -> Optional[Outcome]:
-        """Drain one session's control socket; return its outcome if final.
-
-        Sink chunks are replayed as they arrive, so the coordinator-side
-        sinks (and a ledger behind them) ingest while the workers run.
-        """
+        """Drain one session's control socket; return its outcome once it came."""
         while True:
             try:
                 data = session.sock.recv(1 << 16)
@@ -1013,25 +1187,9 @@ class RemoteRuntime:
                 return ("died", {"instance": session.instance.name})
             if not data:
                 return ("died", {"instance": session.instance.name})
-            for frame in session.decoder.feed(data):
-                tag, body = _decode_control(frame)
-                if tag == "sink":
-                    self._replay(session, body)
-                elif tag in ("ok", "error", "stopped"):
-                    return (tag, body)
-
-    def _replay(self, session: _Session, chunk: SinkChunk) -> None:
-        """Replay one shipped chunk, recorded as an ``<execution>.replay`` span."""
-        tracer = self.telemetry.tracer if self.telemetry is not None else None
-        started = tracer.clock() if tracer is not None else 0.0
-        replayed = 0
-        for name, events in chunk.items():
-            sink, decoder = session.sinks[name]
-            replayed += replay_sink(sink, events, decoder)
-        if tracer is not None:
-            tracer.record(
-                f"{self.execution}.replay", session.instance.name, started, count=replayed
-            )
+            frames = session.decoder.feed(data)
+            if frames:  # the one frame a worker sends after start
+                return cast(Outcome, _decode_control(frames[0]))
 
     def _broadcast_stop(self) -> None:
         for session in self.sessions:
@@ -1043,13 +1201,19 @@ class RemoteRuntime:
                 pass
 
     def _shutdown(self) -> None:
-        """Stop whatever still runs, close the control sockets, reap the workers."""
+        """Stop whatever still runs, close the control and home sockets, reap
+        the workers."""
         self._broadcast_stop()
         for session in self.sessions:
             try:
                 session.sock.close()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
+        for channel in self.home.incoming_channels():
+            cast(SocketTransport, channel.transport).close_sockets()
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
         for session in self.sessions:
             process = session.process
             if process is None:
@@ -1066,10 +1230,15 @@ class RemoteRuntime:
     def _raise_on_failure(self) -> None:
         # Blame errors, then deaths, then lost peers: a lost input or output
         # only echoes its peer's failure, which may reach us after it.
+        # The home never dies: it is this process.
         rank = {"error": 0, "died": 1}
-        outcomes = sorted(
-            ((s, s.outcome or ("", {})) for s in self.sessions),
-            key=lambda o: rank.get(o[1][0], 2) + 2 * bool(o[1][1].get("lost_peer")),
+        outcomes: List[Tuple[Optional[_Session], Outcome]] = [
+            (s, s.outcome or ("", {})) for s in self.sessions
+        ]
+        if self._home_failure is not None:
+            outcomes.append((None, self._home_failure))
+        outcomes.sort(
+            key=lambda o: rank.get(o[1][0], 2) + 2 * bool(o[1][1].get("lost_peer"))
         )
         for session, (tag, document) in outcomes:
             if tag == "error":
@@ -1078,11 +1247,14 @@ class RemoteRuntime:
                     f"{document.get('traceback', '')}"
                 )
             if tag == "died":
+                assert session is not None
                 raise SchedulingError(
                     f"instance {session.instance.name!r} worker {session.where()} "
                     "died without a result"
                 )
-        unfinished = [s.instance.name for s, (tag, _) in outcomes if tag != "ok"]
+        unfinished = [s.instance.name for s in self.sessions if s.outcome is None]
+        if not self._home_scheduler.finished:
+            unfinished.append(HOME_INSTANCE)
         if unfinished:
             raise SchedulingError(
                 f"instance(s) {unfinished!r} did not finish within {self.timeout_s} seconds"
@@ -1090,21 +1262,38 @@ class RemoteRuntime:
 
     # -- result application ------------------------------------------------
     def _apply_results(self) -> None:
-        """Copy shipped counters onto the coordinator objects."""
+        """Copy the shipped counters, sink latencies, traversal samples and
+        span buffers onto the coordinator objects."""
         by_channel = {channel.name: channel for channel in self.channels()}
+        home_sinks = {
+            receive.channel.name: cast(SinkOperator, receive.outputs[0].consumer)
+            for receive in self.home.receives()
+        }
         for session in self.sessions:
             assert session.outcome is not None
             document = session.outcome[1]
             self.results[session.instance.name] = document
             self.rounds += document["passes"]
             self._wakeups += document["wakeups"]
-            apply_instance_result(
-                session.instance, document, by_channel, telemetry=self.telemetry
-            )
+            for operator in session.instance.operators:
+                counters = document["operators"].get(operator.name)
+                if counters is not None:
+                    operator.work_calls, operator.tuples_in, operator.tuples_out = counters
+            for name, (tuples_sent, bytes_sent) in document["channels"].items():
+                by_channel[name].tuples_sent = tuples_sent
+                by_channel[name].bytes_sent = bytes_sent
+            for name, latencies in document["latencies"].items():
+                home_sinks[name].latencies = latencies
+            samples = document["traversal_times_s"]
+            if samples:
+                _manager(session.instance).traversal_times_s.extend(samples)
+            if self.telemetry is not None:
+                self.telemetry.merge_worker(document["telemetry"])
+        self._wakeups += self._home_scheduler.wakeups
 
     # -- introspection -------------------------------------------------------
     def total_wakeups(self) -> int:
-        """Operator wake-ups summed over all worker schedulers."""
+        """Operator wake-ups summed over the worker schedulers and the home's."""
         return self._wakeups
 
     @property

@@ -18,11 +18,12 @@ format: anything else fails the decode with
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.spe.channels import Channel, Payload
 from repro.spe.codec import BinaryChannelDecoder, BinaryChannelEncoder
 from repro.spe.operators.base import Operator, SingleInputOperator
+from repro.spe.operators.sink import record_latencies
 from repro.spe.tuples import StreamTuple
 
 
@@ -33,10 +34,20 @@ class SendOperator(SingleInputOperator):
     max_outputs = 0
 
     def __init__(
-        self, name: str, channel: Channel, ship_provenance: bool = True
+        self,
+        name: str,
+        channel: Channel,
+        ship_provenance: bool = True,
+        latency_clock: Optional[Callable[[], float]] = None,
     ) -> None:
         super().__init__(name)
         self.channel = channel
+        #: set on a Send standing in for a Sink that runs elsewhere (the
+        #: out-of-process home instance): the Sink's clock.  The Send then
+        #: measures the Sink's ingress -> sink latencies where the tuples
+        #: reach the Sink's place, so they exclude the hop to the Sink.
+        self.latency_clock = latency_clock
+        self.latencies: List[float] = []
         #: when False the Send ships empty provenance payloads instead of
         #: consulting the manager.  The GeneaLog unfolded streams set this:
         #: an unfolded tuple carries its provenance inside its *attributes*
@@ -51,6 +62,8 @@ class SendOperator(SingleInputOperator):
 
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
         """Serialise the whole batch and flush it to the channel in one call."""
+        if self.latency_clock is not None:
+            record_latencies(batch, self.latency_clock, self.latencies)
         # ``None`` = no payload at all: the codec ships one flag byte for the
         # batch instead of a document per tuple.
         payloads: Optional[List[Dict[str, Any]]] = None

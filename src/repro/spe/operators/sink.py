@@ -9,6 +9,21 @@ from repro.spe.operators.base import SingleInputOperator
 from repro.spe.tuples import StreamTuple
 
 
+def record_latencies(
+    batch: Sequence[StreamTuple], wall_clock: Callable[[], float], latencies: List[float]
+) -> None:
+    """Append each tuple's ingress -> now latency to ``latencies``.
+
+    The reception instant is read per tuple: the latency metric is defined
+    against each tuple's own arrival, and harnesses may inject stepping
+    clocks.  Tuples without a ``wall`` stamp are not measured.
+    """
+    for tup in batch:
+        now = wall_clock()
+        if tup.wall:
+            latencies.append(now - tup.wall)
+
+
 class SinkOperator(SingleInputOperator):
     """Collects sink tuples and optionally forwards them to a callback.
 
@@ -44,26 +59,11 @@ class SinkOperator(SingleInputOperator):
         self.taps.append(tap)
 
     def process_batch(self, batch: Sequence[StreamTuple]) -> None:
-        # The reception instant is read per tuple: the latency metric is
-        # defined against each tuple's own arrival, and harnesses may inject
-        # stepping clocks.
+        """Count and measure ``batch``, then hand it on in a fixed order: the
+        whole batch is kept, then the callback sees each tuple, then each
+        tap sees the batch once."""
         self.count += len(batch)
-        wall_clock = self._wall_clock
-        latencies = self.latencies
-        for tup in batch:
-            now = wall_clock()
-            if tup.wall:
-                latencies.append(now - tup.wall)
-        self.deliver(batch)
-
-    def deliver(self, batch: Sequence[StreamTuple]) -> None:
-        """Hand ``batch`` to the kept list, the callback and every tap.
-
-        The one place that defines their order: the whole batch is kept,
-        then the callback sees each tuple, then each tap sees the batch
-        once.  Replaying a remote sink's stream enters here, past the
-        latency measurement of :meth:`process_batch`.
-        """
+        record_latencies(batch, self._wall_clock, self.latencies)
         if self._keep_tuples:
             self.received.extend(batch)
         callback = self._callback

@@ -235,6 +235,13 @@ class Query:
         self._edges.remove((producer, consumer))
         return producer, consumer
 
+    def remove(self, operator: Operator) -> None:
+        """Disconnect every stream of ``operator`` and unregister it."""
+        for stream in operator.inputs + operator.outputs:
+            self.disconnect(stream)
+        self.operators.remove(operator)
+        del self._by_name[operator.name]
+
     def producer_of(self, stream: Stream) -> Operator:
         """Return the operator writing to ``stream``."""
         for op in self.operators:

@@ -17,13 +17,14 @@ both launchers, these tests compare against ``execution="event"``:
   scheduling).
 
 The canonicalisers, workloads and ``run_cell`` are :mod:`tests.equivalence`'s.
-Further blocks hold both launchers to the rest of the contract -- a live
-provenance store fed through shipped ledger entries, worker-measured
-latencies, fail-fast on a crashing upstream and on a worker killed mid-run
-(blamed on that worker, not on the downstream that lost its input),
-rejection of a channel that is not a socket transport, no data-plane file
-descriptor left in the coordinator -- and cover the cluster-only parts: host
-placement, connection robustness and standalone ``python -m
+Further blocks hold both launchers to the rest of the contract -- every Sink
+running in the coordinator's home instance, fed over the data plane (a live
+provenance store included), worker-measured latencies, fail-fast on a
+crashing upstream and on a worker killed mid-run (blamed on that worker, not
+on the downstream or the home that lost its input), rejection of a channel
+that is not a socket transport, no data-plane file descriptor left in the
+coordinator -- and cover the cluster-only parts: host placement, connection
+robustness (hello frames included) and standalone ``python -m
 repro.spe.cluster --serve`` daemons.
 """
 
@@ -33,6 +34,7 @@ import contextlib
 import gc
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import socket
@@ -43,22 +45,24 @@ import time
 
 import pytest
 
-from repro.api import Pipeline
+from repro.api import Dataflow, DataflowError, Pipeline, Placement
 from repro.core.provenance import ProvenanceMode
 from repro.provstore import ProvenanceTap, open_provenance_store
 from repro.spe.cluster import (
+    HOME_INSTANCE,
     ClusterWorker,
     RemoteRuntime,
     _DataListener,
     _encode_control,
     _recv_control,
+    _send_hello,
     _Session,
     _forked_worker,
     _WorkerSession,
     parse_address,
 )
 from repro.spe.errors import SchedulingError
-from repro.spe.sockets import FrameDecoder, SocketTransport
+from repro.spe.sockets import FrameDecoder, SocketTransport, encode_frame
 from repro.spe.tuples import StreamTuple
 from repro.workloads.queries import query_dataflow, query_pipeline, query_placement
 from tests.equivalence import (  # noqa: F401
@@ -121,13 +125,106 @@ class TestRemoteEquivalence:
         assert remote.wakeups > 0 and remote.rounds > 0
 
     def test_store_matches_event_execution(self, execution):
-        # ledger entries produced on the workers ship back to the coordinator.
+        # the provenance Sink feeding the ledger runs in the home instance.
         assert_same_store(run_q1_with_store(execution), run_q1_with_store("event"))
 
+    @pytest.mark.parametrize(
+        "execution",
+        ["event", pytest.param("process", marks=fork_required), "cluster"],
+    )
     def test_sink_latencies_measured_in_the_workers(self, execution):
-        result = run_cell("q1", ProvenanceMode.NONE, execution=execution)
-        assert len(result.sink.latencies) == result.sink.count
-        assert all(latency != 0.0 for latency in result.sink.latencies)
+        # out of process, the Sends standing in for the Sinks measure them.
+        def sinks(result):
+            return [result.sink, sink_named(result, "provenance_sink")]
+
+        result = run_cell("q1", ProvenanceMode.GENEALOG, execution=execution)
+        event = run_cell("q1", ProvenanceMode.GENEALOG)
+        for sink, event_sink in zip(sinks(result), sinks(event)):
+            assert sink.count == event_sink.count > 0
+            assert len(sink.latencies) == sink.count
+            assert all(latency != 0.0 for latency in sink.latencies)
+
+
+def sink_named(result, name):
+    """The Sink called ``name``, wherever the build placed it."""
+    (sink,) = (instance[name] for instance in result.instances if name in instance)
+    return sink
+
+
+class TestHomeInstance:
+    """Out of process, every Sink runs in the coordinator's home instance."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.name)
+    def test_build_cuts_every_sink_onto_the_home_last(self, execution, mode):
+        result = query_pipeline(
+            "q1", workload_for("q1"), mode=mode, deployment="inter", execution=execution
+        ).build()
+        *workers, home = result.instances
+        assert home.name == HOME_INSTANCE
+        assert not any(worker.sinks() for worker in workers)
+        assert result.sink in home.sinks()
+        assert len(home.sinks()) == (1 if mode is ProvenanceMode.NONE else 2)
+        # the paper's inter-instance traffic excludes the hop home.
+        assert not set(home.incoming_channels()) & set(result.channels)
+        for sink in home.sinks():
+            (send,) = (
+                send for worker in workers for send in worker.sends()
+                if send.channel.name == f"home:{sink.name}"
+            )
+            assert send.latency_clock is sink._wall_clock
+            assert send.ship_provenance is False
+
+    def test_home_instance_name_reserved(self):
+        with pytest.raises(DataflowError, match="reserved for the home instance"):
+            Placement({HOME_INSTANCE: ("src",)})
+
+    def test_sink_callbacks_never_travel_to_a_daemon(self):
+        # a generator cannot be pickled: a worker plan dragging the Sink
+        # along (say, through a channel's consumer) would fail to ship.
+        unpicklable = (n for n in range(1))
+        seen = []
+        df = Dataflow("callbacks")
+        df.source(
+            "src", [StreamTuple(ts=float(ts), values={"v": ts}) for ts in range(20)]
+        ).map(lambda t: t, name="m").sink(
+            "out", callback=lambda tup: seen.append((tup["v"], unpicklable))
+        )
+        placement = Placement({"spe1": ("src",), "spe2": ("m", "out")})
+        Pipeline(df, placement=placement, execution="cluster").run()
+        assert [v for v, _ in seen] == list(range(20))
+
+    def test_event_builds_no_home(self):
+        result = query_pipeline(
+            "q1", workload_for("q1"), mode=ProvenanceMode.GENEALOG, deployment="inter"
+        ).build()
+        assert HOME_INSTANCE not in [instance.name for instance in result.instances]
+
+    def test_runtime_cuts_a_hand_built_deployment(self, execution):
+        upstream, downstream = two_instances(
+            lambda: [StreamTuple(ts=float(ts), values={"v": ts}) for ts in range(40)],
+            SocketTransport("a_to_b"),
+        )
+        sink = downstream["sink"]
+        runtime = RemoteRuntime([upstream, downstream], execution=execution)
+        assert runtime.instances == [upstream, downstream]
+        assert runtime.home.sinks() == [sink]
+        runtime.run()
+        assert [tup["v"] for tup in sink.received] == list(range(40))
+        assert len(sink.latencies) == sink.count == 40
+
+    def test_a_failing_sink_callback_is_the_homes_failure(self, execution):
+        def exploding_callback(tup):
+            raise RuntimeError("sink callback exploded")
+
+        upstream, downstream = two_instances(
+            lambda: [StreamTuple(ts=float(ts), values={"v": ts}) for ts in range(400)],
+            SocketTransport("a_to_b"),
+        )
+        downstream["sink"]._callback = exploding_callback
+        runtime = RemoteRuntime([upstream, downstream], execution=execution, timeout_s=60.0)
+        with pytest.raises(SchedulingError, match="instance 'home' failed.*sink callback exploded"):
+            runtime.run()
+        assert multiprocessing.active_children() == []
 
 
 class FirstBatch(ProvenanceTap):
@@ -143,7 +240,7 @@ class FirstBatch(ProvenanceTap):
 
 
 class TestSinkStreamsComeHomeDuringTheRun:
-    """Workers ship sink chunks as they run; the coordinator replays on arrival."""
+    """The home's Sinks see their streams while the workers still run."""
 
     def test_sink_sees_its_first_batch_before_every_worker_answered(self, execution):
         pipeline = query_pipeline(
@@ -157,18 +254,19 @@ class TestSinkStreamsComeHomeDuringTheRun:
             FirstBatch(lambda batch: answered_at_first_batch.append(len(answered)))
         )
         pipeline.run(round_callback=answered.append)
-        assert len(answered) == len(result.instances) == 3
-        # spe2 ships its sink chunks ahead of its own "ok" on one socket, so
-        # the first one is replayed while spe2, at least, is still running.
+        workers = [i for i in result.instances if i.name != HOME_INSTANCE]
+        assert len(answered) == len(workers) == 3
+        # the provenance worker answers only after spe2 closed the derived
+        # stream, long after spe2 sent its first sink tuples home.
         assert answered_at_first_batch and answered_at_first_batch[0] < 3
 
     @fork_required
-    def test_killed_provenance_worker_leaves_replayed_provenance_and_a_store(
+    def test_killed_provenance_worker_leaves_delivered_provenance_and_a_store(
         self, tmp_path
     ):
         # spe1's source holds back its last tuple until the provenance worker
         # is dead, so that worker cannot finish first; it is SIGKILLed once
-        # the coordinator replayed a first provenance chunk into the store.
+        # a first provenance batch reached the home's provenance Sink.
         released = tmp_path / "killed"
 
         def held_back_supplier():
@@ -197,16 +295,16 @@ class TestSinkStreamsComeHomeDuringTheRun:
             os.kill(victim.pid, signal.SIGKILL)
             released.write_text(str(victim.pid))
 
-        (provenance_node,) = (i for i in result.instances if i.name == "provenance_node")
-        (provenance_sink,) = provenance_node.sinks()
-        provenance_sink.add_tap(FirstBatch(kill_provenance_node))
+        home = result.instances[-1]
+        home["provenance_sink"].add_tap(FirstBatch(kill_provenance_node))
         with pytest.raises(SchedulingError) as info:
             pipeline.run()
-        assert released.exists(), "no provenance chunk was replayed"
+        assert released.exists(), "no provenance batch reached the home"
+        # blamed: the dead worker, not the home's lost input from it.
         assert re.search(
             r"instance 'provenance_node' worker process \d+ .*died", str(info.value)
         ), info.value
-        # What was replayed before the failure stays, as it would in process.
+        # What reached the home before the failure stays, as it would in process.
         assert result.store.ingested_tuples > 0
         assert multiprocessing.active_children() == []
         reopened = open_provenance_store(store_dir)
@@ -415,6 +513,20 @@ class TestRemoteFailFast:
         with pytest.raises(SchedulingError, match=blamed):
             runtime._raise_on_failure()
 
+    def test_a_lost_input_at_home_is_blamed_after_the_dead_worker(self):
+        runtime = RemoteRuntime(
+            two_instances(exploding_supplier, SocketTransport("a_to_b")), execution="cluster"
+        )
+        runtime.sessions = [_Session(i, None, address=("h", 1)) for i in runtime.instances]
+        runtime.sessions[0].outcome = ("died", {})
+        runtime.sessions[1].outcome = LOST_INPUT
+        runtime._home_failure = (
+            "error",
+            {"instance": "home", "error": "ProducerLostError('home:sink')", "lost_peer": True},
+        )
+        with pytest.raises(SchedulingError, match=r"'upstream' worker at h:1 died"):
+            runtime._raise_on_failure()
+
     def test_rejects_channels_of_another_transport(self, execution):
         with pytest.raises(SchedulingError, match="InMemoryTransport, not the SocketTransport"):
             RemoteRuntime(two_instances(exploding_supplier), execution=execution)
@@ -439,15 +551,17 @@ class TestRemoteFailFast:
 @fork_required
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
 class TestForkLauncherDescriptors:
+    @staticmethod
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
     def test_coordinator_holds_no_data_plane_descriptor(self):
         # Channels stay detached until the launcher pairs them, and the
-        # coordinator closes every data end it held for the fork: a held
-        # result pins no descriptor.
-        def open_fds():
-            return len(os.listdir("/proc/self/fd"))
-
+        # coordinator closes every data end it held for the fork -- the
+        # home's consumer ends once the run is over: a held result pins no
+        # descriptor.
         gc.collect()
-        baseline = open_fds()
+        baseline = self.open_fds()
         pipeline = query_pipeline(
             "q1",
             workload_for("q1"),
@@ -456,10 +570,29 @@ class TestForkLauncherDescriptors:
             execution="process",
         )
         pipeline.build()
-        assert open_fds() == baseline
+        assert self.open_fds() == baseline
         result = pipeline.run()
         assert result.sink.count > 0
-        assert open_fds() == baseline
+        assert self.open_fds() == baseline
+
+    def test_failed_run_leaves_no_data_plane_descriptor(self):
+        def failing_supplier():
+            tuples = list(workload_for("q1")())
+            yield from tuples[: len(tuples) // 2]
+            raise RuntimeError("source failed mid-run")
+
+        gc.collect()
+        baseline = self.open_fds()
+        pipeline = Pipeline(
+            query_dataflow("q1", failing_supplier),
+            provenance=ProvenanceMode.GENEALOG,
+            placement=query_placement("q1"),
+            execution="process",
+        )
+        with pytest.raises(SchedulingError, match="source failed mid-run"):
+            pipeline.run()
+        assert multiprocessing.active_children() == []
+        assert self.open_fds() == baseline
 
 
 class TestClusterHostPlacement:
@@ -550,15 +683,58 @@ class TestClusterConnectionRobustness:
     def test_silent_connection_does_not_block_channel_wiring(self):
         # a connection that never sends its hello frame must not stall the
         # accept loop: the real producer behind it still gets bound.
-        listener = _DataListener("127.0.0.1")
+        listener = _DataListener("127.0.0.1", ["x"])
         idle = socket.create_connection(listener.address)
         producer = socket.create_connection(listener.address)
         try:
-            producer.sendall(_encode_control("h", "x"))
-            assert set(listener.wait_for(["x"], timeout_s=2.0)) == {"x"}
+            _send_hello(producer, "x")
+            assert set(listener.wait_for(timeout_s=2.0)) == {"x"}
         finally:
             idle.close()
             producer.close()
+            listener.close()
+
+    def test_a_pickled_hello_is_never_unpickled(self, tmp_path):
+        # anyone can connect to a data port: its hello must not run code.
+        marker = tmp_path / "executed"
+
+        class Payload:
+            def __reduce__(self):
+                return (open, (str(marker), "w"))
+
+        listener = _DataListener("127.0.0.1", ["x"])
+        foreign = socket.create_connection(listener.address)
+        producer = socket.create_connection(listener.address)
+        try:
+            foreign.sendall(encode_frame(pickle.dumps(("h", Payload()))))
+            _send_hello(producer, "x")
+            assert set(listener.wait_for(timeout_s=2.0)) == {"x"}
+            foreign.settimeout(2.0)
+            assert foreign.recv(1) == b""  # dropped
+            assert not marker.exists()
+        finally:
+            foreign.close()
+            producer.close()
+            listener.close()
+
+    @pytest.mark.parametrize("name", ["x", "unknown"])
+    def test_a_second_claim_does_not_displace_the_bound_producer(self, name):
+        listener = _DataListener("127.0.0.1", ["x"])
+        producer = socket.create_connection(listener.address)
+        intruder = socket.create_connection(listener.address)
+        try:
+            _send_hello(producer, "x")
+            bound = listener.wait_for(timeout_s=2.0)["x"]
+            _send_hello(intruder, name)
+            intruder.settimeout(2.0)
+            assert intruder.recv(1) == b""  # dropped, not bound
+            assert listener.wait_for(timeout_s=2.0) == {"x": bound}
+            producer.sendall(b"ping")
+            bound.settimeout(2.0)
+            assert bound.recv(4) == b"ping"
+        finally:
+            producer.close()
+            intruder.close()
             listener.close()
 
 

@@ -4,8 +4,9 @@ The observability layer's core promise is that the *same* pipeline produces
 the *same* operator span lanes no matter where its instances run: in the
 coordinator's event loop, in forked OS processes, or in plan-shipped cluster
 workers.  These tests run Q1 under all three executions and compare the
-``operator.work`` lanes, check that worker-recorded spans actually travel
-home through the result-shipping path, render a two-worker cluster run into
+``operator.work`` lanes (out of process, the Sinks run in the coordinator's
+home instance), check that worker-recorded spans actually travel home in
+the workers' result documents, render a two-worker cluster run into
 one merged Chrome trace with coordinator + worker lanes, and pin down the
 disabled-mode contract: with ``telemetry=None`` not a single ring-buffer
 write happens anywhere in the engine.
@@ -21,6 +22,7 @@ import pytest
 from repro.core.provenance import ProvenanceMode
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import SpanTracer
+from repro.spe.cluster import HOME_INSTANCE
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
 from repro.workloads.queries import query_pipeline
 
@@ -47,11 +49,25 @@ def run_q1(execution: str, telemetry=None, mode=ProvenanceMode.GENEALOG):
 
 
 def work_lanes(telemetry: Telemetry):
-    """The (node, operator) pairs that recorded ``operator.work`` spans."""
+    """The (node, operator) pairs that recorded ``operator.work`` spans.
+
+    Out of process, the Send standing in for a Sink (``send_home:<sink>``)
+    is mapped back onto the Sink's name, and the home's own lane is left
+    out: the lanes then read as in process.
+    """
     return {
-        (span.node, span.name)
+        (span.node, span.name.replace("send_home:", "", 1))
         for span in telemetry.spans()
-        if span.kind == "operator.work"
+        if span.kind == "operator.work" and span.node != HOME_INSTANCE
+    }
+
+
+def home_lane(telemetry: Telemetry):
+    """The operators that recorded ``operator.work`` spans in the home."""
+    return {
+        span.name
+        for span in telemetry.spans()
+        if span.kind == "operator.work" and span.node == HOME_INSTANCE
     }
 
 
@@ -76,6 +92,8 @@ class TestSpanParityAcrossExecutions:
             assert lanes[execution], f"{execution}: no operator.work spans"
             kinds = {span.kind for span in telemetry.spans() if span.node == "coordinator"}
             assert phases[execution] <= kinds, (execution, kinds)
+            if execution != "event":
+                assert {"sink", "provenance_sink"} <= home_lane(telemetry), execution
         assert lanes["event"] == lanes["process"] == lanes["cluster"]
 
     def test_worker_spans_ship_home(self):
@@ -116,7 +134,8 @@ class TestMergedClusterTrace:
         # Q1 NP inter deploys exactly two SPE instances -> two workers.
         result = run_q1("cluster", telemetry=telemetry, mode=ProvenanceMode.NONE)
         assert result.sink.count > 0
-        assert len(result.instances) == 2
+        workers = [i for i in result.instances if i.name != HOME_INSTANCE]
+        assert len(workers) == 2
 
         document = telemetry.to_chrome_trace()
         json.loads(json.dumps(document))  # strict-JSON exportable

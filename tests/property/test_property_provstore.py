@@ -242,92 +242,3 @@ def collector_outcome(events, cuts):
 def test_any_batch_split_equals_tuple_at_a_time_collection(events, cuts):
     assert collector_outcome(events, cuts) == collector_outcome(events, None)
 
-
-class RecordingTap:
-    """Flattens what a sink tells its taps into one comparable event list."""
-
-    def __init__(self):
-        self.events = []
-
-    def on_batch(self, batch):
-        self.events.extend(("t", tup.ts, tup.values) for tup in batch)
-
-    def on_watermark(self, watermark):
-        self.events.append(("w", watermark))
-
-    def on_close(self):
-        self.events.append(("c",))
-
-
-def observed_sink(ledger):
-    """A sink with a callback, a recording tap and two ledger taps."""
-    from repro.provstore import LedgerTap
-    from repro.spe.operators.sink import SinkOperator
-
-    sink = SinkOperator("provenance_sink", callback=lambda tup: called.append(tup.values))
-    called = sink.called = []
-    sink.recorder = RecordingTap()
-    sink.add_tap(sink.recorder)
-    sink.add_tap(LedgerTap(ledger))
-    sink.add_tap(LedgerTap(ledger))
-    return sink
-
-
-def drive(sink, events, cuts):
-    for kind, body in batches_of(events, cuts):
-        if kind == "t":
-            sink.process_batch(body)
-        else:
-            sink.on_watermark(float(body[1]))
-    sink.on_close()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    events=stream_events,
-    cuts=st.lists(st.booleans(), max_size=40),
-    takes=st.lists(st.booleans(), max_size=40),
-)
-def test_replayed_sink_stream_equals_in_process_taps(events, cuts, takes):
-    from repro.spe.codec import BinaryChannelDecoder
-    from repro.spe.operators.sink import SinkOperator
-    from repro.spe.shipping import ShippingTap, adopt_sink_result, replay_sink
-
-    local_ledger = ProvenanceLedger(retention=1.0)
-    local = observed_sink(local_ledger)
-    drive(local, events, cuts)
-
-    # The worker ships its recorded events in chunks, taken after the
-    # Hypothesis-chosen batches (as after a scheduler pass) and at the end.
-    worker = SinkOperator("provenance_sink", keep_tuples=False)
-    shipping = ShippingTap(worker.name)
-    worker.add_tap(shipping)
-    chunks = []
-    taken = iter(takes)
-    for kind, body in batches_of(events, cuts):
-        if kind == "t":
-            worker.process_batch(body)
-        else:
-            worker.on_watermark(float(body[1]))
-        if next(taken, False):
-            chunks.append(shipping.take())
-    worker.on_close()
-    chunks.append(shipping.take())
-
-    # ... and the coordinator replays every chunk through one decoder.
-    replayed_ledger = ProvenanceLedger(retention=1.0)
-    replayed = observed_sink(replayed_ledger)
-    decoder = BinaryChannelDecoder(f"shipping:{replayed.name}")
-    replayed_tuples = sum(replay_sink(replayed, chunk, decoder) for chunk in chunks)
-    adopt_sink_result(replayed, {"count": worker.count, "latencies": [0.25]})
-    assert replayed_tuples == local.count
-    assert replayed.recorder.events == local.recorder.events
-    assert replayed.called == local.called
-    assert [t.values for t in replayed.received] == [t.values for t in local.received]
-    assert replayed.count == local.count
-    assert replayed.latencies == [0.25]  # copied, never re-measured
-    assert replayed_ledger.mappings() == local_ledger.mappings()
-    assert replayed_ledger.source_entries() == local_ledger.source_entries()
-    assert replayed_ledger.duplicate_tuples == local_ledger.duplicate_tuples
-    # both ledger taps saw every tuple: each pair is ingested exactly twice.
-    assert local_ledger.ingested_tuples == 2 * local.count

@@ -304,15 +304,6 @@ class TestTaps:
         assert order == [1.0, 2.0, 3.0, 4.0]
         assert [t.ts for t in sink.received] == order and sink.count == 4
 
-    def test_deliver_skips_count_and_latency(self):
-        sink = SinkOperator("provenance_sink", wall_clock=lambda: 100.0)
-        late = StreamTuple(ts=1.0, wall=40.0)
-        sink.deliver([late])
-        assert sink.received == [late]
-        assert (sink.count, sink.latencies) == (0, [])
-        sink.process_batch([late])
-        assert (sink.count, sink.latencies) == (1, [60.0])
-
     def test_ledger_tap_ingests_a_batch_at_once(self):
         ledger = ProvenanceLedger(retention=0.0)
         tap = LedgerTap(ledger)

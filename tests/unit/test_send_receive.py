@@ -1,10 +1,13 @@
 """Unit tests for the Send/Receive operators and their channel transport."""
 
+import itertools
+
 import pytest
 
 from repro.spe.channels import Channel
 from repro.spe.errors import SerializationError
 from repro.spe.operators import ReceiveOperator, SendOperator
+from repro.spe.operators.sink import SinkOperator
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.streams import Stream
 from tests.optest import collect, feed, run_operator, tup, wire
@@ -129,6 +132,27 @@ class TestReceiveOperator:
         receive.add_output(out)
         run_operator(receive)
         assert collect(out)[0].wall == 123.0
+
+    def test_a_send_standing_in_for_a_sink_measures_what_the_sink_would(self):
+        def stepping_clock():
+            ticks = itertools.count(100)
+            return lambda: float(next(ticks))
+
+        batch = [tup(i, x=i) for i in range(7)]
+        for tup_ in batch:
+            tup_.wall = float(tup_.ts) if tup_.ts % 3 else 0.0  # some unstamped
+        sink = SinkOperator("sink", wall_clock=stepping_clock())
+        send = SendOperator(
+            "send", Channel("c"), ship_provenance=False, latency_clock=stepping_clock()
+        )
+        sink.process_batch(batch)
+        send.process_batch(batch)
+        assert send.latencies == sink.latencies
+        assert len(send.latencies) == 4
+        # a plain Send measures nothing.
+        plain = SendOperator("plain", Channel("d"))
+        plain.process_batch(batch)
+        assert plain.latencies == []
 
 
 class EmptyPayloadManager(RecordingManager):
