@@ -15,9 +15,10 @@ emits structured diagnostics in three rule families:
   for parallel shards or by-value shipping, flagging captured-state
   mutation and clock/entropy reads.
 
-Entry points: :meth:`repro.api.Pipeline.analyze`, the
-``Pipeline(validate="strict"|"warn"|"off")`` run gate, and the CLI
-(``python -m repro.analysis``).
+Entry points: :meth:`repro.api.Pipeline.analyze`, the build gate (every
+``Pipeline.build()`` refuses a plan with an error diagnostic;
+``validate="strict"|"warn"|"off"`` raises, warns or drops the warnings),
+and the CLI (``python -m repro.analysis``).
 """
 
 from __future__ import annotations

@@ -75,6 +75,8 @@ class PlanModel:
     execution: str = "event"
     #: the pipeline's explicit retention override (None = derived).
     retention: Optional[float] = None
+    #: True when a provenance store is attached.
+    stored: bool = False
     #: the attached provenance store's retention bound, if any.
     store_retention: Optional[float] = None
     #: sum of the plan's window sizes (the default retention bound).
@@ -156,6 +158,7 @@ class PlanModel:
             mode=mode,
             execution=execution,
             retention=retention,
+            stored=store is not None,
             store_retention=store_retention,
             window_sum=dataflow.retention_s(),
             capture_sinks=list(dataflow.capture_sink_names()),
@@ -266,12 +269,6 @@ class PlanModel:
                 inputs = self.predecessors(name)
                 promised[name] = all(promised[up] for up in inputs) if inputs else True
         return promised
-
-    def effective_retention(self) -> float:
-        """The MU/resolver retention bound the deployment would run with."""
-        if self.retention is not None:
-            return self.retention
-        return self.window_sum
 
     def instance_graph(self) -> Dict[str, List[str]]:
         """Directed instance-level graph induced by the cut edges."""

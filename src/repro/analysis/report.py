@@ -19,7 +19,7 @@ SEVERITIES: Tuple[str, ...] = ("error", "warning", "info")
 
 
 class PlanAnalysisWarning(UserWarning):
-    """Emitted (once per diagnostic) by the ``validate="warn"`` run gate."""
+    """Emitted (once per diagnostic) by ``Pipeline.build()`` under ``validate="warn"``."""
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class Diagnostic:
 
     #: stable rule identifier, e.g. ``"graph.merge-deadlock"``.
     rule: str
-    #: ``"error"`` blocks strict runs; ``"warning"``/``"info"`` never do.
+    #: ``"error"`` blocks every build, ``"warning"`` blocks strict ones.
     severity: str
     #: human-readable description of the violation.
     message: str
@@ -120,22 +120,26 @@ class AnalysisReport:
         lines.extend(f"  {diagnostic}" for diagnostic in self.diagnostics)
         return "\n".join(lines)
 
-    def raise_for_errors(self) -> None:
-        if self.errors:
-            raise PlanAnalysisError(self)
+    def raise_for_errors(self, strict: bool = False) -> None:
+        """Raise :class:`PlanAnalysisError` on errors (and warnings if ``strict``)."""
+        if self.errors or (strict and self.warnings):
+            raise PlanAnalysisError(self, strict)
 
 
 class PlanAnalysisError(QueryValidationError):
-    """Raised by the ``validate="strict"`` gate when error diagnostics fired."""
+    """Raised by ``Pipeline.build()`` on error diagnostics, and on warnings
+    too under ``validate="strict"``."""
 
-    def __init__(self, report: AnalysisReport) -> None:
+    def __init__(self, report: AnalysisReport, strict: bool = False) -> None:
         self.report = report
-        errors = report.errors
+        blocking = report.errors + (report.warnings if strict else [])
         lines = [
             f"plan {report.plan!r} failed static analysis with "
-            f"{len(errors)} error(s):"
+            f"{len(report.errors)} error(s)"
+            + (f" and {len(report.warnings)} warning(s) (strict)" if strict else "")
+            + ":"
         ]
-        lines.extend(f"  {diagnostic}" for diagnostic in errors)
+        lines.extend(f"  {diagnostic}" for diagnostic in blocking)
         super().__init__("\n".join(lines))
 
 

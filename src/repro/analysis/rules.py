@@ -4,14 +4,14 @@ schema and concurrency rules.
 Every rule is a pure function ``PlanModel -> [Diagnostic]``.  Rules never
 execute the plan and never raise: :func:`analyze_model` wraps each one so a
 crashing rule degrades to an ``analysis.rule-error`` warning instead of
-taking the pipeline down -- the ``validate="warn"`` gate runs on every
-``Pipeline.run()`` and must be unconditionally safe.
+taking the pipeline down -- ``Pipeline.build()`` runs the analyzer on
+every plan and must be unconditionally safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.provenance import ProvenanceMode
 from repro.spe.plan import _importable_by_name
@@ -278,51 +278,109 @@ def check_order_violation_risk(model: PlanModel) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 # provenance rules
 # ---------------------------------------------------------------------------
+def _error(rule: str, message: str, operators: Sequence[str], hint: str) -> Diagnostic:
+    """An error-severity diagnostic naming ``operators``."""
+    return Diagnostic(
+        rule=rule, severity="error", message=message, operators=tuple(operators), hint=hint
+    )
+
+
 def check_unordered_capture(model: PlanModel) -> List[Diagnostic]:
     if model.mode is ProvenanceMode.NONE:
         return []
+    rule = "provenance.unordered-capture"
     promised = model.ordered_outputs()
     diagnostics = []
     for sink in model.capture_sinks:
         for edge in model.in_edges(sink):
             if promised[edge.upstream]:
                 continue
-            diagnostics.append(
-                Diagnostic(
-                    rule="provenance.unordered-capture",
-                    severity="error",
-                    message=(
-                        f"provenance capture ({model.mode.value}) splices an "
-                        f"SU in front of sink {sink!r}, but its input stream "
-                        f"from {edge.upstream!r} can carry out-of-order "
-                        "tuples; watermark-driven provenance retention needs "
-                        "timestamp-ordered streams (paper section 3)"
-                    ),
-                    operators=(sink, edge.upstream),
-                    hint=(
-                        "sort the stream before the captured sink, or opt the "
-                        "sink out with capture_provenance=False"
-                    ),
-                )
-            )
-    if model.placed:
-        for edge in model.edges:
-            if not edge.cut or promised[edge.upstream]:
+            diagnostics.append(_error(
+                rule,
+                f"provenance capture ({model.mode.value}) splices an SU in "
+                f"front of sink {sink!r}, but its input stream from "
+                f"{edge.upstream!r} can carry out-of-order tuples; "
+                "watermark-driven provenance retention needs timestamp-ordered "
+                "streams (paper section 3)",
+                (sink, edge.upstream),
+                "sort the stream before the captured sink, or opt the sink "
+                "out with capture_provenance=False",
+            ))
+    for edge in model.edges:  # only a placement cuts edges
+        if not edge.cut or promised[edge.upstream]:
+            continue
+        diagnostics.append(_error(
+            rule,
+            f"the cut stream {edge.upstream!r} -> {edge.downstream!r} crosses "
+            "SPE instances while possibly out of order; the spliced SU/Send "
+            f"pair ({model.mode.value}) needs timestamp-ordered input",
+            (edge.upstream, edge.downstream),
+            "place .sort(slack) before the instance boundary",
+        ))
+    if model.placed and model.mode is ProvenanceMode.BASELINE:
+        for node in model.nodes.values():
+            if node.kind != "source" or promised[node.name]:
                 continue
-            diagnostics.append(
-                Diagnostic(
-                    rule="provenance.unordered-capture",
-                    severity="error",
-                    message=(
-                        f"the cut stream {edge.upstream!r} -> "
-                        f"{edge.downstream!r} crosses SPE instances while "
-                        "possibly out of order; the spliced SU/Send pair "
-                        f"({model.mode.value}) needs timestamp-ordered input"
-                    ),
-                    operators=(edge.upstream, edge.downstream),
-                    hint="place .sort(slack) before the instance boundary",
-                )
-            )
+            diagnostics.append(_error(
+                rule,
+                f"baseline provenance ships the stream of source {node.name!r} "
+                "to the source store, but the source is declared "
+                "enforce_order=False; the resolver's watermark-driven retention "
+                "needs timestamp-ordered streams (paper section 3)",
+                (node.name,),
+                "the shipped stream leaves the source before any .sort(): keep "
+                "the source ordered, or use provenance='genealog'",
+            ))
+    return diagnostics
+
+
+def check_capture_shape(model: PlanModel) -> List[Diagnostic]:
+    """The Sinks and Sources provenance splicing attaches to are there."""
+    if model.mode is ProvenanceMode.NONE:
+        return []
+    rule = "provenance.capture-shape"
+    technique = model.mode.value
+    sinks = [name for name, node in model.nodes.items() if node.kind == "sink"]
+    if not model.placed:
+        if model.stored and not model.capture_sinks:
+            return [_error(
+                rule,
+                "a provenance store is attached, but every sink opted out of "
+                f"provenance capture ({technique}), so nothing would feed it",
+                sinks,
+                "capture at least one sink, or drop provenance_store=...",
+            )]
+        return []
+    diagnostics = []
+    opted_out = [name for name in sinks if name not in model.capture_sinks]
+    if opted_out:
+        diagnostics.append(_error(
+            rule,
+            f"distributed provenance capture ({technique}) covers the plan's "
+            f"data Sink, but sink(s) {opted_out!r} opted out "
+            "(capture_provenance=False, or another sink opted in exclusively)",
+            opted_out,
+            "capture the sink, or run with provenance='none'",
+        ))
+    if len(sinks) != 1:
+        diagnostics.append(_error(
+            rule,
+            f"distributed provenance capture ({technique}) needs exactly one "
+            f"data Sink; the plan declares {len(sinks)}",
+            sinks,
+            "union the streams into one Sink, or deploy without a Placement",
+        ))
+    if model.mode is ProvenanceMode.BASELINE and not any(
+        node.kind == "source" for node in model.nodes.values()
+    ):
+        diagnostics.append(_error(
+            rule,
+            "baseline provenance ships every Source stream to the source "
+            "store, but the plan declares no Source stage (Receive-fed "
+            "fragments cannot use it)",
+            model.roots(),
+            "feed the plan from a .source(...) stage, or use provenance='genealog'",
+        ))
     return diagnostics
 
 
@@ -427,11 +485,12 @@ def check_placement(model: PlanModel) -> List[Diagnostic]:
     if model.placement_error is None:
         return []
     return [
-        Diagnostic(
-            rule="placement.invalid",
-            severity="error",
-            message=f"the placement does not cover the plan: {model.placement_error}",
-            hint="assign every stage to exactly one SPE instance",
+        _error(
+            "placement.invalid",
+            f"the placement does not fit the plan: {model.placement_error}",
+            (),
+            "assign every stage to exactly one SPE instance, and label only "
+            "cut edges, each with its own unreserved label",
         )
     ]
 
@@ -823,6 +882,9 @@ ALL_RULES: Tuple[Rule, ...] = (
     Rule("provenance.unordered-capture", "provenance", "error",
          "provenance capture would splice onto a possibly-unordered stream",
          check_unordered_capture),
+    Rule("provenance.capture-shape", "provenance", "error",
+         "provenance capture lacks the Sink or Source it splices onto",
+         check_capture_shape),
     Rule("provenance.retention-below-window-sum", "provenance", "error",
          "provenance retention is below the plan's window sum",
          check_retention_bound),
@@ -830,7 +892,7 @@ ALL_RULES: Tuple[Rule, ...] = (
          "an explicitly wired channel is invalid for the deployment",
          check_unmanaged_channel),
     Rule("placement.invalid", "boundary", "error",
-         "the placement does not cover the plan", check_placement),
+         "the placement does not fit the plan (stages or links)", check_placement),
     Rule("boundary.instance-cycle", "boundary", "error",
          "the placement induces a cyclic SPE-instance graph",
          check_instance_cycle),

@@ -4,10 +4,10 @@ A :class:`Dataflow` is a *deferred* description of a query: every stage call
 records a node (what operator to create) and an edge (how to wire it) instead
 of mutating a :class:`~repro.spe.query.Query` directly.  The description is
 lowered onto the existing ``Query``/``Operator`` layer by
-:class:`~repro.api.pipeline.Pipeline` (or :meth:`Dataflow.build` for the
-simple single-process case), which keeps the imperative surface as the
-single execution substrate while the DSL becomes the primary authoring
-surface::
+:class:`~repro.api.pipeline.Pipeline`, after the static analyzer has
+checked it (:meth:`Dataflow.lower_into` is the raw, unchecked lowering).
+That keeps the imperative surface as the single execution substrate while
+the DSL becomes the primary authoring surface::
 
     df = Dataflow("accidents")
     (df.source("reports", supplier)
@@ -429,14 +429,6 @@ class Dataflow:
                 sorted_stream=edge.sorted_stream,
             )
         return operators
-
-    def build(self, validate: bool = True) -> Query:
-        """Lower the dataflow into a fresh single-process :class:`Query`."""
-        query = Query(self.name)
-        self.lower_into(query)
-        if validate:
-            query.validate()
-        return query
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union, cast
 
 from repro.analysis import AnalysisReport, PlanAnalysisWarning, analyze_plan
-from repro.api.dataflow import Dataflow, DataflowError
+from repro.api.dataflow import Dataflow, DataflowError, _Edge
 from repro.core.baseline import BaselineProvenanceResolver
 from repro.core.multi_unfolder import attach_mu
 from repro.core.provenance import (
@@ -44,16 +44,18 @@ from repro.core.provenance import (
     create_manager,
 )
 from repro.core.unfolder import attach_su
-from repro.obs.telemetry import Telemetry, coerce_telemetry
+from repro.obs.telemetry import Telemetry, TelemetryConfig, coerce_telemetry
+from repro.obs.tracer import SpanRecord
 from repro.provstore.backends import JsonlLedgerBackend
 from repro.provstore.ledger import ProvenanceLedger
 from repro.provstore.tap import LedgerTap
 from repro.spe.channels import Channel
-from repro.spe.cluster import HOME_INSTANCE, LAUNCHERS, RemoteRuntime, cut_home
+from repro.spe.cluster import HOME_INSTANCE, LAUNCHERS, Hosts, RemoteRuntime, cut_home
 from repro.spe.instance import SPEInstance, assign_ordering_values
 from repro.spe.metrics import (
     ChannelCounters,
     MetricsSnapshot,
+    OperatorCounters,
     snapshot_operators,
 )
 from repro.spe.operators.base import Operator
@@ -66,6 +68,18 @@ from repro.spe.sockets import SocketTransport
 
 #: name of the dedicated provenance instance of distributed deployments.
 PROVENANCE_INSTANCE = "provenance_node"
+
+#: channel labels the provenance splicing claims for itself.
+_RESERVED_LABELS = frozenset({"derived", "annotated_sinks", "sources"})
+
+
+def _label_reserved(label: str) -> bool:
+    return (
+        label in _RESERVED_LABELS
+        or label.startswith("upstream_")
+        or label.startswith("sources_")
+    )
+
 
 def traversal_times_by_instance(
     managers: Mapping[str, ProvenanceManager],
@@ -127,26 +141,15 @@ class Placement:
         }
         self.links: Dict[Tuple[str, str], str] = dict(links or {})
 
-    def instance_of(self) -> Dict[str, str]:
-        """Stage name -> instance name; raise on double assignment."""
-        owner: Dict[str, str] = {}
-        for instance, stages in self.assignments.items():
-            for stage in stages:
-                if stage in owner:
-                    raise DataflowError(
-                        f"stage {stage!r} is assigned to both {owner[stage]!r} "
-                        f"and {instance!r}"
-                    )
-                owner[stage] = instance
-        return owner
-
     def validate_against(self, dataflow: Dataflow) -> Dict[str, str]:
-        """Check the placement covers ``dataflow`` exactly; return the owner map.
+        """Check the placement fits ``dataflow`` exactly; return the owner map.
 
         Logical parallel-stage names are expanded to their member nodes.
         Unknown and duplicated assignments are reported *with the offending
         instance names*, so a typo'd or doubly-placed stage points straight
-        at the instances to fix.
+        at the instances to fix.  Every link must name an edge that crosses
+        instances, with a unique label the provenance plumbing does not
+        reserve.
         """
         owners: Dict[str, List[str]] = {}
         unknown: Dict[str, List[str]] = {}
@@ -188,7 +191,34 @@ class Placement:
                 f"placement does not assign stage(s) {missing!r} of dataflow "
                 f"{dataflow.name!r} to an instance"
             )
-        return {stage: instances[0] for stage, instances in owners.items()}
+        owner = {stage: instances[0] for stage, instances in owners.items()}
+        cut = {
+            (edge.upstream, edge.downstream)
+            for edge in dataflow.ordered_edges()
+            if owner[edge.upstream] != owner[edge.downstream]
+        }
+        stale = [key for key in self.links if key not in cut]
+        if stale:
+            raise DataflowError(
+                f"placement link(s) {stale!r} do not name any edge that "
+                "crosses an instance boundary (check for typos or edges placed "
+                "on a single instance)"
+            )
+        labels = list(self.links.values())
+        reserved = [label for label in labels if _label_reserved(label)]
+        if reserved:
+            raise DataflowError(
+                f"placement link label(s) {reserved!r} are reserved for the "
+                "provenance plumbing ('derived', 'annotated_sinks', "
+                "'sources*', 'upstream_*'); pick another label"
+            )
+        duplicated = sorted({label for label in labels if labels.count(label) > 1})
+        if duplicated:
+            raise DataflowError(
+                f"placement link label(s) {duplicated!r} are used by more than "
+                "one cut edge; labels must be unique"
+            )
+        return owner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Placement(instances={list(self.assignments)!r})"
@@ -230,7 +260,7 @@ class PipelineResult:
     trace: Optional[Telemetry] = None
 
     # -- convenience -------------------------------------------------------------
-    def timeline(self):
+    def timeline(self) -> List[SpanRecord]:
         """The run's merged span timeline (coordinator + shipped workers).
 
         Empty when telemetry was not enabled for the run.
@@ -238,6 +268,7 @@ class PipelineResult:
         if self.trace is None:
             return []
         return self.trace.timeline()
+
     @property
     def source(self) -> SourceOperator:
         """The single Source (raises when the dataflow declares several)."""
@@ -288,14 +319,14 @@ class PipelineResult:
         ``tuples_sent`` / ``bytes_sent``, so callers never reach into the
         runtime internals.  Callable at any point; counters are cumulative.
         """
-        operators = {}
+        operators: Dict[str, OperatorCounters] = {}
         if self.query is not None:
             operators.update(snapshot_operators(self.query.operators))
         for instance in self.instances:
             operators.update(
                 snapshot_operators(instance.operators, instance=instance.name)
             )
-        channels = {}
+        channels: Dict[str, ChannelCounters] = {}
         for channel in self.channels:
             tuples_sent, bytes_sent = channel.counters()
             channels[channel.name] = ChannelCounters(
@@ -329,6 +360,9 @@ class Pipeline:
     series and histograms surface as ``PipelineResult.trace`` /
     ``PipelineResult.timeline()``, with worker buffers shipped back and
     clock-aligned under ``execution="process"`` / ``"cluster"``.
+    ``validate`` decides what :meth:`build` does with the analyzer's
+    warnings (``"strict"`` raises, ``"warn"`` warns, ``"off"`` drops them);
+    an error diagnostic refuses the plan whatever it says.
     """
 
     def __init__(
@@ -341,8 +375,8 @@ class Pipeline:
         keep_unfolded_tuples: bool = False,
         execution: str = "event",
         provenance_store: Union[ProvenanceLedger, str, None] = None,
-        hosts=None,
-        telemetry=None,
+        hosts: Hosts = None,
+        telemetry: Union[None, bool, TelemetryConfig, Telemetry] = None,
         validate: str = "warn",
     ) -> None:
         if validate not in ("strict", "warn", "off"):
@@ -425,8 +459,8 @@ class Pipeline:
         description -- graph/ordering/provenance verification, schema
         inference from ``source(schema=...)`` declarations, and the
         concurrency lint over user functions -- without lowering or
-        executing anything.  :meth:`run` calls this automatically unless
-        the pipeline was built with ``validate="off"``.
+        executing anything.  :meth:`build` calls this once, before it
+        lowers the plan, and refuses the plan on any error.
         """
         return analyze_plan(
             self.dataflow,
@@ -437,24 +471,27 @@ class Pipeline:
             store=self.store,
         )
 
-    def _gate(self) -> None:
-        """Apply the ``validate=`` policy before a run."""
-        if self.validate == "off":
-            return
-        report = self.analyze()
-        if self.validate == "strict":
-            report.raise_for_errors()
-        for diagnostic in report.diagnostics:
-            warnings.warn(
-                f"plan {self.dataflow.name!r}: {diagnostic}",
-                PlanAnalysisWarning,
-                stacklevel=3,
-            )
-
     # -- building ----------------------------------------------------------------
     def build(self) -> PipelineResult:
-        """Lower, splice provenance and validate; idempotent."""
+        """Check the plan, lower it and splice provenance; idempotent.
+
+        The analyzer is the plan's one checker: any error it reports raises
+        :class:`~repro.analysis.PlanAnalysisError` before anything is
+        lowered, whatever ``validate=`` says.  ``validate=`` decides what
+        happens to warnings: ``"strict"`` raises them too, ``"warn"`` emits
+        each as a :class:`~repro.analysis.PlanAnalysisWarning`, ``"off"``
+        drops them.
+        """
         if self._result is None:
+            report = self.analyze()
+            report.raise_for_errors(strict=self.validate == "strict")
+            if self.validate != "off":
+                for diagnostic in report.diagnostics:
+                    warnings.warn(
+                        f"plan {self.dataflow.name!r}: {diagnostic}",
+                        PlanAnalysisWarning,
+                        stacklevel=2,
+                    )
             if self.placement is None:
                 self._result = self._build_intra()
             else:
@@ -464,8 +501,8 @@ class Pipeline:
     def _build_intra(self) -> PipelineResult:
         query = Query(self.dataflow.name)
         operators = self.dataflow.lower_into(query)
-        sources = [operators[name] for name in self.dataflow.source_names()]
-        sinks = [operators[name] for name in self.dataflow.sink_names()]
+        sources = [cast(SourceOperator, operators[n]) for n in self.dataflow.source_names()]
+        sinks = [cast(SinkOperator, operators[n]) for n in self.dataflow.sink_names()]
         capture = attach_intra_process_provenance(
             query,
             self.mode,
@@ -474,12 +511,6 @@ class Pipeline:
             only_sinks=self.dataflow.capture_sink_names(),
         )
         if self.store is not None:
-            if not capture.provenance_sinks:
-                raise DataflowError(
-                    "a provenance store needs at least one captured sink; "
-                    "every sink of dataflow "
-                    f"{self.dataflow.name!r} opted out of provenance capture"
-                )
             # One logical ledger fed by one tap per provenance Sink; the
             # ledger seals on the minimum watermark across its taps.
             for provenance_sink in capture.provenance_sinks.values():
@@ -498,25 +529,8 @@ class Pipeline:
         )
 
     def _build_inter(self) -> PipelineResult:
-        remote = self.execution in LAUNCHERS
-
-        # Out of process, every channel is a socket transport, detached until
-        # a launcher connects its ends.
-        def channel_factory(name: str) -> Channel:
-            return Channel(name, transport=SocketTransport(name) if remote else None)
-
-        builder = _DistributedBuilder(
-            self.dataflow,
-            self.placement,
-            self.mode,
-            fused=self.fused,
-            retention=self.retention,
-            keep_unfolded_tuples=self.keep_unfolded_tuples,
-            store=self.store,
-            channel_factory=channel_factory,
-        )
-        result = builder.build()
-        if remote:
+        result = _DistributedBuilder(self).build()
+        if self.execution in LAUNCHERS:
             result.instances.append(cut_home(result.instances))
             assign_ordering_values(result.instances)
         return result
@@ -524,7 +538,7 @@ class Pipeline:
     # -- running -----------------------------------------------------------------
     def run(
         self,
-        round_callback=None,
+        round_callback: Optional[Callable[[int], None]] = None,
         callback_every: int = 16,
         max_rounds: int = 10_000_000,
     ) -> PipelineResult:
@@ -540,7 +554,6 @@ class Pipeline:
         """
         if self._ran:
             return self.build()
-        self._gate()
         result = self.build()
         telemetry = self.telemetry
         if telemetry is not None:
@@ -564,7 +577,9 @@ class Pipeline:
             result.rounds = runtime.rounds
             result.wakeups = runtime.total_wakeups()
         else:
-            queries = [result.query] if result.query is not None else result.instances
+            queries: Sequence[Query] = (
+                [result.query] if result.query is not None else result.instances
+            )
             scheduler = Scheduler(
                 *queries,
                 max_passes=max_rounds,
@@ -591,27 +606,23 @@ class _DistributedBuilder:
     a source-store resolver under the Ariadne-style baseline.
     """
 
-    def __init__(
-        self,
-        dataflow: Dataflow,
-        placement: Placement,
-        mode: ProvenanceMode,
-        fused: bool,
-        retention: Optional[float],
-        keep_unfolded_tuples: bool = False,
-        store: Optional[ProvenanceLedger] = None,
-        channel_factory: Callable[[str], Channel] = Channel,
-    ) -> None:
-        self.dataflow = dataflow
-        self.placement = placement
-        self.mode = mode
-        self.fused = fused
-        self.channel_factory = channel_factory
+    def __init__(self, pipeline: Pipeline) -> None:
+        assert pipeline.placement is not None
+        self.dataflow = pipeline.dataflow
+        self.placement = pipeline.placement
+        self.mode = pipeline.mode
+        self.fused = pipeline.fused
+        self.keep_unfolded_tuples = pipeline.keep_unfolded_tuples
+        self.store = pipeline.store
         self.retention = (
-            retention if retention is not None else dataflow.retention_s()
+            pipeline.retention
+            if pipeline.retention is not None
+            else self.dataflow.retention_s()
         )
-        self.keep_unfolded_tuples = keep_unfolded_tuples
-        self.store = store
+        #: out of process, every channel is a socket transport, detached
+        #: until a launcher connects its ends.
+        self.remote = pipeline.execution in LAUNCHERS
+        self.owner: Dict[str, str] = {}
         self.instances: Dict[str, SPEInstance] = {}
         self.managers: Dict[str, ProvenanceManager] = {}
         self.channels: List[Channel] = []
@@ -619,14 +630,13 @@ class _DistributedBuilder:
         #: (instance, send, label) per cut edge, in declaration order.
         self._cut_sends: List[Tuple[SPEInstance, Operator, str]] = []
         self._upstream_channels: List[Channel] = []
-        self._derived_channel: Optional[Channel] = None
         self._bl_source_channels: List[Channel] = []
-        self._bl_sink_channel: Optional[Channel] = None
         self.collector: Optional[ProvenanceCollector] = None
 
     # -- helpers -----------------------------------------------------------------
     def _channel(self, label: str) -> Channel:
-        channel = self.channel_factory(f"{self.dataflow.name}_{label}")
+        name = f"{self.dataflow.name}_{label}"
+        channel = Channel(name, transport=SocketTransport(name) if self.remote else None)
         self.channels.append(channel)
         return channel
 
@@ -638,38 +648,17 @@ class _DistributedBuilder:
         return instance
 
     def _owning(self, operator: Operator) -> SPEInstance:
-        for instance in self.instances.values():
-            if operator.name in instance:
-                return instance
-        raise DataflowError(f"operator {operator.name!r} is not placed")  # pragma: no cover
+        return self.instances[self.owner[operator.name]]
 
     # -- lowering ----------------------------------------------------------------
-    #: channel labels the provenance splicing claims for itself.
-    _RESERVED_LABELS = frozenset({"derived", "annotated_sinks", "sources"})
+    def _cut_label(self, edge: _Edge, used: Set[str]) -> str:
+        """The channel label of a cut edge: its link label, or a fresh one.
 
-    @classmethod
-    def _label_reserved(cls, label: str) -> bool:
-        return (
-            label in cls._RESERVED_LABELS
-            or label.startswith("upstream_")
-            or label.startswith("sources_")
-        )
-
-    def _cut_label(self, edge, used: set) -> str:
-        """The channel label of a cut edge; explicit labels must be unique."""
+        ``used`` holds every link label from the start, so an automatic
+        label never takes one a later edge names explicitly.
+        """
         explicit = self.placement.links.get((edge.upstream, edge.downstream))
         if explicit is not None:
-            if self._label_reserved(explicit):
-                raise DataflowError(
-                    f"placement link label {explicit!r} is reserved for the "
-                    "provenance plumbing ('derived', 'annotated_sinks', "
-                    "'sources*', 'upstream_*'); pick another label"
-                )
-            if explicit in used:
-                raise DataflowError(
-                    f"placement link label {explicit!r} is used by more than "
-                    "one cut edge; labels must be unique"
-                )
             return explicit
         candidates = [
             edge.upstream,
@@ -678,7 +667,7 @@ class _DistributedBuilder:
             f"link_{edge.upstream}_{edge.downstream}",
         ]
         for label in candidates:
-            if label not in used and not self._label_reserved(label):
+            if label not in used and not _label_reserved(label):
                 return label
         suffix = 2
         while True:
@@ -688,21 +677,19 @@ class _DistributedBuilder:
             suffix += 1
 
     def build(self) -> PipelineResult:
-        owner = self.placement.validate_against(self.dataflow)
+        self.owner = self.placement.validate_against(self.dataflow)
         for instance_name in self.placement.assignments:
             self._new_instance(instance_name)
         for node_name in self.dataflow.node_names:
-            instance = self.instances[owner[node_name]]
-            self.operators[node_name] = instance.add(
+            self.operators[node_name] = self.instances[self.owner[node_name]].add(
                 self.dataflow._nodes[node_name].instantiate()
             )
-        used_labels: set = set()
-        cut_edges: set = set()
+        used_labels = set(self.placement.links.values())
         for edge in self.dataflow.ordered_edges():
-            upstream_instance = self.instances[owner[edge.upstream]]
-            downstream_instance = self.instances[owner[edge.downstream]]
             upstream_op = self.operators[edge.upstream]
             downstream_op = self.operators[edge.downstream]
+            upstream_instance = self._owning(upstream_op)
+            downstream_instance = self._owning(downstream_op)
             if upstream_instance is downstream_instance:
                 upstream_instance.connect(
                     upstream_op,
@@ -711,7 +698,6 @@ class _DistributedBuilder:
                     sorted_stream=edge.sorted_stream,
                 )
                 continue
-            cut_edges.add((edge.upstream, edge.downstream))
             label = self._cut_label(edge, used_labels)
             used_labels.add(label)
             channel = self._channel(label)
@@ -724,24 +710,16 @@ class _DistributedBuilder:
                 receive, downstream_op, sorted_stream=edge.sorted_stream
             )
             self._cut_sends.append((upstream_instance, send, label))
-        stale_links = [key for key in self.placement.links if key not in cut_edges]
-        if stale_links:
-            raise DataflowError(
-                f"placement link(s) {stale_links!r} do not name any edge that "
-                "crosses an instance boundary (check for typos or edges placed "
-                "on a single instance)"
-            )
 
-        sources = [self.operators[name] for name in self.dataflow.source_names()]
-        sinks = [self.operators[name] for name in self.dataflow.sink_names()]
+        sources = [
+            cast(SourceOperator, self.operators[n]) for n in self.dataflow.source_names()
+        ]
+        sinks = [cast(SinkOperator, self.operators[n]) for n in self.dataflow.sink_names()]
 
-        if self.mode is not ProvenanceMode.NONE:
-            self._require_sink_captures(sinks)
         if self.mode is ProvenanceMode.GENEALOG:
-            self._splice_genealog(sinks)
+            self._build_provenance_instance(self._splice_genealog(sinks))
         elif self.mode is ProvenanceMode.BASELINE:
-            self._splice_baseline(sources, sinks)
-        self._build_provenance_instance()
+            self._build_provenance_instance(self._splice_baseline(sources, sinks))
 
         for instance in self.instances.values():
             # Operators spliced in after instance creation (SU, Send, MU, ...)
@@ -764,46 +742,7 @@ class _DistributedBuilder:
             store=self.store,
         )
 
-    def _require_sink_captures(self, sinks: List[SinkOperator]) -> None:
-        """Distributed capture covers the single data Sink; honour the knob."""
-        captured = set(self.dataflow.capture_sink_names())
-        opted_out = [sink.name for sink in sinks if sink.name not in captured]
-        if opted_out:
-            raise DataflowError(
-                f"distributed provenance capture requires the data Sink to "
-                f"capture provenance, but sink(s) {opted_out!r} opted out "
-                "(capture_provenance=False, or another sink opted in "
-                "exclusively); run with provenance='none' instead"
-            )
-
     # -- GeneaLog splicing (section 6) --------------------------------------------
-    def _require_ordered(self, stream, producer: Operator) -> None:
-        """Provenance operators need timestamp-ordered input (section 2).
-
-        GeneaLog's guarantees rest on deterministic, timestamp-ordered
-        processing; splicing SU/MU (or the baseline's source shipping) onto a
-        stream with bounded disorder would feed them out-of-order tuples, so
-        refuse at build time with guidance instead of crashing mid-run.
-        """
-        if not stream.enforce_order:
-            raise DataflowError(
-                f"cannot splice provenance capture onto the unordered stream "
-                f"leaving {producer.name!r}: GeneaLog/baseline provenance "
-                "requires timestamp-ordered streams; place the sort() stage "
-                "before any instance boundary, Sink or shipped source stream"
-            )
-
-    @staticmethod
-    def _restore_output_port(producer: Operator, port: int) -> None:
-        """Move ``producer``'s newest output stream back to position ``port``.
-
-        Splicing disconnects one of ``producer``'s output streams and
-        reconnects a replacement, which ``connect`` appends at the end.  For
-        port-sensitive producers (Router: output ``i`` carries predicate
-        ``i``) the replacement must take the removed stream's slot.
-        """
-        producer.outputs.insert(port, producer.outputs.pop())
-
     def _splice_su_before(
         self, instance: SPEInstance, consumer: Operator, su_name: str, boundary: bool
     ) -> Operator:
@@ -814,17 +753,19 @@ class _DistributedBuilder:
         """
         stream = consumer.inputs[0]
         producer = instance.producer_of(stream)
-        self._require_ordered(stream, producer)
         port = producer.outputs.index(stream)
         instance.disconnect(stream)
         data_out, unfolded_out = attach_su(
             instance, producer, name=su_name, fused=self.fused, boundary=boundary
         )
-        self._restore_output_port(producer, port)
+        # connect appended the replacement stream; a Router's output i
+        # carries predicate i, so it takes the removed stream's slot.
+        producer.outputs.insert(port, producer.outputs.pop())
         instance.connect(data_out, consumer)
         return unfolded_out
 
-    def _splice_genealog(self, sinks: List[SinkOperator]) -> None:
+    def _splice_genealog(self, sinks: List[SinkOperator]) -> Channel:
+        """Splice the SUs; return the channel of the Sink's derived stream."""
         for instance, send, label in self._cut_sends:
             unfolded_out = self._splice_su_before(
                 instance, send, f"su_{label}", boundary=True
@@ -838,44 +779,29 @@ class _DistributedBuilder:
             )
             instance.connect(unfolded_out, upstream_send)
             self._upstream_channels.append(upstream_channel)
-        if len(sinks) != 1:
-            raise DataflowError(
-                "distributed provenance capture needs exactly one data Sink; "
-                f"dataflow {self.dataflow.name!r} declares {len(sinks)}"
-            )
-        sink = sinks[0]
+        (sink,) = sinks  # provenance.capture-shape: one data Sink
         instance = self._owning(sink)
         unfolded_out = self._splice_su_before(
             instance, sink, f"su_{sink.name}", boundary=False
         )
-        self._derived_channel = self._channel("derived")
+        derived_channel = self._channel("derived")
         derived_send = instance.add_send(
-            "send_derived", self._derived_channel, ship_provenance=False
+            "send_derived", derived_channel, ship_provenance=False
         )
         instance.connect(unfolded_out, derived_send)
+        return derived_channel
 
     # -- baseline splicing ----------------------------------------------------------
     def _splice_baseline(
         self, sources: List[SourceOperator], sinks: List[SinkOperator]
-    ) -> None:
-        if len(sinks) != 1:
-            raise DataflowError(
-                "distributed provenance capture needs exactly one data Sink; "
-                f"dataflow {self.dataflow.name!r} declares {len(sinks)}"
-            )
-        if not sources:
-            raise DataflowError(
-                "baseline provenance needs at least one Source stage to ship "
-                f"to the source store; dataflow {self.dataflow.name!r} "
-                "declares none (Receive-fed fragments cannot use it)"
-            )
+    ) -> Channel:
+        """Ship every Source and the Sink; return the annotated Sink's channel."""
         for index, source in enumerate(sources):
             instance = self._owning(source)
             label = "sources" if len(sources) == 1 else f"sources_{index}"
             multiplex = instance.add_multiplex(f"{label}_multiplex")
             if source.outputs:
                 stream = source.outputs[0]
-                self._require_ordered(stream, source)
                 consumer = next(op for op in instance.operators if stream in op.inputs)
                 # the re-routed stream must keep the consumer's input port
                 # (the Join's left/right sides are positional).
@@ -890,7 +816,7 @@ class _DistributedBuilder:
             send = instance.add_send(f"send_{label}", channel)
             instance.connect(multiplex, send)
             self._bl_source_channels.append(channel)
-        sink = sinks[0]
+        (sink,) = sinks  # provenance.capture-shape: one data Sink
         instance = self._owning(sink)
         stream = sink.inputs[0]
         producer = instance.producer_of(stream)
@@ -898,16 +824,16 @@ class _DistributedBuilder:
         instance.disconnect(stream)
         multiplex = instance.add_multiplex(f"{sink.name}_multiplex")
         instance.connect(producer, multiplex)
-        self._restore_output_port(producer, port)
+        producer.outputs.insert(port, producer.outputs.pop())  # keep the port
         instance.connect(multiplex, sink)
-        self._bl_sink_channel = self._channel("annotated_sinks")
-        sink_send = instance.add_send("send_annotated_sinks", self._bl_sink_channel)
-        instance.connect(multiplex, sink_send)
+        sink_channel = self._channel("annotated_sinks")
+        instance.connect(multiplex, instance.add_send("send_annotated_sinks", sink_channel))
+        return sink_channel
 
     # -- the provenance instance ----------------------------------------------------
-    def _build_provenance_instance(self) -> None:
-        if self.mode is ProvenanceMode.NONE:
-            return
+    def _build_provenance_instance(self, sink_channel: Channel) -> None:
+        """Append the provenance instance, fed by the Sink's ``sink_channel``
+        (GL: its derived stream, BL: its annotated tuples)."""
         instance = self._new_instance(PROVENANCE_INSTANCE)
         self.collector = ProvenanceCollector(name=self.dataflow.name)
         provenance_sink = instance.add_sink(
@@ -927,9 +853,7 @@ class _DistributedBuilder:
                 name="mu",
                 fused=self.fused,
             )
-            derived_receive = instance.add_receive(
-                "receive_derived", self._derived_channel
-            )
+            derived_receive = instance.add_receive("receive_derived", sink_channel)
             instance.connect(derived_receive, ports.derived_entry)
             for index, channel in enumerate(self._upstream_channels):
                 upstream_receive = instance.add_receive(
@@ -952,9 +876,7 @@ class _DistributedBuilder:
                     "receive_sources_0", self._bl_source_channels[0]
                 )
                 instance.connect(receive, resolver)
-            sink_receive = instance.add_receive(
-                "receive_annotated_sinks", self._bl_sink_channel
-            )
+            sink_receive = instance.add_receive("receive_annotated_sinks", sink_channel)
             instance.connect(sink_receive, resolver)
             instance.connect(resolver, provenance_sink)
         instance.set_provenance(self.managers[instance.name])

@@ -211,9 +211,10 @@ def cut_home(instances: Sequence[SPEInstance]) -> SPEInstance:
     named ``home:<sink>``.  The Sink object itself moves, with its callback,
     kept tuples and taps, so none of them ever travels to a worker.  The
     Send ships no provenance payload (nothing at home reads re-attached
-    metadata) and measures the Sink's latencies with the Sink's clock, in
-    the worker, where the tuples reach the Sink's place: the hop home and
-    the coordinator's queue stay out of them.
+    metadata) and takes over the Sink's clock: it measures the Sink's
+    latencies in the worker, where the tuples reach the Sink's place, so the
+    hop home and the coordinator's queue stay out of them, and the Sink at
+    home measures nothing.
     """
     home = SPEInstance(HOME_INSTANCE)
     for instance in instances:
@@ -233,6 +234,7 @@ def cut_home(instances: Sequence[SPEInstance]) -> SPEInstance:
                     latency_clock=sink._wall_clock,
                 )
             )
+            sink._wall_clock = None
             send.set_provenance(sink.provenance)
             instance.connect(
                 producer, send, name=stream.name, sorted_stream=stream.enforce_order

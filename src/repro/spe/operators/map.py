@@ -22,9 +22,10 @@ FlatMapFunction = Callable[[StreamTuple], Iterable[StreamTuple]]
 class MapOperator(SingleInputOperator):
     """Applies ``function`` to every input tuple and emits the result.
 
-    The function receives the input tuple and must return a *new*
-    :class:`StreamTuple` (typically created with
-    :meth:`StreamTuple.derive`); returning ``None`` drops the tuple, which
+    The function receives the input tuple and returns a new
+    :class:`StreamTuple` (typically created with :meth:`StreamTuple.derive`),
+    the input tuple itself, which passes through unchanged (no MAP meta: a
+    tuple cannot be its own parent), or ``None``, which drops the tuple and
     keeps the operator usable for combined map+filter user code.
     """
 
@@ -44,16 +45,21 @@ class MapOperator(SingleInputOperator):
             out = function(tup)
             if out is None:
                 continue
-            if tup.wall > out.wall:
-                out.wall = tup.wall
-            if on_map_output is not None:
-                on_map_output(out, tup)
+            if out is not tup:
+                if tup.wall > out.wall:
+                    out.wall = tup.wall
+                if on_map_output is not None:
+                    on_map_output(out, tup)
             outputs.append(out)
         self.emit_many(outputs)
 
 
 class FlatMapOperator(SingleInputOperator):
-    """Applies ``function`` to every input tuple and emits each produced tuple."""
+    """Applies ``function`` to every input tuple and emits each produced tuple.
+
+    A produced tuple that *is* the input tuple passes through unchanged, as
+    in :class:`MapOperator`.
+    """
 
     max_inputs = 1
     max_outputs = 1
@@ -64,6 +70,7 @@ class FlatMapOperator(SingleInputOperator):
 
     def process_tuple(self, tup: StreamTuple) -> None:
         for out in self._function(tup):
-            out.wall = max(out.wall, tup.wall)
-            self.provenance.on_map_output(out, tup)
+            if out is not tup:
+                out.wall = max(out.wall, tup.wall)
+                self.provenance.on_map_output(out, tup)
             self.emit(out)

@@ -30,7 +30,9 @@ class SinkOperator(SingleInputOperator):
     The sink records, for every received tuple, the wall-clock instant of its
     arrival; the difference with the tuple's ``wall`` attribute (the arrival
     of the latest contributing source tuple) is the per-tuple latency the
-    benchmark reports.
+    benchmark reports.  A Sink whose clock is ``None`` measures nothing: out
+    of process, the Send standing in for it measures with its clock instead
+    (:func:`~repro.spe.cluster.cut_home`).
     """
 
     max_inputs = 1
@@ -41,7 +43,7 @@ class SinkOperator(SingleInputOperator):
         name: str,
         callback: Optional[Callable[[StreamTuple], None]] = None,
         keep_tuples: bool = True,
-        wall_clock: Callable[[], float] = time.perf_counter,
+        wall_clock: Optional[Callable[[], float]] = time.perf_counter,
     ) -> None:
         super().__init__(name)
         self._callback = callback
@@ -63,7 +65,8 @@ class SinkOperator(SingleInputOperator):
         whole batch is kept, then the callback sees each tuple, then each
         tap sees the batch once."""
         self.count += len(batch)
-        record_latencies(batch, self._wall_clock, self.latencies)
+        if self._wall_clock is not None:
+            record_latencies(batch, self._wall_clock, self.latencies)
         if self._keep_tuples:
             self.received.extend(batch)
         callback = self._callback

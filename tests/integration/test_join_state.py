@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 import repro.workloads.queries as queries
-from repro.api import Pipeline
 from repro.spe.operators.join import JoinOperator
+from repro.spe.query import Query
+from repro.spe.scheduler import Scheduler
 from repro.workloads.smart_grid import SmartGridConfig, SmartGridGenerator
 from tests.equivalence import (  # noqa: F401
     ALL_MODES,
@@ -64,10 +65,13 @@ class TestKeyedJoinProbe:
         dataflow = queries.query_dataflow(
             "q4", SmartGridGenerator(config).tuples, parallelism=parallelism
         )
-        # The counter mutates captured state, which the plan linter rightly
-        # flags on a parallel stage; here that is the instrument, not a bug.
-        result = Pipeline(dataflow, validate="off").run()
-        joins = [op for op in result.query.operators if isinstance(op, JoinOperator)]
+        # The counter mutates captured state, which the analyzer rightly
+        # refuses on a parallel stage; here that is the instrument, not a
+        # bug, so the plan is lowered and run without the analyzer.
+        query = Query(dataflow.name)
+        dataflow.lower_into(query)
+        Scheduler(query).run()
+        joins = [op for op in query.operators if isinstance(op, JoinOperator)]
         assert len(joins) == parallelism
         pairs = sum(op.pairs_emitted for op in joins)
         assert pairs == 180

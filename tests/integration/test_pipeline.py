@@ -9,8 +9,11 @@ records to the frozen legacy ``add_*``/``connect`` construction of
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
+from repro.analysis import PlanAnalysisError
 from repro.api import Dataflow, DataflowError, Pipeline, Placement
 from repro.core.provenance import ProvenanceMode
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
@@ -266,8 +269,10 @@ class TestPipelineSpliceRegressions:
             {"one": ("src", "f"), "two": ("out",)},
             links={("fff", "out"): "data"},  # typo'd upstream stage
         )
-        with pytest.raises(Exception, match="do not name any edge"):
+        with pytest.raises(PlanAnalysisError, match="do not name any edge") as info:
             Pipeline(df, placement=placement).build()
+        assert info.value.report.rule_ids() == ["placement.invalid"]
+        assert "('fff', 'out')" in str(info.value)
 
     def test_intra_router_ports_survive_sink_splicing(self):
         # attach_intra_process_provenance splices an SU in front of every
@@ -317,8 +322,9 @@ class TestPipelineSpliceRegressions:
             {"a": ("src", "derived"), "b": ("out",)},
             links={("derived", "out"): "derived"},
         )
-        with pytest.raises(Exception, match="reserved"):
+        with pytest.raises(PlanAnalysisError, match="reserved") as info:
             Pipeline(dataflow(), provenance="genealog", placement=reserved).build()
+        assert info.value.report.rule_ids() == ["placement.invalid"]
 
     def test_one_shot_iterator_supplier_cannot_be_lowered_twice(self):
         from repro.spe.tuples import StreamTuple
@@ -372,13 +378,17 @@ class TestPipelineSpliceRegressions:
            .sort(slack=2.0, name="reorder")
            .sink("out"))
         placement = Placement({"a": ("src",), "b": ("reorder", "out")})
-        with pytest.raises(Exception, match="timestamp-ordered"):
+        with pytest.raises(PlanAnalysisError, match="timestamp-ordered") as info:
             Pipeline(df, provenance=technique, placement=placement).build()
+        assert info.value.report.rule_ids() == ["provenance.unordered-capture"]
+        assert ("src", "reorder") in [d.operators for d in info.value.report.errors]
         # intra-process: unordered stream feeding the sink directly.
         df2 = Dataflow("disorder_intra")
         df2.source("src", supplier, enforce_order=False).sink("out")
-        with pytest.raises(Exception, match="unordered stream feeding sink"):
+        with pytest.raises(PlanAnalysisError, match="timestamp-ordered") as info:
             Pipeline(df2, provenance=technique).build()
+        assert info.value.report.rule_ids() == ["provenance.unordered-capture"]
+        assert [d.operators for d in info.value.report.errors] == [("out", "src")]
 
     def test_baseline_without_sources_raises_descriptive_error(self):
         from repro.spe.channels import Channel
@@ -386,8 +396,11 @@ class TestPipelineSpliceRegressions:
         df = Dataflow("fragment")
         df.receive("r", Channel("in")).filter(lambda t: True, name="f").sink("out")
         placement = Placement({"a": ("r", "f"), "b": ("out",)})
-        with pytest.raises(Exception, match="at least one Source"):
+        with pytest.raises(PlanAnalysisError, match="no Source stage") as info:
             Pipeline(df, provenance="baseline", placement=placement).build()
+        (diag,) = info.value.report.errors
+        assert diag.rule == "provenance.capture-shape"
+        assert diag.operators == ("r",)
 
     def test_keep_unfolded_tuples_inter(self):
         supplier = workload_for("q1")
@@ -400,3 +413,46 @@ class TestPipelineSpliceRegressions:
         result = pipeline.run()
         provenance_sink = result.instances[-1]["provenance_sink"]
         assert provenance_sink.received  # unfolded tuples retained on request
+
+
+class TestIdentityStages:
+    """A Map or FlatMap that returns its input tuple passes it through: the
+    tuple keeps its own provenance, so GL and BL still agree."""
+
+    STAGES = {
+        "map": lambda stream: stream.map(lambda t: t, name="same"),
+        "flat_map": lambda stream: stream.flat_map(lambda t: [t], name="same"),
+    }
+    DEPLOYMENTS = {
+        "intra": {},
+        "inter": {"placement": Placement({"a": ("src",), "b": ("same", "out")})},
+        "inter-process": {
+            "placement": Placement({"a": ("src",), "b": ("same", "out")}),
+            "execution": "process",
+        },
+    }
+
+    @staticmethod
+    def _run(stage, deployment, technique):
+        from repro.spe.tuples import StreamTuple
+
+        df = Dataflow("identity")
+        stream = df.source(
+            "src", lambda: [StreamTuple(ts=float(i), values={"v": i}) for i in range(6)]
+        )
+        TestIdentityStages.STAGES[stage](stream).sink("out")
+        kwargs = TestIdentityStages.DEPLOYMENTS[deployment]
+        result = Pipeline(df, provenance=technique, validate="strict", **kwargs).run()
+        return sorted(
+            (record.sink_values["v"], sorted(entry["v"] for entry in record.sources))
+            for record in result.provenance_records()
+        )
+
+    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_genealog_agrees_with_the_baseline(self, stage, deployment):
+        if deployment == "inter-process" and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("execution='process' forks its workers")
+        genealog = self._run(stage, deployment, "genealog")
+        assert genealog == self._run(stage, deployment, "baseline")
+        assert genealog == [(v, [v]) for v in range(6)]

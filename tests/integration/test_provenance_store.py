@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import PlanAnalysisError
 from repro.api import Pipeline
 from repro.core.provenance import ProvenanceMode
 from repro.core.traversal import find_provenance
@@ -229,8 +230,11 @@ class TestPipelineStoreWiring:
            .filter(lambda t: True, name="keep")
            .sink("out", capture_provenance=False))
         placement = Placement({"a": ("src",), "b": ("keep", "out")})
-        with pytest.raises(Exception, match="opted out"):
+        with pytest.raises(PlanAnalysisError, match="opted out") as info:
             Pipeline(df, provenance="genealog", placement=placement).build()
+        (diag,) = info.value.report.errors
+        assert diag.rule == "provenance.capture-shape"
+        assert diag.operators == ("out",)
 
 
 class TestMetricsSnapshot:

@@ -171,7 +171,9 @@ class TestHomeInstance:
                 send for worker in workers for send in worker.sends()
                 if send.channel.name == f"home:{sink.name}"
             )
-            assert send.latency_clock is sink._wall_clock
+            # the Send took over the Sink's clock; the Sink keeps none.
+            assert send.latency_clock is time.perf_counter
+            assert sink._wall_clock is None
             assert send.ship_provenance is False
 
     def test_home_instance_name_reserved(self):
@@ -211,6 +213,33 @@ class TestHomeInstance:
         runtime.run()
         assert [tup["v"] for tup in sink.received] == list(range(40))
         assert len(sink.latencies) == sink.count == 40
+
+    @pytest.mark.parametrize("supplier", ("complete", "exploding"))
+    def test_the_home_sink_never_reads_its_clock(self, execution, supplier):
+        # the Send standing in for the Sink measures with the Sink's clock,
+        # in the worker; at home, on the coordinator, nothing calls it.
+        calls = []
+
+        def clock():
+            calls.append(None)
+            return time.perf_counter()
+
+        upstream, downstream = two_instances(
+            exploding_supplier if supplier == "exploding"
+            else lambda: [StreamTuple(ts=float(ts), values={"v": ts}) for ts in range(40)],
+            SocketTransport("a_to_b"),
+        )
+        sink = downstream["sink"]
+        sink._wall_clock = clock
+        runtime = RemoteRuntime([upstream, downstream], execution=execution, timeout_s=60.0)
+        if supplier == "exploding":
+            with pytest.raises(SchedulingError, match="upstream exploded mid-stream"):
+                runtime.run()
+            assert sink.latencies == []
+        else:
+            runtime.run()
+            assert len(sink.latencies) == sink.count == 40
+        assert calls == []
 
     def test_a_failing_sink_callback_is_the_homes_failure(self, execution):
         def exploding_callback(tup):

@@ -351,11 +351,34 @@ class TestVarints:
 # ---------------------------------------------------------------------------
 
 
+#: flat tuples over a few shared field names and strings, so the batches
+#: after a reconnect keep re-using what the batches before it interned.
+shared_strings = st.sampled_from(["plate", "car_id", "node:1", "", "\u00fc"])
+shared_tuples = st.builds(
+    lambda ts, values: StreamTuple(ts=ts, values=values),
+    st.integers(0, 1000),
+    st.dictionaries(shared_strings, shared_strings | json_scalars, max_size=4),
+)
+
+#: one stream of at least two batches and a reconnect point inside it, in
+#: one cheap draw (two independent ``batches`` draws of nested documents
+#: made Hypothesis' too_slow health check fail on a loaded host).
+reconnected_streams = st.lists(
+    st.lists(
+        st.tuples(shared_tuples, st.just({}) | genealog_payloads), min_size=1, max_size=6
+    ),
+    min_size=2,
+    max_size=6,
+).flatmap(lambda stream: st.tuples(st.just(stream), st.integers(1, len(stream) - 1)))
+
+
 class TestDictionaryReset:
-    @given(batches, batches)
+    @given(reconnected_streams)
     @settings(max_examples=40)
-    def test_reset_on_both_ends_keeps_the_stream_decodable(self, first, second):
+    def test_reset_on_both_ends_keeps_the_stream_decodable(self, stream_and_cut):
         """A reconnect resets encoder and decoder together: still lossless."""
+        stream, cut = stream_and_cut
+        first, second = stream[:cut], stream[cut:]
         encoder = BinaryChannelEncoder("prop")
         decoder = BinaryChannelDecoder("prop")
         for blob in encode_stream(encoder, first):

@@ -8,6 +8,7 @@ read the AST of the user code).
 """
 
 import random
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -16,10 +17,14 @@ import pytest
 from repro.analysis import PlanAnalysisError, PlanAnalysisWarning, analyze_plan
 from repro.api import Dataflow, DataflowError, Pipeline, Placement
 from repro.core.provenance import ProvenanceMode
+from repro.provstore import ProvenanceLedger
 from repro.spe.channels import Channel
 from repro.spe.errors import QueryValidationError, SchedulingError, StreamOrderError
+from repro.spe.instance import SPEInstance, assign_ordering_values
 from repro.spe.operators.aggregate import WindowSpec
 from repro.spe.operators.map import MapOperator
+from repro.spe.query import Query
+from repro.spe.scheduler import Scheduler
 from repro.spe.tuples import StreamTuple
 
 
@@ -76,6 +81,29 @@ def rule_ids(report):
     return set(report.rule_ids())
 
 
+def refused(pipeline, rule):
+    """The one error ``pipeline``'s plan gets, which its build() raises."""
+    (diag,) = pipeline.analyze().errors
+    assert diag.rule == rule
+    with pytest.raises(PlanAnalysisError, match=re.escape(rule)):
+        pipeline.build()
+    return diag
+
+
+def lowered(df):
+    """``df`` lowered into a query without the analyzer's check."""
+    query = Query(df.name)
+    df.lower_into(query)
+    return query
+
+
+def run_unchecked(df):
+    """Run ``df`` with no analyzer in the way; return its query."""
+    query = lowered(df)
+    Scheduler(query).run()
+    return query
+
+
 # -- graph rules -------------------------------------------------------------
 
 class TestGraphRules:
@@ -94,7 +122,7 @@ class TestGraphRules:
         a = df.source("src", []).map(_identity, name="a")
         a.map(_identity, name="b").to(a)
         with pytest.raises(QueryValidationError):
-            df.build()
+            lowered(df).validate()
 
     def test_unreachable_flagged(self):
         df = Dataflow("unreachable")
@@ -115,7 +143,7 @@ class TestGraphRules:
             meta={"function": _identity},
         )
         with pytest.raises(QueryValidationError, match="no input stream"):
-            df.build()
+            lowered(df).validate()
 
     def test_dead_end_flagged(self):
         df = Dataflow("deadend")
@@ -129,7 +157,7 @@ class TestGraphRules:
         df = Dataflow("deadend")
         df.source("src", []).map(_identity, name="m")
         with pytest.raises(QueryValidationError, match="no output stream"):
-            df.build()
+            lowered(df).validate()
 
     def test_arity_flagged_on_implicit_fan_out(self):
         df = Dataflow("arity")
@@ -198,7 +226,7 @@ class TestOrderingRules:
             _identity, name="m"
         ).sink("out")
         with pytest.raises(StreamOrderError):
-            Pipeline(df, validate="off").run()
+            run_unchecked(df)
 
 
 # -- provenance rules --------------------------------------------------------
@@ -242,6 +270,47 @@ class TestProvenanceRules:
         )
         assert "provenance.retention-below-window-sum" not in rule_ids(report)
 
+    def test_baseline_unordered_source_flagged_even_when_sorted_in_place(self):
+        df = Dataflow("capture")
+        (df.source("src", _disordered_rows, enforce_order=False)
+           .sort(slack=5.0, name="fix")
+           .sink("out"))
+        placement = Placement({"spe1": ("src", "fix"), "spe2": ("out",)})
+        diag = refused(Pipeline(df, "baseline", placement), "provenance.unordered-capture")
+        assert diag.operators == ("src",)
+        # GeneaLog splices nothing onto the source's own stream.
+        assert Pipeline(df, "genealog", placement).analyze().ok
+
+
+class TestCaptureShape:
+    def _two_sinks(self):
+        df = Dataflow("shape")
+        split = df.source("src", _rows()).split(name="copy")
+        split.filter(_always, name="f").sink("out")
+        split.map(_identity, name="m").sink("other")
+        return df
+
+    PLACED = Placement({"spe1": ("src", "copy"), "spe2": ("f", "m", "out", "other")})
+
+    @pytest.mark.parametrize("technique", ("genealog", "baseline"))
+    def test_distributed_capture_needs_exactly_one_sink(self, technique):
+        pipeline = Pipeline(self._two_sinks(), technique, self.PLACED)
+        diag = refused(pipeline, "provenance.capture-shape")
+        assert diag.operators == ("out", "other")
+        assert "exactly one" in diag.message
+
+    def test_a_store_needs_a_captured_sink(self):
+        df = Dataflow("shape")
+        df.source("src", _rows()).sink("out", capture_provenance=False)
+        pipeline = Pipeline(df, "genealog", provenance_store=ProvenanceLedger())
+        assert refused(pipeline, "provenance.capture-shape").operators == ("out",)
+        assert Pipeline(df, "genealog").analyze().ok
+
+    def test_intra_capture_takes_any_number_of_sinks(self):
+        assert Pipeline(self._two_sinks(), "genealog").analyze().ok
+        # without provenance the placed shape is unconstrained too.
+        assert Pipeline(self._two_sinks(), placement=self.PLACED).analyze().ok
+
 
 # -- boundary rules ----------------------------------------------------------
 
@@ -268,6 +337,44 @@ class TestBoundaryRules:
         report = analyze_plan(df, placement=placement)
         assert "placement.invalid" in rule_ids(report)
 
+    @pytest.mark.parametrize(
+        "links, message",
+        (
+            ({("src", "m"): "derived"}, "reserved for the provenance plumbing"),
+            ({("src", "m"): "upstream_x"}, "reserved for the provenance plumbing"),
+            ({("src", "m"): "data", ("m", "out"): "data"}, "used by more than one cut edge"),
+            ({("src", "out"): "data"}, "do not name any edge"),
+        ),
+        ids=("reserved", "reserved-prefix", "duplicate", "no-edge"),
+    )
+    def test_invalid_link_labels_flagged(self, links, message):
+        df = Dataflow("placed")
+        df.source("src", _rows()).map(_identity, name="m").sink("out")
+        placement = Placement({"spe1": ("src",), "spe2": ("m",), "spe3": ("out",)}, links=links)
+        assert message in refused(Pipeline(df, placement=placement), "placement.invalid").message
+
+    def test_a_link_on_an_uncut_edge_flagged(self):
+        df = Dataflow("placed")
+        df.source("src", _rows()).map(_identity, name="m").sink("out")
+        placement = Placement(
+            {"spe1": ("src",), "spe2": ("m", "out")}, links={("m", "out"): "data"}
+        )
+        diag = refused(Pipeline(df, placement=placement), "placement.invalid")
+        assert "('m', 'out')" in diag.message
+
+    def test_an_automatic_label_leaves_a_later_link_label_alone(self):
+        # the first cut edge would be labelled "src"; the second names it.
+        df = Dataflow("placed")
+        df.source("src", _rows()).map(_identity, name="m").sink("out")
+        placement = Placement(
+            {"spe1": ("src",), "spe2": ("m",), "spe3": ("out",)},
+            links={("m", "out"): "src"},
+        )
+        assert analyze_plan(df, placement=placement).ok
+        result = Pipeline(df, placement=placement).run()
+        assert sorted(c.name for c in result.channels) == ["placed_src", "placed_src_m"]
+        assert result.sink.count == len(_rows())
+
     def test_instance_cycle_flagged(self):
         df = Dataflow("icycle")
         (df.source("src", _rows())
@@ -281,14 +388,16 @@ class TestBoundaryRules:
         assert {"src", "m1", "m2"} <= set(diag.operators)
 
     def test_instance_cycle_is_real_at_runtime(self):
-        df = Dataflow("icycle")
-        (df.source("src", _rows())
-           .map(_identity, name="m1")
-           .map(_identity, name="m2")
-           .sink("out"))
-        placement = Placement({"spe1": ("src", "m2", "out"), "spe2": ("m1",)})
-        with pytest.raises(SchedulingError):
-            Pipeline(df, placement=placement, validate="off").run()
+        # the flagged placement, by hand: spe1 -> spe2 -> spe1.
+        spe1, spe2 = SPEInstance("spe1"), SPEInstance("spe2")
+        there, back = Channel("there"), Channel("back")
+        spe1.connect(spe1.add_source("src", _rows()), spe1.add_send("send_there", there))
+        spe2.connect(spe2.add_receive("receive_there", there), spe2.add_map("m1", _identity))
+        spe2.connect(spe2["m1"], spe2.add_send("send_back", back))
+        spe1.connect(spe1.add_receive("receive_back", back), spe1.add_map("m2", _identity))
+        spe1.connect(spe1["m2"], spe1.add_sink("out"))
+        with pytest.raises(SchedulingError, match="cycle"):
+            assign_ordering_values([spe1, spe2])
 
 
 # -- schema rules ------------------------------------------------------------
@@ -309,7 +418,7 @@ class TestSchemaRules:
 
     def test_unknown_field_is_real_at_runtime(self):
         with pytest.raises(KeyError):
-            Pipeline(self._bad_plan(), validate="off").run()
+            run_unchecked(self._bad_plan())
 
     def test_schema_propagates_through_aggregate(self):
         df = Dataflow("schema")
@@ -354,15 +463,11 @@ class TestConcurrencyRules:
 
     def test_racy_closure_diverges_from_sequential_plan(self):
         _RACY_COUNTER["n"] = 0
-        sequential = Pipeline(
-            _parallel_plan(_racy_aggregate, parallelism=1), validate="off"
-        ).run()
+        sequential = run_unchecked(_parallel_plan(_racy_aggregate, parallelism=1))
         _RACY_COUNTER["n"] = 0
-        sharded = Pipeline(
-            _parallel_plan(_racy_aggregate, parallelism=2), validate="off"
-        ).run()
-        assert [t.values for t in sequential.sink.received] != [
-            t.values for t in sharded.sink.received
+        sharded = run_unchecked(_parallel_plan(_racy_aggregate, parallelism=2))
+        assert [t.values for t in sequential["out"].received] != [
+            t.values for t in sharded["out"].received
         ]
 
     def test_nondeterministic_call_flagged(self):
@@ -372,10 +477,10 @@ class TestConcurrencyRules:
         assert "random.random" in diag.message
 
     def test_nondeterministic_call_diverges_run_to_run(self):
-        first = Pipeline(_parallel_plan(_noisy_aggregate), validate="off").run()
-        second = Pipeline(_parallel_plan(_noisy_aggregate), validate="off").run()
-        assert [t.values for t in first.sink.received] != [
-            t.values for t in second.sink.received
+        first = run_unchecked(_parallel_plan(_noisy_aggregate))
+        second = run_unchecked(_parallel_plan(_noisy_aggregate))
+        assert [t.values for t in first["out"].received] != [
+            t.values for t in second["out"].received
         ]
 
     def test_by_value_shipped_state_flagged(self):
@@ -426,25 +531,75 @@ class TestValidateGate:
         assert "concurrency.captured-state-mutation" in message
         assert "agg" in message
 
-    def test_warn_mode_warns_and_still_runs(self):
+    def _warning_plan(self):
+        """Clean but for two boundary.unmanaged-channel warnings under GL."""
+        channel = Channel("loop")
+        df = Dataflow("warned")
+        df.source("side", _rows()).send(channel, name="snd")
+        df.receive("r", channel).sink("out")
+        return df
+
+    @pytest.mark.parametrize("validate", ("strict", "warn", "off"))
+    def test_errors_raise_in_every_mode(self, validate):
         df = Dataflow("schema")
         (df.source("src", _rows(), schema=("key", "x"))
            .filter(_reads_velocity, name="f")
            .sink("out"))
-        with pytest.warns(PlanAnalysisWarning, match="schema.unknown-field"):
-            with pytest.raises(KeyError):
-                Pipeline(df).run()
+        pipeline = Pipeline(df, validate=validate)
+        with pytest.raises(PlanAnalysisError) as info:
+            pipeline.run()
+        assert info.value.report.rule_ids() == ["schema.unknown-field"]
+        (diag,) = info.value.report.errors
+        assert diag.operators == ("f", "src")
+        assert "schema.unknown-field [f, src]" in str(info.value)
+        # nothing was lowered, so nothing ran.
+        assert pipeline._result is None
+
+    def test_strict_raises_on_warnings(self):
+        with pytest.raises(PlanAnalysisError) as info:
+            Pipeline(self._warning_plan(), provenance="genealog", validate="strict").build()
+        assert info.value.report.rule_ids() == ["boundary.unmanaged-channel"]
+        assert "boundary.unmanaged-channel [snd]" in str(info.value)
+        assert "boundary.unmanaged-channel [r]" in str(info.value)
+
+    def test_warn_mode_warns_and_still_runs(self):
+        with pytest.warns(PlanAnalysisWarning, match="boundary.unmanaged-channel") as caught:
+            result = Pipeline(self._warning_plan(), provenance="genealog").run()
+        assert len(caught) == 2
+        assert result.sink.count == len(_rows())
 
     def test_off_mode_is_silent(self):
-        df = Dataflow("schema")
-        (df.source("src", _rows(), schema=("key", "x"))
-           .filter(_reads_velocity, name="f")
-           .sink("out"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(KeyError):
-                Pipeline(df, validate="off").run()
+            result = Pipeline(
+                self._warning_plan(), provenance="genealog", validate="off"
+            ).run()
         assert not [w for w in caught if issubclass(w.category, PlanAnalysisWarning)]
+        assert result.sink.count == len(_rows())
+
+    def test_run_analyzes_once(self, monkeypatch):
+        pipeline = Pipeline(self._warning_plan(), validate="off")
+        calls = []
+        analyze = pipeline.analyze
+        monkeypatch.setattr(pipeline, "analyze", lambda: calls.append(1) or analyze())
+        pipeline.run()
+        pipeline.run()
+        assert calls == [1]
+
+    def test_an_analyzer_crash_is_a_warning(self, monkeypatch):
+        import repro.analysis.rules as rules
+
+        def crash(model):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(
+            rules, "ALL_RULES", rules.ALL_RULES + (rules.Rule("x.crash", "x", "error", "", crash),)
+        )
+        df = Dataflow("clean")
+        df.source("src", _rows()).sink("out")
+        with pytest.warns(PlanAnalysisWarning, match="analysis.rule-error"):
+            result = Pipeline(df).run()
+        assert result.sink.count == len(_rows())
 
     def test_strict_passes_a_clean_plan(self):
         df = Dataflow("clean")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import PlanAnalysisError
 from repro.api import Dataflow, DataflowError, Pipeline, Placement
 from repro.core.provenance import ProvenanceMode
 from repro.spe.errors import QueryValidationError
@@ -52,7 +53,7 @@ class TestDataflowMechanics:
            .map(lambda t: t, name="identity")
            .filter(lambda t: t["v"] > 1, name="keep")
            .sink("out"))
-        query = df.build()
+        query = Pipeline(df).build().query
         assert [op.name for op in query.operators] == ["src", "identity", "keep", "out"]
         assert isinstance(query["identity"], MapOperator)
         assert isinstance(query["keep"], FilterOperator)
@@ -82,7 +83,7 @@ class TestDataflowMechanics:
         split = df.source("src", supplier).split(name="copy")
         split.filter(lambda t: True, name="left").sink("left_sink")
         split.filter(lambda t: False, name="right").sink("right_sink")
-        query = df.build()
+        query = Pipeline(df).build().query
         assert isinstance(query["copy"], MultiplexOperator)
         assert len(query["copy"].outputs) == 2
 
@@ -94,7 +95,7 @@ class TestDataflowMechanics:
         left.join(
             right, 10.0, lambda a, b: True, lambda a, b: a.values, name="pair"
         ).sink("out")
-        query = df.build()
+        query = Pipeline(df).build().query
         join = query["pair"]
         assert isinstance(join, JoinOperator)
         producers = [query.producer_of(stream).name for stream in join.inputs]
@@ -106,7 +107,7 @@ class TestDataflowMechanics:
         a = split.filter(lambda t: True, name="a")
         b = split.filter(lambda t: True, name="b")
         a.union(b, name="both").sink("out")
-        query = df.build()
+        query = Pipeline(df).build().query
         union = query["both"]
         assert isinstance(union, UnionOperator)
         assert {query.producer_of(stream).name for stream in union.inputs} == {"a", "b"}
@@ -120,7 +121,7 @@ class TestDataflowMechanics:
         # still wire router port 0 to `low` and port 1 to `high`.
         high_sink = high.sink("high_sink")
         low_sink = low.sink("low_sink")
-        query = df.build()
+        query = Pipeline(df).build().query
         router = query["route"]
         assert isinstance(router, RouterOperator)
         consumers = []
@@ -135,7 +136,7 @@ class TestDataflowMechanics:
         (df.source("src", supplier, enforce_order=False)
            .sort(slack=10.0, name="reorder")
            .sink("out"))
-        query = df.build()
+        query = Pipeline(df).build().query
         sort = query["reorder"]
         assert isinstance(sort, SortOperator)
         assert sort.inputs[0].enforce_order is False
@@ -148,10 +149,10 @@ class TestDataflowMechanics:
 
         df = Dataflow("custom")
         df.source("src", supplier).pipe(Passthrough("custom_op")).sink("out")
-        query = df.build(validate=False)
-        assert isinstance(query["custom_op"], Passthrough)
+        operators = df.lower_into(Query("custom"))
+        assert isinstance(operators["custom_op"], Passthrough)
         with pytest.raises(DataflowError, match="can only be lowered once"):
-            df.build(validate=False)
+            df.lower_into(Query("custom"))
 
     def test_dataflow_retention_sums_window_sizes(self):
         df = Dataflow("windows")
@@ -185,18 +186,21 @@ class TestPlacementValidation:
 
     def test_unassigned_stage_rejected(self):
         placement = Placement({"spe1": ("src", "f")})
-        with pytest.raises(DataflowError, match="does not assign stage"):
+        with pytest.raises(PlanAnalysisError, match="does not assign stage") as info:
             Pipeline(self._dataflow(), placement=placement).build()
+        assert info.value.report.rule_ids() == ["placement.invalid"]
 
     def test_unknown_stage_rejected(self):
         placement = Placement({"spe1": ("src", "f", "out", "ghost")})
-        with pytest.raises(DataflowError, match="unknown stage"):
+        with pytest.raises(PlanAnalysisError, match="unknown stage") as info:
             Pipeline(self._dataflow(), placement=placement).build()
+        assert info.value.report.rule_ids() == ["placement.invalid"]
 
     def test_doubly_assigned_stage_rejected(self):
         placement = Placement({"spe1": ("src", "f"), "spe2": ("f", "out")})
-        with pytest.raises(DataflowError, match="assigned to both"):
+        with pytest.raises(PlanAnalysisError, match="assigned to both") as info:
             Pipeline(self._dataflow(), placement=placement).build()
+        assert info.value.report.rule_ids() == ["placement.invalid"]
 
     def test_provenance_instance_name_reserved(self):
         with pytest.raises(DataflowError, match="reserved"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import PlanAnalysisError
 from repro.api.dataflow import Dataflow, DataflowError
 from repro.api.pipeline import Pipeline, Placement
 from repro.spe.codec import BinaryChannelDecoder, BinaryChannelEncoder
@@ -341,7 +342,7 @@ class TestParallelDataflowExpansion:
 
     def test_replica_shards_are_plain_aggregates_with_order_tags(self):
         df = self.keyed_dataflow(2)
-        query = df.build()
+        query = Pipeline(df).build().query
         shard = query["agg_shard0"]
         assert isinstance(shard, AggregateOperator)
         Scheduler(query).run()
@@ -382,20 +383,23 @@ class TestPlacementParallelStages:
 
     def test_unknown_stage_error_names_the_offending_instance(self):
         placement = Placement({"a": ("src", "agg", "out", "ghost")})
-        with pytest.raises(DataflowError, match="unknown stage") as excinfo:
+        with pytest.raises(PlanAnalysisError, match="unknown stage") as excinfo:
             Pipeline(self.dataflow(), placement=placement).build()
+        assert excinfo.value.report.rule_ids() == ["placement.invalid"]
         assert "'ghost'" in str(excinfo.value)
         assert "'a'" in str(excinfo.value)
 
     def test_duplicate_assignment_error_names_both_instances(self):
         placement = Placement({"a": ("src", "agg"), "b": ("agg_shard0", "out")})
-        with pytest.raises(DataflowError, match="assigned to both") as excinfo:
+        with pytest.raises(PlanAnalysisError, match="assigned to both") as excinfo:
             Pipeline(self.dataflow(), placement=placement).build()
+        assert excinfo.value.report.rule_ids() == ["placement.invalid"]
         message = str(excinfo.value)
         assert "'agg_shard0'" in message
         assert "'a'" in message and "'b'" in message
 
     def test_duplicate_within_one_instance_is_detected(self):
         placement = Placement({"a": ("src", "src", "agg", "out")})
-        with pytest.raises(DataflowError, match="assigned to both"):
+        with pytest.raises(PlanAnalysisError, match="assigned to both") as excinfo:
             Pipeline(self.dataflow(), placement=placement).build()
+        assert excinfo.value.report.rule_ids() == ["placement.invalid"]
