@@ -6,8 +6,9 @@ context a :class:`~repro.api.pipeline.Pipeline` would run it under) and
 emits structured diagnostics in three rule families:
 
 * **graph/dataflow** -- cycles, unreachable stages, dead ends, arity
-  violations, merge-barrier deadlocks, ordering requirements, provenance
-  retention bounds and invalid cross-boundary channels;
+  violations, ordering requirements, provenance capture shape and
+  retention bounds, and placements that do not fit the plan or cut it into
+  a cyclic instance graph;
 * **schema** -- tuple field sets propagated from ``source(schema=...)``
   declarations through every stage, flagging reads of fields no upstream
   can produce;

@@ -13,21 +13,15 @@ only violations in some deployments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.provenance import ProvenanceMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports us)
     from repro.api.dataflow import Dataflow
 
-#: node kinds whose semantics need timestamp-ordered input.
-ORDER_REQUIRING_KINDS = ("aggregate", "join", "union", "merge", "partition", "sort")
-
 #: node kinds that emit a timestamp-ordered stream regardless of input order.
 ORDER_RESTORING_KINDS = ("sort", "aggregate", "join", "union", "merge")
-
-#: terminal node kinds (no downstream edges expected).
-TERMINAL_KINDS = ("sink", "send")
 
 
 @dataclass
@@ -180,7 +174,7 @@ class PlanModel:
         return [edge.downstream for edge in self.out_edges(name)]
 
     def roots(self) -> List[str]:
-        """Nodes with no inputs (sources, receives, custom generators)."""
+        """Nodes with no inputs (sources and custom generators)."""
         with_inputs = {edge.downstream for edge in self.edges}
         return [name for name in self.nodes if name not in with_inputs]
 
@@ -230,18 +224,6 @@ class PlanModel:
                 members.append(name)
         return members
 
-    def upstream_closure(self, name: str) -> List[str]:
-        """Every node ``name`` transitively consumes from (excluding itself)."""
-        seen: List[str] = []
-        frontier = list(self.predecessors(name))
-        while frontier:
-            current = frontier.pop()
-            if current in seen or current == name:
-                continue
-            seen.append(current)
-            frontier.extend(self.predecessors(current))
-        return seen
-
     def ordered_outputs(self) -> Dict[str, bool]:
         """Per node: can its output stream be promised timestamp-ordered?
 
@@ -261,9 +243,9 @@ class PlanModel:
                 promised[name] = not node.unordered
             elif node.kind in ORDER_RESTORING_KINDS:
                 promised[name] = True
-            elif node.kind in ("receive", "custom"):
-                # Channels ship in order; custom operators are opaque --
-                # assume the author keeps the stream contract.
+            elif node.kind == "custom":
+                # custom operators are opaque -- assume the author keeps the
+                # stream contract.
                 promised[name] = not node.unordered
             else:
                 inputs = self.predecessors(name)
@@ -284,9 +266,3 @@ class PlanModel:
                 graph[up].append(down)
         return graph
 
-    def channel_name(self, node: str) -> Tuple[str, ...]:
-        """Display name(s) of the channel a send/receive node is wired to."""
-        channel = self.nodes[node].meta.get("channel")
-        if channel is None:
-            return ()
-        return (getattr(channel, "name", None) or repr(channel),)

@@ -1,7 +1,7 @@
 """Structured diagnostics emitted by the static plan analyzer.
 
 A :class:`Diagnostic` names the rule that fired, its severity, the offending
-operators/channels and a fix hint; an :class:`AnalysisReport` aggregates the
+operators and a fix hint; an :class:`AnalysisReport` aggregates the
 diagnostics of one plan and knows how to render itself as text or a JSON
 document (the CLI's ``--json`` export and the CI artifact share the same
 shape).
@@ -26,7 +26,7 @@ class PlanAnalysisWarning(UserWarning):
 class Diagnostic:
     """One finding of the static analyzer."""
 
-    #: stable rule identifier, e.g. ``"graph.merge-deadlock"``.
+    #: stable rule identifier, e.g. ``"graph.cycle"``.
     rule: str
     #: ``"error"`` blocks every build, ``"warning"`` blocks strict ones.
     severity: str
@@ -34,8 +34,6 @@ class Diagnostic:
     message: str
     #: names of the offending dataflow stages, most specific first.
     operators: Tuple[str, ...] = ()
-    #: names/reprs of the offending channels, if any.
-    channels: Tuple[str, ...] = ()
     #: how to fix the plan.
     hint: str = ""
 
@@ -49,7 +47,6 @@ class Diagnostic:
             "severity": self.severity,
             "message": self.message,
             "operators": list(self.operators),
-            "channels": list(self.channels),
             "hint": self.hint,
         }
 

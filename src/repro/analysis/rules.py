@@ -22,14 +22,13 @@ from .report import AnalysisReport, Diagnostic
 
 #: kinds that take exactly one input stream.
 _SINGLE_INPUT_KINDS = (
-    "map", "flatmap", "filter", "sort", "partition", "multiplex", "router",
-    "sink", "send",
+    "map", "flatmap", "filter", "sort", "partition", "multiplex", "router", "sink",
 )
 
 #: kinds that emit exactly one output stream (fan-out needs .split()).
 _SINGLE_OUTPUT_KINDS = (
-    "source", "receive", "map", "flatmap", "filter", "sort", "aggregate",
-    "join", "union", "merge",
+    "source", "map", "flatmap", "filter", "sort", "aggregate", "join", "union",
+    "merge",
 )
 
 #: kinds whose semantics need timestamp-ordered input (sort excepted: its
@@ -53,7 +52,7 @@ def check_cycle(model: PlanModel) -> List[Diagnostic]:
                 "flow forward, so the cycle can never make progress"
             ),
             operators=tuple(members),
-            hint="break the cycle (feedback needs an explicit channel pair)",
+            hint="remove the edge that feeds a stage back into its own upstream",
         )
     ]
 
@@ -61,7 +60,7 @@ def check_cycle(model: PlanModel) -> List[Diagnostic]:
 def check_unreachable(model: PlanModel) -> List[Diagnostic]:
     diagnostics = []
     for node in model.nodes.values():
-        if node.kind in ("source", "receive", "custom"):
+        if node.kind in ("source", "custom"):
             continue
         if not model.in_edges(node.name):
             diagnostics.append(
@@ -82,7 +81,7 @@ def check_unreachable(model: PlanModel) -> List[Diagnostic]:
 def check_dead_end(model: PlanModel) -> List[Diagnostic]:
     diagnostics = []
     for node in model.nodes.values():
-        if node.kind in ("sink", "send", "custom"):
+        if node.kind in ("sink", "custom"):
             continue
         if not model.out_edges(node.name):
             diagnostics.append(
@@ -94,7 +93,7 @@ def check_dead_end(model: PlanModel) -> List[Diagnostic]:
                         "stream; its tuples flow nowhere"
                     ),
                     operators=(node.name,),
-                    hint="terminate the stream in a .sink() or .send()",
+                    hint="terminate the stream in a .sink()",
                 )
             )
     return diagnostics
@@ -142,78 +141,6 @@ def check_arity(model: PlanModel) -> List[Diagnostic]:
                     ),
                     operators=(node.name,),
                     hint="copy the stream explicitly with .split()",
-                )
-            )
-    return diagnostics
-
-
-def _input_can_settle(model: PlanModel, upstream: str) -> Tuple[bool, List[str]]:
-    """Can the input fed by ``upstream`` ever advance its watermark?
-
-    Returns ``(settles, starved receive nodes)``.  An input settles when its
-    upstream closure contains an event origin: a source, a custom stage, or
-    a receive whose channel some send *of this plan* writes.
-    """
-    closure = [upstream] + model.upstream_closure(upstream)
-    send_channels = [
-        model.nodes[name].meta.get("channel")
-        for name in model.nodes
-        if model.nodes[name].kind == "send"
-    ]
-    starved: List[str] = []
-    settles = False
-    for name in closure:
-        node = model.nodes[name]
-        if model.in_edges(name):
-            continue
-        if node.kind in ("source", "custom"):
-            settles = True
-        elif node.kind == "receive":
-            channel = node.meta.get("channel")
-            if any(channel is sent for sent in send_channels):
-                settles = True
-            else:
-                starved.append(name)
-    return settles, starved
-
-
-def check_merge_deadlock(model: PlanModel) -> List[Diagnostic]:
-    if model.cycle_members():
-        return []
-    diagnostics = []
-    for node in model.nodes.values():
-        in_edges = model.in_edges(node.name)
-        if len(in_edges) < 2 and node.kind not in ("union", "merge", "join"):
-            continue
-        for edge in in_edges:
-            if len(in_edges) < 2:
-                continue
-            settles, starved = _input_can_settle(model, edge.upstream)
-            if settles or not starved:
-                continue
-            channels = tuple(
-                name for r in starved for name in model.channel_name(r)
-            )
-            diagnostics.append(
-                Diagnostic(
-                    rule="graph.merge-deadlock",
-                    severity="error",
-                    message=(
-                        f"input #{edge.in_port} of {node.name!r} "
-                        f"({node.kind}, from {edge.upstream!r}) can never "
-                        f"settle: it is fed only by receive stage(s) "
-                        f"{starved!r} on channel(s) no send of this plan "
-                        "writes, so the merge barrier blocks forever and "
-                        "every other input buffers unboundedly"
-                    ),
-                    operators=tuple(
-                        dict.fromkeys((node.name, edge.upstream, *starved))
-                    ),
-                    channels=channels,
-                    hint=(
-                        "feed the channel from a .send(...) of this plan, or "
-                        "analyze the composed plan that writes it"
-                    ),
                 )
             )
     return diagnostics
@@ -376,8 +303,8 @@ def check_capture_shape(model: PlanModel) -> List[Diagnostic]:
         diagnostics.append(_error(
             rule,
             "baseline provenance ships every Source stream to the source "
-            "store, but the plan declares no Source stage (Receive-fed "
-            "fragments cannot use it)",
+            "store, but the plan declares no Source stage (a plan fed only "
+            "by custom stages cannot use it)",
             model.roots(),
             "feed the plan from a .source(...) stage, or use provenance='genealog'",
         ))
@@ -431,56 +358,6 @@ def check_retention_bound(model: PlanModel) -> List[Diagnostic]:
 # ---------------------------------------------------------------------------
 # boundary rules
 # ---------------------------------------------------------------------------
-def check_unmanaged_channel(model: PlanModel) -> List[Diagnostic]:
-    diagnostics = []
-    for node in model.nodes.values():
-        if node.kind not in ("send", "receive"):
-            continue
-        channel = node.meta.get("channel")
-        transport_local = getattr(
-            getattr(channel, "transport", None), "local", True
-        )
-        if model.execution in ("process", "cluster") and transport_local:
-            diagnostics.append(
-                Diagnostic(
-                    rule="boundary.unmanaged-channel",
-                    severity="error",
-                    message=(
-                        f"stage {node.name!r} ({node.kind}) is wired to an "
-                        "in-memory channel, but execution="
-                        f"{model.execution!r} runs SPE instances in separate "
-                        "OS processes; the channel's queue cannot cross the "
-                        "process boundary, so its tuples are silently lost"
-                    ),
-                    operators=(node.name,),
-                    channels=model.channel_name(node.name),
-                    hint=(
-                        "let the Pipeline create the channel (cut the edge "
-                        "with a Placement) or wire a SocketTransport "
-                        "explicitly"
-                    ),
-                )
-            )
-        elif model.mode is not ProvenanceMode.NONE:
-            diagnostics.append(
-                Diagnostic(
-                    rule="boundary.unmanaged-channel",
-                    severity="warning",
-                    message=(
-                        f"stage {node.name!r} ({node.kind}) uses an "
-                        "explicitly wired channel; provenance splicing "
-                        f"({model.mode.value}) only instruments the channels "
-                        "the Pipeline creates, so lineage is not tracked "
-                        "across this one"
-                    ),
-                    operators=(node.name,),
-                    channels=model.channel_name(node.name),
-                    hint="cut the edge with a Placement instead of wiring the channel by hand",
-                )
-            )
-    return diagnostics
-
-
 def check_placement(model: PlanModel) -> List[Diagnostic]:
     if model.placement_error is None:
         return []
@@ -594,10 +471,10 @@ def check_schema(model: PlanModel) -> List[Diagnostic]:
             declared = node.meta.get("schema")
             schemas[name] = frozenset(declared) if declared is not None else None
             continue
-        if kind in ("receive", "custom"):
+        if kind == "custom":
             schemas[name] = None
             continue
-        if kind in ("filter", "router", "sort", "multiplex", "partition", "send"):
+        if kind in ("filter", "router", "sort", "multiplex", "partition"):
             schema, upstream = single_input(name)
             schemas[name] = schema
             functions = []
@@ -871,8 +748,6 @@ ALL_RULES: Tuple[Rule, ...] = (
          "a non-terminal stage has no output stream", check_dead_end),
     Rule("graph.arity", "graph", "error",
          "a stage is wired with the wrong number of streams", check_arity),
-    Rule("graph.merge-deadlock", "graph", "error",
-         "a merge-barrier input can never settle", check_merge_deadlock),
     Rule("ordering.unordered-input", "ordering", "error",
          "an order-requiring stage consumes a possibly-unordered stream",
          check_unordered_input),
@@ -888,9 +763,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     Rule("provenance.retention-below-window-sum", "provenance", "error",
          "provenance retention is below the plan's window sum",
          check_retention_bound),
-    Rule("boundary.unmanaged-channel", "boundary", "error",
-         "an explicitly wired channel is invalid for the deployment",
-         check_unmanaged_channel),
     Rule("placement.invalid", "boundary", "error",
          "the placement does not fit the plan (stages or links)", check_placement),
     Rule("boundary.instance-cycle", "boundary", "error",

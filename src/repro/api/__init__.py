@@ -26,7 +26,6 @@ from repro.api.pipeline import (
     Pipeline,
     PipelineResult,
     Placement,
-    resolve_mode,
 )
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.provstore import (
@@ -50,7 +49,6 @@ __all__ = [
     "PipelineResult",
     "Placement",
     "PROVENANCE_INSTANCE",
-    "resolve_mode",
     "Telemetry",
     "TelemetryConfig",
     "JsonlLedgerBackend",

@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.spe.channels import Channel
 from repro.spe.errors import QueryValidationError
 from repro.spe.operators.aggregate import AggregateOperator, WindowSpec
 from repro.spe.operators.base import Operator
@@ -55,7 +54,6 @@ from repro.spe.operators.merge import MergeOperator
 from repro.spe.operators.multiplex import MultiplexOperator
 from repro.spe.operators.partition import PartitionOperator
 from repro.spe.operators.router import RouterOperator
-from repro.spe.operators.send_receive import ReceiveOperator, SendOperator
 from repro.spe.operators.sink import SinkOperator
 from repro.spe.operators.sort import SortOperator
 from repro.spe.operators.source import SourceOperator
@@ -90,7 +88,7 @@ class _Node:
     #: capture; None keeps the default (capture at every sink).
     capture_provenance: Optional[bool] = None
     #: declarative description of the stage (user functions, windows,
-    #: channels, declared schemas) consumed by :mod:`repro.analysis` -- the
+    #: declared schemas) consumed by :mod:`repro.analysis` -- the
     #: static analyzer must inspect a plan without instantiating it.
     meta: Dict[str, object] = field(default_factory=dict)
     _instantiated: bool = False
@@ -261,15 +259,6 @@ class Dataflow:
                 "enforce_order": enforce_order,
                 "schema": tuple(schema) if schema is not None else None,
             },
-        )
-
-    def receive(self, name: str, channel: Channel) -> "StreamBuilder":
-        """Start a stream from an inter-process ``channel`` (explicit wiring)."""
-        return self._add_node(
-            "receive",
-            name,
-            lambda: ReceiveOperator(name, channel),
-            meta={"channel": channel},
         )
 
     def stage(self, operator, name: Optional[str] = None) -> "StreamBuilder":
@@ -809,16 +798,6 @@ class StreamBuilder:
         )
         self.dataflow._nodes[stage].capture_provenance = capture_provenance
         return builder
-
-    def send(self, channel: Channel, name: Optional[str] = None) -> "StreamBuilder":
-        """Terminate the stream in a Send writing to ``channel`` (explicit wiring)."""
-        stage = name or self.dataflow._fresh_name("send")
-        return self._then(
-            "send",
-            stage,
-            lambda: SendOperator(stage, channel),
-            meta={"channel": channel},
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         port = f", port={self.out_port}" if self.out_port is not None else ""

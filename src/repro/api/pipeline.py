@@ -43,7 +43,7 @@ from repro.core.provenance import (
     attach_intra_process_provenance,
     create_manager,
 )
-from repro.core.unfolder import attach_su
+from repro.core.unfolder import add_su
 from repro.obs.telemetry import Telemetry, TelemetryConfig, coerce_telemetry
 from repro.obs.tracer import SpanRecord
 from repro.provstore.backends import JsonlLedgerBackend
@@ -79,27 +79,6 @@ def _label_reserved(label: str) -> bool:
         or label.startswith("upstream_")
         or label.startswith("sources_")
     )
-
-
-def traversal_times_by_instance(
-    managers: Mapping[str, ProvenanceManager],
-) -> Dict[str, List[float]]:
-    """Contribution-graph traversal samples grouped by SPE instance name."""
-    times: Dict[str, List[float]] = {}
-    for name, manager in managers.items():
-        samples = list(getattr(manager, "traversal_times_s", []))
-        if samples:
-            times[name] = samples
-    return times
-
-
-def resolve_mode(provenance: Union[str, ProvenanceMode]) -> ProvenanceMode:
-    """Accept ``"none"``/``"genealog"``/``"baseline"``, NP/GL/BL, or the enum."""
-    if isinstance(provenance, ProvenanceMode):
-        return provenance
-    # from_label matches both the paper's NP/GL/BL labels and the
-    # (case-insensitive) enum member names NONE/GENEALOG/BASELINE.
-    return ProvenanceMode.from_label(provenance)
 
 
 class Placement:
@@ -301,7 +280,12 @@ class PipelineResult:
 
     def traversal_times_by_instance(self) -> Dict[str, List[float]]:
         """Traversal times grouped by SPE instance (inter-process)."""
-        return traversal_times_by_instance(self.managers)
+        times: Dict[str, List[float]] = {}
+        for name, manager in self.managers.items():
+            samples = list(getattr(manager, "traversal_times_s", []))
+            if samples:
+                times[name] = samples
+        return times
 
     def bytes_transferred(self) -> int:
         """Bytes that crossed any inter-instance channel."""
@@ -372,13 +356,24 @@ class Pipeline:
         placement: Optional[Placement] = None,
         fused: bool = True,
         retention: Optional[float] = None,
-        keep_unfolded_tuples: bool = False,
         execution: str = "event",
         provenance_store: Union[ProvenanceLedger, str, None] = None,
         hosts: Hosts = None,
         telemetry: Union[None, bool, TelemetryConfig, Telemetry] = None,
         validate: str = "warn",
     ) -> None:
+        if isinstance(provenance, ProvenanceMode):
+            mode = provenance
+        else:
+            try:
+                # NP/GL/BL, or the member names NONE/GENEALOG/BASELINE,
+                # case-insensitively.
+                mode = ProvenanceMode.from_label(provenance)
+            except (AttributeError, ValueError):
+                raise DataflowError(
+                    f"unknown provenance mode {provenance!r}; expected 'none', "
+                    "'genealog' or 'baseline' (or the paper's 'NP', 'GL', 'BL')"
+                ) from None
         if validate not in ("strict", "warn", "off"):
             raise DataflowError(
                 f"unknown validate mode {validate!r}; expected 'strict', "
@@ -401,11 +396,10 @@ class Pipeline:
                 "only applies to execution='cluster'"
             )
         self.dataflow = dataflow
-        self.mode = resolve_mode(provenance)
+        self.mode = mode
         self.placement = placement
         self.fused = fused
         self.retention = retention
-        self.keep_unfolded_tuples = keep_unfolded_tuples
         self.execution = execution
         self.hosts = hosts
         try:
@@ -507,7 +501,6 @@ class Pipeline:
             query,
             self.mode,
             fused=self.fused,
-            keep_unfolded_tuples=self.keep_unfolded_tuples,
             only_sinks=self.dataflow.capture_sink_names(),
         )
         if self.store is not None:
@@ -612,7 +605,6 @@ class _DistributedBuilder:
         self.placement = pipeline.placement
         self.mode = pipeline.mode
         self.fused = pipeline.fused
-        self.keep_unfolded_tuples = pipeline.keep_unfolded_tuples
         self.store = pipeline.store
         self.retention = (
             pipeline.retention
@@ -749,19 +741,12 @@ class _DistributedBuilder:
         """Re-route ``consumer``'s input through a fresh SU; return its U side.
 
         ``boundary`` marks an SU before a cut Send: it unfolds only what its
-        instance derived (see :func:`~repro.core.unfolder.attach_su`).
+        instance derived (see :func:`~repro.core.unfolder.add_su`).
         """
-        stream = consumer.inputs[0]
-        producer = instance.producer_of(stream)
-        port = producer.outputs.index(stream)
-        instance.disconnect(stream)
-        data_out, unfolded_out = attach_su(
-            instance, producer, name=su_name, fused=self.fused, boundary=boundary
+        data_out, unfolded_out = add_su(
+            instance, name=su_name, fused=self.fused, boundary=boundary
         )
-        # connect appended the replacement stream; a Router's output i
-        # carries predicate i, so it takes the removed stream's slot.
-        producer.outputs.insert(port, producer.outputs.pop())
-        instance.connect(data_out, consumer)
+        instance.splice(consumer.inputs[0], data_out, data_out)
         return unfolded_out
 
     def _splice_genealog(self, sinks: List[SinkOperator]) -> Channel:
@@ -800,32 +785,16 @@ class _DistributedBuilder:
             instance = self._owning(source)
             label = "sources" if len(sources) == 1 else f"sources_{index}"
             multiplex = instance.add_multiplex(f"{label}_multiplex")
-            if source.outputs:
-                stream = source.outputs[0]
-                consumer = next(op for op in instance.operators if stream in op.inputs)
-                # the re-routed stream must keep the consumer's input port
-                # (the Join's left/right sides are positional).
-                input_port = consumer.inputs.index(stream)
-                instance.disconnect(stream)
-                instance.connect(source, multiplex)
-                instance.connect(multiplex, consumer)
-                consumer.inputs.insert(input_port, consumer.inputs.pop())
-            else:
-                instance.connect(source, multiplex)
+            # graph.dead-end / graph.arity: a Source feeds exactly one stream.
+            instance.splice(source.outputs[0], multiplex, multiplex)
             channel = self._channel(label)
             send = instance.add_send(f"send_{label}", channel)
             instance.connect(multiplex, send)
             self._bl_source_channels.append(channel)
         (sink,) = sinks  # provenance.capture-shape: one data Sink
         instance = self._owning(sink)
-        stream = sink.inputs[0]
-        producer = instance.producer_of(stream)
-        port = producer.outputs.index(stream)
-        instance.disconnect(stream)
         multiplex = instance.add_multiplex(f"{sink.name}_multiplex")
-        instance.connect(producer, multiplex)
-        producer.outputs.insert(port, producer.outputs.pop())  # keep the port
-        instance.connect(multiplex, sink)
+        instance.splice(sink.inputs[0], multiplex, multiplex)
         sink_channel = self._channel("annotated_sinks")
         instance.connect(multiplex, instance.add_send("send_annotated_sinks", sink_channel))
         return sink_channel
@@ -836,9 +805,7 @@ class _DistributedBuilder:
         (GL: its derived stream, BL: its annotated tuples)."""
         instance = self._new_instance(PROVENANCE_INSTANCE)
         self.collector = ProvenanceCollector(name=self.dataflow.name)
-        provenance_sink = instance.add_sink(
-            "provenance_sink", keep_tuples=self.keep_unfolded_tuples
-        )
+        provenance_sink = instance.add_sink("provenance_sink", keep_tuples=False)
         provenance_sink.add_tap(self.collector)
         if self.store is not None:
             # The unfolded stream reaching this sink already crossed the

@@ -11,10 +11,9 @@ This module is the entry point most users need:
   of every Sink, returning a :class:`ProvenanceCapture` from which the
   per-sink-tuple :class:`ProvenanceRecord` objects can be read after the run.
 
-Distributed (inter-process) deployments combine SU/MU operators explicitly --
-see :mod:`repro.workloads.queries` for the paper's three-instance deployments
--- but they reuse the same :class:`ProvenanceCollector` and
-:class:`ProvenanceCapture` classes defined here.
+Distributed (inter-process) deployments splice SU/MU operators across SPE
+instances (see :class:`~repro.api.pipeline.Pipeline` with a placement) and
+reuse the :class:`ProvenanceCollector` defined here.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.core.unfolder import (
     ORIGIN_TS_FIELD,
     SINK_ID_FIELD,
     SINK_TS_FIELD,
-    attach_su,
+    add_su,
     unfolded_schema,
 )
 from repro.spe.errors import QueryValidationError
@@ -198,7 +197,6 @@ def attach_intra_process_provenance(
     query: Query,
     mode: ProvenanceMode,
     fused: bool = True,
-    keep_unfolded_tuples: bool = False,
     only_sinks: Optional[Sequence[str]] = None,
 ) -> ProvenanceCapture:
     """Enable provenance capture on a single-process query (section 5).
@@ -235,20 +233,10 @@ def attach_intra_process_provenance(
                 f"feeding sink {sink.name!r}; place a Sort operator between "
                 f"{producer.name!r} and the sink"
             )
-        port = producer.outputs.index(feeding_stream)
-        query.disconnect(feeding_stream)
-        data_out, unfolded_out = attach_su(
-            query, producer, name=f"su_{sink.name}", fused=fused
-        )
-        # attach_su appended the SU's input stream to producer.outputs; move
-        # it back to the disconnected stream's slot so port-sensitive
-        # producers (Router: output i carries predicate i) keep routing.
-        producer.outputs.insert(port, producer.outputs.pop())
-        query.connect(data_out, sink)
+        data_out, unfolded_out = add_su(query, name=f"su_{sink.name}", fused=fused)
+        query.splice(feeding_stream, data_out, data_out)
         collector = ProvenanceCollector(name=sink.name)
-        provenance_sink = query.add_sink(
-            f"provenance_{sink.name}", keep_tuples=keep_unfolded_tuples
-        )
+        provenance_sink = query.add_sink(f"provenance_{sink.name}", keep_tuples=False)
         provenance_sink.add_tap(collector)
         query.connect(unfolded_out, provenance_sink)
         capture.collectors[sink.name] = collector

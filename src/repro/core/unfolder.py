@@ -8,7 +8,7 @@ combined with the tuple's own attributes (Definitions 4.1 and 5.1).
 Two implementations are provided, as in the paper:
 
 * :class:`SUOperator` -- the efficient "fused" user-defined operator,
-* :func:`attach_su` with ``fused=False`` -- the composition of standard
+* :func:`add_su` with ``fused=False`` -- the composition of standard
   operators of Figure 5B (a Multiplex feeding the Sink and an unfolding Map).
 
 Both produce identical unfolded streams; a test asserts this equivalence.
@@ -288,17 +288,14 @@ class SUOperator(SingleInputOperator):
             self.emit_many(unfolded, self.UNFOLDED_PORT)
 
 
-def attach_su(
-    query: Query,
-    producer: Operator,
-    name: str = "su",
-    fused: bool = True,
-    boundary: bool = False,
+def add_su(
+    query: Query, name: str = "su", fused: bool = True, boundary: bool = False
 ) -> Tuple[Operator, Operator]:
-    """Insert an SU fed by ``producer`` into ``query``.
+    """Add an SU to ``query`` with its input left unconnected.
 
-    Returns ``(data_operator, unfolded_operator)``: connect the Sink (or the
-    Send feeding the next instance) to ``data_operator``'s next free output
+    Returns ``(data_operator, unfolded_operator)``: feed the stream to
+    unfold into ``data_operator`` (e.g. with :meth:`Query.splice`), connect
+    the Sink (or the Send feeding the next instance) to its next free output
     port, and the provenance consumer to ``unfolded_operator``.
 
     With ``fused=True`` a single :class:`SUOperator` is used; with
@@ -308,10 +305,21 @@ def attach_su(
     """
     if fused:
         su = query.add(SUOperator(name, boundary))
-        query.connect(producer, su)
         return su, su
     multiplex = query.add_multiplex(f"{name}_multiplex")
     unfold = query.add(UnfoldMapOperator(f"{name}_unfold", boundary))
-    query.connect(producer, multiplex)
     query.connect(multiplex, unfold)
     return multiplex, unfold
+
+
+def attach_su(
+    query: Query,
+    producer: Operator,
+    name: str = "su",
+    fused: bool = True,
+    boundary: bool = False,
+) -> Tuple[Operator, Operator]:
+    """Insert an SU fed by ``producer`` into ``query`` (see :func:`add_su`)."""
+    data_out, unfolded_out = add_su(query, name=name, fused=fused, boundary=boundary)
+    query.connect(producer, data_out)
+    return data_out, unfolded_out

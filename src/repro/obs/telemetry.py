@@ -86,16 +86,12 @@ class Telemetry:
             result.store.tracer = self.tracer
         if execution in ("process", "cluster"):
             return
-        tracer = self.tracer
-        for operator in self._operators_of(result):
-            operator.tracer = tracer
-        for channel in result.channels:
-            channel.tracer = tracer
-        for manager in result.managers.values():
-            try:
-                manager.tracer = tracer
-            except AttributeError:  # a __slots__ manager without the hook
-                pass
+        _install_tracer(
+            self.tracer,
+            self._operators_of(result),
+            result.channels,
+            result.managers.values(),
+        )
         self._sampled_channels = tuple(result.channels)
         self._sampled_operators = tuple(self._operators_of(result))
 
@@ -204,16 +200,29 @@ def enable_worker_telemetry(instance, scheduler, capacity: int = 0) -> SpanTrace
         node=instance.name, capacity=capacity or DEFAULT_CAPACITY
     )
     scheduler.tracer = tracer
-    for operator in instance.operators:
-        operator.tracer = tracer
-        manager = getattr(operator, "provenance", None)
-        if manager is not None:
-            try:
-                manager.tracer = tracer
-            except AttributeError:  # a __slots__ manager without the hook
-                pass
-    for channel in instance.outgoing_channels():
-        channel.tracer = tracer
-    for channel in instance.incoming_channels():
-        channel.tracer = tracer
+    _install_tracer(
+        tracer,
+        instance.operators,
+        instance.outgoing_channels() + instance.incoming_channels(),
+        [getattr(operator, "provenance", None) for operator in instance.operators],
+    )
     return tracer
+
+
+def _install_tracer(tracer: SpanTracer, operators, channels, managers) -> None:
+    """Point every operator, channel and provenance manager at ``tracer``.
+
+    ``None`` managers are skipped, and so is a ``__slots__`` manager
+    without the hook.
+    """
+    for operator in operators:
+        operator.tracer = tracer
+    for channel in channels:
+        channel.tracer = tracer
+    for manager in managers:
+        if manager is None:
+            continue
+        try:
+            manager.tracer = tracer
+        except AttributeError:  # a __slots__ manager without the hook
+            pass

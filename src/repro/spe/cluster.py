@@ -220,10 +220,6 @@ def cut_home(instances: Sequence[SPEInstance]) -> SPEInstance:
     for instance in instances:
         instance.validate()  # every Sink has its one input stream
         for sink in instance.sinks():
-            stream = sink.inputs[0]
-            producer = instance.producer_of(stream)
-            port = producer.outputs.index(stream)
-            instance.remove(sink)
             name = f"home:{sink.name}"
             channel = Channel(name, transport=SocketTransport(name))
             send = instance.add(
@@ -236,11 +232,8 @@ def cut_home(instances: Sequence[SPEInstance]) -> SPEInstance:
             )
             sink._wall_clock = None
             send.set_provenance(sink.provenance)
-            instance.connect(
-                producer, send, name=stream.name, sorted_stream=stream.enforce_order
-            )
-            # keep the port: a Router's output i carries predicate i.
-            producer.outputs.insert(port, producer.outputs.pop())
+            instance.splice(sink.inputs[0], send, None)
+            instance.remove(sink)
             home.add(sink)
             home.connect(home.add_receive(f"receive_{name}", channel), sink)
     return home

@@ -217,8 +217,8 @@ class Query:
     def disconnect(self, stream: Stream) -> Tuple[Operator, Operator]:
         """Remove ``stream`` from the query; return its (producer, consumer).
 
-        Used by :func:`repro.core.provenance.attach_intra_process_provenance`
-        to splice provenance operators in front of already-connected Sinks.
+        :meth:`splice` builds on it to re-route a stream through new
+        operators.
         """
         producer = consumer = None
         for op in self.operators:
@@ -234,6 +234,26 @@ class Query:
         self.streams.remove(stream)
         self._edges.remove((producer, consumer))
         return producer, consumer
+
+    def splice(self, stream: Stream, head: Operator, tail: Optional[Operator]) -> None:
+        """Re-route ``stream`` through the added operators ``head`` .. ``tail``.
+
+        The producer feeds ``head`` on the stream's output port (a Router's
+        output ``i`` carries predicate ``i``), under the stream's name and
+        order flag; ``tail`` feeds the consumer on the stream's input port (a
+        Join's left/right side).  ``tail=None`` leaves the consumer unfed,
+        for a caller that moves or removes it.
+        """
+        producer = self.producer_of(stream)
+        (consumer,) = [op for op in self.operators if stream in op.inputs]
+        out_port = producer.outputs.index(stream)
+        in_port = consumer.inputs.index(stream)
+        self.disconnect(stream)
+        self.connect(producer, head, name=stream.name, sorted_stream=stream.enforce_order)
+        producer.outputs.insert(out_port, producer.outputs.pop())
+        if tail is not None:
+            self.connect(tail, consumer)
+            consumer.inputs.insert(in_port, consumer.inputs.pop())
 
     def remove(self, operator: Operator) -> None:
         """Disconnect every stream of ``operator`` and unregister it."""

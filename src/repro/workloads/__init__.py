@@ -5,20 +5,16 @@
 * :mod:`repro.workloads.smart_grid` -- hourly smart-meter consumption reports
   (the role of the real smart-grid traces),
 * :mod:`repro.workloads.queries` -- Q1 (broken-down cars), Q2 (accidents),
-  Q3 (long-term blackout) and Q4 (meter anomaly), in both the single-process
-  and the three-instance distributed deployments.
+  Q3 (long-term blackout) and Q4 (meter anomaly) as dataflows, their
+  three-instance placements, and :func:`~repro.workloads.queries.query_pipeline`,
+  which deploys a query single-process or distributed.
 """
 
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
 from repro.workloads.smart_grid import SmartGridConfig, SmartGridGenerator
 from repro.workloads.queries import (
-    QUERY_BUILDERS,
     QUERY_DATAFLOWS,
     QUERY_PLACEMENTS,
-    QueryBundle,
-    DistributedBundle,
-    build_query,
-    build_distributed_query,
     query_dataflow,
     query_pipeline,
     query_placement,
@@ -29,13 +25,8 @@ __all__ = [
     "LinearRoadGenerator",
     "SmartGridConfig",
     "SmartGridGenerator",
-    "QUERY_BUILDERS",
     "QUERY_DATAFLOWS",
     "QUERY_PLACEMENTS",
-    "QueryBundle",
-    "DistributedBundle",
-    "build_query",
-    "build_distributed_query",
     "query_dataflow",
     "query_pipeline",
     "query_placement",

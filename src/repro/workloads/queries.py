@@ -1,14 +1,15 @@
 """The four evaluation queries of the paper (Q1-Q4), built with the fluent API.
 
 Each query is described once as a :class:`~repro.api.dataflow.Dataflow`
-(:func:`query_dataflow`) and deployed through the
-:class:`~repro.api.pipeline.Pipeline` facade in two ways, mirroring
-section 7:
+(:func:`query_dataflow`); :func:`query_pipeline` deploys it through the
+:class:`~repro.api.pipeline.Pipeline` facade in one of two ways, mirroring
+section 7 (``.build()`` or ``.run()`` it for a
+:class:`~repro.api.pipeline.PipelineResult`):
 
-* **intra-process** (:func:`build_query`): every operator in one SPE
+* **intra-process** (``deployment="intra"``): every operator in one SPE
   instance; provenance capture (when enabled) is spliced in by the pipeline
   (an SU operator in front of every Sink, Theorem 5.3).
-* **inter-process** (:func:`build_distributed_query`): the three-instance
+* **inter-process** (``deployment="inter"``): the three-instance
   deployments of Figures 7, 9C, 10C and 11C, expressed as a
   :class:`~repro.api.pipeline.Placement` (:data:`QUERY_PLACEMENTS`) -- two
   processing instances plus one provenance instance hosting the MU operator
@@ -30,28 +31,14 @@ The queries themselves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Union
 
 from repro.api.dataflow import Dataflow
-from repro.api.pipeline import (
-    Pipeline,
-    PipelineResult,
-    Placement,
-    traversal_times_by_instance,
-)
-from repro.core.provenance import (
-    ProvenanceCapture,
-    ProvenanceCollector,
-    ProvenanceMode,
-)
-from repro.spe.channels import Channel
-from repro.spe.instance import SPEInstance
+from repro.api.pipeline import Pipeline, Placement
+from repro.core.provenance import ProvenanceMode
+from repro.obs.telemetry import Telemetry, TelemetryConfig
+from repro.spe.cluster import Hosts
 from repro.spe.operators.aggregate import WindowSpec
-from repro.spe.operators.sink import SinkOperator
-from repro.spe.operators.source import SourceOperator
-from repro.spe.provenance_api import ProvenanceManager
-from repro.spe.query import Query
 from repro.spe.tuples import StreamTuple
 from repro.workloads.smart_grid import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -67,12 +54,15 @@ LINEAR_ROAD_SCHEMA = ("car_id", "speed", "pos")
 #: field set of the Smart Grid measurements (:mod:`repro.workloads.smart_grid`).
 SMART_GRID_SCHEMA = ("meter_id", "cons")
 
+#: what a query's Source reads: tuples, or a callable returning fresh ones.
+Supplier = Union[Iterable[StreamTuple], Callable[[], Iterable[StreamTuple]]]
+
 
 # ---------------------------------------------------------------------------
-# aggregate / join functions shared by the intra- and inter-process builders
+# aggregate / join functions of the queries
 # ---------------------------------------------------------------------------
 
-def stopped_car_aggregate(window: Sequence[StreamTuple], key) -> Dict[str, object]:
+def stopped_car_aggregate(window: Sequence[StreamTuple], key: Hashable) -> Dict[str, object]:
     """Q1/Q2 first Aggregate: per-car count and distinct positions."""
     # direct ``.values`` access: this runs once per car per window flush and
     # the ``__getitem__`` indirection is measurable at benchmark rates.
@@ -90,7 +80,7 @@ def stopped_car_alert(tup: StreamTuple) -> bool:
     return values["count"] == 4 and values["dist_pos"] == 1
 
 
-def accident_aggregate(window: Sequence[StreamTuple], key) -> Dict[str, object]:
+def accident_aggregate(window: Sequence[StreamTuple], key: Hashable) -> Dict[str, object]:
     """Q2 second Aggregate: number of distinct stopped cars per position."""
     return {
         "last_pos": key,
@@ -103,7 +93,7 @@ def accident_alert(tup: StreamTuple) -> bool:
     return tup["count"] >= 2
 
 
-def daily_consumption_aggregate(window: Sequence[StreamTuple], key) -> Dict[str, object]:
+def daily_consumption_aggregate(window: Sequence[StreamTuple], key: Hashable) -> Dict[str, object]:
     """Q3/Q4 first Aggregate: daily consumption sum per meter."""
     return {
         "meter_id": key,
@@ -116,7 +106,7 @@ def zero_consumption(tup: StreamTuple) -> bool:
     return tup["cons_sum"] == 0
 
 
-def blackout_count_aggregate(window: Sequence[StreamTuple], key) -> Dict[str, object]:
+def blackout_count_aggregate(window: Sequence[StreamTuple], key: Hashable) -> Dict[str, object]:
     """Q3 second Aggregate: number of zero-consumption meters in a day."""
     return {"count": len(window)}
 
@@ -154,7 +144,7 @@ def anomaly_alert(tup: StreamTuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def q1_dataflow(supplier, parallelism: int = 1) -> Dataflow:
+def q1_dataflow(supplier: Supplier, parallelism: int = 1) -> Dataflow:
     """Q1 - detecting broken-down cars (Figure 1).
 
     ``parallelism > 1`` shards the per-car Aggregate across key-disjoint
@@ -176,7 +166,7 @@ def q1_dataflow(supplier, parallelism: int = 1) -> Dataflow:
     return df
 
 
-def q2_dataflow(supplier, parallelism: int = 1) -> Dataflow:
+def q2_dataflow(supplier: Supplier, parallelism: int = 1) -> Dataflow:
     """Q2 - detecting accidents (Figure 9A).
 
     ``parallelism > 1`` shards both Aggregates: the stop counter on
@@ -205,7 +195,7 @@ def q2_dataflow(supplier, parallelism: int = 1) -> Dataflow:
     return df
 
 
-def q3_dataflow(supplier, parallelism: int = 1) -> Dataflow:
+def q3_dataflow(supplier: Supplier, parallelism: int = 1) -> Dataflow:
     """Q3 - long-term blackout detection (Figure 10A).
 
     ``parallelism > 1`` shards the per-meter daily Aggregate on
@@ -232,7 +222,7 @@ def q3_dataflow(supplier, parallelism: int = 1) -> Dataflow:
     return df
 
 
-def q4_dataflow(supplier, parallelism: int = 1) -> Dataflow:
+def q4_dataflow(supplier: Supplier, parallelism: int = 1) -> Dataflow:
     """Q4 - meter anomaly detection (Figure 11A).
 
     ``parallelism > 1`` shards the daily Aggregate *and* the Join, both on
@@ -306,16 +296,8 @@ QUERY_PLACEMENTS: Dict[str, Placement] = {
     ),
 }
 
-#: query name -> sum of the window sizes of its stateful operators (seconds).
-QUERY_WINDOW_SUMS: Dict[str, float] = {
-    "q1": 120.0,
-    "q2": 150.0,
-    "q3": 2 * SECONDS_PER_DAY,
-    "q4": SECONDS_PER_DAY + SECONDS_PER_HOUR,
-}
 
-
-def query_dataflow(name: str, supplier, parallelism: int = 1) -> Dataflow:
+def query_dataflow(name: str, supplier: Supplier, parallelism: int = 1) -> Dataflow:
     """The fluent dataflow of query ``name`` ("q1".."q4") over ``supplier``.
 
     ``parallelism`` shards the keyed stateful stages (see each query factory);
@@ -417,14 +399,14 @@ def query_parallel_placement(name: str, parallelism: int) -> Placement:
 
 def query_pipeline(
     name: str,
-    supplier,
+    supplier: Supplier,
     mode: ProvenanceMode = ProvenanceMode.NONE,
     deployment: str = "intra",
     fused: bool = True,
     execution: str = "event",
     parallelism: int = 1,
-    hosts=None,
-    telemetry=None,
+    hosts: Hosts = None,
+    telemetry: Union[None, bool, TelemetryConfig, Telemetry] = None,
 ) -> Pipeline:
     """A ready-to-run :class:`Pipeline` for query ``name``.
 
@@ -440,14 +422,13 @@ def query_pipeline(
     """
     if deployment not in ("intra", "inter"):
         raise ValueError(f"unknown deployment {deployment!r}; expected 'intra' or 'inter'")
+    placement: Optional[Placement] = None
     if deployment == "inter":
         placement = (
             query_parallel_placement(name, parallelism)
             if parallelism > 1
             else query_placement(name)
         )
-    else:
-        placement = None
     return Pipeline(
         query_dataflow(name, supplier, parallelism=parallelism),
         provenance=mode,
@@ -457,143 +438,3 @@ def query_pipeline(
         hosts=hosts,
         telemetry=telemetry,
     )
-
-
-# ---------------------------------------------------------------------------
-# legacy-shaped bundles (the stable result surface of the builders below)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class QueryBundle:
-    """A built single-process query plus its measurement handles."""
-
-    query: Query
-    source: SourceOperator
-    sink: SinkOperator
-    capture: ProvenanceCapture
-
-    @property
-    def provenance_records(self):
-        """Provenance records collected for the query's Sink."""
-        return self.capture.records()
-
-
-@dataclass
-class DistributedBundle:
-    """A built distributed deployment plus its measurement handles."""
-
-    mode: ProvenanceMode
-    instances: List[SPEInstance]
-    source: SourceOperator
-    sink: SinkOperator
-    collector: Optional[ProvenanceCollector]
-    managers: Dict[str, ProvenanceManager] = field(default_factory=dict)
-    channels: List[Channel] = field(default_factory=list)
-
-    def provenance_records(self):
-        """Provenance records collected at the provenance instance."""
-        return self.collector.records() if self.collector else []
-
-    def traversal_times_by_instance(self) -> Dict[str, List[float]]:
-        """Per-instance contribution-graph traversal times (seconds)."""
-        return traversal_times_by_instance(self.managers)
-
-
-def _as_query_bundle(result: PipelineResult) -> QueryBundle:
-    return QueryBundle(
-        query=result.query,
-        source=result.source,
-        sink=result.sink,
-        capture=result.capture,
-    )
-
-
-def _as_distributed_bundle(result: PipelineResult) -> DistributedBundle:
-    return DistributedBundle(
-        mode=result.mode,
-        instances=result.instances,
-        source=result.source,
-        sink=result.sink,
-        collector=result.collector,
-        managers=result.managers,
-        channels=result.channels,
-    )
-
-
-# ---------------------------------------------------------------------------
-# intra-process (single SPE instance) builders
-# ---------------------------------------------------------------------------
-
-
-def build_query(
-    name: str,
-    supplier,
-    mode: ProvenanceMode = ProvenanceMode.NONE,
-    fused: bool = True,
-) -> QueryBundle:
-    """Build the intra-process deployment of query ``name`` ("q1".."q4")."""
-    pipeline = query_pipeline(name, supplier, mode=mode, deployment="intra", fused=fused)
-    return _as_query_bundle(pipeline.build())
-
-
-def _intra_builder(name: str) -> Callable[..., QueryBundle]:
-    def build(supplier, mode: ProvenanceMode = ProvenanceMode.NONE, fused: bool = True):
-        return build_query(name, supplier, mode=mode, fused=fused)
-
-    build.__name__ = f"build_{name}"
-    build.__doc__ = QUERY_DATAFLOWS[name].__doc__
-    return build
-
-
-build_q1 = _intra_builder("q1")
-build_q2 = _intra_builder("q2")
-build_q3 = _intra_builder("q3")
-build_q4 = _intra_builder("q4")
-
-#: query name -> intra-process builder.
-QUERY_BUILDERS: Dict[str, Callable[..., QueryBundle]] = {
-    "q1": build_q1,
-    "q2": build_q2,
-    "q3": build_q3,
-    "q4": build_q4,
-}
-
-
-# ---------------------------------------------------------------------------
-# inter-process (three SPE instances) builders
-# ---------------------------------------------------------------------------
-
-
-def build_distributed_query(
-    name: str,
-    supplier,
-    mode: ProvenanceMode = ProvenanceMode.NONE,
-    fused: bool = True,
-) -> DistributedBundle:
-    """Build the three-instance deployment of query ``name`` ("q1".."q4")."""
-    pipeline = query_pipeline(name, supplier, mode=mode, deployment="inter", fused=fused)
-    return _as_distributed_bundle(pipeline.build())
-
-
-def _inter_builder(name: str) -> Callable[..., DistributedBundle]:
-    def build(supplier, mode: ProvenanceMode = ProvenanceMode.NONE, fused: bool = True):
-        return build_distributed_query(name, supplier, mode=mode, fused=fused)
-
-    build.__name__ = f"build_{name}_distributed"
-    build.__doc__ = f"{QUERY_DATAFLOWS[name].__doc__} -- three-instance deployment."
-    return build
-
-
-build_q1_distributed = _inter_builder("q1")
-build_q2_distributed = _inter_builder("q2")
-build_q3_distributed = _inter_builder("q3")
-build_q4_distributed = _inter_builder("q4")
-
-#: query name -> inter-process builder.
-DISTRIBUTED_BUILDERS: Dict[str, Callable[..., DistributedBundle]] = {
-    "q1": build_q1_distributed,
-    "q2": build_q2_distributed,
-    "q3": build_q3_distributed,
-    "q4": build_q4_distributed,
-}

@@ -7,6 +7,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import pytest
 
 from repro.core.provenance import ProvenanceMode
+from repro.provstore.tap import ProvenanceTap
 from repro.spe.scheduler import Scheduler
 from repro.spe.tuples import StreamTuple
 
@@ -42,14 +43,20 @@ def figure1_reports() -> List[StreamTuple]:
     ]
 
 
-def run_query(bundle) -> None:
-    """Run an intra-process :class:`QueryBundle` to completion."""
-    Scheduler(bundle.query).run()
+def run_built(result) -> None:
+    """Run a :class:`~repro.api.pipeline.PipelineResult` built without a
+    ``Pipeline`` (the legacy oracle's) to completion, in process."""
+    Scheduler(*([result.query] if result.query is not None else result.instances)).run()
 
 
-def run_distributed(bundle) -> None:
-    """Run a :class:`DistributedBundle`'s instances to completion."""
-    Scheduler(*bundle.instances).run()
+class RecordingTap(ProvenanceTap):
+    """Keeps every tuple its Sink receives (provenance Sinks keep none)."""
+
+    def __init__(self) -> None:
+        self.tuples: List[StreamTuple] = []
+
+    def on_tuple(self, tup: StreamTuple) -> None:
+        self.tuples.append(tup)
 
 
 def record_index(records: Iterable) -> Dict[Tuple, Tuple[float, ...]]:

@@ -79,7 +79,7 @@ class TestAnalysisCli:
     def test_rules_listing(self, capsys):
         assert analysis_cli(["--rules"]) == 0
         out = capsys.readouterr().out
-        assert "graph.merge-deadlock" in out
+        assert "graph.cycle" in out
         assert "schema.unknown-field" in out
         assert "concurrency.captured-state-mutation" in out
 

@@ -18,9 +18,8 @@ import pytest
 from repro.api import Pipeline
 from repro.core.meta import GeneaLogMeta
 from repro.core.provenance import ProvenanceMode
-from repro.spe.scheduler import Scheduler
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
-from repro.workloads.queries import build_query, query_dataflow
+from repro.workloads.queries import query_dataflow, query_pipeline
 
 CONFIG = LinearRoadConfig(
     n_cars=10, duration_s=1200.0, breakdown_probability=0.05, seed=77
@@ -36,45 +35,44 @@ def run_with_weakrefs(mode):
             refs.append(weakref.ref(source_tuple))
             yield source_tuple
 
-    bundle = build_query("q1", supplier, mode=mode)
-    Scheduler(bundle.query).run()
+    result = query_pipeline("q1", supplier, mode=mode).run()
     gc.collect()
     alive = sum(1 for ref in refs if ref() is not None)
-    return bundle, refs, alive
+    return result, refs, alive
 
 
 class TestMemoryReclamation:
     def test_genealog_only_retains_contributing_sources(self):
-        bundle, refs, alive = run_with_weakrefs(ProvenanceMode.GENEALOG)
+        result, refs, alive = run_with_weakrefs(ProvenanceMode.GENEALOG)
         total = len(refs)
         contributing = {
             (entry["ts_o"], entry["car_id"])
-            for record in bundle.capture.records()
+            for record in result.capture.records()
             for entry in record.sources
         }
-        assert bundle.sink.count > 0
+        assert result.sink.count > 0
         # Every non-contributing source tuple has been reclaimed; what stays
         # alive is bounded by the contributing tuples still referenced
-        # through the retained sink tuples (bundle.sink.received).
+        # through the retained sink tuples (result.sink.received).
         assert alive < total
         assert alive <= len(contributing) * 2  # sliding windows may pin a few extras
 
     def test_genealog_releases_everything_once_results_are_dropped(self):
-        bundle, refs, _ = run_with_weakrefs(ProvenanceMode.GENEALOG)
-        bundle.sink.clear()
-        del bundle
+        result, refs, _ = run_with_weakrefs(ProvenanceMode.GENEALOG)
+        result.sink.clear()
+        del result
         gc.collect()
         assert all(ref() is None for ref in refs)
 
     def test_baseline_retains_every_source_tuple(self):
-        bundle, refs, alive = run_with_weakrefs(ProvenanceMode.BASELINE)
+        result, refs, alive = run_with_weakrefs(ProvenanceMode.BASELINE)
         # The baseline's store pins the whole source stream, contributing or not.
         assert alive == len(refs)
-        assert bundle.capture.manager.retained_items() == len(refs)
+        assert result.capture.manager.retained_items() == len(refs)
 
     def test_no_provenance_retains_nothing(self):
-        bundle, refs, alive = run_with_weakrefs(ProvenanceMode.NONE)
-        assert bundle.sink.count > 0
+        result, refs, alive = run_with_weakrefs(ProvenanceMode.NONE)
+        assert result.sink.count > 0
         assert alive == 0
 
 

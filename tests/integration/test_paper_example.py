@@ -10,20 +10,18 @@ six position reports of Figure 1, the query produces the sink tuple
 
 
 from repro.core.provenance import ProvenanceMode
-from repro.workloads.queries import build_query
-from tests.conftest import FIGURE1_BASE_TS, figure1_reports, run_query
+from repro.workloads.queries import query_pipeline
+from tests.conftest import FIGURE1_BASE_TS, figure1_reports
 
 
 class TestFigure1Example:
     def _run(self, mode, fused=True):
-        bundle = build_query("q1", figure1_reports, mode=mode, fused=fused)
-        run_query(bundle)
-        return bundle
+        return query_pipeline("q1", figure1_reports, mode=mode, fused=fused).run()
 
     def test_sink_tuple_matches_the_paper(self):
-        bundle = self._run(ProvenanceMode.NONE)
-        assert len(bundle.sink.received) == 1
-        alert = bundle.sink.received[0]
+        result = self._run(ProvenanceMode.NONE)
+        assert len(result.sink.received) == 1
+        alert = result.sink.received[0]
         assert alert.ts == FIGURE1_BASE_TS
         assert alert["car_id"] == "a"
         assert alert["count"] == 4
@@ -32,14 +30,14 @@ class TestFigure1Example:
     def test_sink_output_is_identical_under_all_techniques(self):
         results = {}
         for mode in ProvenanceMode:
-            bundle = self._run(mode)
-            results[mode] = [(t.ts, dict(t.values)) for t in bundle.sink.received]
+            result = self._run(mode)
+            results[mode] = [(t.ts, dict(t.values)) for t in result.sink.received]
         assert results[ProvenanceMode.NONE] == results[ProvenanceMode.GENEALOG]
         assert results[ProvenanceMode.NONE] == results[ProvenanceMode.BASELINE]
 
     def test_provenance_is_the_four_reports_of_car_a(self, provenance_mode):
-        bundle = self._run(provenance_mode)
-        records = bundle.capture.records()
+        result = self._run(provenance_mode)
+        records = result.capture.records()
         assert len(records) == 1
         record = records[0]
         assert record.sink_values["car_id"] == "a"
@@ -52,8 +50,8 @@ class TestFigure1Example:
         assert all(entry["type_o"] == "SOURCE" for entry in record.sources)
 
     def test_non_contributing_reports_are_excluded(self, provenance_mode):
-        bundle = self._run(provenance_mode)
-        record = bundle.capture.records()[0]
+        result = self._run(provenance_mode)
+        record = result.capture.records()[0]
         contributing_cars = {entry["car_id"] for entry in record.sources}
         # the reports of cars "b" (moving) and "c" (stopped only once) do not
         # contribute to the alert.
@@ -68,5 +66,5 @@ class TestFigure1Example:
 
     def test_provenance_size_matches_section_7(self, provenance_mode):
         # "As for provenance, 4 source tuples contribute to each sink tuple" (Q1).
-        bundle = self._run(provenance_mode)
-        assert [r.source_count for r in bundle.capture.records()] == [4]
+        result = self._run(provenance_mode)
+        assert [r.source_count for r in result.capture.records()] == [4]

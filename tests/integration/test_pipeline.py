@@ -25,7 +25,7 @@ from repro.workloads.queries import (
 )
 from repro.workloads.smart_grid import SmartGridConfig, SmartGridGenerator
 from tests import legacy_queries
-from tests.conftest import record_index, run_distributed, run_query
+from tests.conftest import RecordingTap, record_index, run_built
 
 LINEAR_ROAD = LinearRoadConfig(
     n_cars=10, duration_s=1200.0, breakdown_probability=0.06, accident_probability=0.7, seed=31
@@ -60,7 +60,7 @@ class TestPipelineIntraParity:
         supplier = workload_for(query_name)
         result = query_pipeline(query_name, supplier, mode=mode).run()
         legacy = legacy_queries.build_query(query_name, supplier, mode=mode)
-        run_query(legacy)
+        run_built(legacy)
         assert result.sink.count > 0
         assert sink_values(result.sink) == sink_values(legacy.sink)
         assert record_index(result.provenance_records()) == record_index(
@@ -83,7 +83,7 @@ class TestPipelineInterParity:
         supplier = workload_for(query_name)
         result = query_pipeline(query_name, supplier, mode=mode, deployment="inter").run()
         legacy = legacy_queries.build_distributed_query(query_name, supplier, mode=mode)
-        run_distributed(legacy)
+        run_built(legacy)
         assert result.sink.count > 0
         assert sink_values(result.sink) == sink_values(legacy.sink)
         assert record_index(result.provenance_records()) == record_index(
@@ -144,6 +144,15 @@ class TestPipelineFacade:
             f"unknown execution mode {execution!r}; expected 'event', 'process' or 'cluster'"
         )
 
+    @pytest.mark.parametrize("provenance", ("bogus", "", "GeneaLogs"))
+    def test_unknown_provenance_mode_rejected(self, provenance):
+        with pytest.raises(DataflowError) as excinfo:
+            Pipeline(query_dataflow("q1", workload_for("q1")), provenance=provenance)
+        assert str(excinfo.value) == (
+            f"unknown provenance mode {provenance!r}; expected 'none', 'genealog' or "
+            "'baseline' (or the paper's 'NP', 'GL', 'BL')"
+        )
+
     def test_build_is_idempotent(self):
         pipeline = query_pipeline("q1", workload_for("q1"), mode=ProvenanceMode.GENEALOG)
         assert pipeline.build() is pipeline.build()
@@ -162,7 +171,7 @@ class TestPipelineFacade:
         legacy = legacy_queries.build_distributed_query(
             "q1", supplier, mode=ProvenanceMode.GENEALOG
         )
-        run_distributed(legacy)
+        run_built(legacy)
         assert record_index(result.provenance_records()) == record_index(
             legacy.provenance_records()
         )
@@ -391,10 +400,11 @@ class TestPipelineSpliceRegressions:
         assert [d.operators for d in info.value.report.errors] == [("out", "src")]
 
     def test_baseline_without_sources_raises_descriptive_error(self):
-        from repro.spe.channels import Channel
+        from repro.spe.operators.source import SourceOperator
 
         df = Dataflow("fragment")
-        df.receive("r", Channel("in")).filter(lambda t: True, name="f").sink("out")
+        root = df.stage(lambda: SourceOperator("r", []), name="r")
+        root.filter(lambda t: True, name="f").sink("out")
         placement = Placement({"a": ("r", "f"), "b": ("out",)})
         with pytest.raises(PlanAnalysisError, match="no Source stage") as info:
             Pipeline(df, provenance="baseline", placement=placement).build()
@@ -402,17 +412,19 @@ class TestPipelineSpliceRegressions:
         assert diag.rule == "provenance.capture-shape"
         assert diag.operators == ("r",)
 
-    def test_keep_unfolded_tuples_inter(self):
+    def test_a_tap_on_the_provenance_sink_reads_the_unfolded_stream_inter(self):
         supplier = workload_for("q1")
         pipeline = Pipeline(
             query_dataflow("q1", supplier),
             provenance="genealog",
             placement=query_placement("q1"),
-            keep_unfolded_tuples=True,
         )
+        provenance_sink = pipeline.build().instances[-1]["provenance_sink"]
+        recorder = RecordingTap()
+        provenance_sink.add_tap(recorder)
         result = pipeline.run()
-        provenance_sink = result.instances[-1]["provenance_sink"]
-        assert provenance_sink.received  # unfolded tuples retained on request
+        assert not provenance_sink.received  # provenance Sinks keep no tuples
+        assert len(recorder.tuples) == result.collector.unfolded_tuples > 0
 
 
 class TestIdentityStages:

@@ -32,6 +32,7 @@ from repro.workloads.queries import (
     query_placement,
 )
 from repro.workloads.smart_grid import SmartGridConfig, SmartGridGenerator
+from tests.conftest import RecordingTap
 
 LINEAR_ROAD = LinearRoadConfig(
     n_cars=10, duration_s=1200.0, breakdown_probability=0.06, accident_probability=0.7, seed=31
@@ -307,12 +308,15 @@ class TestFirstSightCost:
         with pytest.MonkeyPatch.context() as patch:
             for cls in (ledger_module.SourceEntry, ledger_module._PendingMapping):
                 patch.setattr(ledger_module, cls.__name__, counting(cls))
-            result = Pipeline(
+            pipeline = Pipeline(
                 query_dataflow("q1", LinearRoadGenerator(config).tuples),
                 provenance="genealog",
                 provenance_store=store,
-                keep_unfolded_tuples=True,
-            ).run()
+            )
+            (provenance_sink,) = pipeline.build().capture.provenance_sinks.values()
+            recorder = RecordingTap()
+            provenance_sink.add_tap(recorder)
+            result = pipeline.run()
             assert store.sealed_count == result.sink.count > 0
             assert store.ingested_tuples > store.source_count > store.sealed_count
             assert built == {
@@ -321,8 +325,7 @@ class TestFirstSightCost:
             }
             # The whole stream once more (every mapping has sealed: all late)
             # and into a fresh ledger twice (second time: all duplicates).
-            (provenance_sink,) = result.capture.provenance_sinks.values()
-            stream = provenance_sink.received
+            stream = recorder.tuples
             assert len(stream) == store.ingested_tuples
             store.ingest_batch(stream)
             assert store.late_tuples == len(stream)

@@ -10,9 +10,9 @@ import pytest
 from repro.core.provenance import ProvenanceMode
 from repro.core.types import TupleType
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
-from repro.workloads.queries import build_distributed_query, build_query
+from repro.workloads.queries import query_pipeline
 from repro.workloads.smart_grid import SmartGridConfig, SmartGridGenerator
-from tests.conftest import record_index, run_distributed, run_query
+from tests.conftest import record_index
 
 LINEAR_ROAD = LinearRoadConfig(
     n_cars=10, duration_s=1200.0, breakdown_probability=0.06, accident_probability=0.7, seed=31
@@ -35,53 +35,51 @@ def workload_for(query_name):
     return SmartGridGenerator(SMART_GRID).tuples
 
 
+def inter_pipeline(query_name, mode, fused=True):
+    return query_pipeline(
+        query_name, workload_for(query_name), mode=mode, deployment="inter", fused=fused
+    )
+
+
 def run_inter(query_name, mode, fused=True):
-    bundle = build_distributed_query(query_name, workload_for(query_name), mode=mode, fused=fused)
-    run_distributed(bundle)
-    return bundle
+    return inter_pipeline(query_name, mode, fused=fused).run()
 
 
 def run_intra(query_name, mode):
-    bundle = build_query(query_name, workload_for(query_name), mode=mode)
-    run_query(bundle)
-    return bundle
+    return query_pipeline(query_name, workload_for(query_name), mode=mode).run()
 
 
 class TestDeploymentStructure:
     @pytest.mark.parametrize("query_name", ALL_QUERIES)
     def test_np_uses_two_instances(self, query_name):
-        bundle = build_distributed_query(
-            query_name, workload_for(query_name), mode=ProvenanceMode.NONE
-        )
-        assert len(bundle.instances) == 2
+        result = inter_pipeline(query_name, ProvenanceMode.NONE).build()
+        assert len(result.instances) == 2
 
     @pytest.mark.parametrize("query_name", ALL_QUERIES)
     @pytest.mark.parametrize(
         "mode", [ProvenanceMode.GENEALOG, ProvenanceMode.BASELINE], ids=["GL", "BL"]
     )
     def test_provenance_adds_a_third_instance(self, query_name, mode):
-        bundle = build_distributed_query(query_name, workload_for(query_name), mode=mode)
-        assert len(bundle.instances) == 3
-        assert bundle.instances[-1].name == "provenance_node"
+        result = inter_pipeline(query_name, mode).build()
+        assert len(result.instances) == 3
+        assert result.instances[-1].name == "provenance_node"
 
     @pytest.mark.parametrize("query_name", ALL_QUERIES)
     def test_instances_communicate_only_through_send_receive(self, query_name):
-        bundle = build_distributed_query(
-            query_name, workload_for(query_name), mode=ProvenanceMode.GENEALOG
-        )
-        for instance in bundle.instances:
+        result = inter_pipeline(query_name, ProvenanceMode.GENEALOG).build()
+        for instance in result.instances:
             for op in instance.operators:
                 for stream in op.outputs:
                     # every stream stays inside one instance
                     assert stream in instance.streams
-        sends = sum(len(instance.sends()) for instance in bundle.instances)
-        receives = sum(len(instance.receives()) for instance in bundle.instances)
+        sends = sum(len(instance.sends()) for instance in result.instances)
+        receives = sum(len(instance.receives()) for instance in result.instances)
         assert sends == receives
-        assert sends == len(bundle.channels)
+        assert sends == len(result.channels)
 
     def test_ordering_values(self):
-        bundle = run_inter("q1", ProvenanceMode.GENEALOG)
-        values = {instance.name: instance.ordering_value for instance in bundle.instances}
+        result = run_inter("q1", ProvenanceMode.GENEALOG)
+        values = {instance.name: instance.ordering_value for instance in result.instances}
         assert values["spe1"] == 0
         assert values["spe2"] == 1
         assert values["provenance_node"] == 2
@@ -121,12 +119,12 @@ class TestDistributedResults:
 
 class TestInterProcessMechanics:
     def test_remote_tuples_appear_at_the_second_instance(self):
-        bundle = run_inter("q1", ProvenanceMode.GENEALOG)
-        spe2 = next(i for i in bundle.instances if i.name == "spe2")
+        result = run_inter("q1", ProvenanceMode.GENEALOG)
+        spe2 = next(i for i in result.instances if i.name == "spe2")
         receive = spe2.receives()[0]
         # every tuple that crossed the boundary must have been re-typed.
         assert receive.tuples_in > 0
-        sink_records = bundle.provenance_records()
+        sink_records = result.provenance_records()
         assert sink_records
         for record in sink_records:
             assert all(entry["type_o"] == TupleType.SOURCE.value for entry in record.sources)
@@ -174,11 +172,11 @@ class TestInterProcessMechanics:
         assert 0 < sent < source_count
 
     def test_channels_report_traffic(self):
-        bundle = run_inter("q1", ProvenanceMode.GENEALOG)
-        assert all(channel.closed for channel in bundle.channels)
+        result = run_inter("q1", ProvenanceMode.GENEALOG)
+        assert all(channel.closed for channel in result.channels)
         assert all(
             channel.bytes_sent > 0
-            for channel in bundle.channels
+            for channel in result.channels
             if "upstream" not in channel.name
         )
-        assert [c.bytes_sent for c in bundle.channels if "upstream" in c.name] == [0]
+        assert [c.bytes_sent for c in result.channels if "upstream" in c.name] == [0]

@@ -19,13 +19,13 @@ import pytest
 
 from repro.core.provenance import ProvenanceMode
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
-from repro.workloads.queries import build_query
+from repro.workloads.queries import query_pipeline
 from repro.workloads.smart_grid import (
     SECONDS_PER_DAY,
     SmartGridConfig,
     SmartGridGenerator,
 )
-from tests.conftest import record_index, run_query
+from tests.conftest import record_index
 
 LINEAR_ROAD = LinearRoadConfig(
     n_cars=12, duration_s=1500.0, breakdown_probability=0.05, accident_probability=0.6, seed=21
@@ -47,9 +47,7 @@ def workload_for(query_name):
 
 
 def run(query_name, mode, fused=True):
-    bundle = build_query(query_name, workload_for(query_name), mode=mode, fused=fused)
-    run_query(bundle)
-    return bundle
+    return query_pipeline(query_name, workload_for(query_name), mode=mode, fused=fused).run()
 
 
 ALL_QUERIES = ("q1", "q2", "q3", "q4")
@@ -58,15 +56,15 @@ ALL_QUERIES = ("q1", "q2", "q3", "q4")
 class TestQueryOutputs:
     @pytest.mark.parametrize("query_name", ALL_QUERIES)
     def test_queries_produce_alerts(self, query_name):
-        bundle = run(query_name, ProvenanceMode.NONE)
-        assert bundle.sink.count > 0
+        result = run(query_name, ProvenanceMode.NONE)
+        assert result.sink.count > 0
 
     @pytest.mark.parametrize("query_name", ALL_QUERIES)
     def test_sink_output_is_independent_of_the_technique(self, query_name):
         outputs = {}
         for mode in ProvenanceMode:
-            bundle = run(query_name, mode)
-            outputs[mode] = [(t.ts, dict(t.values)) for t in bundle.sink.received]
+            result = run(query_name, mode)
+            outputs[mode] = [(t.ts, dict(t.values)) for t in result.sink.received]
         assert outputs[ProvenanceMode.NONE] == outputs[ProvenanceMode.GENEALOG]
         assert outputs[ProvenanceMode.NONE] == outputs[ProvenanceMode.BASELINE]
 
@@ -93,32 +91,32 @@ class TestProvenanceAgreement:
 
     @pytest.mark.parametrize("query_name", ALL_QUERIES)
     def test_one_record_per_sink_tuple(self, query_name, provenance_mode):
-        bundle = run(query_name, provenance_mode)
-        assert len(bundle.capture.records()) == bundle.sink.count
+        result = run(query_name, provenance_mode)
+        assert len(result.capture.records()) == result.sink.count
 
 
 class TestProvenanceSizes:
     def test_q1_sizes(self, provenance_mode):
-        bundle = run("q1", provenance_mode)
-        sizes = {record.source_count for record in bundle.capture.records()}
+        result = run("q1", provenance_mode)
+        sizes = {record.source_count for record in result.capture.records()}
         assert sizes == {4}
 
     def test_q2_sizes(self, provenance_mode):
-        bundle = run("q2", provenance_mode)
-        sizes = {record.source_count for record in bundle.capture.records()}
+        result = run("q2", provenance_mode)
+        sizes = {record.source_count for record in result.capture.records()}
         # at least two stopped cars with four reports each
         assert all(size >= 8 for size in sizes)
         assert 8 in sizes
 
     def test_q3_sizes(self, provenance_mode):
-        bundle = run("q3", provenance_mode)
-        sizes = {record.source_count for record in bundle.capture.records()}
+        result = run("q3", provenance_mode)
+        sizes = {record.source_count for record in result.capture.records()}
         # 8 blacked-out meters x 24 hourly readings
         assert sizes == {192}
 
     def test_q4_sizes(self, provenance_mode):
-        bundle = run("q4", provenance_mode)
-        sizes = {record.source_count for record in bundle.capture.records()}
+        result = run("q4", provenance_mode)
+        sizes = {record.source_count for record in result.capture.records()}
         # the 24 readings of the previous day plus the midnight reading
         assert sizes == {25}
 
@@ -132,8 +130,8 @@ class TestProvenanceOracles:
         for report in reports:
             by_car[report["car_id"]].append(report)
 
-        bundle = run("q1", provenance_mode)
-        records = bundle.capture.records()
+        result = run("q1", provenance_mode)
+        records = result.capture.records()
         assert records
         for record in records:
             car = record.sink_values["car_id"]
@@ -151,8 +149,8 @@ class TestProvenanceOracles:
         """Every Q3 alert must trace back to all hourly readings of the
         blacked-out meters of that day."""
         readings = list(SmartGridGenerator(SMART_GRID).tuples())
-        bundle = run("q3", provenance_mode)
-        records = bundle.capture.records()
+        result = run("q3", provenance_mode)
+        records = result.capture.records()
         assert records
         for record in records:
             day_start = record.sink_ts
@@ -172,8 +170,8 @@ class TestProvenanceOracles:
             assert meters_in_provenance == blacked_out
 
     def test_q4_provenance_contains_the_anomalous_midnight_reading(self, provenance_mode):
-        bundle = run("q4", provenance_mode)
-        records = bundle.capture.records()
+        result = run("q4", provenance_mode)
+        records = result.capture.records()
         assert records
         for record in records:
             meter = record.sink_values["meter_id"]

@@ -2,7 +2,9 @@
 
 This module is the *oracle* for the fluent-DSL parity tests: it preserves,
 verbatim, the imperative query constructions that ``repro.workloads.queries``
-used before it was rewritten on top of the :mod:`repro.api` surface.  The
+used before it was rewritten on top of the :mod:`repro.api` surface.  Each
+builder returns the built deployment as a
+:class:`~repro.api.pipeline.PipelineResult`, the one handle on a built query.  The
 tests in ``tests/unit/test_dataflow_dsl.py`` and
 ``tests/integration/test_pipeline.py`` assert that the DSL-built queries are
 operator-for-operator identical to these and produce identical sink output
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.api.pipeline import PipelineResult
 from repro.core.baseline import BaselineProvenanceResolver
 from repro.core.multi_unfolder import attach_mu
 from repro.core.provenance import (
@@ -33,9 +36,6 @@ from repro.spe.operators.source import SourceOperator
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.query import Query
 from repro.workloads.queries import (
-    QUERY_WINDOW_SUMS,
-    DistributedBundle,
-    QueryBundle,
     accident_aggregate,
     accident_alert,
     anomaly_alert,
@@ -51,6 +51,16 @@ from repro.workloads.queries import (
 )
 from repro.workloads.smart_grid import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
+#: query name -> sum of the window sizes of its stateful operators (seconds),
+#: the MU / resolver retention of the three-instance deployments (frozen; the
+#: DSL derives it with ``Dataflow.retention_s()``).
+QUERY_WINDOW_SUMS: Dict[str, float] = {
+    "q1": 120.0,
+    "q2": 150.0,
+    "q3": 2 * SECONDS_PER_DAY,
+    "q4": SECONDS_PER_DAY + SECONDS_PER_HOUR,
+}
+
 
 # ---------------------------------------------------------------------------
 # intra-process (single SPE instance) builders
@@ -63,17 +73,26 @@ def _finish_intra(
     sink: SinkOperator,
     mode: ProvenanceMode,
     fused: bool,
-) -> QueryBundle:
+) -> PipelineResult:
     capture = attach_intra_process_provenance(query, mode, fused=fused)
     query.validate()
-    return QueryBundle(query=query, source=source, sink=sink, capture=capture)
+    return PipelineResult(
+        mode=mode,
+        deployment="intra",
+        fused=fused,
+        query=query,
+        sources=[source],
+        sinks=[sink],
+        capture=capture,
+        managers={"local": capture.manager},
+    )
 
 
 def build_q1(
     supplier,
     mode: ProvenanceMode = ProvenanceMode.NONE,
     fused: bool = True,
-) -> QueryBundle:
+) -> PipelineResult:
     """Q1 - detecting broken-down cars (Figure 1)."""
     query = Query("q1")
     source = query.add_source("source", supplier)
@@ -97,7 +116,7 @@ def build_q2(
     supplier,
     mode: ProvenanceMode = ProvenanceMode.NONE,
     fused: bool = True,
-) -> QueryBundle:
+) -> PipelineResult:
     """Q2 - detecting accidents (Figure 9A)."""
     query = Query("q2")
     source = query.add_source("source", supplier)
@@ -130,7 +149,7 @@ def build_q3(
     supplier,
     mode: ProvenanceMode = ProvenanceMode.NONE,
     fused: bool = True,
-) -> QueryBundle:
+) -> PipelineResult:
     """Q3 - long-term blackout detection (Figure 10A)."""
     query = Query("q3")
     source = query.add_source("source", supplier)
@@ -160,7 +179,7 @@ def build_q4(
     supplier,
     mode: ProvenanceMode = ProvenanceMode.NONE,
     fused: bool = True,
-) -> QueryBundle:
+) -> PipelineResult:
     """Q4 - meter anomaly detection (Figure 11A)."""
     query = Query("q4")
     source = query.add_source("source", supplier)
@@ -190,7 +209,7 @@ def build_q4(
     return _finish_intra(query, source, sink, mode, fused)
 
 
-LEGACY_QUERY_BUILDERS: Dict[str, Callable[..., QueryBundle]] = {
+LEGACY_QUERY_BUILDERS: Dict[str, Callable[..., PipelineResult]] = {
     "q1": build_q1,
     "q2": build_q2,
     "q3": build_q3,
@@ -203,7 +222,7 @@ def build_query(
     supplier,
     mode: ProvenanceMode = ProvenanceMode.NONE,
     fused: bool = True,
-) -> QueryBundle:
+) -> PipelineResult:
     """Legacy intra-process construction of query ``name`` ("q1".."q4")."""
     return LEGACY_QUERY_BUILDERS[name.lower()](supplier, mode=mode, fused=fused)
 
@@ -348,16 +367,18 @@ class _DistributedAssembler:
             instance.connect(resolver, provenance_sink)
         instance.set_provenance(self.managers[instance.name])
 
-    def finish(self, source: SourceOperator, sink: SinkOperator) -> DistributedBundle:
+    def finish(self, source: SourceOperator, sink: SinkOperator) -> PipelineResult:
         self.build_provenance_instance()
         for instance in self.instances:
             instance.set_provenance(self.managers[instance.name])
             instance.validate()
-        return DistributedBundle(
+        return PipelineResult(
             mode=self.mode,
+            deployment="inter",
+            fused=self.fused,
             instances=self.instances,
-            source=source,
-            sink=sink,
+            sources=[source],
+            sinks=[sink],
             collector=self.collector,
             managers=self.managers,
             channels=self.channels,
@@ -366,7 +387,7 @@ class _DistributedAssembler:
 
 def build_q1_distributed(
     supplier, mode: ProvenanceMode = ProvenanceMode.NONE, fused: bool = True
-) -> DistributedBundle:
+) -> PipelineResult:
     """Q1 deployed on three SPE instances (Figure 7)."""
     assembler = _DistributedAssembler("q1", mode, fused)
 
@@ -396,7 +417,7 @@ def build_q1_distributed(
 
 def build_q2_distributed(
     supplier, mode: ProvenanceMode = ProvenanceMode.NONE, fused: bool = True
-) -> DistributedBundle:
+) -> PipelineResult:
     """Q2 deployed on three SPE instances (Figure 9C)."""
     assembler = _DistributedAssembler("q2", mode, fused)
 
@@ -435,7 +456,7 @@ def build_q2_distributed(
 
 def build_q3_distributed(
     supplier, mode: ProvenanceMode = ProvenanceMode.NONE, fused: bool = True
-) -> DistributedBundle:
+) -> PipelineResult:
     """Q3 deployed on three SPE instances (Figure 10C)."""
     assembler = _DistributedAssembler("q3", mode, fused)
 
@@ -471,7 +492,7 @@ def build_q3_distributed(
 
 def build_q4_distributed(
     supplier, mode: ProvenanceMode = ProvenanceMode.NONE, fused: bool = True
-) -> DistributedBundle:
+) -> PipelineResult:
     """Q4 deployed on three SPE instances (Figure 11C)."""
     assembler = _DistributedAssembler("q4", mode, fused)
 
@@ -512,7 +533,7 @@ def build_q4_distributed(
     return assembler.finish(source, sink)
 
 
-LEGACY_DISTRIBUTED_BUILDERS: Dict[str, Callable[..., DistributedBundle]] = {
+LEGACY_DISTRIBUTED_BUILDERS: Dict[str, Callable[..., PipelineResult]] = {
     "q1": build_q1_distributed,
     "q2": build_q2_distributed,
     "q3": build_q3_distributed,
@@ -525,6 +546,6 @@ def build_distributed_query(
     supplier,
     mode: ProvenanceMode = ProvenanceMode.NONE,
     fused: bool = True,
-) -> DistributedBundle:
+) -> PipelineResult:
     """Legacy three-instance construction of query ``name`` ("q1".."q4")."""
     return LEGACY_DISTRIBUTED_BUILDERS[name.lower()](supplier, mode=mode, fused=fused)

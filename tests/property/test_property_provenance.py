@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.provenance import ProvenanceMode
-from repro.spe.scheduler import Scheduler
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
-from repro.workloads.queries import build_distributed_query, build_query
+from repro.workloads.queries import query_pipeline
 from tests.conftest import record_index
 
 workload_configs = st.builds(
@@ -31,15 +30,13 @@ workload_configs = st.builds(
 
 
 def run_intra(config, mode):
-    bundle = build_query("q1", LinearRoadGenerator(config).tuples, mode=mode)
-    Scheduler(bundle.query).run()
-    return bundle
+    return query_pipeline("q1", LinearRoadGenerator(config).tuples, mode=mode).run()
 
 
 def run_inter(config, mode):
-    bundle = build_distributed_query("q1", LinearRoadGenerator(config).tuples, mode=mode)
-    Scheduler(*bundle.instances).run()
-    return bundle
+    return query_pipeline(
+        "q1", LinearRoadGenerator(config).tuples, mode=mode, deployment="inter"
+    ).run()
 
 
 class TestProvenanceProperties:
@@ -48,8 +45,8 @@ class TestProvenanceProperties:
     def test_outputs_agree_across_techniques(self, config):
         outputs = {}
         for mode in ProvenanceMode:
-            bundle = run_intra(config, mode)
-            outputs[mode] = [(t.ts, dict(t.values)) for t in bundle.sink.received]
+            result = run_intra(config, mode)
+            outputs[mode] = [(t.ts, dict(t.values)) for t in result.sink.received]
         assert outputs[ProvenanceMode.NONE] == outputs[ProvenanceMode.GENEALOG]
         assert outputs[ProvenanceMode.NONE] == outputs[ProvenanceMode.BASELINE]
 
@@ -66,8 +63,8 @@ class TestProvenanceProperties:
     @given(workload_configs)
     @settings(max_examples=15, deadline=None)
     def test_reported_sources_are_plausible_contributors(self, config):
-        bundle = run_intra(config, ProvenanceMode.GENEALOG)
-        for record in bundle.capture.records():
+        result = run_intra(config, ProvenanceMode.GENEALOG)
+        for record in result.capture.records():
             car = record.sink_values["car_id"]
             window_start = record.sink_ts
             assert record.source_count == record.sink_values["count"]
@@ -79,5 +76,5 @@ class TestProvenanceProperties:
     @given(workload_configs)
     @settings(max_examples=10, deadline=None)
     def test_one_record_per_sink_tuple(self, config):
-        bundle = run_intra(config, ProvenanceMode.GENEALOG)
-        assert len(bundle.capture.records()) == bundle.sink.count
+        result = run_intra(config, ProvenanceMode.GENEALOG)
+        assert len(result.capture.records()) == result.sink.count

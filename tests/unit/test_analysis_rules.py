@@ -168,25 +168,6 @@ class TestGraphRules:
         assert "graph.arity" in rule_ids(report)
         assert any("f" in d.operators for d in report.by_rule("graph.arity"))
 
-    def test_merge_deadlock_flagged(self):
-        df = Dataflow("deadlock")
-        main = df.source("src", _rows())
-        side = df.receive("r", Channel("unfed"))
-        main.union(side, name="u").sink("out")
-        report = analyze_plan(df)
-        assert "graph.merge-deadlock" in rule_ids(report)
-        (diag,) = report.by_rule("graph.merge-deadlock")
-        assert "u" in diag.operators and "r" in diag.operators
-
-    def test_merge_deadlock_clean_when_plan_feeds_the_channel(self):
-        channel = Channel("loop")
-        df = Dataflow("fed")
-        df.source("side", _rows()).send(channel, name="snd")
-        main = df.source("src", _rows())
-        side = df.receive("r", channel)
-        main.union(side, name="u").sink("out")
-        report = analyze_plan(df)
-        assert "graph.merge-deadlock" not in rule_ids(report)
 
 
 # -- ordering rules ----------------------------------------------------------
@@ -315,21 +296,6 @@ class TestCaptureShape:
 # -- boundary rules ----------------------------------------------------------
 
 class TestBoundaryRules:
-    def test_unmanaged_channel_error_under_cluster(self):
-        df = Dataflow("chan")
-        df.source("src", _rows()).send(Channel("c"), name="snd")
-        report = analyze_plan(df, execution="cluster")
-        (diag,) = report.by_rule("boundary.unmanaged-channel")
-        assert diag.severity == "error"
-        assert "snd" in diag.operators
-
-    def test_unmanaged_channel_warning_under_provenance(self):
-        df = Dataflow("chan")
-        df.source("src", _rows()).send(Channel("c"), name="snd")
-        report = analyze_plan(df, mode=ProvenanceMode.GENEALOG)
-        (diag,) = report.by_rule("boundary.unmanaged-channel")
-        assert diag.severity == "warning"
-
     def test_placement_invalid_flagged(self):
         df = Dataflow("placed")
         df.source("src", _rows()).map(_identity, name="m").sink("out")
@@ -509,20 +475,33 @@ class TestConcurrencyRules:
 
 # -- the Pipeline validate gate ----------------------------------------------
 
-class TestValidateGate:
-    def _deadlock_plan(self):
-        df = Dataflow("deadlock")
-        main = df.source("src", _rows())
-        side = df.receive("r", Channel("unfed"))
-        main.union(side, name="u").sink("out")
-        return df
+def _unknown_field_plan():
+    """A plan whose filter reads a field its source never carries."""
+    df = Dataflow("schema")
+    (df.source("src", _rows(), schema=("key", "x"))
+       .filter(_reads_velocity, name="f")
+       .sink("out"))
+    return df
 
-    def test_strict_blocks_a_deadlocking_plan(self):
+
+def _shipped_state_filter():
+    """A by-value-shipped closure mutating captured state (passes everything)."""
+    seen = []
+
+    def keep_and_record(t):
+        seen.append(t.values["x"])
+        return True
+
+    return keep_and_record
+
+
+class TestValidateGate:
+    def test_strict_blocks_an_unknown_field_plan(self):
         with pytest.raises(PlanAnalysisError) as info:
-            Pipeline(self._deadlock_plan(), validate="strict").run()
+            Pipeline(_unknown_field_plan(), validate="strict").run()
         message = str(info.value)
-        assert "graph.merge-deadlock" in message
-        assert "u" in message and "r" in message
+        assert "schema.unknown-field" in message
+        assert "velocity" in message
 
     def test_strict_blocks_a_racy_closure_plan(self):
         with pytest.raises(PlanAnalysisError) as info:
@@ -531,21 +510,16 @@ class TestValidateGate:
         assert "concurrency.captured-state-mutation" in message
         assert "agg" in message
 
-    def _warning_plan(self):
-        """Clean but for two boundary.unmanaged-channel warnings under GL."""
-        channel = Channel("loop")
+    def _warning_pipeline(self, validate="warn"):
+        """Clean but for one concurrency.by-value-shipped-state warning."""
         df = Dataflow("warned")
-        df.source("side", _rows()).send(channel, name="snd")
-        df.receive("r", channel).sink("out")
-        return df
+        df.source("src", _rows()).filter(_shipped_state_filter(), name="f").sink("out")
+        placement = Placement({"edge": ("src", "f"), "hub": ("out",)})
+        return Pipeline(df, placement=placement, execution="cluster", validate=validate)
 
     @pytest.mark.parametrize("validate", ("strict", "warn", "off"))
     def test_errors_raise_in_every_mode(self, validate):
-        df = Dataflow("schema")
-        (df.source("src", _rows(), schema=("key", "x"))
-           .filter(_reads_velocity, name="f")
-           .sink("out"))
-        pipeline = Pipeline(df, validate=validate)
+        pipeline = Pipeline(_unknown_field_plan(), validate=validate)
         with pytest.raises(PlanAnalysisError) as info:
             pipeline.run()
         assert info.value.report.rule_ids() == ["schema.unknown-field"]
@@ -557,28 +531,28 @@ class TestValidateGate:
 
     def test_strict_raises_on_warnings(self):
         with pytest.raises(PlanAnalysisError) as info:
-            Pipeline(self._warning_plan(), provenance="genealog", validate="strict").build()
-        assert info.value.report.rule_ids() == ["boundary.unmanaged-channel"]
-        assert "boundary.unmanaged-channel [snd]" in str(info.value)
-        assert "boundary.unmanaged-channel [r]" in str(info.value)
+            self._warning_pipeline(validate="strict").build()
+        assert info.value.report.rule_ids() == ["concurrency.by-value-shipped-state"]
+        assert not info.value.report.errors
+        assert "concurrency.by-value-shipped-state [f]" in str(info.value)
 
     def test_warn_mode_warns_and_still_runs(self):
-        with pytest.warns(PlanAnalysisWarning, match="boundary.unmanaged-channel") as caught:
-            result = Pipeline(self._warning_plan(), provenance="genealog").run()
-        assert len(caught) == 2
+        with pytest.warns(
+            PlanAnalysisWarning, match="concurrency.by-value-shipped-state"
+        ) as caught:
+            result = self._warning_pipeline().run()
+        assert len(caught) == 1
         assert result.sink.count == len(_rows())
 
     def test_off_mode_is_silent(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = Pipeline(
-                self._warning_plan(), provenance="genealog", validate="off"
-            ).run()
+            result = self._warning_pipeline(validate="off").run()
         assert not [w for w in caught if issubclass(w.category, PlanAnalysisWarning)]
         assert result.sink.count == len(_rows())
 
     def test_run_analyzes_once(self, monkeypatch):
-        pipeline = Pipeline(self._warning_plan(), validate="off")
+        pipeline = self._warning_pipeline(validate="off")
         calls = []
         analyze = pipeline.analyze
         monkeypatch.setattr(pipeline, "analyze", lambda: calls.append(1) or analyze())
@@ -616,10 +590,8 @@ class TestValidateGate:
             Pipeline(df, validate="paranoid")
 
     def test_analyze_reports_without_running(self):
-        df = Dataflow("deadlock")
-        main = df.source("src", _rows())
-        side = df.receive("r", Channel("unfed"))
-        main.union(side, name="u").sink("out")
-        report = Pipeline(df).analyze()
+        pipeline = Pipeline(_unknown_field_plan())
+        report = pipeline.analyze()
         assert not report.ok
-        assert "graph.merge-deadlock" in report.rule_ids()
+        assert report.rule_ids() == ["schema.unknown-field"]
+        assert pipeline._result is None

@@ -26,7 +26,7 @@ from repro.spe.operators.sort import SortOperator
 from repro.spe.operators.union import UnionOperator
 from repro.spe.query import Query
 from repro.spe.tuples import StreamTuple
-from repro.workloads.queries import QUERY_NAMES, build_distributed_query, build_query
+from repro.workloads.queries import QUERY_NAMES, query_pipeline
 from tests import legacy_queries
 
 ALL_MODES = (ProvenanceMode.NONE, ProvenanceMode.GENEALOG, ProvenanceMode.BASELINE)
@@ -241,7 +241,7 @@ class TestLegacyParityIntra:
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "composed"])
     def test_dsl_query_is_operator_for_operator_identical(self, query_name, mode, fused):
         supplier = small_supplier(query_name)
-        dsl = build_query(query_name, supplier, mode=mode, fused=fused)
+        dsl = query_pipeline(query_name, supplier, mode=mode, fused=fused).build()
         legacy = legacy_queries.build_query(query_name, supplier, mode=mode, fused=fused)
         assert query_signature(dsl.query) == query_signature(legacy.query)
         assert dsl.source.name == legacy.source.name
@@ -254,7 +254,7 @@ class TestLegacyParityInter:
     @pytest.mark.parametrize("query_name", QUERY_NAMES)
     def test_dsl_deployment_is_instance_for_instance_identical(self, query_name, mode):
         supplier = small_supplier(query_name)
-        dsl = build_distributed_query(query_name, supplier, mode=mode)
+        dsl = query_pipeline(query_name, supplier, mode=mode, deployment="inter").build()
         legacy = legacy_queries.build_distributed_query(query_name, supplier, mode=mode)
         assert [i.name for i in dsl.instances] == [i.name for i in legacy.instances]
         for dsl_instance, legacy_instance in zip(dsl.instances, legacy.instances):
@@ -271,7 +271,9 @@ class TestLegacyParityInter:
         # Input port order matters on the instance hosting multi-input
         # operators (the Join's left stream must stay the left stream).
         supplier = small_supplier(query_name)
-        dsl = build_distributed_query(query_name, supplier, mode=ProvenanceMode.GENEALOG)
+        dsl = query_pipeline(
+            query_name, supplier, mode=ProvenanceMode.GENEALOG, deployment="inter"
+        ).build()
         legacy = legacy_queries.build_distributed_query(
             query_name, supplier, mode=ProvenanceMode.GENEALOG
         )

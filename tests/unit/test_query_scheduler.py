@@ -112,6 +112,57 @@ class TestQueryConstruction:
         assert query.buffered_tuples() == 2  # now held in the aggregate's window state
 
 
+class TestSplice:
+    """``Query.splice`` re-routes a stream and keeps both of its ports."""
+
+    @staticmethod
+    def router_into_join(rows):
+        # Router port 0 (evens) feeds the Join's left input, port 1 (odds)
+        # its right one, over a named stream without the order check.
+        query = Query("splice")
+        source = query.add_source("source", rows)
+        router = query.add_router(
+            "router", [lambda t: t["x"] % 2 == 0, lambda t: t["x"] % 2 == 1]
+        )
+        join = query.add_join(
+            "join", 2.0, lambda left, right: True,
+            lambda left, right: {"even": left["x"], "odd": right["x"]},
+        )
+        sink = query.add_sink("sink")
+        query.connect(source, router)
+        query.connect(router, join)
+        query.connect(router, join, name="odds", sorted_stream=False)
+        query.connect(join, sink)
+        return query, router, join, sink
+
+    def test_router_port_join_side_name_and_order_flag_survive(self):
+        rows = [tup(float(i), x=i) for i in range(8)]
+        plain, _, _, plain_sink = self.router_into_join(rows)
+        Scheduler(plain).run()
+
+        query, router, join, sink = self.router_into_join(rows)
+        evens, odds = router.outputs
+        relay = query.add_map("relay", lambda t: t)
+        query.splice(odds, relay, relay)
+        upstream = router.outputs[1]
+        assert router.outputs[0] is evens and upstream is not odds
+        assert relay.inputs == [upstream]
+        assert (upstream.name, upstream.enforce_order) == ("odds", False)
+        assert join.inputs[0] is evens
+        assert query.producer_of(join.inputs[1]) is relay
+        assert odds not in query.streams
+        Scheduler(query).run()
+        assert [t.values for t in sink.received] == [t.values for t in plain_sink.received]
+        assert sink.received and all(t["even"] % 2 == 0 for t in sink.received)
+
+    def test_no_tail_leaves_the_consumer_unfed(self):
+        query, sink = simple_query([])
+        stop = query.add_sink("stop")
+        query.splice(sink.inputs[0], stop, None)
+        assert not sink.inputs
+        assert query.producer_of(stop.inputs[0]).name == "double"
+
+
 class TestScheduler:
     def test_runs_query_to_completion(self):
         query, sink = simple_query([tup(1, x=1), tup(2, x=2), tup(3, x=3)])
