@@ -689,8 +689,8 @@ def check_parallel_nondeterminism(model: PlanModel) -> List[Diagnostic]:
 
 
 def check_cluster_shipping(model: PlanModel) -> List[Diagnostic]:
-    if model.execution != "cluster":
-        return []
+    if model.execution not in ("process", "cluster"):
+        return []  # forked or remote workers each run a private copy
     diagnostics = []
     for node in model.nodes.values():
         if node.kind in ("sink", "source"):
@@ -710,7 +710,7 @@ def check_cluster_shipping(model: PlanModel) -> List[Diagnostic]:
                     severity="warning",
                     message=(
                         f"the {role} of stage {node.name!r} ({facts.name}) "
-                        "ships to cluster workers by value and mutates "
+                        f"runs on {model.execution} workers as a copy and mutates "
                         f"captured/global state {state!r}; every worker "
                         "mutates its own private copy, so the state the "
                         "driver observes never changes"

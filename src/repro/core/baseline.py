@@ -178,7 +178,7 @@ class BaselineProvenanceResolver(MultiInputOperator):
     * input port 1 -- the annotated sink tuples; each one is buffered until
       the combined watermark guarantees that every source tuple it references
       has arrived (``sink.ts + retention``), and is then expanded into one
-      unfolded tuple per referenced source tuple.
+      unfolded block holding every referenced source tuple.
     """
 
     max_inputs = 2
@@ -204,22 +204,16 @@ class BaselineProvenanceResolver(MultiInputOperator):
         self._resolve_up_to(float("inf"))
 
     def _resolve_up_to(self, watermark: float) -> None:
-        from repro.core.unfolder import make_unfolded_values
+        from repro.core.unfolder import unfold_block
 
         remaining: List[StreamTuple] = []
         for sink_tuple in self._pending:
             if watermark != float("inf") and sink_tuple.ts + self.retention > watermark:
                 remaining.append(sink_tuple)
                 continue
-            for origin in self.provenance.unfold(sink_tuple):
-                out = StreamTuple(
-                    ts=sink_tuple.ts,
-                    values=make_unfolded_values(
-                        sink_tuple, origin, self.provenance, self.name
-                    ),
-                )
-                out.wall = max(sink_tuple.wall, origin.wall)
-                self.emit(out)
+            origins = self.provenance.unfold(sink_tuple)
+            if origins:
+                self.emit(unfold_block(sink_tuple, origins, self.provenance, self.name))
         self._pending = remaining
 
     def output_watermark_for(self, input_watermark: float) -> float:

@@ -111,6 +111,11 @@ class GeneaLogProvenance(ProvenanceManager):
         # MU or a process boundary ever need one (section 6), so the common
         # per-tuple path stays as cheap as possible.  A bare (SOURCE) tuple
         # gets its metadata block here, to hold the id.
+        meta = tup.meta
+        if meta is None:
+            tuple_id = self._new_id()
+            tup.meta = GeneaLogMeta(_SOURCE, None, None, None, tuple_id)
+            return tuple_id
         tup, meta = _resolve(tup)
         if meta is None:
             meta = tup.meta = GeneaLogMeta(_SOURCE)

@@ -3,68 +3,55 @@
 The MU operator completes the unfolding of a *derived* stream (the unfolded
 delivering stream of the local instance) using one or more *upstream*
 unfolded delivering streams received from instances closer to the sources
-(Definition 6.4):
+(Definition 6.4).  Both carry :class:`~repro.spe.tuples.UnfoldedBlock`
+elements, one per sink tuple:
 
-* a derived tuple whose originating part is of type SOURCE is already
-  complete and is forwarded unchanged;
-* a derived tuple whose originating part is of type REMOTE is replaced by the
-  upstream tuples whose (delivering) ``sink_id`` equals the derived tuple's
-  ``id_o`` -- i.e. the upstream unfolding of the very tuple that crossed the
-  process boundary.
+* a derived block's SOURCE entries are already complete and are kept;
+* each REMOTE entry is replaced by the entries of the upstream blocks whose
+  ``sink_id`` equals the entry's ``id_o`` -- i.e. the upstream unfolding of
+  the very tuple that crossed the process boundary.
 
-The replacement is applied *recursively* by the fused MU: when the matched
-upstream tuple's own originating part is still REMOTE (its producing instance
-was itself fed across a process boundary, as happens with chained boundaries
+The replacement is applied *recursively* by the fused MU: when a matched
+upstream block's own entries are still REMOTE (its producing instance was
+itself fed across a process boundary, as happens with chained boundaries
 -- e.g. key-sharded stages whose partition, replicas and merge live on
-different instances), the combined tuple re-enters the derived path and keeps
+different instances), the combined block re-enters the derived path and keeps
 resolving against deeper upstream streams until it bottoms out at SOURCE
-tuples.
+entries.  A derived block emits what resolves on arrival as one block; a
+REMOTE entry whose upstream block arrives later emits one more block for the
+same sink tuple, which the collector and the ledger merge by ``sink_id``.
 
 Two implementations are provided, as in the paper: the fused
 :class:`MUOperator` and :func:`attach_mu` with ``fused=False``, the
-composition of standard operators of Figure 8 (Union of the upstream
-streams, a Join matching ``ID`` with ``IDO``, and a Multiplex/Filter/Union
-bypass for SOURCE tuples in the derived stream).
+composition of standard operators of Figure 8 (a FlatMap splitting derived
+blocks into one-entry blocks, a Union of the upstream streams, a Join
+matching ``ID`` with ``IDO``, and a Multiplex/Filter/Union bypass for SOURCE
+entries in the derived stream).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple, cast
 
 from repro.core.types import TupleType
-from repro.core.unfolder import (
-    ORIGIN_ID_FIELD,
-    ORIGIN_TYPE_FIELD,
-    SINK_ID_FIELD,
-    unfolded_schema,
-)
+from repro.core.unfolder import ORIGIN_ID_FIELD, ORIGIN_TYPE_FIELD
 from repro.spe.operators.base import MultiInputOperator, Operator
 from repro.spe.query import Query
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import StreamTuple, UnfoldedBlock
 
 
-#: enum value aliases for the per-tuple matching below.
+#: enum value aliases for the per-entry matching below.
 _SOURCE_VALUE = TupleType.SOURCE.value
 _REMOTE_VALUE = TupleType.REMOTE.value
 
+#: buffered blocks in arrival order, each with the id it is indexed under.
+_Order = Deque[Tuple[Any, UnfoldedBlock]]
 
-def combine_derived_and_upstream(
-    derived: StreamTuple, upstream: StreamTuple
-) -> Dict[str, Any]:
-    """Merge a derived tuple's sink part with an upstream tuple's origin part.
 
-    This implements the "replacement" of Definition 6.4: the REMOTE
-    originating tuple carried by ``derived`` is substituted by the originating
-    tuples that ``upstream`` (produced on the instance that created the REMOTE
-    tuple) carries.
-    """
-    kept = derived.values
-    values = {key: kept[key] for key in unfolded_schema(tuple(kept)).sink_part}
-    taken = upstream.values
-    for key in unfolded_schema(tuple(taken)).origin_part:
-        values[key] = taken[key]
-    return values
+def _replaced(derived: UnfoldedBlock, upstream: UnfoldedBlock) -> UnfoldedBlock:
+    """``derived``'s sink tuple with ``upstream``'s entries (Definition 6.4)."""
+    return derived.with_sources(upstream.sources, max(derived.ts, upstream.ts))
 
 
 class MUOperator(MultiInputOperator):
@@ -72,7 +59,7 @@ class MUOperator(MultiInputOperator):
 
     Input port 0 must carry the derived stream; every further input port is
     an upstream unfolded delivering stream.  ``retention`` bounds how far
-    apart (in event time) a derived tuple and the matching upstream tuples
+    apart (in event time) a derived block and the matching upstream blocks
     can be; the paper sets it to the sum of the window sizes of the stateful
     operators deployed on the instance producing the derived stream.
     """
@@ -85,81 +72,83 @@ class MUOperator(MultiInputOperator):
     def __init__(self, name: str, retention: float) -> None:
         super().__init__(name)
         self.retention = float(retention)
-        self._upstream_by_id: Dict[str, List[StreamTuple]] = {}
-        self._upstream_order: Deque[StreamTuple] = deque()
+        self._upstream_by_id: Dict[Any, List[UnfoldedBlock]] = {}
+        self._upstream_order: _Order = deque()
         #: (sink_id, id_o) pairs already indexed; a logical tuple whose id
         #: crosses several process boundaries (e.g. multiplex copies, which
-        #: share their input's id) ships the same unfolding record on every
+        #: share their input's id) ships the same unfolding on every
         #: boundary's upstream stream, and double-matching it would duplicate
         #: sources in the final provenance.
         self._upstream_pairs: Set[Tuple[Any, Any]] = set()
-        self._derived_by_origin: Dict[str, List[StreamTuple]] = {}
-        self._derived_order: Deque[StreamTuple] = deque()
+        #: derived blocks waiting for an upstream block, by REMOTE ``id_o``.
+        self._derived_by_origin: Dict[Any, List[UnfoldedBlock]] = {}
+        self._derived_order: _Order = deque()
 
     # -- processing --------------------------------------------------------------
     def process_tuple(self, tup: StreamTuple, input_index: int) -> None:
+        block = cast(UnfoldedBlock, tup)  # both sides carry unfolded streams
         if input_index == self.DERIVED_PORT:
-            self._process_derived(tup)
+            self._emit_resolved(block)
         else:
-            self._process_upstream(tup)
+            self._process_upstream(block)
 
-    def _process_derived(self, derived: StreamTuple) -> None:
-        values = derived.values
-        if values.get(ORIGIN_TYPE_FIELD) == _SOURCE_VALUE:
-            self.emit(derived)
-            return
-        origin_id = values.get(ORIGIN_ID_FIELD)
-        for upstream in self._upstream_by_id.get(origin_id, ()):  # already received
-            self._emit_combined(derived, upstream)
-        self._derived_by_origin.setdefault(origin_id, []).append(derived)
-        self._derived_order.append(derived)
+    def _emit_resolved(self, block: UnfoldedBlock) -> None:
+        sources = self._resolve(block)
+        if sources is block.sources:
+            self.emit(block)
+        elif sources:
+            self.emit(block.with_sources(sources))
 
-    def _process_upstream(self, upstream: StreamTuple) -> None:
-        values = upstream.values
-        sink_id = values.get(SINK_ID_FIELD)
-        if (
-            sink_id == values.get(ORIGIN_ID_FIELD)
-            and values.get(ORIGIN_TYPE_FIELD) == _REMOTE_VALUE
-        ):
-            # REMOTE identity record: a boundary SU unfolded a tuple that
-            # merely *passed through* its instance (Receive -> forwarding
-            # operators -> Send), so the unfolding is the tuple itself.  It
-            # adds no provenance information -- the informative record for
-            # this id comes from the boundary where the id was minted -- and
-            # combining with it would loop the recursive replacement forever.
-            # Pipeline-built deployments no longer send identity records (a
-            # boundary SU unfolds only tuples its instance derived); the
-            # guard stays for hand-built ones.  (SOURCE identity records are
-            # kept: they terminate a chain by delivering the originating
-            # source tuple's payload.)
+    def _resolve(self, block: UnfoldedBlock) -> List[Dict[str, Any]]:
+        """``block``'s entries, REMOTE ones replaced by the matches known so far.
+
+        Returns ``block.sources`` itself when every entry is SOURCE.  Each
+        REMOTE entry parks ``block`` under its ``id_o`` for upstream blocks
+        still to come.
+        """
+        sources = block.sources
+        resolved: Optional[List[Dict[str, Any]]] = None
+        for index, entry in enumerate(sources):
+            if entry[ORIGIN_TYPE_FIELD] == _SOURCE_VALUE:
+                if resolved is not None:
+                    resolved.append(entry)
+                continue
+            if resolved is None:
+                resolved = sources[:index]
+            origin_id = entry[ORIGIN_ID_FIELD]
+            for upstream in self._upstream_by_id.get(origin_id, ()):  # already received
+                resolved += self._resolve(_replaced(block, upstream))
+            self._derived_by_origin.setdefault(origin_id, []).append(block)
+            self._derived_order.append((origin_id, block))
+        return sources if resolved is None else resolved
+
+    def _process_upstream(self, upstream: UnfoldedBlock) -> None:
+        sink_id = upstream.sink_id
+        pairs = self._upstream_pairs
+        # A REMOTE identity entry (sink_id == id_o) unfolds a tuple that only
+        # *passed through* a boundary SU's instance: it adds nothing, and
+        # replacing with it would loop the recursion forever.  Pipeline-built
+        # deployments never send one (a boundary SU unfolds only what its
+        # instance derived); the guard is for hand-built ones.  SOURCE
+        # identity entries stay: they end a chain with the source payload.
+        fresh = [
+            entry
+            for entry in upstream.sources
+            if (sink_id, entry[ORIGIN_ID_FIELD]) not in pairs
+            and not (
+                entry[ORIGIN_ID_FIELD] == sink_id
+                and entry[ORIGIN_TYPE_FIELD] == _REMOTE_VALUE
+            )
+        ]
+        if not fresh:
             return
-        pair = (sink_id, values.get(ORIGIN_ID_FIELD))
-        if pair in self._upstream_pairs:
-            return
-        self._upstream_pairs.add(pair)
+        pairs.update((sink_id, entry[ORIGIN_ID_FIELD]) for entry in fresh)
+        if len(fresh) != len(upstream.sources):
+            upstream = upstream.with_sources(fresh)
         self._upstream_by_id.setdefault(sink_id, []).append(upstream)
-        self._upstream_order.append(upstream)
-        for derived in self._derived_by_origin.get(sink_id, ()):  # waiting derived tuples
-            self._emit_combined(derived, upstream)
-
-    def _emit_combined(self, derived: StreamTuple, upstream: StreamTuple) -> None:
-        out = StreamTuple.owned(
-            ts=max(derived.ts, upstream.ts),
-            values=combine_derived_and_upstream(derived, upstream),
-        )
-        out.wall = max(derived.wall, upstream.wall)
-        newer, older = (derived, upstream) if derived.ts >= upstream.ts else (upstream, derived)
-        self.provenance.on_join_output(out, newer, older)
-        if out.values.get(ORIGIN_TYPE_FIELD) != _SOURCE_VALUE:
-            # The upstream unfolding itself crossed a process boundary
-            # (chained boundaries): the combined tuple still references a
-            # REMOTE originating tuple, so it becomes a derived tuple again
-            # and keeps resolving against the deeper upstream streams.  The
-            # chain of unique ids is finite and acyclic (each hop moves one
-            # instance closer to the sources), so this terminates.
-            self._process_derived(out)
-            return
-        self.emit(out)
+        self._upstream_order.append((sink_id, upstream))
+        for derived in tuple(self._derived_by_origin.get(sink_id, ())):  # waiting blocks
+            self._emit_resolved(_replaced(derived, upstream))
 
     # -- state management -----------------------------------------------------------
     def on_close(self) -> None:
@@ -173,39 +162,33 @@ class MUOperator(MultiInputOperator):
         if watermark == float("inf"):
             return
         horizon = watermark - self.retention
-        for tup in self._purge(
-            self._upstream_order, self._upstream_by_id, SINK_ID_FIELD, horizon
-        ):
-            self._upstream_pairs.discard(
-                (tup.get(SINK_ID_FIELD), tup.get(ORIGIN_ID_FIELD))
+        for block in self._purge(self._upstream_order, self._upstream_by_id, horizon):
+            self._upstream_pairs.difference_update(
+                (block.sink_id, entry[ORIGIN_ID_FIELD]) for entry in block.sources
             )
-        self._purge(self._derived_order, self._derived_by_origin, ORIGIN_ID_FIELD, horizon)
+        self._purge(self._derived_order, self._derived_by_origin, horizon)
 
     @staticmethod
     def _purge(
-        order: Deque[StreamTuple],
-        index: Dict[str, List[StreamTuple]],
-        key_field: str,
-        horizon: float,
-    ) -> List[StreamTuple]:
-        purged: List[StreamTuple] = []
-        while order and order[0].ts < horizon:
-            tup = order.popleft()
-            purged.append(tup)
-            key = tup.get(key_field)
+        order: _Order, index: Dict[Any, List[UnfoldedBlock]], horizon: float
+    ) -> List[UnfoldedBlock]:
+        purged: List[UnfoldedBlock] = []
+        while order and order[0][1].ts < horizon:
+            key, block = order.popleft()
+            purged.append(block)
             bucket = index.get(key)
             if not bucket:
                 continue
             try:
-                bucket.remove(tup)
-            except ValueError:  # pragma: no cover - tuple already removed
+                bucket.remove(block)
+            except ValueError:  # pragma: no cover - block already removed
                 pass
             if not bucket:
                 del index[key]
         return purged
 
     def buffered_tuples(self) -> int:
-        """Number of tuples currently buffered while waiting for matches."""
+        """Number of blocks currently buffered while waiting for matches."""
         return len(self._upstream_order) + len(self._derived_order)
 
 
@@ -231,16 +214,20 @@ def attach_mu(
         mu = query.add(MUOperator(name, retention))
         return MUPorts(derived_entry=mu, upstream_entry=mu, output=mu, fused=True)
 
+    def remote_id(derived: UnfoldedBlock) -> Any:
+        return derived.sources[0][ORIGIN_ID_FIELD]
+
     join = query.add_join(
         f"{name}_join",
         window_size=retention,
-        predicate=lambda upstream, derived: upstream.get(SINK_ID_FIELD)
-        == derived.get(ORIGIN_ID_FIELD),
-        combiner=lambda upstream, derived: combine_derived_and_upstream(derived, upstream),
-        keys=(
-            lambda upstream: upstream.get(SINK_ID_FIELD),
-            lambda derived: derived.get(ORIGIN_ID_FIELD),
-        ),
+        predicate=lambda upstream, derived: upstream.sink_id == remote_id(derived),
+        combiner=lambda upstream, derived: _replaced(derived, upstream),
+        keys=(lambda upstream: upstream.sink_id, remote_id),
+    )
+    # Derived blocks enter one entry per block, the unit the Join matches.
+    split = query.add_flatmap(
+        f"{name}_split",
+        lambda block: [block.with_sources([entry]) for entry in block.sources],
     )
     # The upstream union is always created (even for a single upstream
     # stream) so that the Join's left input is guaranteed to be the upstream
@@ -253,28 +240,29 @@ def attach_mu(
         multiplex = query.add_multiplex(f"{name}_multiplex")
         not_source = query.add_filter(
             f"{name}_filter_remote",
-            lambda t: t.get(ORIGIN_TYPE_FIELD) != TupleType.SOURCE.value,
+            lambda t: t.sources[0][ORIGIN_TYPE_FIELD] != _SOURCE_VALUE,
         )
         only_source = query.add_filter(
             f"{name}_filter_source",
-            lambda t: t.get(ORIGIN_TYPE_FIELD) == TupleType.SOURCE.value,
+            lambda t: t.sources[0][ORIGIN_TYPE_FIELD] == _SOURCE_VALUE,
         )
         output_union = query.add_union(f"{name}_output_union")
+        query.connect(split, multiplex)
         query.connect(multiplex, not_source)
         query.connect(multiplex, only_source)
         query.connect(not_source, join)
         query.connect(only_source, output_union)
         query.connect(join, output_union)
         return MUPorts(
-            derived_entry=multiplex,
+            derived_entry=split,
             upstream_entry=upstream_entry,
             output=output_union,
             fused=False,
         )
 
-    query_derived_entry = join
+    query.connect(split, join)
     return MUPorts(
-        derived_entry=query_derived_entry,
+        derived_entry=split,
         upstream_entry=upstream_entry,
         output=join,
         fused=False,

@@ -20,22 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.baseline import AriadneBaselineProvenance
 from repro.core.instrumentation import GeneaLogProvenance
-from repro.core.unfolder import (
-    ORIGIN_TS_FIELD,
-    SINK_ID_FIELD,
-    SINK_TS_FIELD,
-    add_su,
-    unfolded_schema,
-)
+from repro.core.unfolder import ORIGIN_TS_FIELD, add_su
 from repro.spe.errors import QueryValidationError
 from repro.spe.operators.sink import SinkOperator
 from repro.spe.provenance_api import NoProvenance, ProvenanceManager
 from repro.spe.query import Query
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import UnfoldedBlock
 
 
 class ProvenanceMode(Enum):
@@ -98,56 +92,47 @@ class ProvenanceRecord:
 
 
 class ProvenanceCollector:
-    """Groups unfolded tuples by sink tuple into :class:`ProvenanceRecord` objects.
+    """Turns unfolded blocks into :class:`ProvenanceRecord` objects.
 
     An instance of this class is attached to the provenance Sink as a tap
     (it has the shape of a :class:`~repro.provstore.tap.ProvenanceTap`) and
-    consumes the unfolded stream one Sink batch at a time.  The paper stores
-    the same information on disk; keeping it in memory makes it available to
-    tests and to the benchmark.
+    consumes the unfolded stream one Sink batch at a time.  A record adopts
+    its block's sink payload and source entries as they are; a later block
+    for the same ``sink_id`` (an MU match that arrived late) extends it.  The
+    paper stores the same information on disk; keeping it in memory makes it
+    available to tests and to the benchmark.
     """
 
     def __init__(self, name: str = "provenance") -> None:
         self.name = name
         self._records: Dict[Any, ProvenanceRecord] = {}
+        #: (sink tuple, source tuple) pairs consumed (Definition 6.2 tuples).
         self.unfolded_tuples = 0
 
-    def add(self, unfolded: StreamTuple) -> None:
-        """Consume one unfolded tuple (one sink tuple / source tuple pair)."""
+    def add(self, unfolded: UnfoldedBlock) -> None:
+        """Consume one unfolded block."""
         self.on_batch((unfolded,))
 
-    def on_batch(self, batch: Sequence[StreamTuple]) -> None:
-        """Consume a batch of unfolded tuples, in stream order."""
-        self.unfolded_tuples += len(batch)
+    def on_batch(self, batch: Sequence[UnfoldedBlock]) -> None:
+        """Consume a batch of unfolded blocks, in stream order."""
         records = self._records
-        last_id: Any = None
-        record: Optional[ProvenanceRecord] = None
-        last_keys: Tuple[str, ...] = ()
-        schema = unfolded_schema(last_keys)
-        for unfolded in batch:
-            values = unfolded.values
-            keys = tuple(values)
-            if keys != last_keys:  # else: the previous tuple's split still holds
-                last_keys = keys
-                schema = unfolded_schema(keys)
-            sink_id = values.get(SINK_ID_FIELD)
-            # The unfolders emit a sink tuple's origins contiguously, so a
-            # repeated sink id keeps appending to the previous tuple's record.
-            if record is None or sink_id is None or sink_id != last_id:
-                last_id = sink_id
-                sink_key = sink_id
-                if sink_key is None:
-                    # an id-less sink tuple gets a record of its own (the
-                    # record count is unique; an object id can be reused).
-                    sink_key = (values.get(SINK_TS_FIELD), len(records))
-                record = records.get(sink_key)
-                if record is None:
-                    record = records[sink_key] = ProvenanceRecord(
-                        sink_ts=values.get(SINK_TS_FIELD, unfolded.ts),
-                        sink_id=sink_id,
-                        sink_values={name: values[key] for key, name in schema.sink_attrs},
-                    )
-            record.sources.append({key: values[key] for key in schema.origin_part})
+        pairs = 0
+        for block in batch:
+            sources = block.sources
+            pairs += len(sources)
+            sink_key = block.sink_id
+            if sink_key is None:
+                # an id-less sink tuple gets a record of its own (the
+                # record count is unique; an object id can be reused).
+                sink_key = (block.sink_ts, len(records))
+            record = records.get(sink_key)
+            if record is None:
+                records[sink_key] = ProvenanceRecord(
+                    block.sink_ts, block.sink_id, block.values, sources
+                )
+            else:  # a new list: the adopted one stays the first block's
+                record.sources = record.sources + sources
+        self.unfolded_tuples += pairs
 
     def on_watermark(self, watermark: float) -> None:
         """Tap protocol: records need no sealing."""

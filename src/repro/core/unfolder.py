@@ -2,8 +2,15 @@
 
 The SU operator has one input stream and two output streams: ``SO`` is an
 exact copy of the input (it keeps feeding the Sink), and ``U`` is the
-*unfolded* stream in which every tuple is replaced by its originating tuples
-combined with the tuple's own attributes (Definitions 4.1 and 5.1).
+*unfolded* stream (Definitions 4.1 and 5.1).  Definition 6.2 pairs every
+tuple with each of its originating tuples; the SU emits those pairs grouped,
+as one :class:`~repro.spe.tuples.UnfoldedBlock` per input tuple: the tuple's
+ts, id and payload once, then one source entry (origin payload plus
+``ts_o`` / ``id_o`` / ``type_o``) per originating tuple.  The collector, the
+ledger, the MU and the wire codec consume blocks as they are;
+:meth:`~repro.spe.tuples.UnfoldedBlock.rows` and
+:func:`make_unfolded_values` give the flat Definition 6.2 view to a caller
+that asks for one.
 
 Two implementations are provided, as in the paper:
 
@@ -16,8 +23,7 @@ Both produce identical unfolded streams; a test asserts this equivalence.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Any, Dict, List, NamedTuple, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.core.meta import GeneaLogMeta
 from repro.core.types import TupleType
@@ -25,71 +31,28 @@ from repro.spe.errors import ReservedAttributeError
 from repro.spe.operators.base import Operator, SingleInputOperator
 from repro.spe.provenance_api import ProvenanceManager
 from repro.spe.query import Query
-from repro.spe.tuples import StreamTuple
-
-#: attribute names added to every unfolded tuple.
-SINK_TS_FIELD = "sink_ts"
-SINK_ID_FIELD = "sink_id"
-ORIGIN_TS_FIELD = "ts_o"
-ORIGIN_ID_FIELD = "id_o"
-ORIGIN_TYPE_FIELD = "type_o"
-SINK_PREFIX = "sink_"
+from repro.spe.tuples import (
+    ORIGIN_ID_FIELD,
+    ORIGIN_TS_FIELD,
+    ORIGIN_TYPE_FIELD,
+    SINK_PREFIX,
+    StreamTuple,
+    UnfoldedBlock,
+)
 
 
 #: enum-member -> value string, bypassing the DynamicClassAttribute property
-#: (one descriptor call per unfolded tuple adds up at provenance rates).
+#: (one descriptor call per source entry adds up at provenance rates).
 _TYPE_VALUE = {member: member.value for member in TupleType}
 _SOURCE_VALUE = TupleType.SOURCE.value
 
-#: schema tuple -> ``sink_``-prefixed schema tuple.  Unfolded tuples are
-#: produced once per sink tuple / source tuple pair, and re-prefixing the
-#: same handful of schemas each time is pure overhead.
-_PREFIXED_KEYS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-
-#: origin attribute names already admitted (none of them reserved): one C-level
-#: superset test per unfolded tuple, one scan per new name.
-_ORIGIN_NAMES: Set[str] = set()
-
-#: the unfolded attributes that are neither sink nor origin payload.
-_SINK_IDENTITY = (SINK_TS_FIELD, SINK_ID_FIELD)
+#: the origin-identity names of a source entry.
 _ORIGIN_IDENTITY = (ORIGIN_TS_FIELD, ORIGIN_ID_FIELD, ORIGIN_TYPE_FIELD)
 
-
-class UnfoldedSchema(NamedTuple):
-    """How one unfolded schema (Definition 6.2) splits into its two halves."""
-
-    #: every ``sink_`` key, ``sink_ts`` / ``sink_id`` included, in schema
-    #: order: what the MU keeps of a derived tuple.
-    sink_part: Tuple[str, ...]
-    #: every other key (origin payload plus ``ts_o`` / ``id_o`` / ``type_o``):
-    #: what the MU takes from an upstream tuple, and one collector source.
-    origin_part: Tuple[str, ...]
-    #: ``(sink_<name>, <name>)`` per sink payload attribute.
-    sink_attrs: Tuple[Tuple[str, str], ...]
-    #: the origin payload attributes alone.
-    origin_attrs: Tuple[str, ...]
-
-
-@lru_cache(maxsize=1024)
-def unfolded_schema(keys: Tuple[str, ...]) -> UnfoldedSchema:
-    """Split an unfolded tuple's key tuple; the inverse of ``_PREFIXED_KEYS``.
-
-    The one place that knows how Definition 6.2 lays sink and origin
-    attributes out in a flat mapping.  Every consumer of the unfolded stream
-    (MU, collector, ledger) reads the split from here, once per schema.
-    """
-    sink_part = tuple(key for key in keys if key.startswith(SINK_PREFIX))
-    origin_part = tuple(key for key in keys if key not in sink_part)
-    return UnfoldedSchema(
-        sink_part,
-        origin_part,
-        tuple(
-            (key, key[len(SINK_PREFIX):])
-            for key in sink_part
-            if key not in _SINK_IDENTITY
-        ),
-        tuple(key for key in origin_part if key not in _ORIGIN_IDENTITY),
-    )
+#: attribute names already admitted per side (none of them reserved): one
+#: C-level superset test per tuple, one scan per new name.
+_SINK_NAMES: Set[str] = set()
+_ORIGIN_NAMES: Set[str] = set()
 
 
 def _reserved(operator: str, side: str, name: str) -> ReservedAttributeError:
@@ -101,18 +64,24 @@ def _reserved(operator: str, side: str, name: str) -> ReservedAttributeError:
     )
 
 
-def _admit_origin_names(names: Tuple[str, ...], operator: str) -> None:
-    """Admit an origin schema's attribute names, or reject a reserved one.
+def _admit(values: Dict[str, Any], sink: bool, operator: str) -> None:
+    """Admit a schema's attribute names, or reject a reserved one.
 
-    Origin attributes must survive the split untouched: a name the split
-    would file under the sink, or take for ts_o / id_o / type_o, is reserved.
+    The flat Definition 6.2 view must split back unambiguously: a sink
+    attribute ``ts`` / ``id`` would collide with ``sink_ts`` / ``sink_id``,
+    and an origin attribute starting with ``sink_`` or named ``ts_o`` /
+    ``id_o`` / ``type_o`` would be taken for the sink's or the identity's.
     """
-    payload = unfolded_schema(names).origin_attrs
-    if len(payload) != len(names):
-        raise _reserved(operator, "origin", next(n for n in names if n not in payload))
-    if len(_ORIGIN_NAMES) > 4096:  # degenerate dynamic schemas
-        _ORIGIN_NAMES.clear()
-    _ORIGIN_NAMES.update(names)
+    if sink:
+        bad = [name for name in ("ts", "id") if name in values]
+    else:
+        bad = [n for n in values if n.startswith(SINK_PREFIX) or n in _ORIGIN_IDENTITY]
+    if bad:
+        raise _reserved(operator, "sink" if sink else "origin", bad[0])
+    admitted = _SINK_NAMES if sink else _ORIGIN_NAMES
+    if len(admitted) > 4096:  # degenerate dynamic schemas
+        admitted.clear()
+    admitted.update(values)
 
 
 def origin_type_name(origin: StreamTuple) -> str:
@@ -125,44 +94,46 @@ def origin_type_name(origin: StreamTuple) -> str:
     return _TYPE_VALUE[meta.type] if isinstance(meta, GeneaLogMeta) else _SOURCE_VALUE
 
 
-def _sink_base_values(
-    unfolded_of: StreamTuple, manager: ProvenanceManager, operator: str
-) -> Dict[str, Any]:
-    """The sink-side half of an unfolded tuple's attributes.
+def unfold_block(
+    unfolded_of: StreamTuple,
+    origins: Sequence[StreamTuple],
+    manager: ProvenanceManager,
+    operator: str,
+) -> UnfoldedBlock:
+    """The block of ``unfolded_of`` and its originating tuples ``origins``.
 
-    This part is identical for every originating tuple of one unfolded
-    tuple, so the unfolders compute it once per input tuple and copy it per
-    origin.  ``operator`` names the unfolder in the reserved-name error.
+    ``operator`` names the unfolder in the reserved-name error.  Ids are
+    assigned sink first, then origins in order.
     """
     sink_values = unfolded_of.values
-    keys = tuple(sink_values)
-    prefixed = _PREFIXED_KEYS.get(keys)
-    if prefixed is None:
-        for name in ("ts", "id"):  # would be overwritten by sink_ts / sink_id
-            if name in sink_values:
-                raise _reserved(operator, "sink", name)
-        if len(_PREFIXED_KEYS) > 1024:  # degenerate dynamic schemas
-            _PREFIXED_KEYS.clear()
-        prefixed = _PREFIXED_KEYS[keys] = tuple(SINK_PREFIX + key for key in keys)
-    base: Dict[str, Any] = dict(zip(prefixed, sink_values.values()))
-    base[SINK_TS_FIELD] = unfolded_of.ts
-    base[SINK_ID_FIELD] = manager.tuple_id(unfolded_of)
-    return base
-
-
-def _with_origin(
-    base: Dict[str, Any], origin: StreamTuple, manager: ProvenanceManager, operator: str
-) -> Dict[str, Any]:
-    """One unfolded tuple's attributes: sink-side ``base`` plus one origin."""
-    origin_values = origin.values
-    if not _ORIGIN_NAMES.issuperset(origin_values):
-        _admit_origin_names(tuple(origin_values), operator)
-    values = dict(base)
-    values.update(origin_values)
-    values[ORIGIN_TS_FIELD] = origin.ts
-    values[ORIGIN_ID_FIELD] = manager.tuple_id(origin)
-    values[ORIGIN_TYPE_FIELD] = origin_type_name(origin)
-    return values
+    if not _SINK_NAMES.issuperset(sink_values):
+        _admit(sink_values, True, operator)
+    tuple_id = manager.tuple_id
+    sink_id = tuple_id(unfolded_of)
+    sources = []
+    append = sources.append
+    for origin in origins:
+        values = origin.values
+        if not _ORIGIN_NAMES.issuperset(values):
+            _admit(values, False, operator)
+        meta = origin.meta
+        # findProvenance returns SOURCE/REMOTE leaves only: a GeneaLog leaf
+        # that holds an id needs no Multiplex resolution.
+        if meta.__class__ is GeneaLogMeta and meta.tuple_id is not None:
+            origin_id = meta.tuple_id
+            origin_type = _TYPE_VALUE[meta.type]
+        else:
+            origin_id = tuple_id(origin)
+            origin_type = origin_type_name(origin)
+        append({
+            **values,
+            ORIGIN_TS_FIELD: origin.ts,
+            ORIGIN_ID_FIELD: origin_id,
+            ORIGIN_TYPE_FIELD: origin_type,
+        })
+    # An operator's output wall is the max over its inputs', so the sink
+    # tuple's already covers every origin's.
+    return UnfoldedBlock(unfolded_of.ts, sink_values, sink_id, sources, unfolded_of.wall)
 
 
 def make_unfolded_values(
@@ -171,16 +142,14 @@ def make_unfolded_values(
     manager: ProvenanceManager,
     operator: str = "make_unfolded_values",
 ) -> Dict[str, Any]:
-    """Build the attribute mapping of one unfolded tuple.
+    """Build the flat attribute mapping of one unfolded tuple (Definition 6.2).
 
-    The unfolded tuple carries the attributes of the tuple being unfolded
-    (prefixed with ``sink_``) together with the originating tuple's
-    attributes and its timestamp / unique id / type (``ts_o`` / ``id_o`` /
-    ``type_o``, Definition 6.2).  ``operator`` names the caller in the error
-    raised for a reserved attribute name.
+    The tuple being unfolded contributes its attributes (prefixed with
+    ``sink_``), ``sink_ts`` and ``sink_id``; the originating tuple its
+    attributes and ``ts_o`` / ``id_o`` / ``type_o``.  ``operator`` names the
+    caller in the error raised for a reserved attribute name.
     """
-    base = _sink_base_values(unfolded_of, manager, operator)
-    return _with_origin(base, origin, manager, operator)
+    return unfold_block(unfolded_of, (origin,), manager, operator).rows()[0]
 
 
 def _to_unfold(
@@ -203,7 +172,7 @@ class UnfoldMapOperator(SingleInputOperator):
     """The Map of Figure 5B: expands each tuple into its originating tuples.
 
     For every input tuple ``t`` it applies ``findProvenance`` (through the
-    installed provenance manager) and emits one unfolded tuple per
+    installed provenance manager) and emits one block holding every
     originating tuple.  ``boundary`` applies the boundary SU's rule (see
     :func:`_to_unfold`).
     """
@@ -219,14 +188,8 @@ class UnfoldMapOperator(SingleInputOperator):
         manager = self.provenance
         for tup in _to_unfold(batch, manager, self.boundary):
             origins = manager.unfold(tup)
-            if not origins:
-                continue
-            base = _sink_base_values(tup, manager, self.name)
-            for origin in origins:
-                out = StreamTuple.owned(
-                    ts=tup.ts, values=_with_origin(base, origin, manager, self.name)
-                )
-                out.wall = max(tup.wall, origin.wall)
+            if origins:
+                out = unfold_block(tup, origins, manager, self.name)
                 manager.on_map_output(out, tup)
                 self.emit(out)
 
@@ -238,11 +201,11 @@ class SUOperator(SingleInputOperator):
     is ``U`` (the unfolded stream).  Connect the data consumer first and the
     provenance consumer second.
 
-    Unfolded tuples leave without a metadata block: they carry their
-    provenance in their attributes and are leaves for whatever consumes them
+    Unfolded blocks leave without a metadata block: they carry their
+    provenance in their source entries and are leaves for whatever consumes them
     (the provenance Sink, or a Send towards the MU).  The Figure 5B
     composition (:class:`UnfoldMapOperator`) is a standard Map and links its
-    outputs like one; the unfolded *values* of the two are identical.
+    outputs like one; the blocks of the two are otherwise identical.
     ``boundary`` applies the boundary SU's rule (see :func:`_to_unfold`).
     """
 
@@ -264,23 +227,14 @@ class SUOperator(SingleInputOperator):
         manager = self.provenance
         name = self.name
         unfold = manager.unfold
-        owned = StreamTuple.owned
         unfolded: List[StreamTuple] = []
         append = unfolded.append
         tracer = self.tracer
         started = tracer.clock() if tracer is not None else 0.0
         for tup in _to_unfold(batch, manager, self.boundary):
             origins = unfold(tup)
-            if not origins:
-                continue
-            ts = tup.ts
-            wall = tup.wall
-            base = _sink_base_values(tup, manager, name)
-            for origin in origins:
-                out = owned(ts=ts, values=_with_origin(base, origin, manager, name))
-                origin_wall = origin.wall
-                out.wall = wall if wall >= origin_wall else origin_wall
-                append(out)
+            if origins:
+                append(unfold_block(tup, origins, manager, name))
         if tracer is not None:
             tracer.record("provenance.unfold", self.name, started, count=len(unfolded))
         self.emit_many(batch, self.DATA_PORT)

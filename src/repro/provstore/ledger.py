@@ -1,37 +1,34 @@
 """The streaming provenance ledger: ingest, seal, query, subscribe.
 
-The paper's capture pipeline stops at a provenance Sink: unfolded tuples
-(one per sink-tuple/source-tuple pair, Definition 6.2) are grouped in memory
-and inspected after the run.  :class:`ProvenanceLedger` turns that terminal
-buffer into a live subsystem:
+The paper's capture pipeline stops at a provenance Sink: unfolded blocks
+(one per sink tuple, holding one source entry per originating tuple; the
+pairs of Definition 6.2) are grouped in memory and inspected after the run.
+:class:`ProvenanceLedger` turns that terminal buffer into a live subsystem:
 
-* **Ingest** -- unfolded tuples stream in one Sink batch at a time (through
+* **Ingest** -- unfolded blocks stream in one Sink batch at a time (through
   :class:`~repro.provstore.tap.LedgerTap` objects attached to provenance
   Sinks, or direct :meth:`ProvenanceLedger.ingest_batch` calls;
   :meth:`ProvenanceLedger.ingest` is a batch of one).  Each originating
   tuple is content-addressed by its unique ``<stream>:<counter>`` id and
   stored **once**, however many sink tuples it contributes to; repeated
-  ``(sink, source)`` pairs (e.g. the same unfolding record shipped over two
-  process boundaries) are dropped on arrival.  Work follows a **first-sight
-  rule**: an unfolded tuple costs two lookups (``sink_id``, ``id_o``) and a
-  ``seen`` test, and a repeated sink id reuses the previous tuple's pending
-  mapping (the unfolders emit a sink tuple's origins contiguously); the
-  attribute dicts are built only for what is new -- ``sink_values`` once
-  per new mapping, a :class:`SourceEntry` once per new source -- from the
-  per-schema split :func:`repro.core.unfolder.unfolded_schema` caches.
-  Tuples without ids take the content-address route of
+  ``(sink, source)`` pairs (e.g. the same unfolding shipped over two process
+  boundaries) are dropped on arrival.  Work follows a **first-sight rule**:
+  a block costs one pending-mapping lookup (``sink_id``) and each of its
+  entries one ``seen`` test (``id_o``); a mapping adopts the block's sink
+  payload, and a :class:`SourceEntry` is built once per new source.  Blocks
+  and entries without ids take the content-address route of
   :func:`~repro.provstore.entries.address` inside the same loop.
-* **Reserved attribute names** -- the split relies on the unfolded schema of
-  Definition 6.2: ``sink_``-prefixed keys are the sink tuple's, ``ts_o`` /
-  ``id_o`` / ``type_o`` identify the origin, everything else is the origin's
-  payload.  The unfolders therefore reject a sink attribute named ``ts`` or
-  ``id`` and an origin attribute named ``ts_o`` / ``id_o`` / ``type_o`` or
-  starting with ``sink_`` (:class:`~repro.spe.errors.ReservedAttributeError`)
-  before any such tuple can reach a store.
+* **Reserved attribute names** -- the flat Definition 6.2 view of a block
+  prefixes sink attributes with ``sink_`` and names the origin's identity
+  ``ts_o`` / ``id_o`` / ``type_o``.  The unfolders therefore reject a sink
+  attribute named ``ts`` or ``id`` and an origin attribute named ``ts_o`` /
+  ``id_o`` / ``type_o`` or starting with ``sink_``
+  (:class:`~repro.spe.errors.ReservedAttributeError`) before any such block
+  can reach a store.
 * **Sealing** -- a sink tuple's mapping stays *pending* until the ingest
-  watermark guarantees no further unfolded tuple for it can arrive.  The
+  watermark guarantees no further block for it can arrive.  The
   bound is the MU operator's retention math (section 6): every unfolded
-  tuple for sink timestamp ``t`` carries ``ts <= t + retention``, so the
+  block for sink timestamp ``t`` carries ``ts <= t + retention``, so the
   mapping seals once the watermark passes ``t + retention`` (the final
   watermark seals everything).  Sealing hands the mapping to the
   persistence backend and delivers it to every subscription **exactly
@@ -56,14 +53,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Union
 
 from repro.core.types import TupleType
-from repro.core.unfolder import (
-    ORIGIN_ID_FIELD,
-    ORIGIN_TS_FIELD,
-    ORIGIN_TYPE_FIELD,
-    SINK_ID_FIELD,
-    SINK_TS_FIELD,
-    unfolded_schema,
-)
+from repro.core.unfolder import ORIGIN_ID_FIELD, ORIGIN_TS_FIELD, ORIGIN_TYPE_FIELD
 from repro.provstore.backends import (
     JsonlLedgerBackend,
     LedgerBackend,
@@ -71,7 +61,7 @@ from repro.provstore.backends import (
     MemoryLedgerBackend,
 )
 from repro.provstore.entries import SinkMapping, SourceEntry, address
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import StreamTuple, UnfoldedBlock
 
 if TYPE_CHECKING:
     from repro.obs.tracer import SpanTracer
@@ -79,8 +69,13 @@ if TYPE_CHECKING:
 #: sentinel watermark meaning "nothing ingested yet".
 _NO_WATERMARK = float("-inf")
 
-#: ``type_o`` of an unfolded tuple that carries none.
-_SOURCE_KIND = TupleType.SOURCE.value
+#: the names of a source entry that are not the origin's payload.
+_IDENTITY = frozenset((ORIGIN_TS_FIELD, ORIGIN_ID_FIELD, ORIGIN_TYPE_FIELD))
+
+
+def _payload(entry: Dict[str, Any]) -> Dict[str, Any]:
+    """A source entry's origin payload (``ts_o`` / ``id_o`` / ``type_o`` dropped)."""
+    return {key: value for key, value in entry.items() if key not in _IDENTITY}
 
 
 class Subscription:
@@ -129,7 +124,7 @@ class Subscription:
 
 
 class _PendingMapping:
-    """A sink tuple's mapping while unfolded tuples may still arrive."""
+    """A sink tuple's mapping while unfolded blocks may still arrive."""
 
     __slots__ = ("sink_ts", "sink_values", "sources")
 
@@ -169,7 +164,7 @@ class ProvenanceLedger:
         self.tracer: Optional["SpanTracer"] = None
         #: sealed mappings, in seal order (dict preserves insertion).
         self._mappings: Dict[str, SinkMapping] = {}
-        #: pending mappings, still accepting unfolded tuples.
+        #: pending mappings, still accepting unfolded blocks.
         self._pending: Dict[str, _PendingMapping] = {}
         #: every distinct source entry, stored once (content-addressed).
         self._sources: Dict[str, SourceEntry] = {}
@@ -183,7 +178,7 @@ class ProvenanceLedger:
         self._next_tap_id = 0
         self._manual_watermark = _NO_WATERMARK
         # -- accounting ----------------------------------------------------
-        #: unfolded tuples ingested (including duplicates and late arrivals).
+        #: (sink, source) pairs ingested (including duplicates and late arrivals).
         self.ingested_tuples = 0
         #: repeated (sink, source) pairs dropped on arrival.
         self.duplicate_tuples = 0
@@ -230,82 +225,58 @@ class ProvenanceLedger:
         return self._manual_watermark
 
     # -- ingest ----------------------------------------------------------------
-    def ingest(self, unfolded: StreamTuple) -> None:
-        """Consume one unfolded tuple (one sink-tuple / source-tuple pair)."""
+    def ingest(self, unfolded: UnfoldedBlock) -> None:
+        """Consume one unfolded block."""
         self.ingest_batch((unfolded,))
 
-    def ingest_batch(self, batch: Sequence[StreamTuple]) -> None:
-        """Consume a batch of unfolded tuples, in stream order.
+    def ingest_batch(self, batch: Sequence[UnfoldedBlock]) -> None:
+        """Consume a batch of unfolded blocks, in stream order.
 
-        The work per tuple is two lookups and a ``seen`` test; attribute
-        dicts are built on first sight only -- ``sink_values`` once per new
-        mapping, a :class:`SourceEntry` once per new source -- from the
-        schema split of :func:`~repro.core.unfolder.unfolded_schema`.
+        The work is one pending-mapping lookup per block and one ``seen``
+        test per source entry; a :class:`SourceEntry` is built on first
+        sight only.
         """
         self._require_writable()
-        self.ingested_tuples += len(batch)
         pending_by_key = self._pending
         sources = self._sources
-        last_id: Any = None
-        pending: Optional[_PendingMapping] = None
-        duplicates = late = 0
-        for unfolded in batch:
-            values = unfolded.values
-            sink_id = values.get(SINK_ID_FIELD)
-            # The unfolders emit a sink tuple's origins contiguously, so a
-            # repeated sink id reuses the previous tuple's pending mapping.
-            # (An id-less sink is its content address: resolved every time.)
-            if sink_id is None or sink_id != last_id:
-                last_id = sink_id
-                sink_ts = values.get(SINK_TS_FIELD, unfolded.ts)
-                sink_key = sink_id
-                if sink_key.__class__ is not str:
-                    sink_key = address(sink_id, sink_ts, self._sink_values(values))
-                pending = pending_by_key.get(sink_key)
-                if pending is None and sink_key not in self._mappings:
-                    pending = pending_by_key[sink_key] = _PendingMapping(
-                        sink_ts, self._sink_values(values)
-                    )
+        ingested = duplicates = late = 0
+        for block in batch:
+            entries = block.sources
+            ingested += len(entries)
+            sink_key = block.sink_id
+            if sink_key.__class__ is not str:  # an id-less sink is its content address
+                sink_key = address(sink_key, block.sink_ts, block.values)
+            pending = pending_by_key.get(sink_key)
             if pending is None:
-                # The mapping sealed already: the retention bound was too
-                # small for this deployment.  Count it loudly instead of
-                # corrupting the exactly-once delivery of the sealed mapping.
-                late += 1
-                continue
-            source_key = values.get(ORIGIN_ID_FIELD)
-            if source_key.__class__ is not str:
-                source_key = address(
-                    source_key,
-                    values.get(ORIGIN_TS_FIELD, unfolded.ts),
-                    self._origin_values(values),
+                if sink_key in self._mappings:
+                    # The mapping sealed already: the retention bound was
+                    # too small for this deployment.  Count it loudly instead
+                    # of corrupting the exactly-once delivery of the mapping.
+                    late += len(entries)
+                    continue
+                pending = pending_by_key[sink_key] = _PendingMapping(
+                    block.sink_ts, block.values
                 )
             seen = pending.sources
-            if source_key in seen:
-                duplicates += 1
-                continue
-            seen[source_key] = None
-            if source_key not in sources:
-                sources[source_key] = SourceEntry(
-                    source_key,
-                    values.get(ORIGIN_TS_FIELD, unfolded.ts),
-                    values.get(ORIGIN_TYPE_FIELD, _SOURCE_KIND),
-                    self._origin_values(values),
-                )
+            for entry in entries:
+                source_key = entry[ORIGIN_ID_FIELD]
+                if source_key.__class__ is not str:
+                    source_key = address(source_key, entry[ORIGIN_TS_FIELD], _payload(entry))
+                if source_key in seen:
+                    duplicates += 1
+                    continue
+                seen[source_key] = None
+                if source_key not in sources:
+                    sources[source_key] = SourceEntry(
+                        source_key,
+                        entry[ORIGIN_TS_FIELD],
+                        entry[ORIGIN_TYPE_FIELD],
+                        _payload(entry),
+                    )
+        self.ingested_tuples += ingested
         self.late_tuples += late
         self.duplicate_tuples += duplicates
-        self.source_references += len(batch) - late - duplicates
-
-    @staticmethod
-    def _sink_values(values: Dict[str, Any]) -> Dict[str, Any]:
-        """The sink tuple's payload attributes, ``sink_`` prefix stripped."""
-        return {
-            name: values[key] for key, name in unfolded_schema(tuple(values)).sink_attrs
-        }
-
-    @staticmethod
-    def _origin_values(values: Dict[str, Any]) -> Dict[str, Any]:
-        """The originating tuple's payload attributes."""
-        return {key: values[key] for key in unfolded_schema(tuple(values)).origin_attrs}
+        self.source_references += ingested - late - duplicates
 
     # -- sealing ----------------------------------------------------------------
     def advance_watermark(self, watermark: float, tap: Optional[int] = None) -> None:

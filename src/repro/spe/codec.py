@@ -48,10 +48,18 @@ dictionary entry + literal, ``1`` = literal only, ``k >= 2`` = entry
     column(ts, n)             event timestamps
     column(wall, n)           wall-clock stamps
     column(order_key, n)      order keys ('N' when none is set)
-    documents(values, n)      attribute dicts
-    0x00 | 0x01 + documents(prov, n)
-                              provenance payloads; 0x00 = every payload is
-                              empty (unfolded streams, shipped sink streams)
+    documents(values, n)      attribute dicts (a block's: its sink payload)
+    flags                     bit 0: provenance payloads follow (clear =
+                              every payload is empty: unfolded streams,
+                              shipped sink streams); bit 1: the tuples are
+                              unfolded blocks
+    [documents(prov, n)]      provenance payloads, when bit 0 is set
+    [column(sink_ts, n), column(sink_id, n), n uvarint entry counts,
+     documents(entries, sum of counts)]
+                              when bit 1 is set: each block's sink ts and id,
+                              then every block's source entries in order --
+                              a sink payload crosses once per block, never
+                              once per originating tuple
 
     documents := uvarint group_count, then per group of schema-identical
                  consecutive documents: uvarint count, schema ref
@@ -82,10 +90,10 @@ from __future__ import annotations
 
 import struct
 from itertools import groupby
-from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple, cast
 
 from repro.spe.errors import SerializationError
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import StreamTuple, UnfoldedBlock
 
 #: first byte of every binary batch blob.  JSON payloads start with ``{`` or
 #: ``[``; a foreign payload -- or a peer still speaking the 0xB5 layout --
@@ -99,6 +107,10 @@ _MAX_INTERNED = 1 << 16
 
 #: refuse batches declaring more tuples than this (corrupt count prefix).
 _MAX_BATCH_TUPLES = 1 << 24
+
+#: the batch flags byte: provenance payloads follow / the tuples are blocks.
+_FLAG_PAYLOADS = 0x01
+_FLAG_BLOCKS = 0x02
 
 # column tags ('F'loat, 'I'nt, 'B'ool, 'N'one, in'T'erned 1-byte codes,
 # interned 2-byte codes, 'S'tring text, 'G'eneric)
@@ -259,16 +271,26 @@ class BinaryChannelEncoder:
         out = bytearray()
         out.append(MAGIC)
         write_uvarint(out, len(tuples))
+        # One Send carries one stream: the unfolded ones are blocks throughout.
+        blocks = bool(tuples) and type(tuples[0]) is UnfoldedBlock
         try:
             self._encode_column(out, [t.ts for t in tuples])
             self._encode_column(out, [t.wall for t in tuples])
             self._encode_column(out, [t.order_key for t in tuples])
             self._encode_documents(out, [t.values for t in tuples])
-            if payloads is None or not any(payloads):
-                out.append(0)
-            else:
-                out.append(1)
-                self._encode_documents(out, payloads)
+            flags = 0 if payloads is None or not any(payloads) else _FLAG_PAYLOADS
+            out.append(flags | (_FLAG_BLOCKS if blocks else 0))
+            if flags:
+                self._encode_documents(out, payloads or ())
+            if blocks:
+                unfolded = cast(Sequence[UnfoldedBlock], tuples)
+                self._encode_column(out, [b.sink_ts for b in unfolded])
+                self._encode_column(out, [b.sink_id for b in unfolded])
+                counts = bytearray()
+                for block in unfolded:
+                    write_uvarint(counts, len(block.sources))
+                out += counts
+                self._encode_documents(out, [e for b in unfolded for e in b.sources])
         except SerializationError as exc:
             raise SerializationError(
                 f"channel {self.channel!r}: cannot serialise batch: {exc}"
@@ -494,10 +516,27 @@ class BinaryChannelDecoder:
         orders, pos = self._decode_column(buf, pos, count)
         values_docs, pos = self._decode_documents(buf, pos, count)
         prov_docs = None
-        prov_flag = buf[pos]
+        flags = buf[pos]
         pos += 1
-        if prov_flag:
+        if flags & ~(_FLAG_PAYLOADS | _FLAG_BLOCKS):
+            raise SerializationError(
+                f"channel {self.channel!r}: unknown batch flags {flags:#x}"
+            )
+        if flags & _FLAG_PAYLOADS:
             prov_docs, pos = self._decode_documents(buf, pos, count)
+        if flags & _FLAG_BLOCKS:
+            sink_ts, pos = self._decode_column(buf, pos, count)
+            sink_ids, pos = self._decode_column(buf, pos, count)
+            bounds = [0]
+            for _ in range(count):
+                size, pos = read_uvarint(buf, pos)
+                bounds.append(bounds[-1] + size)
+            if bounds[-1] > _MAX_BATCH_TUPLES:
+                raise SerializationError(
+                    f"channel {self.channel!r}: blocks declare {bounds[-1]} "
+                    f"source entries, beyond the {_MAX_BATCH_TUPLES} sanity limit"
+                )
+            entries, pos = self._decode_documents(buf, pos, bounds[-1])
         if pos != len(buf):
             raise SerializationError(
                 f"channel {self.channel!r}: {len(buf) - pos} trailing byte(s) "
@@ -507,7 +546,7 @@ class BinaryChannelDecoder:
         # tuple -- the one per-row step of a decode -- so even the
         # classmethod call is measurable at batch sizes.
         new = StreamTuple.__new__
-        cls = StreamTuple
+        cls = UnfoldedBlock if flags & _FLAG_BLOCKS else StreamTuple
         tuples = []
         append = tuples.append
         for ts, values, wall, order in zip(ts_column, values_docs, wall_column, orders):
@@ -518,6 +557,11 @@ class BinaryChannelDecoder:
             tup.wall = wall
             tup.order_key = tuple(order) if type(order) is list else order
             append(tup)
+        if flags & _FLAG_BLOCKS:
+            for index, block in enumerate(cast(List[UnfoldedBlock], tuples)):
+                block.sink_ts = sink_ts[index]
+                block.sink_id = sink_ids[index]
+                block.sources = entries[bounds[index]:bounds[index + 1]]
         return tuples, prov_docs
 
     # -- documents ---------------------------------------------------------

@@ -23,14 +23,16 @@ implies key equality.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.spe.errors import QueryValidationError
 from repro.spe.operators.base import MultiInputOperator
-from repro.spe.tuples import StreamTuple, owned_values
+from repro.spe.tuples import StreamTuple, UnfoldedBlock, owned_values
 
 JoinPredicate = Callable[[StreamTuple, StreamTuple], bool]
-JoinCombiner = Callable[[StreamTuple, StreamTuple], Optional[Mapping[str, Any]]]
+JoinCombiner = Callable[
+    [StreamTuple, StreamTuple], Union[None, UnfoldedBlock, Mapping[str, Any]]
+]
 JoinKey = Callable[[StreamTuple], Any]
 #: ``(left key, right key)`` extractors of an equi-join.
 JoinKeys = Tuple[JoinKey, JoinKey]
@@ -54,7 +56,8 @@ class JoinOperator(MultiInputOperator):
         ``combiner(left, right)`` builds the output attribute mapping
         (returning ``None`` suppresses the pair).  A returned plain dict is
         taken over by the engine without copying -- the combiner must build a
-        fresh mapping per call and not mutate it afterwards.
+        fresh mapping per call and not mutate it afterwards.  A returned
+        fresh :class:`UnfoldedBlock` (the composed MU's) is the output itself.
     keys:
         ``(left key, right key)`` extractors of an equi-join (the predicate
         must imply key equality), or ``None``; the output is the same.
@@ -140,12 +143,15 @@ class JoinOperator(MultiInputOperator):
         values = self._combiner(left, right)
         if values is None:
             return
-        if values is left.values or values is right.values:
-            # A pass-through combiner returned an input tuple's own payload:
-            # copy it so the output never aliases (and can never corrupt) a
-            # tuple that still sits in the join window or provenance graph.
-            values = dict(values)
-        out = StreamTuple.owned(ts=max(left.ts, right.ts), values=owned_values(values))
+        if isinstance(values, UnfoldedBlock):
+            out: StreamTuple = values
+        else:
+            if values is left.values or values is right.values:
+                # A pass-through combiner returned an input tuple's own
+                # payload: copy it so the output never aliases (and can never
+                # corrupt) a tuple still in the join window or provenance graph.
+                values = dict(values)
+            out = StreamTuple.owned(ts=max(left.ts, right.ts), values=owned_values(values))
         out.wall = max(left.wall, right.wall)
         if self._tag_order_key:
             out.order_key = self._pair_order_key(newer, older, newer_index)

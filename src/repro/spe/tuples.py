@@ -24,7 +24,7 @@ singleton :data:`END_OF_STREAM`.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 
 class StreamTuple:
@@ -151,6 +151,85 @@ class StreamTuple:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         attrs = ", ".join(f"{k}={v!r}" for k, v in self.values.items())
         return f"StreamTuple(ts={self.ts}, {attrs})"
+
+
+#: the attribute names of Definition 6.2's flat unfolded tuple.
+SINK_TS_FIELD = "sink_ts"
+SINK_ID_FIELD = "sink_id"
+ORIGIN_TS_FIELD = "ts_o"
+ORIGIN_ID_FIELD = "id_o"
+ORIGIN_TYPE_FIELD = "type_o"
+SINK_PREFIX = "sink_"
+
+
+class UnfoldedBlock(StreamTuple):
+    """One sink tuple's unfolding: the element of an unfolded stream.
+
+    ``values`` is the sink tuple's payload, held once; ``sources`` has one
+    entry per originating tuple, already in :class:`ProvenanceRecord` form
+    (the origin's payload plus ``ts_o`` / ``id_o`` / ``type_o``).  ``ts`` is
+    the sink tuple's timestamp unless an MU raised it to an upstream block's;
+    ``sink_ts`` keeps the sink tuple's own.  The block owns ``values`` and
+    ``sources``: nothing mutates either after construction.
+    """
+
+    __slots__ = ("sink_ts", "sink_id", "sources")
+
+    def __init__(
+        self,
+        ts: float,
+        values: Dict[str, Any],
+        sink_id: Any,
+        sources: List[Dict[str, Any]],
+        wall: float = 0.0,
+        sink_ts: Optional[float] = None,
+    ) -> None:
+        self.ts = ts
+        self.values = values
+        self.meta = None
+        self.wall = wall
+        self.order_key = None
+        self.sink_ts = ts if sink_ts is None else sink_ts
+        self.sink_id = sink_id
+        self.sources = sources
+
+    def with_sources(
+        self, sources: List[Dict[str, Any]], ts: Optional[float] = None
+    ) -> "UnfoldedBlock":
+        """The same sink tuple with other ``sources`` (and ``ts``)."""
+        return UnfoldedBlock(
+            self.ts if ts is None else ts, self.values, self.sink_id, sources,
+            self.wall, self.sink_ts,
+        )
+
+    def derive(
+        self,
+        ts: Optional[float] = None,
+        values: Optional[Mapping[str, Any]] = None,
+        copy: bool = True,
+    ) -> "StreamTuple":
+        """A Multiplex copy of a block is a block of the same sources."""
+        if values is not None:
+            return super().derive(ts, values, copy)
+        return self.with_sources(self.sources, ts)
+
+    def copy(self) -> "UnfoldedBlock":
+        """A shallow copy: the same sink payload and source entries."""
+        return self.with_sources(self.sources)
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """The flat Definition 6.2 view: one mapping per originating tuple.
+
+        Sink attributes carry the ``sink_`` prefix, followed by ``sink_ts``,
+        ``sink_id`` and one source entry.
+        """
+        base = {SINK_PREFIX + key: value for key, value in self.values.items()}
+        base[SINK_TS_FIELD] = self.sink_ts
+        base[SINK_ID_FIELD] = self.sink_id
+        return [{**base, **entry} for entry in self.sources]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"UnfoldedBlock(ts={self.ts}, id={self.sink_id!r}, sources={len(self.sources)})"
 
 
 class Watermark:

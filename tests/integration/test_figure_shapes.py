@@ -76,13 +76,14 @@ DERIVED_CROSSINGS = {
     "q4": {"q4_daily"},
 }
 
-#: GL unfolded tuples per upstream channel on this workload: one per
-#: originating tuple of each derived crossing, none for SOURCE crossings.
+#: GL unfolded blocks per upstream channel on this workload: one per
+#: derived crossing (holding an entry per originating tuple), none for
+#: SOURCE crossings.
 UPSTREAM_TUPLES = {
     "q1": {"q1_upstream_data": 0},
-    "q2": {"q2_upstream_data": 208},
-    "q3": {"q3_upstream_data": 360},
-    "q4": {"q4_upstream_daily": 720, "q4_upstream_midnight": 0},
+    "q2": {"q2_upstream_data": 52},
+    "q3": {"q3_upstream_data": 15},
+    "q4": {"q4_upstream_daily": 30, "q4_upstream_midnight": 0},
 }
 
 

@@ -11,6 +11,8 @@ to the tuples that *contribute*, not to the tuples that flow.
 """
 
 import gc
+import multiprocessing
+import types
 import weakref
 
 import pytest
@@ -18,8 +20,10 @@ import pytest
 from repro.api import Pipeline
 from repro.core.meta import GeneaLogMeta
 from repro.core.provenance import ProvenanceMode
+from repro.provstore import ProvenanceLedger
+from repro.spe.tuples import StreamTuple
 from repro.workloads.linear_road import LinearRoadConfig, LinearRoadGenerator
-from repro.workloads.queries import query_dataflow, query_pipeline
+from repro.workloads.queries import query_dataflow, query_pipeline, query_placement
 
 CONFIG = LinearRoadConfig(
     n_cars=10, duration_s=1200.0, breakdown_probability=0.05, seed=77
@@ -74,6 +78,53 @@ class TestMemoryReclamation:
         result, refs, alive = run_with_weakrefs(ProvenanceMode.NONE)
         assert result.sink.count > 0
         assert alive == 0
+
+
+def reachable_stream_tuples(*roots):
+    """How many tuples (blocks included) ``roots`` reach through plain data.
+
+    Classes, modules and functions are not followed: they reach everything.
+    """
+    seen, stack, found = set(), list(roots), 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, StreamTuple):
+            found += 1
+            continue
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("execution", ["event", "process"])
+def test_records_and_ledger_hold_no_tuple(execution):
+    """Records and ledger keep payload dicts and entries, never a tuple or block."""
+    if execution == "process" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("execution='process' forks its workers")
+    refs = []
+
+    def supplier():
+        for source_tuple in LinearRoadGenerator(CONFIG).tuples():
+            refs.append(weakref.ref(source_tuple))
+            yield source_tuple
+
+    store = ProvenanceLedger()
+    pipeline = Pipeline(
+        query_dataflow("q1", supplier), provenance="genealog", placement=query_placement("q1"),
+        execution=execution, provenance_store=store,
+    )
+    result = pipeline.run()
+    records, collector = result.provenance_records(), result.collector
+    assert records and store.sealed_count == len(records) == result.sink.count
+    assert reachable_stream_tuples(records, collector, store) == 0
+    result.sink.clear()
+    del result, pipeline
+    gc.collect()
+    # in process, the sources lived in a worker: the coordinator saw none.
+    assert all(ref() is None for ref in refs)
+    assert (len(refs) > 0) is (execution == "event")
 
 
 class TestContributionProportionalMetadata:

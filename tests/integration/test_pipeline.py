@@ -424,7 +424,8 @@ class TestPipelineSpliceRegressions:
         provenance_sink.add_tap(recorder)
         result = pipeline.run()
         assert not provenance_sink.received  # provenance Sinks keep no tuples
-        assert len(recorder.tuples) == result.collector.unfolded_tuples > 0
+        rows = [row for block in recorder.tuples for row in block.rows()]
+        assert len(rows) == result.collector.unfolded_tuples > 0
 
 
 class TestIdentityStages:

@@ -326,14 +326,15 @@ class TestFirstSightCost:
             # The whole stream once more (every mapping has sealed: all late)
             # and into a fresh ledger twice (second time: all duplicates).
             stream = recorder.tuples
-            assert len(stream) == store.ingested_tuples
+            pairs = sum(len(block.sources) for block in stream)
+            assert pairs == store.ingested_tuples
             store.ingest_batch(stream)
-            assert store.late_tuples == len(stream)
+            assert store.late_tuples == pairs
             fresh = ProvenanceLedger(retention=store.retention)
             fresh.ingest_batch(stream)
             first_sight = dict(built)
             fresh.ingest_batch(stream)
-            assert fresh.duplicate_tuples == len(stream)
+            assert fresh.duplicate_tuples == pairs
             assert built == first_sight
             assert first_sight == {
                 "SourceEntry": 2 * store.source_count,

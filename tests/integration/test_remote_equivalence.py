@@ -271,23 +271,43 @@ class FirstBatch(ProvenanceTap):
 class TestSinkStreamsComeHomeDuringTheRun:
     """The home's Sinks see their streams while the workers still run."""
 
-    def test_sink_sees_its_first_batch_before_every_worker_answered(self, execution):
-        pipeline = query_pipeline(
-            "q1", workload_for("q1"), mode=ProvenanceMode.GENEALOG,
-            deployment="inter", execution=execution,
+    def test_sink_sees_its_first_batch_before_every_worker_answered(
+        self, execution, tmp_path
+    ):
+        # The order comes from the protocol, not from timing: spe1's source
+        # holds back its last tuple until the home Sink saw its first batch,
+        # so spe1 -- and spe2 and the provenance worker, which wait for its
+        # streams to close -- cannot have answered by then.
+        released = tmp_path / "first_batch"
+        q1 = workload_for("q1")
+
+        def held_back_supplier():
+            tuples = list(q1())
+            yield from tuples[:-1]
+            deadline = time.monotonic() + 30.0
+            while not released.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            yield tuples[-1]
+
+        pipeline = Pipeline(
+            query_dataflow("q1", held_back_supplier),
+            provenance=ProvenanceMode.GENEALOG,
+            placement=query_placement("q1"),
+            execution=execution,
         )
         result = pipeline.build()
         answered = []  # one entry per collected worker result
         answered_at_first_batch = []
-        result.sink.add_tap(
-            FirstBatch(lambda batch: answered_at_first_batch.append(len(answered)))
-        )
+
+        def first_batch(batch):
+            answered_at_first_batch.append(len(answered))
+            released.write_text("seen")
+
+        result.sink.add_tap(FirstBatch(first_batch))
         pipeline.run(round_callback=answered.append)
         workers = [i for i in result.instances if i.name != HOME_INSTANCE]
         assert len(answered) == len(workers) == 3
-        # the provenance worker answers only after spe2 closed the derived
-        # stream, long after spe2 sent its first sink tuples home.
-        assert answered_at_first_batch and answered_at_first_batch[0] < 3
+        assert answered_at_first_batch == [0]
 
     @fork_required
     def test_killed_provenance_worker_leaves_delivered_provenance_and_a_store(

@@ -40,7 +40,7 @@ from repro.spe.codec import (
     write_uvarint,
 )
 from repro.spe.errors import SerializationError
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import StreamTuple, UnfoldedBlock
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -307,6 +307,44 @@ class TestEmptyPayloads:
         sent = [{}, {"type": "SOURCE", "id": "n:1"}, {}]
         _, provenance, _ = round_trip(batch, sent)
         assert provenance == sent
+
+
+class TestUnfoldedBlocks:
+    """A block batch crosses natively: sink payload once, then its entries."""
+
+    entry = st.fixed_dictionaries(
+        {"v": st.integers(-3, 3), "ts_o": st.floats(0, 9), "id_o": st.just("n:1"),
+         "type_o": st.sampled_from(["SOURCE", "REMOTE"])}
+    )
+    block = st.builds(
+        UnfoldedBlock, st.floats(0, 9), st.fixed_dictionaries({"alert": st.integers(0, 2)}),
+        st.one_of(st.none(), st.just("s:7")), st.lists(entry, max_size=4),
+        st.floats(0, 1), st.one_of(st.none(), st.floats(0, 9)),
+    )
+
+    @given(st.lists(block, min_size=1, max_size=5))
+    @settings(max_examples=50)
+    def test_blocks_round_trip_and_torn_prefixes_raise(self, sent):
+        blob = BinaryChannelEncoder("prop").encode_batch(sent)
+        decoded, provenance = BinaryChannelDecoder("prop").decode_batch(blob)
+        assert provenance is None
+        assert [type(b) for b in decoded] == [UnfoldedBlock] * len(sent)
+        assert [(b.ts, b.wall, b.values, b.sink_ts, b.sink_id, b.sources) for b in decoded] == [
+            (b.ts, b.wall, b.values, b.sink_ts, b.sink_id, b.sources) for b in sent
+        ]
+        for cut in range(len(blob)):
+            with pytest.raises(SerializationError):
+                BinaryChannelDecoder("prop").decode_batch(blob[:cut])
+
+    def test_a_sink_payload_crosses_once_per_block(self):
+        entries = [{"v": i, "ts_o": float(i), "id_o": f"n:{i}", "type_o": "SOURCE"}
+                   for i in range(4)]
+        block = UnfoldedBlock(9.0, {"alert": 1, "pos": 17}, "s:0", entries)
+        blocked = BinaryChannelEncoder("prop").encode_batch([block])
+        flat = BinaryChannelEncoder("prop").encode_batch(
+            [StreamTuple(ts=9.0, values=row) for row in block.rows()]
+        )
+        assert len(blocked) < len(flat)
 
 
 # ---------------------------------------------------------------------------

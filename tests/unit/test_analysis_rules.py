@@ -7,6 +7,7 @@ level so ``inspect.getsource`` finds them (the concurrency/schema rules
 read the AST of the user code).
 """
 
+import multiprocessing
 import random
 import re
 import warnings
@@ -462,6 +463,33 @@ class TestConcurrencyRules:
         (diag,) = report.by_rule("concurrency.by-value-shipped-state")
         assert diag.severity == "warning"
         assert diag.operators == ("f",)
+
+    def test_by_value_shipped_state_flagged_under_process(self):
+        # a forked worker mutates its own copy of the closure, as a daemon does.
+        df = Dataflow("shipped")
+        df.source("src", _rows()).filter(_shipped_state_filter(), name="f").sink("out")
+        report = analyze_plan(df, execution="process")
+        (diag,) = report.by_rule("concurrency.by-value-shipped-state")
+        assert diag.operators == ("f",)
+        assert "process workers" in diag.message
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="execution='process' needs the fork start method",
+    )
+    def test_shipped_state_never_reaches_the_coordinator_under_process(self):
+        seen = []
+
+        def keep_and_record(t):
+            seen.append(t.values["x"])
+            return True
+
+        df = Dataflow("shipped")
+        df.source("src", _rows()).filter(keep_and_record, name="f").sink("out")
+        placement = Placement({"edge": ("src", "f"), "hub": ("out",)})
+        result = Pipeline(df, placement=placement, execution="process", validate="off").run()
+        assert result.sink.count == 8
+        assert seen == []  # every append happened in the worker's copy
 
     def test_module_level_function_ships_by_name(self):
         df = Dataflow("shipped")

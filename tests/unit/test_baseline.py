@@ -160,7 +160,7 @@ class TestResolver:
         feed(sinks_in, [annotated], close=True)
 
         run_operator(resolver)
-        result = collect(out)
+        result = [row for block in collect(out) for row in block.rows()]
         assert self._unfolded_source_ts(result) == [1, 3]
         assert all(t["sink_alert"] == 1 for t in result)
 

@@ -25,6 +25,7 @@ from repro.provstore import ProvenanceLedger, open_provenance_store
 from repro.provstore.backends import JsonlLedgerBackend, LedgerError
 from repro.spe.channels import Channel, InMemoryTransport
 from repro.spe.scheduler import Scheduler
+from repro.spe.tuples import UnfoldedBlock
 from tests.optest import blobs, exploding_supplier, tup, two_instances
 
 
@@ -48,15 +49,9 @@ class TestTornLedgerTail:
             backend=JsonlLedgerBackend(path, segment_records=100), retention=0.0
         )
         for index in range(mappings):
+            entry = {"ts_o": float(index), "id_o": f"src:{index}", "type_o": "SOURCE"}
             ledger.ingest(
-                tup(
-                    float(index),
-                    sink_ts=float(index),
-                    sink_id=f"sink:{index}",
-                    sink_value=index,
-                    ts_o=float(index),
-                    id_o=f"src:{index}",
-                )
+                UnfoldedBlock(float(index), {"value": index}, f"sink:{index}", [entry])
             )
         ledger.flush()
         ledger.close()

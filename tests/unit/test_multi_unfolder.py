@@ -3,43 +3,46 @@
 import pytest
 
 from repro.core.instrumentation import GeneaLogProvenance
-from repro.core.multi_unfolder import (
-    MUOperator,
-    attach_mu,
-    combine_derived_and_upstream,
-)
-from repro.core.unfolder import (
+from repro.core.multi_unfolder import MUOperator, attach_mu
+from repro.spe.query import Query
+from repro.spe.scheduler import Scheduler
+from repro.spe.streams import Stream
+from repro.spe.tuples import (
     ORIGIN_ID_FIELD,
     ORIGIN_TS_FIELD,
     ORIGIN_TYPE_FIELD,
     SINK_ID_FIELD,
+    SINK_PREFIX,
     SINK_TS_FIELD,
+    UnfoldedBlock,
 )
-from repro.spe.query import Query
-from repro.spe.scheduler import Scheduler
-from repro.spe.streams import Stream
-from repro.spe.tuples import StreamTuple
 from tests.optest import collect, feed, run_operator
 
 
 def unfolded(sink_ts, sink_id, origin_ts, origin_id, origin_type="SOURCE", **extra):
-    """Build an unfolded tuple as an SU would produce it."""
-    values = {
-        SINK_TS_FIELD: sink_ts,
-        SINK_ID_FIELD: sink_id,
-        ORIGIN_TS_FIELD: origin_ts,
-        ORIGIN_ID_FIELD: origin_id,
-        ORIGIN_TYPE_FIELD: origin_type,
-    }
-    values.update(extra)
-    return StreamTuple(ts=sink_ts, values=values)
+    """A one-entry block: ``sink_``-prefixed ``extra`` is the sink's payload."""
+    sink = {k[len(SINK_PREFIX):]: v for k, v in extra.items() if k.startswith(SINK_PREFIX)}
+    entry = {k: v for k, v in extra.items() if not k.startswith(SINK_PREFIX)}
+    entry.update(
+        {ORIGIN_TS_FIELD: origin_ts, ORIGIN_ID_FIELD: origin_id, ORIGIN_TYPE_FIELD: origin_type}
+    )
+    return UnfoldedBlock(sink_ts, sink, sink_id, [entry])
+
+
+def rows(blocks):
+    """The flat Definition 6.2 view of an unfolded stream."""
+    return [row for block in blocks for row in block.rows()]
 
 
 class TestCombine:
     def test_sink_part_comes_from_derived_origin_part_from_upstream(self):
+        mu, derived_in, upstream_in, out = wire_mu()
         derived = unfolded(100, "spe2:1", 90, "spe1:5", "REMOTE", sink_alert=1)
         upstream = unfolded(90, "spe1:5", 60, "spe1:2", "SOURCE", car_id="a")
-        combined = combine_derived_and_upstream(derived, upstream)
+        feed(upstream_in, [upstream], close=True)
+        feed(derived_in, [derived], close=True)
+        run_operator(mu)
+        (combined,) = rows(collect(out))
         assert combined["sink_alert"] == 1
         assert combined[SINK_TS_FIELD] == 100
         assert combined[SINK_ID_FIELD] == "spe2:1"
@@ -78,7 +81,7 @@ class TestMUOperator:
         feed(upstream_in, upstream_tuples, close=True)
         feed(derived_in, [derived], close=True)
         run_operator(mu)
-        results = collect(out)
+        results = rows(collect(out))
         assert sorted(t[ORIGIN_TS_FIELD] for t in results) == [60, 70, 80]
         assert all(t["sink_alert"] == 1 for t in results)
         assert all(t[SINK_ID_FIELD] == "spe2:1" for t in results)
@@ -149,7 +152,7 @@ class TestAttachMU:
         query.connect(ports.output, sink)
         query.set_provenance(GeneaLogProvenance(node_id="prov"))
         Scheduler(query).run()
-        return sink.received
+        return rows(sink.received)
 
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "composed"])
     def test_source_and_remote_tuples_are_handled(self, fused):
@@ -216,7 +219,7 @@ class TestRecursiveStitching:
         feed(near, near_tuples, close=True)
         feed(far, far_tuples, close=True)
         run_operator(mu)
-        results = collect(out)
+        results = rows(collect(out))
         assert sorted(t[ORIGIN_TS_FIELD] for t in results) == [60, 70]
         assert sorted(t["car_id"] for t in results) == ["a", "b"]
         assert all(t[ORIGIN_TYPE_FIELD] == "SOURCE" for t in results)
@@ -235,7 +238,7 @@ class TestRecursiveStitching:
         feed(far, [resolving], close=True)
         feed(derived_in, [derived], close=True)
         run_operator(mu)
-        results = collect(out)
+        results = rows(collect(out))
         assert len(results) == 1
         assert results[0]["car_id"] == "a"
 
@@ -249,7 +252,7 @@ class TestRecursiveStitching:
         feed(far, [], close=True)
         feed(derived_in, [derived], close=True)
         run_operator(mu)
-        results = collect(out)
+        results = rows(collect(out))
         assert len(results) == 1
         assert results[0]["car_id"] == "a"
         assert results[0][ORIGIN_TYPE_FIELD] == "SOURCE"

@@ -15,7 +15,7 @@ from repro.core.unfolder import SUOperator
 from repro.spe.provenance_api import NoProvenance, ProvenanceManager
 from repro.spe.query import Query
 from repro.spe.scheduler import Scheduler
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import UnfoldedBlock
 from tests.optest import tup
 
 
@@ -119,18 +119,10 @@ class TestSourceBatchHook:
 
 class TestProvenanceCollector:
     def _unfolded(self, sink_id, sink_ts, origin_ts, **sink_values):
-        values = {f"sink_{k}": v for k, v in sink_values.items()}
-        values.update(
-            {
-                "sink_ts": sink_ts,
-                "sink_id": sink_id,
-                "ts_o": origin_ts,
-                "id_o": f"src:{origin_ts}",
-                "type_o": "SOURCE",
-                "payload": origin_ts,
-            }
-        )
-        return StreamTuple(ts=sink_ts, values=values)
+        """A one-entry block: one (sink tuple, source tuple) pair."""
+        entry = {"payload": origin_ts, "ts_o": origin_ts, "id_o": f"src:{origin_ts}"}
+        entry["type_o"] = "SOURCE"
+        return UnfoldedBlock(sink_ts, sink_values, sink_id, [entry])
 
     def test_groups_unfolded_tuples_by_sink(self):
         collector = ProvenanceCollector()

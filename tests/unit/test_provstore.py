@@ -6,14 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.unfolder import (
-    ORIGIN_ID_FIELD,
-    ORIGIN_TS_FIELD,
-    ORIGIN_TYPE_FIELD,
-    SINK_ID_FIELD,
-    SINK_PREFIX,
-    SINK_TS_FIELD,
-)
+from repro.core.unfolder import ORIGIN_ID_FIELD, ORIGIN_TS_FIELD, ORIGIN_TYPE_FIELD
 from repro.provstore import (
     JsonlLedgerBackend,
     LedgerError,
@@ -27,7 +20,7 @@ from repro.provstore.entries import SinkMapping, SourceEntry, content_key
 from repro.spe.errors import SerializationError
 from repro.spe.operators.sink import SinkOperator
 from repro.spe.streams import Stream
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import StreamTuple, UnfoldedBlock
 
 
 def unfolded(
@@ -39,15 +32,14 @@ def unfolded(
     origin_values,
     origin_type="SOURCE",
 ):
-    """Build one unfolded tuple the way the SU/MU operators shape them."""
-    values = {SINK_PREFIX + key: value for key, value in sink_values.items()}
-    values[SINK_TS_FIELD] = sink_ts
-    values[SINK_ID_FIELD] = sink_id
-    values.update(origin_values)
-    values[ORIGIN_TS_FIELD] = origin_ts
-    values[ORIGIN_ID_FIELD] = origin_id
-    values[ORIGIN_TYPE_FIELD] = origin_type
-    return StreamTuple(ts=max(sink_ts, origin_ts), values=values)
+    """Build a one-entry block: one (sink tuple, source tuple) pair."""
+    entry = dict(origin_values)
+    entry[ORIGIN_TS_FIELD] = origin_ts
+    entry[ORIGIN_ID_FIELD] = origin_id
+    entry[ORIGIN_TYPE_FIELD] = origin_type
+    return UnfoldedBlock(
+        max(sink_ts, origin_ts), dict(sink_values), sink_id, [entry], sink_ts=sink_ts
+    )
 
 
 class TestLedgerIngest:

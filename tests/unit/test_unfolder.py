@@ -5,29 +5,36 @@ import pytest
 from repro.core.instrumentation import GeneaLogProvenance
 from repro.core.types import TupleType
 from repro.core.unfolder import (
-    ORIGIN_ID_FIELD,
-    ORIGIN_TS_FIELD,
-    ORIGIN_TYPE_FIELD,
-    SINK_ID_FIELD,
-    SINK_TS_FIELD,
     SUOperator,
     UnfoldMapOperator,
     attach_su,
     make_unfolded_values,
     origin_type_name,
-    unfolded_schema,
+    unfold_block,
 )
 from repro.spe.errors import ReservedAttributeError
 from repro.spe.query import Query
 from repro.spe.scheduler import Scheduler
 from repro.spe.streams import Stream
-from repro.spe.tuples import StreamTuple
+from repro.spe.tuples import (
+    ORIGIN_ID_FIELD,
+    ORIGIN_TS_FIELD,
+    ORIGIN_TYPE_FIELD,
+    SINK_ID_FIELD,
+    SINK_TS_FIELD,
+    StreamTuple,
+)
 from tests.optest import collect, feed, run_operator, tup, wire
 
 
 @pytest.fixture
 def manager():
     return GeneaLogProvenance(node_id="n1")
+
+
+def rows(blocks):
+    """The flat Definition 6.2 view of an unfolded stream."""
+    return [row for block in blocks for row in block.rows()]
 
 
 def aggregate_tuple(manager, sources, ts=0.0, **values):
@@ -83,21 +90,22 @@ class TestSUOperator:
         data, _ = self._run_su(manager, [out])
         assert data == [out]
 
-    def test_unfolded_port_has_one_tuple_per_originating_tuple(self, manager):
+    def test_unfolded_port_has_one_block_with_an_entry_per_originating_tuple(self, manager):
         sources = [tup(ts, v=ts) for ts in (1, 2, 3)]
         out = aggregate_tuple(manager, sources, ts=0, alert=1)
-        _, unfolded = self._run_su(manager, [out])
-        assert len(unfolded) == 3
-        assert sorted(t[ORIGIN_TS_FIELD] for t in unfolded) == [1, 2, 3]
-        assert all(t["sink_alert"] == 1 for t in unfolded)
+        _, (block,) = self._run_su(manager, [out])
+        assert block.values == {"alert": 1} and block.sink_id == manager.tuple_id(out)
+        assert len(block.sources) == 3
+        assert sorted(t[ORIGIN_TS_FIELD] for t in rows([block])) == [1, 2, 3]
+        assert all(t["sink_alert"] == 1 for t in rows([block]))
 
     def test_source_tuples_unfold_to_themselves(self, manager):
         source = tup(7, v=1)
         manager.on_source_output(source)
         data, unfolded = self._run_su(manager, [source])
         assert data == [source]
-        assert len(unfolded) == 1
-        assert unfolded[0][ORIGIN_TS_FIELD] == 7
+        assert len(rows(unfolded)) == 1
+        assert rows(unfolded)[0][ORIGIN_TS_FIELD] == 7
 
     def test_no_provenance_manager_produces_empty_unfolded_stream(self):
         from repro.spe.provenance_api import NoProvenance
@@ -135,13 +143,11 @@ class TestAttachSU:
         assert [t.values for t in fused_sink.received] == [
             t.values for t in composed_sink.received
         ]
-        fused_origins = sorted(t[ORIGIN_TS_FIELD] for t in fused_prov.received)
-        composed_origins = sorted(t[ORIGIN_TS_FIELD] for t in composed_prov.received)
+        fused_origins = sorted(t[ORIGIN_TS_FIELD] for t in rows(fused_prov.received))
+        composed_origins = sorted(t[ORIGIN_TS_FIELD] for t in rows(composed_prov.received))
         assert fused_origins == composed_origins == [1, 2, 3]
-        # The unfolded *values* are identical, ids included ...
-        assert [t.values for t in fused_prov.received] == [
-            t.values for t in composed_prov.received
-        ]
+        # The unfolded rows are identical, ids included ...
+        assert rows(fused_prov.received) == rows(composed_prov.received)
         # ... but only the standard Map of Figure 5B links its outputs: the
         # fused SU's unfolded tuples are leaves and carry no metadata block.
         assert all(t.meta is None for t in fused_prov.received)
@@ -166,7 +172,7 @@ class TestAttachSU:
         aggregate = aggregate_tuple(manager, sources, ts=0)
         feed(inp, [aggregate], close=True)
         run_operator(unfold)
-        assert len(collect(out)) == 2
+        assert len(rows(collect(out))) == 2
 
 
 def boundary_unfolded(manager, tuple_, fused):
@@ -182,7 +188,7 @@ def boundary_unfolded(manager, tuple_, fused):
         feed(inp, [tuple_], close=True)
         run_operator(su)
         assert collect(data_out) == [tuple_]
-        return collect(unfolded_out)
+        return rows(collect(unfolded_out))
     copy = StreamTuple(ts=tuple_.ts, values=dict(tuple_.values))
     manager.on_multiplex_output(copy, tuple_)
     unfold = UnfoldMapOperator("su_unfold", boundary=True)
@@ -190,7 +196,7 @@ def boundary_unfolded(manager, tuple_, fused):
     (inp,), (out,) = wire(unfold)
     feed(inp, [copy], close=True)
     run_operator(unfold)
-    return collect(out)
+    return rows(collect(out))
 
 
 def received(manager, tuple_type):
@@ -337,15 +343,20 @@ class TestReservedAttributeNames:
         assert values["sink_sinker"] == 6 and values["sinker"] == 1
         assert values["ts"] == 3 and values["id"] == 4
 
-    def test_one_schema_plan_splits_what_the_unfolders_build(self, manager):
-        origin = tup(1, v=1, w=2)
-        out = aggregate_tuple(manager, [origin], ts=2, alert=1, level=3)
-        values = make_unfolded_values(out, origin, manager)
-        plan = unfolded_schema(tuple(values))
-        assert plan.sink_part == ("sink_alert", "sink_level", SINK_TS_FIELD, SINK_ID_FIELD)
-        assert plan.sink_attrs == (("sink_alert", "alert"), ("sink_level", "level"))
-        assert plan.origin_attrs == ("v", "w")
-        assert plan.origin_part == (
+    def test_a_block_holds_the_sink_once_and_an_entry_per_origin(self, manager):
+        origins = [tup(1, v=1, w=2), tup(3, v=3, w=4)]
+        out = aggregate_tuple(manager, origins, ts=2, alert=1, level=3)
+        block = unfold_block(out, origins, manager, "su")
+        assert block.values is out.values  # the sink payload, once, by reference
+        assert (block.ts, block.sink_ts, block.sink_id) == (2, 2, manager.tuple_id(out))
+        assert block.sources == [
+            {"v": 1, "w": 2, ORIGIN_TS_FIELD: 1, ORIGIN_ID_FIELD: "n1:1",
+             ORIGIN_TYPE_FIELD: "SOURCE"},
+            {"v": 3, "w": 4, ORIGIN_TS_FIELD: 3, ORIGIN_ID_FIELD: "n1:2",
+             ORIGIN_TYPE_FIELD: "SOURCE"},
+        ]
+        assert list(block.rows()[0]) == [
+            "sink_alert", "sink_level", SINK_TS_FIELD, SINK_ID_FIELD,
             "v", "w", ORIGIN_TS_FIELD, ORIGIN_ID_FIELD, ORIGIN_TYPE_FIELD,
-        )
-        assert unfolded_schema(tuple(values)) is plan  # cached per schema
+        ]
+        assert block.rows()[1] == make_unfolded_values(out, origins[1], manager)
