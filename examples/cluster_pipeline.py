@@ -92,9 +92,9 @@ def main() -> None:
     print(f"  alerts produced         : {result.sink.count}")
     print(f"  tuples over the sockets : {result.tuples_transferred()}")
     print(f"  bytes over the sockets  : {result.bytes_transferred()}")
-    print(f"  worker scheduler passes : {result.rounds}")
+    print(f"  operator wake-ups       : {result.wakeups}")
 
-    if result.collector is not None:
+    if result.collectors:
         records = result.provenance_records()
         print(f"\nProvenance records shipped back: {len(records)}")
         for record in records[:3]:

@@ -85,7 +85,7 @@ def main() -> None:
     for instance in result.instances:
         print(f"  ordering value of {instance.name}: {instance.ordering_value}")
 
-    if result.collector is not None:
+    if result.collectors:
         records = result.provenance_records()
         print(f"\nProvenance records collected at the provenance node: {len(records)}")
         for record in records[:3]:

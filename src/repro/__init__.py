@@ -21,7 +21,7 @@ from repro.api import Dataflow, Pipeline, PipelineResult, Placement
 from repro.spe.tuples import StreamTuple
 from repro.spe.query import Query
 from repro.spe.scheduler import Scheduler
-from repro.core.provenance import ProvenanceMode, attach_intra_process_provenance
+from repro.core.provenance import ProvenanceMode
 from repro.core.traversal import find_provenance
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Query",
     "Scheduler",
     "ProvenanceMode",
-    "attach_intra_process_provenance",
     "find_provenance",
     "__version__",
 ]

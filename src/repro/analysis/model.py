@@ -79,8 +79,6 @@ class PlanModel:
     capture_sinks: List[str] = field(default_factory=list)
     #: error message raised by ``placement.validate_against``, if it failed.
     placement_error: Optional[str] = None
-    #: True when a placement was supplied (an inter deployment).
-    placed: bool = False
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -157,8 +155,13 @@ class PlanModel:
             window_sum=dataflow.retention_s(),
             capture_sinks=list(dataflow.capture_sink_names()),
             placement_error=placement_error,
-            placed=placement is not None,
         )
+
+    @property
+    def cut(self) -> bool:
+        """True when the placement cuts an edge: provenance then ships to a
+        provenance instance instead of being captured in place."""
+        return any(edge.cut for edge in self.edges)
 
     # -- graph helpers ------------------------------------------------------
     def in_edges(self, name: str) -> List[PlanEdge]:

@@ -244,7 +244,7 @@ def check_unordered_capture(model: PlanModel) -> List[Diagnostic]:
             (edge.upstream, edge.downstream),
             "place .sort(slack) before the instance boundary",
         ))
-    if model.placed and model.mode is ProvenanceMode.BASELINE:
+    if model.cut and model.mode is ProvenanceMode.BASELINE:
         for node in model.nodes.values():
             if node.kind != "source" or promised[node.name]:
                 continue
@@ -268,7 +268,7 @@ def check_capture_shape(model: PlanModel) -> List[Diagnostic]:
     rule = "provenance.capture-shape"
     technique = model.mode.value
     sinks = [name for name, node in model.nodes.items() if node.kind == "sink"]
-    if not model.placed:
+    if not model.cut:
         if model.stored and not model.capture_sinks:
             return [_error(
                 rule,
@@ -283,8 +283,8 @@ def check_capture_shape(model: PlanModel) -> List[Diagnostic]:
     if opted_out:
         diagnostics.append(_error(
             rule,
-            f"distributed provenance capture ({technique}) covers the plan's "
-            f"data Sink, but sink(s) {opted_out!r} opted out "
+            f"provenance capture across a cut edge ({technique}) covers the "
+            f"plan's data Sink, but sink(s) {opted_out!r} opted out "
             "(capture_provenance=False, or another sink opted in exclusively)",
             opted_out,
             "capture the sink, or run with provenance='none'",
@@ -292,10 +292,10 @@ def check_capture_shape(model: PlanModel) -> List[Diagnostic]:
     if len(sinks) != 1:
         diagnostics.append(_error(
             rule,
-            f"distributed provenance capture ({technique}) needs exactly one "
-            f"data Sink; the plan declares {len(sinks)}",
+            f"provenance capture across a cut edge ({technique}) needs exactly "
+            f"one data Sink; the plan declares {len(sinks)}",
             sinks,
-            "union the streams into one Sink, or deploy without a Placement",
+            "union the streams into one Sink, or keep the plan on one instance",
         ))
     if model.mode is ProvenanceMode.BASELINE and not any(
         node.kind == "source" for node in model.nodes.values()
@@ -316,7 +316,7 @@ def check_retention_bound(model: PlanModel) -> List[Diagnostic]:
     window_sum = model.window_sum
     if (
         model.mode is not ProvenanceMode.NONE
-        and model.placed
+        and model.cut
         and model.retention is not None
         and model.retention < window_sum
     ):

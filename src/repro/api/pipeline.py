@@ -2,24 +2,24 @@
 
 A :class:`Pipeline` takes a :class:`~repro.api.dataflow.Dataflow`, a
 provenance technique and an optional :class:`Placement`, and hides all the
-deployment mechanics the examples used to hand-wire:
+deployment mechanics the examples used to hand-wire.  One builder lowers
+every plan onto :class:`~repro.spe.instance.SPEInstance` objects:
 
-* **intra-process** (no placement): the dataflow is lowered into one
-  :class:`~repro.spe.query.Query`, provenance capture is spliced in with
-  :func:`~repro.core.provenance.attach_intra_process_provenance` (an SU
-  operator plus a provenance Sink per data Sink, Theorem 5.3), and the
-  deterministic :class:`~repro.spe.scheduler.Scheduler` runs it.
-* **inter-process** (with a placement): the dataflow is partitioned into
-  :class:`~repro.spe.instance.SPEInstance` processes, Send/Receive pairs are
-  inserted on every edge crossing a process boundary, and -- depending on the
-  technique -- GeneaLog's SU/MU machinery (section 6) or the Ariadne-style
-  baseline's source shipping is spliced in before a dedicated provenance
-  instance is appended.  In process, one
-  :class:`~repro.spe.scheduler.Scheduler` runs every instance; out of
-  process, every Sink is cut onto a last, *home* instance
-  (:func:`~repro.spe.cluster.cut_home`) that the
-  :class:`~repro.spe.cluster.RemoteRuntime` drives itself while it runs one
-  worker per other instance.
+* **no placement**: every stage lands on one instance named after the
+  dataflow (``PipelineResult.query``).
+* **a placement**: one instance per placed instance name, with a
+  Send/Receive pair inserted on every edge that crosses instances.
+
+Provenance capture follows the cut edges.  A plan without one captures in
+place: an SU before each captured Sink feeds that Sink's provenance Sink
+(Theorem 5.3).  A plan with cut edges splices GeneaLog's SU/MU machinery
+(section 6) or the Ariadne-style baseline's source shipping, and appends a
+dedicated provenance instance.  In process, one
+:class:`~repro.spe.scheduler.Scheduler` runs every instance; out of
+process, every Sink is cut onto a last, *home* instance
+(:func:`~repro.spe.cluster.cut_home`) that the
+:class:`~repro.spe.cluster.RemoteRuntime` drives itself while it runs one
+worker per other instance.
 
 Either way :meth:`Pipeline.run` returns a :class:`PipelineResult` bundling
 the sinks, the collected provenance records and the transfer statistics.
@@ -36,11 +36,9 @@ from repro.api.dataflow import Dataflow, DataflowError, _Edge
 from repro.core.baseline import BaselineProvenanceResolver
 from repro.core.multi_unfolder import attach_mu
 from repro.core.provenance import (
-    ProvenanceCapture,
     ProvenanceCollector,
     ProvenanceMode,
     ProvenanceRecord,
-    attach_intra_process_provenance,
     create_manager,
 )
 from repro.core.unfolder import add_su
@@ -210,27 +208,24 @@ class PipelineResult:
     mode: ProvenanceMode
     deployment: str  # "intra" or "inter"
     fused: bool
-    #: the lowered query (intra-process deployments only).
+    #: the one instance of a deployment without a placement.
     query: Optional[Query] = None
-    #: the lowered SPE instances (inter-process): the provenance instance
-    #: last, then, out of process, the home instance holding every Sink.
+    #: the lowered SPE instances (with a placement): the provenance
+    #: instance last when a cut edge ships provenance, then, out of
+    #: process, the home instance holding every Sink.
     instances: List[SPEInstance] = field(default_factory=list)
     #: the dataflow's declared Sources / data Sinks (not provenance sinks).
     sources: List[SourceOperator] = field(default_factory=list)
     sinks: List[SinkOperator] = field(default_factory=list)
-    #: intra-process provenance capture (None for inter-process).
-    capture: Optional[ProvenanceCapture] = None
-    #: inter-process provenance collector (None intra / with mode NP).
-    collector: Optional[ProvenanceCollector] = None
+    #: captured data-Sink name -> the collector of its provenance records
+    #: (empty with mode NP).
+    collectors: Dict[str, ProvenanceCollector] = field(default_factory=dict)
+    #: instance name -> the provenance manager of its operators.
     managers: Dict[str, ProvenanceManager] = field(default_factory=dict)
     #: the inter-instance channels (the home instance's are not counted).
     channels: List[Channel] = field(default_factory=list)
-    #: what :meth:`Pipeline.run` executed: operator wake-ups in process
-    #: (``execution="event"``), worker passes summed over the workers out
-    #: of process.
-    rounds: int = 0
-    #: operator wake-ups executed (in process: equals ``rounds``; out of
-    #: process: summed over the worker schedulers).
+    #: operator wake-ups executed (out of process: summed over the worker
+    #: schedulers and the home's).
     wakeups: int = 0
     #: live provenance store attached via ``Pipeline(provenance_store=...)``.
     store: Optional[ProvenanceLedger] = None
@@ -261,17 +256,15 @@ class PipelineResult:
         return sink
 
     def provenance_records(self) -> List[ProvenanceRecord]:
-        """All provenance records, wherever they were collected."""
-        if self.capture is not None:
-            return self.capture.records()
-        if self.collector is not None:
-            return self.collector.records()
-        return []
+        """All provenance records, Sink by captured Sink."""
+        return [
+            record
+            for collector in self.collectors.values()
+            for record in collector.records()
+        ]
 
     def traversal_times_s(self) -> List[float]:
         """Per-sink-tuple contribution-graph traversal times (seconds)."""
-        if self.capture is not None:
-            return self.capture.traversal_times_s()
         return [
             sample
             for samples in self.traversal_times_by_instance().values()
@@ -279,7 +272,7 @@ class PipelineResult:
         ]
 
     def traversal_times_by_instance(self) -> Dict[str, List[float]]:
-        """Traversal times grouped by SPE instance (inter-process)."""
+        """Traversal times grouped by SPE instance."""
         times: Dict[str, List[float]] = {}
         for name, manager in self.managers.items():
             samples = list(getattr(manager, "traversal_times_s", []))
@@ -324,8 +317,8 @@ class Pipeline:
 
     ``provenance`` is ``"none"``/``"genealog"``/``"baseline"`` (or the
     paper's NP/GL/BL labels, or a :class:`ProvenanceMode`).  ``placement``
-    selects the deployment: ``None`` runs everything as one query; a
-    :class:`Placement` deploys onto several SPE instances.  ``retention``
+    selects the deployment: ``None`` runs everything on one SPE instance; a
+    :class:`Placement` deploys onto several.  ``retention``
     (seconds of provenance the MU / baseline resolver must retain) defaults
     to the sum of the dataflow's window sizes.  ``execution`` selects where
     the event-driven scheduler runs: ``"event"`` (default) keeps everything
@@ -486,47 +479,12 @@ class Pipeline:
                         PlanAnalysisWarning,
                         stacklevel=2,
                     )
-            if self.placement is None:
-                self._result = self._build_intra()
-            else:
-                self._result = self._build_inter()
+            result = _Builder(self).build()
+            if self.execution in LAUNCHERS:
+                result.instances.append(cut_home(result.instances))
+                assign_ordering_values(result.instances)
+            self._result = result
         return self._result
-
-    def _build_intra(self) -> PipelineResult:
-        query = Query(self.dataflow.name)
-        operators = self.dataflow.lower_into(query)
-        sources = [cast(SourceOperator, operators[n]) for n in self.dataflow.source_names()]
-        sinks = [cast(SinkOperator, operators[n]) for n in self.dataflow.sink_names()]
-        capture = attach_intra_process_provenance(
-            query,
-            self.mode,
-            fused=self.fused,
-            only_sinks=self.dataflow.capture_sink_names(),
-        )
-        if self.store is not None:
-            # One logical ledger fed by one tap per provenance Sink; the
-            # ledger seals on the minimum watermark across its taps.
-            for provenance_sink in capture.provenance_sinks.values():
-                provenance_sink.add_tap(LedgerTap(self.store))
-        query.validate()
-        return PipelineResult(
-            mode=self.mode,
-            deployment="intra",
-            fused=self.fused,
-            query=query,
-            sources=sources,
-            sinks=sinks,
-            capture=capture,
-            managers={"local": capture.manager},
-            store=self.store,
-        )
-
-    def _build_inter(self) -> PipelineResult:
-        result = _DistributedBuilder(self).build()
-        if self.execution in LAUNCHERS:
-            result.instances.append(cut_home(result.instances))
-            assign_ordering_values(result.instances)
-        return result
 
     # -- running -----------------------------------------------------------------
     def run(
@@ -567,7 +525,6 @@ class Pipeline:
                 telemetry=telemetry,
             )
             runtime.run()
-            result.rounds = runtime.rounds
             result.wakeups = runtime.total_wakeups()
         else:
             queries: Sequence[Query] = (
@@ -582,25 +539,27 @@ class Pipeline:
             if telemetry is not None:
                 scheduler.tracer = telemetry.tracer
             scheduler.run()
-            result.rounds = result.wakeups = scheduler.wakeups
+            result.wakeups = scheduler.wakeups
         if telemetry is not None:
             telemetry.finalize(result)
         self._ran = True
         return result
 
 
-class _DistributedBuilder:
+class _Builder:
     """Lowers a dataflow onto SPE instances and splices provenance plumbing.
 
-    Generalises the hand-written three-instance deployments of the paper's
-    evaluation (Figures 7, 9C, 10C, 11C): Send/Receive pairs at every cut
-    edge, SU operators in front of every Send and Sink under GeneaLog plus an
-    MU on a dedicated provenance instance, and source/sink stream shipping to
-    a source-store resolver under the Ariadne-style baseline.
+    Without a placement every stage lands on one instance named after the
+    dataflow.  With one, it generalises the hand-written three-instance
+    deployments of the paper's evaluation (Figures 7, 9C, 10C, 11C):
+    Send/Receive pairs at every cut edge, SU operators in front of every
+    Send and Sink under GeneaLog plus an MU on a dedicated provenance
+    instance, and source/sink stream shipping to a source-store resolver
+    under the Ariadne-style baseline.  A plan without a cut edge captures
+    GL and BL alike in place: an SU before each captured Sink (Theorem 5.3).
     """
 
     def __init__(self, pipeline: Pipeline) -> None:
-        assert pipeline.placement is not None
         self.dataflow = pipeline.dataflow
         self.placement = pipeline.placement
         self.mode = pipeline.mode
@@ -623,7 +582,7 @@ class _DistributedBuilder:
         self._cut_sends: List[Tuple[SPEInstance, Operator, str]] = []
         self._upstream_channels: List[Channel] = []
         self._bl_source_channels: List[Channel] = []
-        self.collector: Optional[ProvenanceCollector] = None
+        self.collectors: Dict[str, ProvenanceCollector] = {}
 
     # -- helpers -----------------------------------------------------------------
     def _channel(self, label: str) -> Channel:
@@ -632,15 +591,29 @@ class _DistributedBuilder:
         self.channels.append(channel)
         return channel
 
-    def _new_instance(self, name: str) -> SPEInstance:
+    def _new_instance(self, name: str, node_id: Optional[str] = None) -> SPEInstance:
         instance = SPEInstance(name)
         self.instances[name] = instance
-        self.managers[name] = create_manager(self.mode, node_id=name)
+        self.managers[name] = create_manager(self.mode, node_id=node_id or name)
         instance.set_provenance(self.managers[name])
         return instance
 
     def _owning(self, operator: Operator) -> SPEInstance:
         return self.instances[self.owner[operator.name]]
+
+    def _provenance_sink(
+        self, instance: SPEInstance, name: str, captured: str
+    ) -> SinkOperator:
+        """A provenance Sink that collects the records of Sink ``captured``."""
+        collector = ProvenanceCollector(name=captured)
+        self.collectors[captured] = collector
+        provenance_sink = instance.add_sink(name, keep_tuples=False)
+        provenance_sink.add_tap(collector)
+        if self.store is not None:
+            # One logical ledger fed by one tap per provenance Sink; it
+            # seals on the minimum watermark across its taps.
+            provenance_sink.add_tap(LedgerTap(self.store))
+        return provenance_sink
 
     # -- lowering ----------------------------------------------------------------
     def _cut_label(self, edge: _Edge, used: Set[str]) -> str:
@@ -649,6 +622,7 @@ class _DistributedBuilder:
         ``used`` holds every link label from the start, so an automatic
         label never takes one a later edge names explicitly.
         """
+        assert self.placement is not None  # only a placement cuts edges
         explicit = self.placement.links.get((edge.upstream, edge.downstream))
         if explicit is not None:
             return explicit
@@ -669,14 +643,21 @@ class _DistributedBuilder:
             suffix += 1
 
     def build(self) -> PipelineResult:
-        self.owner = self.placement.validate_against(self.dataflow)
-        for instance_name in self.placement.assignments:
-            self._new_instance(instance_name)
+        if self.placement is None:
+            # The one instance's manager keeps the single-process node id,
+            # which every sink id and ledger document carries.
+            self._new_instance(self.dataflow.name, node_id="local")
+            self.owner = dict.fromkeys(self.dataflow.node_names, self.dataflow.name)
+            used_labels: Set[str] = set()
+        else:
+            self.owner = self.placement.validate_against(self.dataflow)
+            for instance_name in self.placement.assignments:
+                self._new_instance(instance_name)
+            used_labels = set(self.placement.links.values())
         for node_name in self.dataflow.node_names:
             self.operators[node_name] = self.instances[self.owner[node_name]].add(
                 self.dataflow._nodes[node_name].instantiate()
             )
-        used_labels = set(self.placement.links.values())
         for edge in self.dataflow.ordered_edges():
             upstream_op = self.operators[edge.upstream]
             downstream_op = self.operators[edge.downstream]
@@ -708,10 +689,17 @@ class _DistributedBuilder:
         ]
         sinks = [cast(SinkOperator, self.operators[n]) for n in self.dataflow.sink_names()]
 
-        if self.mode is ProvenanceMode.GENEALOG:
-            self._build_provenance_instance(self._splice_genealog(sinks))
-        elif self.mode is ProvenanceMode.BASELINE:
-            self._build_provenance_instance(self._splice_baseline(sources, sinks))
+        if self.mode is not ProvenanceMode.NONE:
+            if not self._cut_sends:
+                self._capture_in_place()
+            else:
+                (sink,) = sinks  # provenance.capture-shape: one data Sink
+                self._build_provenance_instance(
+                    sink,
+                    self._splice_genealog(sink)
+                    if self.mode is ProvenanceMode.GENEALOG
+                    else self._splice_baseline(sources, sink),
+                )
 
         for instance in self.instances.values():
             # Operators spliced in after instance creation (SU, Send, MU, ...)
@@ -723,16 +711,30 @@ class _DistributedBuilder:
 
         return PipelineResult(
             mode=self.mode,
-            deployment="inter",
+            deployment="intra" if self.placement is None else "inter",
             fused=self.fused,
-            instances=instances,
+            query=instances[0] if self.placement is None else None,
+            instances=[] if self.placement is None else instances,
             sources=sources,
             sinks=sinks,
-            collector=self.collector,
+            collectors=self.collectors,
             managers=self.managers,
             channels=self.channels,
             store=self.store,
         )
+
+    def _capture_in_place(self) -> None:
+        """No cut edge: an SU before each captured Sink feeds its
+        ``provenance_<sink>`` on the same instance (Theorem 5.3)."""
+        for name in self.dataflow.capture_sink_names():
+            sink = self.operators[name]
+            instance = self._owning(sink)
+            unfolded_out = self._splice_su_before(
+                instance, sink, f"su_{name}", boundary=False
+            )
+            instance.connect(
+                unfolded_out, self._provenance_sink(instance, f"provenance_{name}", name)
+            )
 
     # -- GeneaLog splicing (section 6) --------------------------------------------
     def _splice_su_before(
@@ -749,7 +751,7 @@ class _DistributedBuilder:
         instance.splice(consumer.inputs[0], data_out, data_out)
         return unfolded_out
 
-    def _splice_genealog(self, sinks: List[SinkOperator]) -> Channel:
+    def _splice_genealog(self, sink: SinkOperator) -> Channel:
         """Splice the SUs; return the channel of the Sink's derived stream."""
         for instance, send, label in self._cut_sends:
             unfolded_out = self._splice_su_before(
@@ -764,7 +766,6 @@ class _DistributedBuilder:
             )
             instance.connect(unfolded_out, upstream_send)
             self._upstream_channels.append(upstream_channel)
-        (sink,) = sinks  # provenance.capture-shape: one data Sink
         instance = self._owning(sink)
         unfolded_out = self._splice_su_before(
             instance, sink, f"su_{sink.name}", boundary=False
@@ -778,7 +779,7 @@ class _DistributedBuilder:
 
     # -- baseline splicing ----------------------------------------------------------
     def _splice_baseline(
-        self, sources: List[SourceOperator], sinks: List[SinkOperator]
+        self, sources: List[SourceOperator], sink: SinkOperator
     ) -> Channel:
         """Ship every Source and the Sink; return the annotated Sink's channel."""
         for index, source in enumerate(sources):
@@ -791,7 +792,6 @@ class _DistributedBuilder:
             send = instance.add_send(f"send_{label}", channel)
             instance.connect(multiplex, send)
             self._bl_source_channels.append(channel)
-        (sink,) = sinks  # provenance.capture-shape: one data Sink
         instance = self._owning(sink)
         multiplex = instance.add_multiplex(f"{sink.name}_multiplex")
         instance.splice(sink.inputs[0], multiplex, multiplex)
@@ -800,18 +800,14 @@ class _DistributedBuilder:
         return sink_channel
 
     # -- the provenance instance ----------------------------------------------------
-    def _build_provenance_instance(self, sink_channel: Channel) -> None:
-        """Append the provenance instance, fed by the Sink's ``sink_channel``
-        (GL: its derived stream, BL: its annotated tuples)."""
+    def _build_provenance_instance(self, sink: SinkOperator, sink_channel: Channel) -> None:
+        """Append the provenance instance, fed by ``sink``'s ``sink_channel``
+        (GL: its derived stream, BL: its annotated tuples).  The unfolded
+        stream reaching its provenance Sink crossed the process boundaries
+        serialised; the collector and the ledger read the payloads
+        reconstructed on this (the receiving) instance."""
         instance = self._new_instance(PROVENANCE_INSTANCE)
-        self.collector = ProvenanceCollector(name=self.dataflow.name)
-        provenance_sink = instance.add_sink("provenance_sink", keep_tuples=False)
-        provenance_sink.add_tap(self.collector)
-        if self.store is not None:
-            # The unfolded stream reaching this sink already crossed the
-            # process boundaries serialised; the ledger ingests the payloads
-            # reconstructed on this (the receiving) instance.
-            provenance_sink.add_tap(LedgerTap(self.store))
+        provenance_sink = self._provenance_sink(instance, "provenance_sink", sink.name)
         if self.mode is ProvenanceMode.GENEALOG:
             ports = attach_mu(
                 instance,

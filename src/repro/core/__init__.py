@@ -13,8 +13,9 @@ This package implements:
   (:mod:`repro.core.multi_unfolder`),
 * the Ariadne-style baseline used for comparison
   (:mod:`repro.core.baseline`),
-* and the user-facing API that attaches provenance capture to a query or a
-  distributed deployment (:mod:`repro.core.provenance`).
+* and the capture API the ``Pipeline`` builder splices in: the technique
+  selector, its managers and the record collector
+  (:mod:`repro.core.provenance`).
 """
 
 from repro.core.types import TupleType
@@ -26,9 +27,7 @@ from repro.core.unfolder import SUOperator, make_unfolded_values
 from repro.core.multi_unfolder import MUOperator
 from repro.core.provenance import (
     ProvenanceMode,
-    ProvenanceCapture,
     ProvenanceRecord,
-    attach_intra_process_provenance,
     create_manager,
 )
 
@@ -43,8 +42,6 @@ __all__ = [
     "MUOperator",
     "make_unfolded_values",
     "ProvenanceMode",
-    "ProvenanceCapture",
     "ProvenanceRecord",
-    "attach_intra_process_provenance",
     "create_manager",
 ]

@@ -6,14 +6,14 @@ This module is the entry point most users need:
   ``BASELINE``/BL),
 * :func:`create_manager` builds the corresponding
   :class:`~repro.spe.provenance_api.ProvenanceManager`,
-* :func:`attach_intra_process_provenance` takes an already-built query and
-  splices provenance capture (an SU operator plus a provenance Sink) in front
-  of every Sink, returning a :class:`ProvenanceCapture` from which the
-  per-sink-tuple :class:`ProvenanceRecord` objects can be read after the run.
+* :class:`ProvenanceCollector` turns the unfolded stream reaching a
+  provenance Sink into per-sink-tuple :class:`ProvenanceRecord` objects.
 
-Distributed (inter-process) deployments splice SU/MU operators across SPE
-instances (see :class:`~repro.api.pipeline.Pipeline` with a placement) and
-reuse the :class:`ProvenanceCollector` defined here.
+The :class:`~repro.api.pipeline.Pipeline` builder splices the capture itself:
+an SU before each captured Sink when the plan has no cut edge (Theorem 5.3),
+SUs before every cut plus an MU on a provenance instance when it has
+(section 6); either way ``PipelineResult.collectors`` holds one collector
+per captured Sink.
 """
 
 from __future__ import annotations
@@ -24,11 +24,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.baseline import AriadneBaselineProvenance
 from repro.core.instrumentation import GeneaLogProvenance
-from repro.core.unfolder import ORIGIN_TS_FIELD, add_su
-from repro.spe.errors import QueryValidationError
-from repro.spe.operators.sink import SinkOperator
+from repro.core.unfolder import ORIGIN_TS_FIELD
 from repro.spe.provenance_api import NoProvenance, ProvenanceManager
-from repro.spe.query import Query
 from repro.spe.tuples import UnfoldedBlock
 
 
@@ -150,83 +147,3 @@ class ProvenanceCollector:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-@dataclass
-class ProvenanceCapture:
-    """Everything :func:`attach_intra_process_provenance` adds to a query."""
-
-    mode: ProvenanceMode
-    manager: ProvenanceManager
-    collectors: Dict[str, ProvenanceCollector] = field(default_factory=dict)
-    provenance_sinks: Dict[str, SinkOperator] = field(default_factory=dict)
-
-    def records(self) -> List[ProvenanceRecord]:
-        """All provenance records, across every Sink of the query."""
-        combined: List[ProvenanceRecord] = []
-        for collector in self.collectors.values():
-            combined.extend(collector.records())
-        return combined
-
-    def records_for(self, sink_name: str) -> List[ProvenanceRecord]:
-        """Provenance records of one particular Sink."""
-        collector = self.collectors.get(sink_name)
-        return collector.records() if collector else []
-
-    def traversal_times_s(self) -> List[float]:
-        """Per-sink-tuple contribution-graph traversal times (seconds)."""
-        return list(getattr(self.manager, "traversal_times_s", []))
-
-
-def attach_intra_process_provenance(
-    query: Query,
-    mode: ProvenanceMode,
-    fused: bool = True,
-    only_sinks: Optional[Sequence[str]] = None,
-) -> ProvenanceCapture:
-    """Enable provenance capture on a single-process query (section 5).
-
-    For every Sink ``K`` of ``query``, the stream feeding ``K`` is re-routed
-    through an SU operator whose ``SO`` output keeps feeding ``K`` and whose
-    unfolded output ``U`` feeds a new provenance Sink (Theorem 5.3).  The
-    provenance manager implementing ``mode`` is installed on every operator.
-    ``only_sinks`` restricts the splicing to the named Sinks (the dataflow
-    DSL's per-sink ``capture_provenance`` knob lowers to this).
-
-    With ``mode=ProvenanceMode.NONE`` only the manager is installed (a no-op)
-    and the query is left untouched.
-    """
-    manager = create_manager(mode)
-    query.set_provenance(manager)
-    capture = ProvenanceCapture(mode=mode, manager=manager)
-    if mode is ProvenanceMode.NONE:
-        return capture
-    captured = None if only_sinks is None else set(only_sinks)
-    for sink in query.sinks():
-        if not sink.inputs:
-            continue
-        if captured is not None and sink.name not in captured:
-            continue
-        feeding_stream = sink.inputs[0]
-        producer = query.producer_of(feeding_stream)
-        if not feeding_stream.enforce_order:
-            # GeneaLog's guarantees rest on timestamp-ordered processing; an
-            # SU fed out of order would unfold wrong provenance.  Fail at
-            # build time instead of with a StreamOrderError mid-run.
-            raise QueryValidationError(
-                f"cannot splice provenance capture onto the unordered stream "
-                f"feeding sink {sink.name!r}; place a Sort operator between "
-                f"{producer.name!r} and the sink"
-            )
-        data_out, unfolded_out = add_su(query, name=f"su_{sink.name}", fused=fused)
-        query.splice(feeding_stream, data_out, data_out)
-        collector = ProvenanceCollector(name=sink.name)
-        provenance_sink = query.add_sink(f"provenance_{sink.name}", keep_tuples=False)
-        provenance_sink.add_tap(collector)
-        query.connect(unfolded_out, provenance_sink)
-        capture.collectors[sink.name] = collector
-        capture.provenance_sinks[sink.name] = provenance_sink
-    # The SU operators and provenance Sinks added above must use the same
-    # manager as the rest of the query.
-    query.set_provenance(manager)
-    return capture

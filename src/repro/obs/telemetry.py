@@ -28,11 +28,18 @@ Hook installation is execution-mode aware:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .export import chrome_trace, jsonl_events, prometheus_text
 from .metrics import Histogram, TimeSeriesSampler
 from .tracer import DEFAULT_CAPACITY, SpanRecord, SpanTracer, merge_exports
+
+if TYPE_CHECKING:
+    from repro.api.pipeline import PipelineResult
+    from repro.spe.channels import Channel
+    from repro.spe.instance import SPEInstance
+    from repro.spe.operators.base import Operator
+    from repro.spe.scheduler import Scheduler
 
 
 @dataclass
@@ -59,20 +66,20 @@ class Telemetry:
         )
         self.histograms: Dict[str, Histogram] = {}
         self._worker_exports: List[Dict] = []
-        self._sampled_channels = ()
-        self._sampled_operators = ()
+        self._sampled_channels: Tuple[Channel, ...] = ()
+        self._sampled_operators: Tuple[Operator, ...] = ()
 
     # -- hook installation -------------------------------------------------
     @staticmethod
-    def _operators_of(result) -> List:
-        operators = []
+    def _operators_of(result: PipelineResult) -> List[Operator]:
+        operators: List[Operator] = []
         if result.query is not None:
             operators.extend(result.query.operators)
         for instance in result.instances:
             operators.extend(instance.operators)
         return operators
 
-    def attach(self, result, execution: str) -> None:
+    def attach(self, result: PipelineResult, execution: str) -> None:
         """Install the in-process hooks appropriate for ``execution``.
 
         ``result`` is the built :class:`~repro.api.pipeline.PipelineResult`.
@@ -95,7 +102,9 @@ class Telemetry:
         self._sampled_channels = tuple(result.channels)
         self._sampled_operators = tuple(self._operators_of(result))
 
-    def wrap_callback(self, round_callback):
+    def wrap_callback(
+        self, round_callback: Optional[Callable[[int], None]]
+    ) -> Callable[[int], None]:
         """Chain the time-series sampler in front of ``round_callback``."""
         sampler = self.sampler
         channels = self._sampled_channels
@@ -115,7 +124,7 @@ class Telemetry:
             self._worker_exports.append(export)
 
     # -- finalization -------------------------------------------------------
-    def finalize(self, result) -> None:
+    def finalize(self, result: PipelineResult) -> None:
         """Derive histograms and the closing time-series row from ``result``."""
         latency = Histogram()
         for sink in result.sinks:
@@ -166,7 +175,9 @@ class Telemetry:
         return jsonl_events(self.spans())
 
 
-def coerce_telemetry(value) -> Optional[Telemetry]:
+def coerce_telemetry(
+    value: Union[None, bool, TelemetryConfig, Telemetry]
+) -> Optional[Telemetry]:
     """Normalise a ``Pipeline(telemetry=...)`` argument.
 
     ``None``/``False`` -> disabled, ``True`` -> default-configured
@@ -188,7 +199,9 @@ def coerce_telemetry(value) -> Optional[Telemetry]:
     )
 
 
-def enable_worker_telemetry(instance, scheduler, capacity: int = 0) -> SpanTracer:
+def enable_worker_telemetry(
+    instance: SPEInstance, scheduler: Scheduler, capacity: int = 0
+) -> SpanTracer:
     """Opt one worker-side instance into span recording; return its tracer.
 
     Called by a :mod:`repro.spe.cluster` worker session -- a forked child
@@ -209,7 +222,12 @@ def enable_worker_telemetry(instance, scheduler, capacity: int = 0) -> SpanTrace
     return tracer
 
 
-def _install_tracer(tracer: SpanTracer, operators, channels, managers) -> None:
+def _install_tracer(
+    tracer: SpanTracer,
+    operators: Iterable[Operator],
+    channels: Iterable[Channel],
+    managers: Iterable[Any],
+) -> None:
     """Point every operator, channel and provenance manager at ``tracer``.
 
     ``None`` managers are skipped, and so is a ``__slots__`` manager

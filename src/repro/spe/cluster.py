@@ -426,12 +426,11 @@ def _manager(instance: SPEInstance) -> Any:
     return instance.operators[0].provenance if instance.operators else None
 
 
-def _result_document(instance: SPEInstance, scheduler: Scheduler, passes: int) -> Dict[str, Any]:
+def _result_document(instance: SPEInstance, scheduler: Scheduler) -> Dict[str, Any]:
     """What the coordinator needs of a finished worker (its **ok** body)."""
     tracer = scheduler.tracer
     return {
         "instance": instance.name,
-        "passes": passes,
         "wakeups": scheduler.wakeups,
         "operators": {
             op.name: (op.work_calls, op.tuples_in, op.tuples_out)
@@ -589,14 +588,14 @@ class _WorkerSession:
                 instance, scheduler, int(telemetry_options.get("capacity", 0))
             )
         logger.debug("session on %s: starting instance %r", self._host, instance.name)
-        passes = self._drive(instance, scheduler)
+        self._drive(instance, scheduler)
         logger.debug(
-            "session on %s: instance %r finished after %d passes",
+            "session on %s: instance %r finished after %d wake-ups",
             self._host,
             instance.name,
-            passes,
+            scheduler.wakeups,
         )
-        _send_control(self._control, "ok", _result_document(instance, scheduler, passes))
+        _send_control(self._control, "ok", _result_document(instance, scheduler))
 
     def _poll_stop(self) -> bool:
         """Non-blocking check for a coordinator stop (or a dead coordinator).
@@ -622,8 +621,8 @@ class _WorkerSession:
         ready.clear()
         return stop
 
-    def _drive(self, instance: SPEInstance, scheduler: Scheduler) -> int:
-        """The worker loop: step the scheduler to quiescence; return the passes.
+    def _drive(self, instance: SPEInstance, scheduler: Scheduler) -> None:
+        """The worker loop: step the scheduler to quiescence.
 
         Idle, it parks on a :class:`_Waiter` over the consumer sockets and
         the control socket: a frame from an upstream worker wakes its
@@ -632,13 +631,11 @@ class _WorkerSession:
         self._control.setblocking(False)
         waiter = _Waiter(instance)
         waiter.watch(self._control, None)
-        passes = 0
         try:
             while True:
                 progressed = scheduler.step()
-                passes += 1
                 if scheduler.finished:
-                    return passes
+                    return
                 if self._poll_stop():
                     logger.info("worker of instance %r stopped", instance.name)
                     raise _StopRequested()
@@ -847,12 +844,8 @@ class RemoteRuntime:
         self.connect_backoff_s = connect_backoff_s
         self.max_rounds = max_rounds
         self.round_callback = round_callback
-        #: instance wake-up ("pass") counts summed over all workers.
-        self.rounds = 0
         self._wakeups = 0
         self.sessions: List[_Session] = []
-        #: instance name -> shipped result document (after a successful run).
-        self.results: Dict[str, Dict[str, Any]] = {}
         self._own_workers: List[ClusterWorker] = []
         self._hosts = hosts
         self._validate_hosts()
@@ -952,8 +945,8 @@ class RemoteRuntime:
         }
 
     # -- execution ---------------------------------------------------------
-    def run(self) -> int:
-        """Run every instance to quiescence; return the worker pass count."""
+    def run(self) -> None:
+        """Run every instance to quiescence."""
         for instance in self.instances + [self.home]:
             instance.validate()
         telemetry = self.telemetry
@@ -975,7 +968,6 @@ class RemoteRuntime:
             self._shutdown()
         self._raise_on_failure()
         self._phase("apply", self._apply_results)
-        return self.rounds
 
     def _phase(self, name: str, step: Callable[[], None]) -> None:
         """Run one coordinator phase, recorded as an ``<execution>.<name>`` span."""
@@ -1267,8 +1259,6 @@ class RemoteRuntime:
         for session in self.sessions:
             assert session.outcome is not None
             document = session.outcome[1]
-            self.results[session.instance.name] = document
-            self.rounds += document["passes"]
             self._wakeups += document["wakeups"]
             for operator in session.instance.operators:
                 counters = document["operators"].get(operator.name)

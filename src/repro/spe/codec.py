@@ -29,8 +29,7 @@ The codec is *stateful per channel direction*: encoder and decoder each
 maintain string/schema dictionaries that grow in lock-step because every
 "new entry" is explicit on the wire.  Both sides start empty (a shipped
 plan carries only empty codec state), and FIFO transports keep them in
-sync.  :meth:`BinaryChannelEncoder.reset` / :meth:`BinaryChannelDecoder.reset`
-drop the dictionaries, e.g. when a channel reconnects mid-stream.
+sync.
 
 A payload that is not a blob of this layout -- a retired JSON document, a
 ``str``, a foreign byte string -- fails its decode with
@@ -242,18 +241,13 @@ class BinaryChannelEncoder:
     """Stateful binary encoder for one channel direction.
 
     ``channel`` names the channel in error messages.  The string/schema
-    dictionaries persist across batches; :meth:`reset` drops them (the
-    matching decoder must reset too -- e.g. on a channel reconnect).
+    dictionaries persist across batches for the life of the channel.
     """
 
     __slots__ = ("channel", "_strings", "_schemas")
 
     def __init__(self, channel: str = "") -> None:
         self.channel = channel
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget the interning dictionaries (start of a fresh stream)."""
         self._strings: Dict[str, int] = {}
         self._schemas: Dict[Tuple[str, ...], int] = {}
 
@@ -467,10 +461,6 @@ class BinaryChannelDecoder:
 
     def __init__(self, channel: str = "") -> None:
         self.channel = channel
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget the interning dictionaries (start of a fresh stream)."""
         self._strings: List[str] = []
         self._schemas: List[Tuple[str, ...]] = []
 
@@ -592,7 +582,7 @@ class BinaryChannelDecoder:
                 if index >= len(schemas):
                     raise SerializationError(
                         f"channel {self.channel!r}: unknown schema reference "
-                        f"{index} (decoder out of sync; was the encoder reset?)"
+                        f"{index} (decoder out of sync: it missed an earlier batch)"
                     )
                 keys = schemas[index]
             if not keys:
@@ -667,7 +657,7 @@ class BinaryChannelDecoder:
     def _unknown_string(self, index: int) -> NoReturn:
         raise SerializationError(
             f"channel {self.channel!r}: unknown string reference "
-            f"{index} (decoder out of sync; was the encoder reset?)"
+            f"{index} (decoder out of sync: it missed an earlier batch)"
         )
 
     def _read_interned(self, buf: bytes, pos: int) -> Tuple[str, int]:

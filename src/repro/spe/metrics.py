@@ -9,7 +9,10 @@ timing, latency and memory side of a run is measured by :mod:`repro.obs`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
+
+if TYPE_CHECKING:
+    from repro.spe.operators.base import Operator
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class MetricsSnapshot:
 
 
 def snapshot_operators(
-    operators, instance: Optional[str] = None
+    operators: Iterable[Operator], instance: Optional[str] = None
 ) -> Dict[str, OperatorCounters]:
     """Snapshot an iterable of operators into qualified-name counters."""
     snapshot: Dict[str, OperatorCounters] = {}

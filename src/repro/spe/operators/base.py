@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.spe.errors import QueryValidationError
 from repro.spe.provenance_api import NoProvenance, ProvenanceManager
 from repro.spe.streams import Stream
 from repro.spe.tuples import StreamTuple
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import SpanTracer
 
 _operator_ids = itertools.count()
 
@@ -37,7 +40,7 @@ class Operator:
     #: telemetry span tracer.  A *class* attribute defaulting to None so
     #: unpickled plan operators carry no instance state; the obs layer sets
     #: it per instance when telemetry is enabled.
-    tracer = None
+    tracer: Optional[SpanTracer] = None
 
     def __init__(self, name: str) -> None:
         self.name = name

@@ -23,12 +23,11 @@ from functools import lru_cache
 
 import pytest
 
+from repro.api import Dataflow, Pipeline
 from repro.core.instrumentation import GeneaLogProvenance
-from repro.core.provenance import ProvenanceMode, attach_intra_process_provenance
+from repro.core.provenance import ProvenanceMode
 from repro.core.traversal import find_provenance
 from repro.spe.operators.aggregate import WindowSpec
-from repro.spe.query import Query
-from repro.spe.scheduler import Scheduler
 from repro.spe.tuples import StreamTuple
 from repro.workloads.queries import query_pipeline
 from tests.conftest import record_index
@@ -264,10 +263,8 @@ class TestAblations:
     def test_ablation_selective_window_provenance(self, selective):
         """Q3's readings through a daily-maximum aggregate, with and without
         declaring the maximum as the window's only contributor."""
-        query = Query("max-consumption")
-        source = query.add_source("source", workload_for("q3"))
-        aggregate = query.add_aggregate(
-            "daily_max",
+        df = Dataflow("max-consumption")
+        df.source("source", workload_for("q3")).aggregate(
             WindowSpec(size=24 * 3600.0),
             lambda window, key: {
                 "meter_id": key,
@@ -281,13 +278,9 @@ class TestAblations:
                 if selective
                 else None
             ),
-        )
-        sink = query.add_sink("sink")
-        query.connect(source, aggregate)
-        query.connect(aggregate, sink)
-        capture = attach_intra_process_provenance(query, ProvenanceMode.GENEALOG)
-        Scheduler(query).run()
-        records = capture.records()
+            name="daily_max",
+        ).sink("sink")
+        records = Pipeline(df, provenance=ProvenanceMode.GENEALOG).run().provenance_records()
         assert records
         if selective:
             # only the maximum reading of each (meter, day) window contributes.

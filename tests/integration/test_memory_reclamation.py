@@ -51,7 +51,7 @@ class TestMemoryReclamation:
         total = len(refs)
         contributing = {
             (entry["ts_o"], entry["car_id"])
-            for record in result.capture.records()
+            for record in result.provenance_records()
             for entry in record.sources
         }
         assert result.sink.count > 0
@@ -72,7 +72,7 @@ class TestMemoryReclamation:
         result, refs, alive = run_with_weakrefs(ProvenanceMode.BASELINE)
         # The baseline's store pins the whole source stream, contributing or not.
         assert alive == len(refs)
-        assert result.capture.manager.retained_items() == len(refs)
+        assert result.managers["q1"].retained_items() == len(refs)
 
     def test_no_provenance_retains_nothing(self):
         result, refs, alive = run_with_weakrefs(ProvenanceMode.NONE)
@@ -116,7 +116,7 @@ def test_records_and_ledger_hold_no_tuple(execution):
         execution=execution, provenance_store=store,
     )
     result = pipeline.run()
-    records, collector = result.provenance_records(), result.collector
+    records, collector = result.provenance_records(), result.collectors["sink"]
     assert records and store.sealed_count == len(records) == result.sink.count
     assert reachable_stream_tuples(records, collector, store) == 0
     result.sink.clear()

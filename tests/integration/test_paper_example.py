@@ -37,7 +37,7 @@ class TestFigure1Example:
 
     def test_provenance_is_the_four_reports_of_car_a(self, provenance_mode):
         result = self._run(provenance_mode)
-        records = result.capture.records()
+        records = result.provenance_records()
         assert len(records) == 1
         record = records[0]
         assert record.sink_values["car_id"] == "a"
@@ -51,15 +51,15 @@ class TestFigure1Example:
 
     def test_non_contributing_reports_are_excluded(self, provenance_mode):
         result = self._run(provenance_mode)
-        record = result.capture.records()[0]
+        record = result.provenance_records()[0]
         contributing_cars = {entry["car_id"] for entry in record.sources}
         # the reports of cars "b" (moving) and "c" (stopped only once) do not
         # contribute to the alert.
         assert contributing_cars == {"a"}
 
     def test_composed_su_produces_the_same_provenance(self, provenance_mode):
-        fused = self._run(provenance_mode, fused=True).capture.records()
-        composed = self._run(provenance_mode, fused=False).capture.records()
+        fused = self._run(provenance_mode, fused=True).provenance_records()
+        composed = self._run(provenance_mode, fused=False).provenance_records()
         assert [r.source_timestamps() for r in fused] == [
             r.source_timestamps() for r in composed
         ]
@@ -67,4 +67,4 @@ class TestFigure1Example:
     def test_provenance_size_matches_section_7(self, provenance_mode):
         # "As for provenance, 4 source tuples contribute to each sink tuple" (Q1).
         result = self._run(provenance_mode)
-        assert [r.source_count for r in result.capture.records()] == [4]
+        assert [r.source_count for r in result.provenance_records()] == [4]

@@ -64,7 +64,7 @@ class TestPipelineIntraParity:
         assert result.sink.count > 0
         assert sink_values(result.sink) == sink_values(legacy.sink)
         assert record_index(result.provenance_records()) == record_index(
-            legacy.capture.records()
+            legacy.provenance_records()
         )
 
     def test_pipeline_runs_with_scheduler(self):
@@ -72,7 +72,7 @@ class TestPipelineIntraParity:
         assert result.deployment == "intra"
         assert result.query is not None
         assert not result.instances
-        assert result.rounds > 0
+        assert result.wakeups > 0
         assert result.bytes_transferred() == 0
 
 
@@ -101,7 +101,7 @@ class TestPipelineInterParity:
             "spe2",
             "provenance_node",
         ]
-        assert result.rounds > 0
+        assert result.wakeups > 0
         assert result.tuples_transferred() > 0
         assert result.bytes_transferred() > 0
         # the runtime assigned ordering values to every instance.
@@ -284,8 +284,8 @@ class TestPipelineSpliceRegressions:
         assert "('fff', 'out')" in str(info.value)
 
     def test_intra_router_ports_survive_sink_splicing(self):
-        # attach_intra_process_provenance splices an SU in front of every
-        # Sink; when a Router port feeds a Sink directly the splice must not
+        # Without a cut edge the builder splices an SU in front of every
+        # captured Sink; when a Router port feeds a Sink directly the splice must not
         # reorder the router's output ports.
         from repro.spe.tuples import StreamTuple
 
@@ -425,7 +425,7 @@ class TestPipelineSpliceRegressions:
         result = pipeline.run()
         assert not provenance_sink.received  # provenance Sinks keep no tuples
         rows = [row for block in recorder.tuples for row in block.rows()]
-        assert len(rows) == result.collector.unfolded_tuples > 0
+        assert len(rows) == result.collectors["sink"].unfolded_tuples > 0
 
 
 class TestIdentityStages:

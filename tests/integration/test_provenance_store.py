@@ -145,7 +145,7 @@ class TestLedgerMatchesOnDemandTraversal:
         # to the sink tuples' metadata, not just against the collector.
         ledger = ProvenanceLedger()
         result = run_with_store("q1", ProvenanceMode.GENEALOG, "intra", 1, ledger)
-        manager = result.capture.manager
+        manager = result.managers["q1"]
         assert result.sink.received
         for tup in result.sink.received:
             expected = {manager.tuple_id(origin) for origin in find_provenance(tup)}
@@ -214,7 +214,10 @@ class TestPipelineStoreWiring:
         ledger = ProvenanceLedger()
         result = Pipeline(df, provenance="genealog", provenance_store=ledger).run()
         # only the opted-in sink was spliced and feeds the store.
-        assert list(result.capture.provenance_sinks) == ["wanted"]
+        assert list(result.collectors) == ["wanted"]
+        assert [op.name for op in result.query.sinks()] == [
+            "wanted", "unwanted", "provenance_wanted"
+        ]
         assert ledger.sealed_count == result.query["wanted"].count > 0
         wanted_values = {m.sink_values["v"] for m in ledger.mappings()}
         assert wanted_values == {0, 2, 4, 6, 8}
@@ -313,7 +316,7 @@ class TestFirstSightCost:
                 provenance="genealog",
                 provenance_store=store,
             )
-            (provenance_sink,) = pipeline.build().capture.provenance_sinks.values()
+            provenance_sink = pipeline.build().query["provenance_sink"]
             recorder = RecordingTap()
             provenance_sink.add_tap(recorder)
             result = pipeline.run()

@@ -105,7 +105,7 @@ class TestDistributedResults:
     def test_distributed_provenance_equals_intra_process_provenance(self, query_name, mode):
         intra = run_intra(query_name, mode)
         inter = run_inter(query_name, mode)
-        intra_records = record_index(intra.capture.records())
+        intra_records = record_index(intra.provenance_records())
         inter_records = record_index(inter.provenance_records())
         assert intra_records == inter_records
 
@@ -128,7 +128,10 @@ class TestDistributedResults:
         assert provenance_bytes(fused.provenance_records()) == provenance_bytes(
             composed.provenance_records()
         )
-        assert fused.collector.unfolded_tuples == composed.collector.unfolded_tuples
+        assert (
+            fused.collectors["sink"].unfolded_tuples
+            == composed.collectors["sink"].unfolded_tuples
+        )
 
 
 class TestInterProcessMechanics:

@@ -75,8 +75,8 @@ class TestQueryOutputs:
         assert [(t.ts, dict(t.values)) for t in first.sink.received] == [
             (t.ts, dict(t.values)) for t in second.sink.received
         ]
-        assert record_index(first.capture.records()) == record_index(
-            second.capture.records()
+        assert record_index(first.provenance_records()) == record_index(
+            second.provenance_records()
         )
 
 
@@ -85,38 +85,38 @@ class TestProvenanceAgreement:
     def test_genealog_and_baseline_report_identical_provenance(self, query_name):
         genealog = run(query_name, ProvenanceMode.GENEALOG)
         baseline = run(query_name, ProvenanceMode.BASELINE)
-        assert record_index(genealog.capture.records()) == record_index(
-            baseline.capture.records()
+        assert record_index(genealog.provenance_records()) == record_index(
+            baseline.provenance_records()
         )
 
     @pytest.mark.parametrize("query_name", ALL_QUERIES)
     def test_one_record_per_sink_tuple(self, query_name, provenance_mode):
         result = run(query_name, provenance_mode)
-        assert len(result.capture.records()) == result.sink.count
+        assert len(result.provenance_records()) == result.sink.count
 
 
 class TestProvenanceSizes:
     def test_q1_sizes(self, provenance_mode):
         result = run("q1", provenance_mode)
-        sizes = {record.source_count for record in result.capture.records()}
+        sizes = {record.source_count for record in result.provenance_records()}
         assert sizes == {4}
 
     def test_q2_sizes(self, provenance_mode):
         result = run("q2", provenance_mode)
-        sizes = {record.source_count for record in result.capture.records()}
+        sizes = {record.source_count for record in result.provenance_records()}
         # at least two stopped cars with four reports each
         assert all(size >= 8 for size in sizes)
         assert 8 in sizes
 
     def test_q3_sizes(self, provenance_mode):
         result = run("q3", provenance_mode)
-        sizes = {record.source_count for record in result.capture.records()}
+        sizes = {record.source_count for record in result.provenance_records()}
         # 8 blacked-out meters x 24 hourly readings
         assert sizes == {192}
 
     def test_q4_sizes(self, provenance_mode):
         result = run("q4", provenance_mode)
-        sizes = {record.source_count for record in result.capture.records()}
+        sizes = {record.source_count for record in result.provenance_records()}
         # the 24 readings of the previous day plus the midnight reading
         assert sizes == {25}
 
@@ -131,7 +131,7 @@ class TestProvenanceOracles:
             by_car[report["car_id"]].append(report)
 
         result = run("q1", provenance_mode)
-        records = result.capture.records()
+        records = result.provenance_records()
         assert records
         for record in records:
             car = record.sink_values["car_id"]
@@ -150,7 +150,7 @@ class TestProvenanceOracles:
         blacked-out meters of that day."""
         readings = list(SmartGridGenerator(SMART_GRID).tuples())
         result = run("q3", provenance_mode)
-        records = result.capture.records()
+        records = result.provenance_records()
         assert records
         for record in records:
             day_start = record.sink_ts
@@ -171,7 +171,7 @@ class TestProvenanceOracles:
 
     def test_q4_provenance_contains_the_anomalous_midnight_reading(self, provenance_mode):
         result = run("q4", provenance_mode)
-        records = result.capture.records()
+        records = result.provenance_records()
         assert records
         for record in records:
             meter = record.sink_values["meter_id"]

@@ -47,7 +47,7 @@ import pytest
 
 from repro.api import Dataflow, DataflowError, Pipeline, Placement
 from repro.core.provenance import ProvenanceMode
-from repro.provstore import ProvenanceTap, open_provenance_store
+from repro.provstore import ProvenanceLedger, ProvenanceTap, open_provenance_store
 from repro.spe.cluster import (
     HOME_INSTANCE,
     ClusterWorker,
@@ -122,7 +122,7 @@ class TestRemoteEquivalence:
         snapshot = remote.metrics()
         assert snapshot.total_work_calls > 0
         assert snapshot.total_tuples_sent == remote.tuples_transferred()
-        assert remote.wakeups > 0 and remote.rounds > 0
+        assert remote.wakeups > 0
 
     def test_store_matches_event_execution(self, execution):
         # the provenance Sink feeding the ledger runs in the home instance.
@@ -149,6 +149,43 @@ def sink_named(result, name):
     """The Sink called ``name``, wherever the build placed it."""
     (sink,) = (instance[name] for instance in result.instances if name in instance)
     return sink
+
+
+class TestOneInstancePlacement:
+    """A placement that cuts no edge captures in place, like no placement."""
+
+    @staticmethod
+    def run_q1(mode, placement, execution):
+        ledger = ProvenanceLedger()
+        result = Pipeline(
+            query_dataflow("q1", workload_for("q1")),
+            provenance=mode,
+            placement=placement,
+            execution=execution,
+            provenance_store=ledger,
+        ).run()
+        return result, ledger
+
+    @pytest.mark.parametrize("execution", ["event", pytest.param("process", marks=fork_required)])
+    @pytest.mark.parametrize(
+        "mode", [ProvenanceMode.GENEALOG, ProvenanceMode.BASELINE], ids=["GL", "BL"]
+    )
+    def test_same_sinks_provenance_and_ledger_as_no_placement(self, mode, execution):
+        one = Placement({"spe": query_dataflow("q1", []).node_names})
+        placed, placed_ledger = self.run_q1(mode, one, execution)
+        plain, plain_ledger = self.run_q1(mode, None, "event")
+        assert plain.sink.count > 0
+        assert sink_bytes(placed.sink) == sink_bytes(plain.sink)
+        assert provenance_bytes(placed.provenance_records()) == provenance_bytes(
+            plain.provenance_records()
+        )
+        assert_same_store(placed_ledger, plain_ledger)
+        assert list(placed.collectors) == list(plain.collectors) == ["sink"]
+        # no cut edge: no provenance instance and no inter-instance channel.
+        assert [i.name for i in placed.instances] == (
+            ["spe"] if execution == "event" else ["spe", HOME_INSTANCE]
+        )
+        assert not placed.channels
 
 
 class TestHomeInstance:
@@ -382,7 +419,6 @@ class TestSecondRun:
             return (
                 result.sink.count,
                 len(result.sink.latencies),
-                result.rounds,
                 result.wakeups,
                 len(result.provenance_records()),
             )

@@ -23,7 +23,6 @@ from repro.core.multi_unfolder import attach_mu
 from repro.core.provenance import (
     ProvenanceCollector,
     ProvenanceMode,
-    attach_intra_process_provenance,
     create_manager,
 )
 from repro.core.unfolder import attach_su
@@ -74,7 +73,22 @@ def _finish_intra(
     mode: ProvenanceMode,
     fused: bool,
 ) -> PipelineResult:
-    capture = attach_intra_process_provenance(query, mode, fused=fused)
+    manager = create_manager(mode)
+    collectors: Dict[str, ProvenanceCollector] = {}
+    if mode is not ProvenanceMode.NONE:
+        # Theorem 5.3 by hand: the Sink's producer feeds an SU whose data
+        # side feeds the Sink and whose unfolded side feeds a provenance Sink.
+        producer, _ = query.disconnect(sink.inputs[0])
+        data_out, unfolded_out = attach_su(
+            query, producer, name=f"su_{sink.name}", fused=fused
+        )
+        query.connect(data_out, sink)
+        collector = collectors[sink.name] = ProvenanceCollector(name=sink.name)
+        provenance_sink = query.add_sink(
+            f"provenance_{sink.name}", callback=collector.add, keep_tuples=False
+        )
+        query.connect(unfolded_out, provenance_sink)
+    query.set_provenance(manager)
     query.validate()
     return PipelineResult(
         mode=mode,
@@ -83,8 +97,8 @@ def _finish_intra(
         query=query,
         sources=[source],
         sinks=[sink],
-        capture=capture,
-        managers={"local": capture.manager},
+        collectors=collectors,
+        managers={query.name: manager},
     )
 
 
@@ -379,7 +393,7 @@ class _DistributedAssembler:
             instances=self.instances,
             sources=[source],
             sinks=[sink],
-            collector=self.collector,
+            collectors={} if self.collector is None else {sink.name: self.collector},
             managers=self.managers,
             channels=self.channels,
         )

@@ -385,63 +385,22 @@ class TestVarints:
 
 
 # ---------------------------------------------------------------------------
-# dictionary reset across reconnects
+# dictionaries out of sync
 # ---------------------------------------------------------------------------
 
 
-#: flat tuples over a few shared field names and strings, so the batches
-#: after a reconnect keep re-using what the batches before it interned.
-shared_strings = st.sampled_from(["plate", "car_id", "node:1", "", "\u00fc"])
-shared_tuples = st.builds(
-    lambda ts, values: StreamTuple(ts=ts, values=values),
-    st.integers(0, 1000),
-    st.dictionaries(shared_strings, shared_strings | json_scalars, max_size=4),
-)
-
-#: one stream of at least two batches and a reconnect point inside it, in
-#: one cheap draw (two independent ``batches`` draws of nested documents
-#: made Hypothesis' too_slow health check fail on a loaded host).
-reconnected_streams = st.lists(
-    st.lists(
-        st.tuples(shared_tuples, st.just({}) | genealog_payloads), min_size=1, max_size=6
-    ),
-    min_size=2,
-    max_size=6,
-).flatmap(lambda stream: st.tuples(st.just(stream), st.integers(1, len(stream) - 1)))
-
-
-class TestDictionaryReset:
-    @given(reconnected_streams)
-    @settings(max_examples=40)
-    def test_reset_on_both_ends_keeps_the_stream_decodable(self, stream_and_cut):
-        """A reconnect resets encoder and decoder together: still lossless."""
-        stream, cut = stream_and_cut
-        first, second = stream[:cut], stream[cut:]
+class TestDictionarySync:
+    def test_a_decoder_that_missed_a_batch_fails_loudly(self):
+        """A decoder that missed a batch must raise, never silently mis-decode."""
         encoder = BinaryChannelEncoder("prop")
-        decoder = BinaryChannelDecoder("prop")
-        for blob in encode_stream(encoder, first):
-            decoder.decode_batch(blob)
-        encoder.reset()
-        decoder.reset()
-        for blob, batch in zip(encode_stream(encoder, second), second):
-            tuples, _ = decoder.decode_batch(blob)
-            assert [typed(t.values) for t in tuples] == [
-                typed(original.values) for original, _ in batch
-            ]
-
-    def test_stale_references_after_decoder_only_reset_fail_loudly(self):
-        """Resetting only one end must raise, never silently mis-decode."""
-        encoder = BinaryChannelEncoder("prop")
-        decoder = BinaryChannelDecoder("prop")
         batch = [StreamTuple(ts=1.0, values={"plate": "abc", "id": "node:1"})]
-        decoder.decode_batch(encoder.encode_batch(batch, [{}]))
-        # The second batch references the interned schema from the first.
+        encoder.encode_batch(batch, [{}])
+        # The second batch references the schema the first one interned.
         second = encoder.encode_batch(
             [StreamTuple(ts=2.0, values={"plate": "def", "id": "node:2"})], [{}]
         )
-        decoder.reset()
-        with pytest.raises(SerializationError):
-            decoder.decode_batch(second)
+        with pytest.raises(SerializationError, match="out of sync"):
+            BinaryChannelDecoder("prop").decode_batch(second)
 
 
 # ---------------------------------------------------------------------------

@@ -56,15 +56,15 @@ class TestProvenanceProperties:
         genealog = run_intra(config, ProvenanceMode.GENEALOG)
         baseline = run_intra(config, ProvenanceMode.BASELINE)
         distributed = run_inter(config, ProvenanceMode.GENEALOG)
-        intra_index = record_index(genealog.capture.records())
-        assert intra_index == record_index(baseline.capture.records())
+        intra_index = record_index(genealog.provenance_records())
+        assert intra_index == record_index(baseline.provenance_records())
         assert intra_index == record_index(distributed.provenance_records())
 
     @given(workload_configs)
     @settings(max_examples=15, deadline=None)
     def test_reported_sources_are_plausible_contributors(self, config):
         result = run_intra(config, ProvenanceMode.GENEALOG)
-        for record in result.capture.records():
+        for record in result.provenance_records():
             car = record.sink_values["car_id"]
             window_start = record.sink_ts
             assert record.source_count == record.sink_values["count"]
@@ -77,4 +77,4 @@ class TestProvenanceProperties:
     @settings(max_examples=10, deadline=None)
     def test_one_record_per_sink_tuple(self, config):
         result = run_intra(config, ProvenanceMode.GENEALOG)
-        assert len(result.capture.records()) == result.sink.count
+        assert len(result.provenance_records()) == result.sink.count

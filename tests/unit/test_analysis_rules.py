@@ -293,6 +293,35 @@ class TestCaptureShape:
         # without provenance the placed shape is unconstrained too.
         assert Pipeline(self._two_sinks(), placement=self.PLACED).analyze().ok
 
+    @pytest.mark.parametrize("technique", ("genealog", "baseline"))
+    def test_a_one_instance_placement_takes_any_number_of_sinks(self, technique):
+        # No edge is cut, so capture splices in place as without a placement.
+        one = Placement({"spe1": ("src", "copy", "f", "m", "out", "other")})
+        result = Pipeline(self._two_sinks(), technique, one).run()
+        assert [instance.name for instance in result.instances] == ["spe1"]
+        assert not result.channels
+        assert {name: len(c) for name, c in result.collectors.items()} == {
+            "out": 8,
+            "other": 8,
+        }
+
+    def test_cut_only_rules_stay_silent_on_a_one_instance_placement(self):
+        # The BL-shipped unordered source and the MU/resolver retention bound
+        # concern a provenance instance, which only a cut edge brings.
+        df = Dataflow("uncut")
+        (df.source("src", _disordered_rows, enforce_order=False)
+           .sort(slack=5.0, name="fix")
+           .aggregate(WindowSpec(size=120.0, advance=30.0), _count_aggregate,
+                      key_function=_keyed, name="agg")
+           .sink("out"))
+        one = Placement({"spe1": ("src", "fix", "agg", "out")})
+        cut = Placement({"spe1": ("src", "fix"), "spe2": ("agg", "out")})
+        assert Pipeline(df, "baseline", one, retention=10.0).analyze().ok
+        assert rule_ids(Pipeline(df, "baseline", cut, retention=10.0).analyze()) == {
+            "provenance.unordered-capture",
+            "provenance.retention-below-window-sum",
+        }
+
 
 # -- boundary rules ----------------------------------------------------------
 

@@ -246,7 +246,7 @@ class TestLegacyParityIntra:
         assert query_signature(dsl.query) == query_signature(legacy.query)
         assert dsl.source.name == legacy.source.name
         assert dsl.sink.name == legacy.sink.name
-        assert sorted(dsl.capture.collectors) == sorted(legacy.capture.collectors)
+        assert list(dsl.collectors) == list(legacy.collectors)
 
 
 class TestLegacyParityInter:

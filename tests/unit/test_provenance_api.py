@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.baseline import AriadneBaselineProvenance
 from repro.core.instrumentation import GeneaLogProvenance
+from repro.api import Dataflow, Pipeline
 from repro.core.provenance import (
     ProvenanceCollector,
     ProvenanceMode,
     ProvenanceRecord,
-    attach_intra_process_provenance,
     create_manager,
 )
 from repro.core.unfolder import SUOperator
@@ -175,75 +175,82 @@ class TestProvenanceCollector:
         assert [r.source_timestamps() for r in collector.records()] == [[90], [95], [97]]
 
 
-def build_simple_query(tuples):
-    query = Query("simple")
-    source = query.add_source("source", tuples)
-    forward = query.add_filter("forward", lambda t: t["x"] > 0)
-    sink = query.add_sink("sink")
-    query.connect(source, forward)
-    query.connect(forward, sink)
-    return query, sink
+def simple_dataflow(tuples, name="simple"):
+    df = Dataflow(name)
+    df.source("source", tuples).filter(lambda t: t["x"] > 0, name="forward").sink("sink")
+    return df
 
 
-class TestAttachIntraProcessProvenance:
-    def test_none_mode_leaves_the_query_untouched(self):
-        query, sink = build_simple_query([tup(1, x=1)])
-        operator_count = len(query.operators)
-        capture = attach_intra_process_provenance(query, ProvenanceMode.NONE)
-        assert len(query.operators) == operator_count
-        assert capture.records() == []
-        Scheduler(query).run()
-        assert sink.count == 1
+def two_sink_dataflow(tuples):
+    df = Dataflow("two")
+    split = df.source("source", tuples).split(name="copy")
+    split.filter(lambda t: t["x"] > 0, name="positive").sink("positive_sink")
+    split.filter(lambda t: t["x"] <= 0, name="rest").sink("rest_sink")
+    return df
+
+
+class TestInPlaceCapture:
+    """A plan without a cut edge: an SU before each captured Sink (Thm. 5.3)."""
+
+    def test_none_mode_leaves_the_plan_untouched(self):
+        pipeline = Pipeline(simple_dataflow([tup(1, x=1)]))
+        result = pipeline.build()
+        assert [op.name for op in result.query.operators] == ["source", "forward", "sink"]
+        assert result.collectors == {}
+        pipeline.run()
+        assert result.sink.count == 1
+        assert result.provenance_records() == []
 
     def test_genealog_mode_inserts_su_and_provenance_sink(self):
-        query, sink = build_simple_query([tup(1, x=1)])
-        attach_intra_process_provenance(query, ProvenanceMode.GENEALOG)
+        query = Pipeline(simple_dataflow([tup(1, x=1)]), "genealog").build().query
         names = {op.name for op in query.operators}
         assert "su_sink" in names
         assert "provenance_sink" in names
         assert any(isinstance(op, SUOperator) for op in query.operators)
 
     def test_composed_mode_avoids_the_fused_operator(self):
-        query, _ = build_simple_query([tup(1, x=1)])
-        attach_intra_process_provenance(query, ProvenanceMode.GENEALOG, fused=False)
+        query = Pipeline(simple_dataflow([tup(1, x=1)]), "genealog", fused=False).build().query
         assert not any(isinstance(op, SUOperator) for op in query.operators)
 
     def test_capture_collects_records(self, provenance_mode):
-        query, sink = build_simple_query([tup(1, x=1), tup(2, x=-1), tup(3, x=2)])
-        capture = attach_intra_process_provenance(query, provenance_mode)
-        Scheduler(query).run()
-        assert sink.count == 2
-        records = capture.records()
+        tuples = [tup(1, x=1), tup(2, x=-1), tup(3, x=2)]
+        result = Pipeline(simple_dataflow(tuples), provenance_mode).run()
+        assert result.sink.count == 2
+        records = result.provenance_records()
         assert len(records) == 2
         assert all(record.source_count == 1 for record in records)
 
     def test_every_operator_shares_the_manager(self):
-        query, _ = build_simple_query([tup(1, x=1)])
-        capture = attach_intra_process_provenance(query, ProvenanceMode.GENEALOG)
-        assert all(op.provenance is capture.manager for op in query.operators)
+        result = Pipeline(simple_dataflow([tup(1, x=1)]), "genealog").build()
+        assert list(result.managers) == ["simple"]
+        manager = result.managers["simple"]
+        assert all(op.provenance is manager for op in result.query.operators)
+
+    def test_the_one_instance_keeps_the_local_node_id(self):
+        result = Pipeline(simple_dataflow([tup(1, x=1)]), "genealog").run()
+        assert result.query.name == "simple" and not result.instances
+        (record,) = result.provenance_records()
+        assert record.sink_id.startswith("local:")
+        assert all(entry["id_o"].startswith("local:") for entry in record.sources)
 
     def test_data_sink_results_are_unchanged_by_provenance(self):
-        plain_query, plain_sink = build_simple_query([tup(1, x=1), tup(2, x=5)])
-        attach_intra_process_provenance(plain_query, ProvenanceMode.NONE)
-        Scheduler(plain_query).run()
+        tuples = [tup(1, x=1), tup(2, x=5)]
+        plain = Pipeline(simple_dataflow(tuples)).run().sink
+        captured = Pipeline(simple_dataflow(tuples), "genealog").run().sink
+        assert [t.values for t in plain.received] == [t.values for t in captured.received]
 
-        provenance_query, provenance_sink = build_simple_query([tup(1, x=1), tup(2, x=5)])
-        attach_intra_process_provenance(provenance_query, ProvenanceMode.GENEALOG)
-        Scheduler(provenance_query).run()
+    def test_traversal_times_exposed_through_the_result(self):
+        result = Pipeline(simple_dataflow([tup(1, x=1)]), "genealog").run()
+        assert len(result.traversal_times_s()) == 1
+        assert list(result.traversal_times_by_instance()) == ["simple"]
 
-        assert [t.values for t in plain_sink.received] == [
-            t.values for t in provenance_sink.received
-        ]
-
-    def test_traversal_times_exposed_through_capture(self):
-        query, _ = build_simple_query([tup(1, x=1)])
-        capture = attach_intra_process_provenance(query, ProvenanceMode.GENEALOG)
-        Scheduler(query).run()
-        assert len(capture.traversal_times_s()) == 1
-
-    def test_records_for_named_sink(self):
-        query, _ = build_simple_query([tup(1, x=1)])
-        capture = attach_intra_process_provenance(query, ProvenanceMode.GENEALOG)
-        Scheduler(query).run()
-        assert len(capture.records_for("sink")) == 1
-        assert capture.records_for("unknown") == []
+    def test_collectors_are_keyed_by_captured_sink(self, provenance_mode):
+        tuples = [tup(1, x=1), tup(2, x=-1), tup(3, x=2)]
+        result = Pipeline(two_sink_dataflow(tuples), provenance_mode).run()
+        assert list(result.collectors) == ["positive_sink", "rest_sink"]
+        per_sink = {
+            sink: [record.sink_values["x"] for record in collector.records()]
+            for sink, collector in result.collectors.items()
+        }
+        assert per_sink == {"positive_sink": [1, 2], "rest_sink": [-1]}
+        assert len(result.provenance_records()) == 3

@@ -11,13 +11,12 @@ import weakref
 
 import pytest
 
+from repro.api import Dataflow, Pipeline
 from repro.core.instrumentation import GeneaLogProvenance
 from repro.core.meta import get_meta
-from repro.core.provenance import ProvenanceMode, attach_intra_process_provenance
+from repro.core.provenance import ProvenanceMode
 from repro.core.types import TupleType
 from repro.spe.operators.aggregate import WindowSpec
-from repro.spe.query import Query
-from repro.spe.scheduler import Scheduler
 from tests.optest import tup
 
 
@@ -30,20 +29,16 @@ def max_speed_contributors(window, key, values):
     return [t for t in window if t["speed"] == values["max_speed"]][:1]
 
 
-def build_max_query(tuples, contributors=True):
-    query = Query("max-speed")
-    source = query.add_source("source", tuples)
-    aggregate = query.add_aggregate(
-        "max_speed",
+def run_max_query(supplier, mode=ProvenanceMode.GENEALOG, contributors=True):
+    df = Dataflow("max-speed")
+    df.source("source", supplier).aggregate(
         WindowSpec(size=60),
         max_speed_aggregate,
         key_function=lambda t: t["car_id"],
         contributors_function=max_speed_contributors if contributors else None,
-    )
-    sink = query.add_sink("sink")
-    query.connect(source, aggregate)
-    query.connect(aggregate, sink)
-    return query, sink
+        name="max_speed",
+    ).sink("sink")
+    return Pipeline(df, provenance=mode).run()
 
 
 def readings():
@@ -107,11 +102,9 @@ class TestEndToEnd:
         "mode", [ProvenanceMode.GENEALOG, ProvenanceMode.BASELINE], ids=["GL", "BL"]
     )
     def test_provenance_is_the_single_maximum_reading(self, mode):
-        query, sink = build_max_query(readings())
-        capture = attach_intra_process_provenance(query, mode)
-        Scheduler(query).run()
-        assert sink.count == 1
-        records = capture.records()
+        result = run_max_query(readings(), mode)
+        assert result.sink.count == 1
+        records = result.provenance_records()
         assert len(records) == 1
         record = records[0]
         assert record.source_count == 1
@@ -119,19 +112,13 @@ class TestEndToEnd:
         assert record.sources[0]["speed"] == 42
 
     def test_query_results_are_unchanged_by_the_optimisation(self):
-        with_optimisation, sink_a = build_max_query(readings(), contributors=True)
-        without_optimisation, sink_b = build_max_query(readings(), contributors=False)
-        attach_intra_process_provenance(with_optimisation, ProvenanceMode.GENEALOG)
-        attach_intra_process_provenance(without_optimisation, ProvenanceMode.GENEALOG)
-        Scheduler(with_optimisation).run()
-        Scheduler(without_optimisation).run()
+        sink_a = run_max_query(readings(), contributors=True).sink
+        sink_b = run_max_query(readings(), contributors=False).sink
         assert [t.values for t in sink_a.received] == [t.values for t in sink_b.received]
 
     def test_without_the_optimisation_the_whole_window_contributes(self):
-        query, _ = build_max_query(readings(), contributors=False)
-        capture = attach_intra_process_provenance(query, ProvenanceMode.GENEALOG)
-        Scheduler(query).run()
-        assert capture.records()[0].source_count == 4
+        result = run_max_query(readings(), contributors=False)
+        assert result.provenance_records()[0].source_count == 4
 
     def test_non_contributing_tuples_become_reclaimable(self):
         refs = []
@@ -141,9 +128,8 @@ class TestEndToEnd:
                 refs.append(weakref.ref(reading))
                 yield reading
 
-        query, sink = build_max_query(supplier)
-        attach_intra_process_provenance(query, ProvenanceMode.GENEALOG)
-        Scheduler(query).run()
+        result = run_max_query(supplier)
+        assert result.sink.count == 1
         gc.collect()
         alive = [ref() for ref in refs if ref() is not None]
         # only the maximum reading is still reachable (through the sink tuple).
